@@ -7,7 +7,11 @@
     need the same indirection in handle form: a directory maps a logical
     host id to the kernel currently hosting it. Program code must re-ask
     on every use; caching the kernel across a blocking call is exactly
-    the bug transparency is meant to prevent. *)
+    the bug transparency is meant to prevent.
+
+    Programs re-ask once per CPU quantum, so the answer comes from an
+    index the kernels keep current ({!Kernel.on_residency}): one hash
+    lookup, whatever the number of kernels. *)
 
 type t
 
@@ -15,15 +19,18 @@ val of_kernels : unit -> t
 (** An empty registry to which kernels are added as they boot. *)
 
 val register : t -> Kernel.t -> unit
+(** Add a kernel, indexing the logical hosts resident on it now and
+    following every later change. *)
 
 val kernels : t -> Kernel.t list
 (** In registration order. *)
 
 val locate : t -> Ids.lh_id -> Kernel.t option
-(** The kernel currently hosting the logical host, if any. *)
+(** The kernel currently hosting the logical host, if any. If two
+    kernels hold a copy, the one registered first. O(1). *)
 
 val current : t -> Ids.lh_id -> Kernel.t
-(** Like {!locate}.
+(** Like {!locate}, without allocating.
     @raise Failure if the logical host is not resident anywhere — it is
     mid-migration or destroyed; simulated program bodies treat this as
     "retry after a beat". *)

@@ -53,6 +53,8 @@ type t = {
   mem_bytes : int;
   kcpu : Cpu.t;
   lh_table : (Ids.lh_id, Logical_host.t) Hashtbl.t;
+  mutable on_residency : Ids.lh_id -> resident:bool -> unit;
+      (* Called on every change to [lh_table]. *)
   the_host_lh : Logical_host.t;
   sys_procs : (int, Vproc.t) Hashtbl.t;
   bindings : (Ids.lh_id, Addr.t) Hashtbl.t;
@@ -386,11 +388,25 @@ let logical_hosts t =
 
 let find_lh t id = Hashtbl.find_opt t.lh_table id
 
+(* Every residency change goes through these two, so [on_residency]
+   sees the table's exact history. *)
+let make_resident t id lh =
+  Hashtbl.replace t.lh_table id lh;
+  t.on_residency id ~resident:true
+
+let evict_resident t id =
+  Hashtbl.remove t.lh_table id;
+  t.on_residency id ~resident:false
+
+let on_residency t f =
+  t.on_residency <- f;
+  Hashtbl.iter (fun id _ -> f id ~resident:true) t.lh_table
+
+(* Answered on every load query: count without building a list. *)
 let guest_count t =
-  List.length
-    (List.filter
-       (fun lh -> Logical_host.priority lh = Cpu.Background)
-       (logical_hosts t))
+  Hashtbl.fold
+    (fun _ lh n -> if Logical_host.priority lh = Cpu.Background then n + 1 else n)
+    t.lh_table 0
 
 let lookup_binding t lh = Hashtbl.find_opt t.bindings lh
 
@@ -886,7 +902,7 @@ let handle_frame t (frame : Packet.t Frame.t) =
 let create_logical_host t ~priority =
   let id = Ids.Lh_allocator.fresh t.alloc in
   let lh = Logical_host.create ~id ~priority ~home:t.name in
-  Hashtbl.replace t.lh_table id lh;
+  make_resident t id lh;
   lh
 
 let spawn_in t lh ~name vp body =
@@ -916,7 +932,7 @@ let spawn_process t lh ~name body =
 let destroy_logical_host t lh =
   let id = Logical_host.id lh in
   List.iter Vproc.kill (Logical_host.processes lh);
-  Hashtbl.remove t.lh_table id;
+  evict_resident t id;
   Hashtbl.remove t.fault_sources id;
   invalidate_binding t id;
   (* Wake local senders whose requests died with the host. *)
@@ -1054,7 +1070,7 @@ let extract_lh ?page_source t lh =
       end)
     (Hashtbl.copy t.outstanding);
   (* 2. The host stops being resident here. *)
-  Hashtbl.remove t.lh_table id;
+  evict_resident t id;
   invalidate_binding t id;
   (* 3. Discard queued (unreceived) requests: remote senders keep
         retransmitting and will rebind; local senders restart their send,
@@ -1137,7 +1153,7 @@ let cancel_reservation t ~temp_lh = Hashtbl.remove t.reservations temp_lh
 let install_lh t state =
   let lh = state.st_lh in
   let id = Logical_host.id lh in
-  Hashtbl.replace t.lh_table id lh;
+  make_resident t id lh;
   (* Residency beats a stale retained-pages marker: set when a
      copy-on-reference install failed and the source resurrects the old
      copy, or when a departed host migrates back home. *)
@@ -1416,6 +1432,7 @@ let create ~engine:eng ~rng:krng ~tracer:trc ~params:prm ~net ~station:self
       mem_bytes;
       kcpu = Cpu.create ~tracer:trc eng ~quantum:prm.Os_params.cpu_quantum;
       lh_table = Hashtbl.create 16;
+      on_residency = (fun _ ~resident:_ -> ());
       the_host_lh;
       sys_procs = Hashtbl.create 8;
       bindings = Hashtbl.create 32;
@@ -1430,7 +1447,7 @@ let create ~engine:eng ~rng:krng ~tracer:trc ~params:prm ~net ~station:self
       cache = Content_cache.create ~budget:prm.Os_params.content_cache_bytes;
     }
   in
-  Hashtbl.replace t.lh_table host_id the_host_lh;
+  make_resident t host_id the_host_lh;
   t.stn <- Some (Ethernet.attach net self (fun frame -> handle_frame t frame));
   let ks =
     system_process t ~index:Ids.kernel_server_index ~name:(name ^ ":ks")
@@ -1455,6 +1472,8 @@ let shutdown t =
     (fun _ lh -> List.iter Vproc.kill (Logical_host.processes lh))
     t.lh_table;
   Hashtbl.iter (fun _ vp -> Vproc.kill vp) t.sys_procs;
+  List.iter (evict_resident t)
+    (Hashtbl.fold (fun id _ acc -> id :: acc) t.lh_table []);
   Hashtbl.reset t.lh_table;
   Hashtbl.iter (fun _ os -> Option.iter Engine.cancel os.os_timer) t.outstanding;
   Hashtbl.reset t.outstanding;
@@ -1487,7 +1506,7 @@ let reboot t =
      valid), but every logical host that lived here and all volatile
      kernel state are gone — correspondents must rebind via the paper's
      query protocol. The caller recreates the machine's services. *)
-  Hashtbl.replace t.lh_table (Logical_host.id t.the_host_lh) t.the_host_lh;
+  make_resident t (Logical_host.id t.the_host_lh) t.the_host_lh;
   t.stn <-
     Some (Ethernet.attach t.net t.self (fun frame -> handle_frame t frame));
   let ks =

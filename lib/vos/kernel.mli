@@ -194,6 +194,16 @@ val find_lh : t -> Ids.lh_id -> Logical_host.t option
 val guest_count : t -> int
 (** Resident logical hosts running at background (guest) priority. *)
 
+val on_residency : t -> (Ids.lh_id -> resident:bool -> unit) -> unit
+(** [on_residency k f] calls [f id ~resident:true] for every logical host
+    resident on [k] now, then calls [f] on every later change: with
+    [~resident:true] when a host is created or installed here or comes
+    back with a {!reboot}, with [~resident:false] when one is destroyed,
+    extracted for migration or lost in a {!shutdown}. [f] sees exactly
+    the changes {!find_lh} reflects, in order; it must not change
+    residency itself. A kernel has one such [f]: a later call replaces
+    it. *)
+
 (** {1 Logical hosts and processes} *)
 
 val create_logical_host : t -> priority:Cpu.priority -> Logical_host.t

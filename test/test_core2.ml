@@ -37,7 +37,7 @@ let test_env_bytes_grows_with_content () =
 
 (* {1 Context} *)
 
-let mini_kernels () =
+let boot_kernels names =
   let eng = Engine.create () in
   let rng = Rng.create 9 in
   let net = Ethernet.create eng (Rng.split rng) in
@@ -50,7 +50,12 @@ let mini_kernels () =
       ~allocator:alloc
       ~memory_bytes:(1024 * 1024)
   in
-  (eng, mk 0 "alpha", mk 1 "beta")
+  (eng, List.mapi mk names)
+
+let mini_kernels () =
+  match boot_kernels [ "alpha"; "beta" ] with
+  | eng, [ ka; kb ] -> (eng, ka, kb)
+  | _ -> assert false
 
 let test_directory_locate () =
   let _, ka, kb = mini_kernels () in
@@ -74,6 +79,96 @@ let test_directory_current_raises_for_unknown () =
   match Directory.current dir 424242 with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected Failure"
+
+(* What the directory answered before it kept an index: the first kernel,
+   in registration order, whose table holds the logical host. *)
+let scan dir id =
+  List.find_opt (fun k -> Kernel.find_lh k id <> None) (Directory.kernels dir)
+
+let agrees_with_scan dir id =
+  match (Directory.locate dir id, scan dir id) with
+  | Some a, Some b -> a == b
+  | None, None -> true
+  | _ -> false
+
+let test_directory_lost_ack_copies () =
+  let _, ka, kb = mini_kernels () in
+  let dir = Directory.of_kernels () in
+  Directory.register dir ka;
+  Directory.register dir kb;
+  let lh = Kernel.create_logical_host kb ~priority:Cpu.Background in
+  let id = Logical_host.id lh in
+  let host () = Kernel.host_name (Directory.current dir id) in
+  (* A migration beta -> alpha whose install acknowledgement is lost:
+     alpha runs the installed copy while beta resurrects its own. *)
+  Kernel.freeze_lh kb lh;
+  let state = Kernel.extract_lh kb lh in
+  Alcotest.(check bool) "nowhere while in flight" true
+    (Option.is_none (Directory.locate dir id));
+  ignore (Kernel.install_lh ka state);
+  ignore (Kernel.install_lh kb state);
+  Alcotest.(check string) "first registered copy wins" "alpha" (host ());
+  Kernel.destroy_logical_host ka lh;
+  Alcotest.(check string) "the other copy remains" "beta" (host ());
+  Kernel.shutdown kb;
+  Alcotest.(check bool) "a crash evicts every resident" true
+    (Option.is_none (Directory.locate dir id)
+    && Option.is_none
+         (Directory.locate dir (Logical_host.id (Kernel.host_lh kb))));
+  Kernel.reboot kb;
+  Alcotest.(check bool) "a reboot brings the host logical host back" true
+    (agrees_with_scan dir (Logical_host.id (Kernel.host_lh kb))
+    && Option.is_some
+         (Directory.locate dir (Logical_host.id (Kernel.host_lh kb))))
+
+(* Random residency histories over three kernels, the third registered
+   halfway through: after every step the index must name exactly the
+   kernel the scan names, for every logical host ever created. *)
+let prop_directory_matches_scan =
+  QCheck.Test.make ~count:300 ~name:"index = registration-order scan"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let _, ks = boot_kernels [ "alpha"; "beta"; "gamma" ] in
+      let ks = Array.of_list ks in
+      let dir = Directory.of_kernels () in
+      Directory.register dir ks.(0);
+      Directory.register dir ks.(1);
+      let ids =
+        ref (Array.to_list (Array.map (fun k -> Logical_host.id (Kernel.host_lh k)) ks))
+      in
+      let pick l = List.nth l (Rng.int rng (List.length l)) in
+      let guests k =
+        List.filter
+          (fun lh -> Logical_host.priority lh = Cpu.Background)
+          (Kernel.logical_hosts k)
+      in
+      let ok = ref true in
+      for step = 0 to 39 do
+        if step = 20 then Directory.register dir ks.(2);
+        let k = ks.(Rng.int rng 3) and k' = ks.(Rng.int rng 3) in
+        (match (Rng.int rng 6, guests k) with
+        | 0, _ ->
+            let lh = Kernel.create_logical_host k ~priority:Cpu.Background in
+            ids := Logical_host.id lh :: !ids
+        | 1, (_ :: _ as g) -> Kernel.destroy_logical_host k (pick g)
+        | 2, (_ :: _ as g) ->
+            let lh = pick g in
+            Kernel.freeze_lh k lh;
+            ignore (Kernel.install_lh k' (Kernel.extract_lh k lh))
+        | 3, (_ :: _ as g) ->
+            (* Lost acknowledgement: both copies resident. *)
+            let lh = pick g in
+            Kernel.freeze_lh k lh;
+            let state = Kernel.extract_lh k lh in
+            ignore (Kernel.install_lh k' state);
+            ignore (Kernel.install_lh k state)
+        | 4, _ -> if Kernel.running k then Kernel.shutdown k
+        | 5, _ -> if not (Kernel.running k) then Kernel.reboot k
+        | _ -> ());
+        if not (List.for_all (agrees_with_scan dir) !ids) then ok := false
+      done;
+      !ok)
 
 (* {1 Config} *)
 
@@ -246,6 +341,9 @@ let () =
           Alcotest.test_case "locate/current/find" `Quick test_directory_locate;
           Alcotest.test_case "unknown raises" `Quick
             test_directory_current_raises_for_unknown;
+          Alcotest.test_case "lost-ack copies" `Quick
+            test_directory_lost_ack_copies;
+          QCheck_alcotest.to_alcotest prop_directory_matches_scan;
         ] );
       ( "config",
         [

@@ -553,7 +553,7 @@ let test_slow_host_stretches_run () =
    and a destination crash mid-migration. Every exec_and_wait caller
    must get an answer, every migration must complete or roll back, and
    no kernel may leak reservations, forwards, or guest logical hosts. *)
-let chaos_run ~seed =
+let chaos_run ?(watch = ignore) ~seed () =
   let cfg = { Config.default with Config.migration_retries = 2 } in
   let cl =
     Cluster.create ~seed ~workstations:6 ~bridged:2 ~cfg
@@ -566,6 +566,7 @@ let chaos_run ~seed =
         ]
       ()
   in
+  watch cl;
   let eng = Cluster.engine cl in
   let results = ref [] in
   (* Three independent jobs, started from different workstations. *)
@@ -621,7 +622,7 @@ let chaos_run ~seed =
   (cl, !results, !migration)
 
 let test_chaos_everyone_answered () =
-  let cl, results, migration = chaos_run ~seed:1234 in
+  let cl, results, migration = chaos_run ~seed:1234 () in
   Alcotest.(check int) "all three jobs reported" 3 (List.length results);
   List.iter
     (fun (i, ok) ->
@@ -644,7 +645,7 @@ let test_chaos_everyone_answered () =
 
 let test_chaos_deterministic () =
   let fingerprint seed =
-    let cl, results, migration = chaos_run ~seed in
+    let cl, results, migration = chaos_run ~seed () in
     let stats =
       List.map
         (fun w ->
@@ -669,6 +670,40 @@ let test_chaos_deterministic () =
   Alcotest.(check bool) "identical chaos runs" true (a = b);
   let c = fingerprint 556 in
   Alcotest.(check bool) "different seed diverges" true (a <> c)
+
+(* The directory's residency index against the scan it replaced, checked
+   at every trace event of the chaos run: a crash mid-migration, a
+   reboot, lost frames and rollbacks must never leave the two apart. *)
+let test_chaos_directory_index () =
+  let checks = ref 0 and mismatches = ref 0 in
+  let watch cl =
+    let dir = Cluster.directory cl in
+    let kernels = Directory.kernels dir in
+    let seen = Hashtbl.create 64 in
+    let tracer = Cluster.tracer cl in
+    Tracer.set_enabled tracer true;
+    Tracer.on_event tracer (fun _ ->
+        List.iter
+          (fun k ->
+            List.iter
+              (fun lh -> Hashtbl.replace seen (Logical_host.id lh) ())
+              (Kernel.logical_hosts k))
+          kernels;
+        Hashtbl.iter
+          (fun id () ->
+            incr checks;
+            let scanned =
+              List.find_opt (fun k -> Kernel.find_lh k id <> None) kernels
+            in
+            match (Directory.locate dir id, scanned) with
+            | Some a, Some b when a == b -> ()
+            | None, None -> ()
+            | _ -> incr mismatches)
+          seen)
+  in
+  ignore (chaos_run ~watch ~seed:1234 ());
+  Alcotest.(check bool) "checked" true (!checks > 0);
+  Alcotest.(check int) "index = scan at every event" 0 !mismatches
 
 let () =
   Alcotest.run "v_faults"
@@ -721,5 +756,7 @@ let () =
           Alcotest.test_case "everyone answered" `Quick
             test_chaos_everyone_answered;
           Alcotest.test_case "deterministic" `Quick test_chaos_deterministic;
+          Alcotest.test_case "directory index = scan" `Quick
+            test_chaos_directory_index;
         ] );
     ]
