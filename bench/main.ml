@@ -1452,7 +1452,9 @@ let alloc () =
   let e = Engine.create () in
   register_engine e;
   let trc = Tracer.create ~capacity:1024 e in
-  let ev = Tracer.Text { category = "bench"; message = "x" } in
+  let ev =
+    Cpu.Slice { owner = 1; foreground = true; span = Sim_time.of_us 1 }
+  in
   report "tracer emit (on, no subscriber)"
     (words_per ~events:n (fun () ->
          for _ = 1 to n do

@@ -26,7 +26,7 @@ let workstations =
   Cmdliner.Arg.(value & opt int 6 & info [ "workstations"; "w" ] ~docv:"N" ~doc)
 
 let trace =
-  let doc = "Dump the kernel/program-manager trace afterwards." in
+  let doc = "Print every recorded trace event afterwards." in
   Cmdliner.Arg.(value & flag & info [ "trace" ] ~doc)
 
 let bridged =
@@ -71,7 +71,8 @@ let make_cluster ?faults ~seed ~workstations ~bridged ~trace () =
 
 let dump_trace cl =
   Format.printf "@.trace:@.";
-  Tracer.dump Format.std_formatter (Cluster.tracer cl)
+  List.iter (Format.printf "%a@." Tracer.pp_record)
+    (Tracer.records (Cluster.tracer cl))
 
 let report_faults cl =
   match Cluster.faults cl with

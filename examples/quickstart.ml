@@ -1,14 +1,15 @@
 (* Quickstart: boot a small V cluster and run one program remotely with
    "cc68 @ *" — then show the communication paths of the paper's
-   Figure 2-1 by dumping the kernel/program-manager trace.
+   Figure 2-1 by printing the IPC, scheduling, program-manager and
+   file-server events of the typed trace.
 
      dune exec examples/quickstart.exe
 *)
 
 let () =
   (* A cluster is a file-server machine plus workstations ws0..wsN-1 on
-     one simulated 10 Mbit Ethernet. [trace:true] records every kernel
-     and program-manager event. *)
+     one simulated 10 Mbit Ethernet. [trace:true] records every typed
+     trace event. *)
   let cl = Cluster.create ~seed:42 ~workstations:4 ~trace:true () in
   let origin = Cluster.workstation cl 0 in
 
@@ -50,10 +51,13 @@ let () =
   (* Figure 2-1: the communication paths. The trace shows the program
      manager group query, creation on the chosen host, and the program's
      interactions with kernel servers and the file server. *)
-  Printf.printf "\nFigure 2-1 — communication paths (kernel/pm trace, first 25):\n";
-  let entries = Tracer.entries (Cluster.tracer cl) in
+  Printf.printf "\nFigure 2-1 — communication paths (first 25 events):\n";
+  let on_path (r : Tracer.record) =
+    List.mem (Tracer.view r.Tracer.ev).Tracer.v_cat
+      [ "ipc"; "sched"; "pm"; "fs" ]
+  in
+  let paths = List.filter on_path (Tracer.records (Cluster.tracer cl)) in
   List.iteri
-    (fun i e ->
-      if i < 25 then Format.printf "  %a@." Tracer.pp_entry e)
-    entries;
-  Printf.printf "(%d trace entries total)\n" (List.length entries)
+    (fun i r -> if i < 25 then Format.printf "  %a@." Tracer.pp_record r)
+    paths;
+  Printf.printf "(%d path events total)\n" (List.length paths)

@@ -168,8 +168,8 @@ let residual t (r : Tracer.record) lh host what =
   touch t "residual";
   if Hashtbl.mem t.banned (lh, host) then
     fail t "residual" r
-      "%s references lh %d on %s after it migrated away: %s" what lh host
-      (Tracer.message_of r.Tracer.ev)
+      "%s references lh %d on %s after it migrated away: %a" what lh host
+      Tracer.pp_record r
 
 let check_residual t (r : Tracer.record) =
   match r.Tracer.ev with

@@ -233,18 +233,13 @@ module Coverage = struct
   let sorted l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
   (* Rendered as "category/type" via the registered views; distinct
-     constructors mapping to one view key merge their counts, and
-     unregistered constructors fall back to the OCaml constructor
-     name. *)
+     constructors mapping to one view key merge their counts. *)
   let event_kinds c =
     let merged = Hashtbl.create 64 in
     Hashtbl.iter
-      (fun ctor (ev, n) ->
+      (fun _ (ev, n) ->
         let v = Tracer.view ev in
-        let key =
-          if v.Tracer.v_cat = "" && v.Tracer.v_type = "" then ctor
-          else v.Tracer.v_cat ^ "/" ^ v.Tracer.v_type
-        in
+        let key = v.Tracer.v_cat ^ "/" ^ v.Tracer.v_type in
         match Hashtbl.find_opt merged key with
         | Some m -> m := !m + !n
         | None -> Hashtbl.add merged key (ref !n))

@@ -6,12 +6,8 @@ type Tracer.event += Fault_injected of { kind : string; detail : string }
 let () =
   Tracer.register_view (function
     | Fault_injected { kind; detail } ->
-        Some
-          {
-            Tracer.v_cat = "fault";
-            v_type = "injected";
-            v_fields = [ ("kind", Tracer.Str kind); ("detail", Str detail) ];
-          }
+        Tracer.view_as "fault" "injected"
+          [ ("kind", Tracer.Str kind); ("detail", Str detail) ]
     | _ -> None)
 
 type event =

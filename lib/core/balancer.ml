@@ -1,3 +1,20 @@
+type Tracer.event +=
+  | Bal_move of { host : string; guests : int; floor : int }
+  | Bal_skip of { reason : string }
+
+let () =
+  Tracer.register_view (function
+    | Bal_move { host; guests; floor } ->
+        Tracer.view_as "balance" "move"
+          [
+            ("host", Tracer.Str host);
+            ("guests", Int guests);
+            ("floor", Int floor);
+          ]
+    | Bal_skip { reason } ->
+        Tracer.view_as "balance" "skip" [ ("reason", Tracer.Str reason) ]
+    | _ -> None)
+
 type t = {
   daemon : Proc.t;
   mutable survey_count : int;
@@ -66,9 +83,9 @@ let rebalance_once ?health ?group t k ~self ~imbalance ~strategy ~on_outcome =
         | (busy_pm, busy_host, busiest) :: rest -> (
             match busiest with
             | victim :: _ when List.length busiest - floor >= imbalance -> (
-                Tracer.recordf (Kernel.tracer k) ~category:"balance"
-                  "moving one guest off %s (%d vs %d guests)" busy_host
-                  (List.length busiest) floor;
+                Kernel.emit k (fun () ->
+                    let guests = List.length busiest in
+                    Bal_move { host = busy_host; guests; floor });
                 match
                   Kernel.send k ~src:self ~dst:busy_pm
                     (Message.make
@@ -86,9 +103,9 @@ let rebalance_once ?health ?group t k ~self ~imbalance ~strategy ~on_outcome =
                     List.iter on_outcome os
                 | Ok _ | Error _ ->
                     t.skip_count <- t.skip_count + 1;
-                    Tracer.recordf (Kernel.tracer k) ~category:"balance"
-                      "%s unreachable or refused; trying next busiest"
-                      busy_host;
+                    Kernel.emit k (fun () ->
+                        Bal_skip
+                          { reason = busy_host ^ " unreachable or refused" });
                     try_candidates rest)
             | _ -> ())
       in
@@ -124,8 +141,8 @@ let start ?health ?placement ?(interval = Time.of_sec 5.) ?(imbalance = 2)
           (match !t_cell with
           | Some t when not (worth_surveying health) ->
               t.skip_count <- t.skip_count + 1;
-              Tracer.recordf (Kernel.tracer k) ~category:"balance"
-                "fewer than two peers alive; skipping survey"
+              Kernel.emit k (fun () ->
+                  Bal_skip { reason = "fewer than two peers alive" })
           | Some t -> (
               t.survey_count <- t.survey_count + 1;
               let group = group_for_cycle () in
@@ -137,8 +154,9 @@ let start ?health ?placement ?(interval = Time.of_sec 5.) ?(imbalance = 2)
                   ~on_outcome
               with exn ->
                 t.skip_count <- t.skip_count + 1;
-                Tracer.recordf (Kernel.tracer k) ~category:"balance"
-                  "cycle aborted (%s); continuing" (Printexc.to_string exn))
+                Kernel.emit k (fun () ->
+                    Bal_skip
+                      { reason = "cycle aborted: " ^ Printexc.to_string exn }))
           | None -> ());
           loop ()
         in

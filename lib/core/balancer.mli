@@ -18,6 +18,14 @@
     the next-busiest candidate, and counts the skip — a dead host never
     wedges the cycle loop. *)
 
+(** [Bal_move] fires when a cycle asks busy [host] (running [guests]
+    guests against the idlest volunteer's [floor]) to shed one guest;
+    [Bal_skip] when a candidate or a whole cycle is skipped, with the
+    reason. Category ["balance"], types ["move"] and ["skip"]. *)
+type Tracer.event +=
+  | Bal_move of { host : string; guests : int; floor : int }
+  | Bal_skip of { reason : string }
+
 type t
 
 val start :

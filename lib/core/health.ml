@@ -78,23 +78,14 @@ type Tracer.event +=
 let () =
   Tracer.register_view (function
     | Health_transition { observer; peer; from_; to_ } ->
-        Some
-          {
-            Tracer.v_cat = "health";
-            v_type = "transition";
-            v_fields =
-              [
-                ("observer", Tracer.Str observer);
-                ("peer", Str peer);
-                ("from", Str (state_name from_));
-                ("to", Str (state_name to_));
-              ];
-          }
+        Tracer.view_as "health" "transition"
+          [
+            ("observer", Tracer.Str observer);
+            ("peer", Str peer);
+            ("from", Str (state_name from_));
+            ("to", Str (state_name to_));
+          ]
     | _ -> None)
-
-let ev t mk =
-  let trc = Kernel.tracer t.h_kernel in
-  if Tracer.enabled trc then Tracer.emit trc (mk ())
 
 let observer t = Kernel.host_name t.h_kernel
 
@@ -117,7 +108,7 @@ let set_state t p to_ =
     if from_ = Suspect && to_ = Alive then
       (* The peer was never dead: the suspicion was a false positive. *)
       t.h_false_suspicions <- t.h_false_suspicions + 1;
-    ev t (fun () ->
+    Kernel.emit t.h_kernel (fun () ->
         Health_transition { observer = observer t; peer = p.p_host; from_; to_ })
   end
 

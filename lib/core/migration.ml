@@ -33,86 +33,54 @@ type Tracer.event +=
       freeze : Time.span;
     }
   | Mig_aborted of { lh : Ids.lh_id; reason : string }
+  | Mig_unmanaged of { lh : Ids.lh_id; dest : string }
 
 let () =
   Tracer.register_view (function
     | Mig_start { lh; prog; from_host; strategy } ->
-        Some
-          {
-            Tracer.v_cat = "migrate";
-            v_type = "start";
-            v_fields =
-              [
-                ("lh", Tracer.Int lh);
-                ("prog", Str prog);
-                ("from", Str from_host);
-                ("strategy", Str strategy);
-              ];
-          }
+        Tracer.view_as "migrate" "start"
+          [
+            ("lh", Tracer.Int lh);
+            ("prog", Str prog);
+            ("from", Str from_host);
+            ("strategy", Str strategy);
+          ]
     | Mig_budget { lh; freeze; transfer } ->
-        Some
-          {
-            Tracer.v_cat = "migrate";
-            v_type = "budget";
-            v_fields =
-              [
-                ("lh", Tracer.Int lh);
-                ("freeze", Span freeze);
-                ("transfer", Span transfer);
-              ];
-          }
+        Tracer.view_as "migrate" "budget"
+          [
+            ("lh", Tracer.Int lh);
+            ("freeze", Span freeze);
+            ("transfer", Span transfer);
+          ]
     | Mig_dest { lh; dest } ->
-        Some
-          {
-            Tracer.v_cat = "migrate";
-            v_type = "dest";
-            v_fields = [ ("lh", Tracer.Int lh); ("dest", Str dest) ];
-          }
+        Tracer.view_as "migrate" "dest"
+          [ ("lh", Tracer.Int lh); ("dest", Str dest) ]
     | Mig_round { lh; round; bytes; span } ->
-        Some
-          {
-            Tracer.v_cat = "migrate";
-            v_type = "round";
-            v_fields =
-              [
-                ("lh", Tracer.Int lh);
-                ("round", Int round);
-                ("bytes", Int bytes);
-                ("span", Span span);
-              ];
-          }
+        Tracer.view_as "migrate" "round"
+          [
+            ("lh", Tracer.Int lh);
+            ("round", Int round);
+            ("bytes", Int bytes);
+            ("span", Span span);
+          ]
     | Mig_frozen_residue { lh; bytes } ->
-        Some
-          {
-            Tracer.v_cat = "migrate";
-            v_type = "frozen_residue";
-            v_fields = [ ("lh", Tracer.Int lh); ("bytes", Int bytes) ];
-          }
+        Tracer.view_as "migrate" "frozen_residue"
+          [ ("lh", Tracer.Int lh); ("bytes", Int bytes) ]
     | Mig_committed { lh; from_host; dest; freeze } ->
-        Some
-          {
-            Tracer.v_cat = "migrate";
-            v_type = "committed";
-            v_fields =
-              [
-                ("lh", Tracer.Int lh);
-                ("from", Str from_host);
-                ("dest", Str dest);
-                ("freeze", Span freeze);
-              ];
-          }
+        Tracer.view_as "migrate" "committed"
+          [
+            ("lh", Tracer.Int lh);
+            ("from", Str from_host);
+            ("dest", Str dest);
+            ("freeze", Span freeze);
+          ]
     | Mig_aborted { lh; reason } ->
-        Some
-          {
-            Tracer.v_cat = "migrate";
-            v_type = "aborted";
-            v_fields = [ ("lh", Tracer.Int lh); ("reason", Str reason) ];
-          }
+        Tracer.view_as "migrate" "aborted"
+          [ ("lh", Tracer.Int lh); ("reason", Str reason) ]
+    | Mig_unmanaged { lh; dest } ->
+        Tracer.view_as "migrate" "unmanaged"
+          [ ("lh", Tracer.Int lh); ("dest", Str dest) ]
     | _ -> None)
-
-let ev kernel mk =
-  let trc = Kernel.tracer kernel in
-  if Tracer.enabled trc then Tracer.emit trc (mk ())
 
 let kernel_state_span (cfg : Config.t) lh =
   let objects =
@@ -314,7 +282,7 @@ let rec precopy_rounds kernel (cfg : Config.t) ~deadline ~self ~temp_lh ~lh ~k
           let round =
             { Protocol.r_bytes = residue; r_span = Time.sub (Engine.now eng) t0 }
           in
-          ev kernel (fun () ->
+          Kernel.emit kernel (fun () ->
               Mig_round
                 {
                   lh = Logical_host.id lh;
@@ -386,7 +354,7 @@ module Strategy = struct
         let first =
           { Protocol.r_bytes = total; r_span = Time.sub (Engine.now eng) t0 }
         in
-        ev kernel (fun () ->
+        Kernel.emit kernel (fun () ->
             Mig_round
               {
                 lh = Logical_host.id lh;
@@ -501,16 +469,13 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
     () =
   let strat = Strategy.of_protocol strategy in
   let eng = Kernel.engine kernel in
-  let trace fmt =
-    Tracer.recordf (Kernel.tracer kernel) ~category:"migrate" fmt
-  in
   let lh = program.Progtable.p_lh in
   let lh_id = Logical_host.id lh in
   let my_host = Kernel.host_name kernel in
   let t_start = Engine.now eng in
   let budget = budget_for cfg strategy in
   program.Progtable.p_status <- Progtable.Migrating;
-  ev kernel (fun () ->
+  Kernel.emit kernel (fun () ->
       Mig_start
         {
           lh = lh_id;
@@ -520,7 +485,7 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
         });
   (match budget with
   | Some b ->
-      ev kernel (fun () ->
+      Kernel.emit kernel (fun () ->
           Mig_budget
             {
               lh = lh_id;
@@ -531,7 +496,7 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
   let finish_with result =
     (match result with
     | Ok o ->
-        ev kernel (fun () ->
+        Kernel.emit kernel (fun () ->
             Mig_committed
               {
                 lh = lh_id;
@@ -540,7 +505,7 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
                 freeze = Time.sub o.Protocol.m_resumed_at o.Protocol.m_freeze_start;
               })
     | Error (e, _) ->
-        ev kernel (fun () ->
+        Kernel.emit kernel (fun () ->
             Mig_aborted { lh = lh_id; reason = Format.asprintf "%a" pp_error e }));
     (match program.Progtable.p_status with
     | Progtable.Migrating -> program.Progtable.p_status <- Progtable.Running
@@ -562,10 +527,8 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
   match dest with
   | Error e -> finish_with (Error (e, None))
   | Ok dest -> (
-      ev kernel (fun () ->
+      Kernel.emit kernel (fun () ->
           Mig_dest { lh = lh_id; dest = dest.Scheduler.s_host });
-      trace "step 1: %s (%a) will take %a" dest.Scheduler.s_host Ids.pp_pid
-        dest.Scheduler.s_pm Ids.pp_lh lh_id;
       (* Step 2: initialize the new host under a temporary id. *)
       let temp_lh = Ids.Lh_allocator.fresh (Kernel.allocator kernel) in
       let reserve =
@@ -599,12 +562,6 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
                 ~pm:dest.Scheduler.s_pm ~temp_lh;
               finish_with (Error (e, Some dest.Scheduler.s_host))
           | Ok rounds -> (
-              List.iteri
-                (fun i r ->
-                  trace "step 3: pre-copy round %d moved %d KB in %s" (i + 1)
-                    (r.Protocol.r_bytes / 1024)
-                    (Time.to_string r.Protocol.r_span))
-                rounds;
               let ks_span = kernel_state_span cfg lh in
               (* Pre-freeze gate: if the residue the freeze window must
                  move is already predicted (at the observed copy rate) to
@@ -647,10 +604,8 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
                 else None
               in
               let final_bytes = strat.Strategy.s_frozen_residue lh in
-              ev kernel (fun () ->
+              Kernel.emit kernel (fun () ->
                   Mig_frozen_residue { lh = lh_id; bytes = final_bytes });
-              trace "step 4: frozen; copying %d KB residue + kernel state"
-                (final_bytes / 1024);
               let abort_frozen reason =
                 (* Still resident, just frozen: thaw and give the memory
                    back to the destination's reservation machinery. *)
@@ -702,11 +657,6 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
               in
               match install with
               | Ok { Message.body = Kernel.Ks_installed { resumed_at }; _ } ->
-                  trace
-                    "step 5: new copy unfrozen on %s at %s; freeze lasted %s"
-                    dest.Scheduler.s_host
-                    (Time.to_string resumed_at)
-                    (Time.to_string (Time.sub resumed_at freeze_start));
                   (* Demos/MP ablation: rebinding happens by leaving a
                      forwarding address on this (old) host instead of the
                      paper's stateless broadcast query. *)
@@ -724,8 +674,9 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
                    with
                   | Ok _ -> ()
                   | Error _ ->
-                      Tracer.record (Kernel.tracer kernel) ~category:"migrate"
-                        "program-manager adoption failed; program runs unmanaged");
+                      Kernel.emit kernel (fun () ->
+                          Mig_unmanaged
+                            { lh = lh_id; dest = dest.Scheduler.s_host }));
                   finish_with
                     (Ok
                        {
@@ -793,24 +744,12 @@ let migrate ?health ~kernel ~cfg ~rng ~table ~self ~program ?dest ~strategy () =
         ~strategy ()
     with
     | Error ((Transfer_failed _ as e), tried) ->
-        if dest = None && n < cfg.Config.migration_retries then begin
-          Tracer.recordf (Kernel.tracer kernel) ~category:"migrate"
-            "retry %d/%d%s" (n + 1) cfg.Config.migration_retries
-            (match tried with
-            | Some h -> Printf.sprintf " (excluding %s)" h
-            | None -> "");
+        if dest = None && n < cfg.Config.migration_retries then
           loop (n + 1) m (exclude_tried tried)
-        end
         else Error e
     | Error ((Budget_exceeded _ as e), tried) ->
-        if dest = None && m < cfg.Config.budget_reselects then begin
-          Tracer.recordf (Kernel.tracer kernel) ~category:"migrate"
-            "budget reselect %d/%d%s" (m + 1) cfg.Config.budget_reselects
-            (match tried with
-            | Some h -> Printf.sprintf " (excluding %s)" h
-            | None -> "");
+        if dest = None && m < cfg.Config.budget_reselects then
           loop n (m + 1) (exclude_tried tried)
-        end
         else Error e
     | Error (e, _) -> Error e
     | Ok r -> Ok r

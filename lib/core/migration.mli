@@ -51,7 +51,8 @@ val pp_error : Format.formatter -> error -> unit
     acknowledgement lands; the emitted [bytes] sequence is non-increasing
     (the paper's convergence claim, checked online by v_check).
     [Mig_committed] carries the actual freeze window; every failure path
-    emits [Mig_aborted] instead. *)
+    emits [Mig_aborted] instead. A retry or budget reselection shows as
+    [Mig_aborted] followed by a fresh [Mig_start] for the same [lh]. *)
 type Tracer.event +=
   | Mig_start of {
       lh : Ids.lh_id;
@@ -72,6 +73,10 @@ type Tracer.event +=
       freeze : Time.span;
     }
   | Mig_aborted of { lh : Ids.lh_id; reason : string }
+  | Mig_unmanaged of { lh : Ids.lh_id; dest : string }
+      (** Emitted just before [Mig_committed] when [dest]'s program
+          manager never acknowledged adopting the program: it runs
+          there, but unmanaged. *)
 
 (** The pluggable copy discipline. A strategy bundles the four decisions
     that distinguish the paper's pre-copy from its alternatives; all of
@@ -122,7 +127,8 @@ val migrate :
     source retains nothing — no forwarding state. On failure the program
     is running on the source exactly as before.
 
-    [health] feeds destination selection ({!Scheduler.select_any}).
+    [health] feeds destination selection
+    ({!Scheduler.Spine.select_in_group}).
 
     When {!Config} declares a budget for the strategy, the copy phase
     checks the transfer bound at every chunk (budgeted transfers move in

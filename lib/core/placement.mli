@@ -67,12 +67,11 @@ val pod_group_of : t -> host:string -> Ids.pid option
 
 (** {1 Selection}
 
-    The policy-dispatching analogues of the deprecated
-    {!Scheduler.select_any}/{!Scheduler.select_host}: the policy's
-    [query] hook yields an ordered list of multicast tiers, and each
-    tier is offered through the spine until one yields a first
-    responder. Trace output: one [Sched_query] (and on silence one
-    [Sched_timeout]) per tier tried. *)
+    Policy dispatch over {!Scheduler.Spine.select_in_group} and
+    {!Scheduler.Spine.select_host}: the policy's [query] hook yields an
+    ordered list of multicast tiers, and each tier is offered through
+    the spine until one yields a first responder. Trace output: one
+    [Sched_query] (and on silence one [Sched_timeout]) per tier tried. *)
 
 val select_any :
   ?health:Health.t ->

@@ -1,3 +1,14 @@
+(* Program creation: the environment-setup phase's typed marker. *)
+type Tracer.event +=
+  | Pm_created of { host : string; prog : string; lh : Ids.lh_id }
+
+let () =
+  Tracer.register_view (function
+    | Pm_created { host; prog; lh } ->
+        Tracer.view_as "pm" "created"
+          [ ("host", Tracer.Str host); ("prog", Str prog); ("lh", Int lh) ]
+    | _ -> None)
+
 type t = {
   pm_kernel : Kernel.t;
   cfg : Config.t;
@@ -32,10 +43,6 @@ let refusals t = t.refused
 
 let eng t = Kernel.engine t.pm_kernel
 
-let trace t fmt =
-  Tracer.recordf (Kernel.tracer t.pm_kernel) ~category:"pm" ("%s: " ^^ fmt)
-    (Kernel.host_name t.pm_kernel)
-
 (* Willingness policy for guest work: volunteering requires the owner's
    consent, spare memory beyond the program's needs, a bounded guest
    population, and an idle-enough processor (Section 2.1: hosts "with a
@@ -47,7 +54,6 @@ let willing t ~bytes =
   && Cpu.queue_length (Kernel.cpu t.pm_kernel) <= 1
 
 let answer_candidate t d =
-  trace t "volunteering to query from %a" Ids.pp_pid d.Delivery.src;
   (* The measured 23 ms host-selection latency is dominated by this
      processing delay at the responding manager. *)
   let jitter =
@@ -136,24 +142,23 @@ let handle_create t d ~prog ~env ~priority ~explicit_host =
             let hit = chunks - !missing in
             Kernel.bump_by k "img_chunks_hit" hit;
             Kernel.bump_by k "img_chunks_miss" !missing;
-            (if Tracer.enabled (Kernel.tracer k) then
-               Tracer.emit (Kernel.tracer k)
-                 (if !missing = 0 then
-                    Kernel.Img_cache_hit
-                      {
-                        host = Kernel.host_name k;
-                        image = prog;
-                        chunks;
-                        bytes = hit * cb;
-                      }
-                  else
-                    Kernel.Img_cache_miss
-                      {
-                        host = Kernel.host_name k;
-                        image = prog;
-                        chunks = !missing;
-                        bytes = miss_bytes;
-                      }));
+            Kernel.emit k (fun () ->
+                if !missing = 0 then
+                  Kernel.Img_cache_hit
+                    {
+                      host = Kernel.host_name k;
+                      image = prog;
+                      chunks;
+                      bytes = hit * cb;
+                    }
+                else
+                  Kernel.Img_cache_miss
+                    {
+                      host = Kernel.host_name k;
+                      image = prog;
+                      chunks = !missing;
+                      bytes = miss_bytes;
+                    });
             File_server.Client.load_delta k ~self:t.pm_pid
               ~server:env.Env.file_server ~name:prog ~missing:!missing
               ~bytes:miss_bytes
@@ -188,7 +193,9 @@ let handle_create t d ~prog ~env ~priority ~explicit_host =
             | Some thread -> Proc.on_exit thread (fun _ -> reap t program)
             | None -> ());
             t.created <- t.created + 1;
-            trace t "created %s in %a" prog Ids.pp_lh (Logical_host.id lh);
+            Kernel.emit k (fun () ->
+                Pm_created
+                  { host = Kernel.host_name k; prog; lh = Logical_host.id lh });
             Kernel.reply k d
               (Message.make
                  (Protocol.Pm_created
@@ -343,7 +350,6 @@ let serve t d =
       Kernel.reply k d (Message.make Protocol.Pm_ok)
   | Protocol.Pm_adopt program ->
       Progtable.adopt t.tbl program;
-      trace t "adopted %s" program.Progtable.p_spec.Programs.prog_name;
       Kernel.reply k d (Message.make Protocol.Pm_adopted)
   | Protocol.Pm_migrate { lh; dest; force_destroy; strategy } ->
       handle_migrate t d ~lh ~dest ~force_destroy ~strategy

@@ -10,6 +10,12 @@
     migration-destination reservations and adoptions, and the
     [migrateprog] entry point that spawns a migration manager. *)
 
+(** One event per program this manager creates, emitted once the
+    program's environment is set up, its image loaded and its root
+    process started. Category ["pm"], type ["created"]. *)
+type Tracer.event +=
+  | Pm_created of { host : string; prog : string; lh : Ids.lh_id }
+
 type t
 
 val create :

@@ -1,5 +1,25 @@
 type target = Local | Named of string | Any
 
+type Tracer.event +=
+  | Reexec of {
+      prog : string;
+      lost_on : string;
+      error : string;
+      attempts_left : int;
+    }
+
+let () =
+  Tracer.register_view (function
+    | Reexec { prog; lost_on; error; attempts_left } ->
+        Tracer.view_as "exec" "reexec"
+          [
+            ("prog", Tracer.Str prog);
+            ("lost_on", Str lost_on);
+            ("error", Str error);
+            ("attempts_left", Int attempts_left);
+          ]
+    | _ -> None)
+
 type timings = {
   t_select : Time.span option;
   t_setup : Time.span;
@@ -174,11 +194,14 @@ let rec exec_and_wait ?(on_host_failure = `Fail) (ctx : Context.t) ~prog
               (* At-least-once semantics: the program is re-run from
                  scratch somewhere else. Callers opting in must tolerate
                  re-execution of side effects. *)
-              Tracer.recordf
-                (Kernel.tracer ctx.Context.kernel)
-                ~category:"exec"
-                "%s lost on %s (%s); re-executing (%d attempts left)" prog
-                handle.h_host e (attempts - 1);
+              Kernel.emit ctx.Context.kernel (fun () ->
+                  Reexec
+                    {
+                      prog;
+                      lost_on = handle.h_host;
+                      error = e;
+                      attempts_left = attempts - 1;
+                    });
               exec_and_wait
                 ~on_host_failure:(`Reexec (attempts - 1))
                 ctx ~prog ~target

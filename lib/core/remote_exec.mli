@@ -13,6 +13,18 @@ type target =
   | Named of string  (** "[@ machine]". *)
   | Any  (** "[@ *]": first idle volunteer. *)
 
+(** Emitted by {!exec_and_wait} under [`Reexec] when [prog]'s host
+    [lost_on] died under it ([error] is the wait error) and the program
+    is re-run elsewhere, with [attempts_left] re-executions remaining.
+    Category ["exec"], type ["reexec"]. *)
+type Tracer.event +=
+  | Reexec of {
+      prog : string;
+      lost_on : string;
+      error : string;
+      attempts_left : int;
+    }
+
 type timings = {
   t_select : Time.span option;
       (** Host-selection latency ([None] for local execution); the

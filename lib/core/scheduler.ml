@@ -26,51 +26,30 @@ type Tracer.event +=
 let () =
   Tracer.register_view (function
     | Sched_query { host; bytes } ->
-        Some
-          {
-            Tracer.v_cat = "sched";
-            v_type = "query";
-            v_fields = [ ("host", Tracer.Str host); ("bytes", Int bytes) ];
-          }
+        Tracer.view_as "sched" "query"
+          [ ("host", Tracer.Str host); ("bytes", Int bytes) ]
     | Sched_bid { host; bidder; free_memory; guests; responded_in } ->
-        Some
-          {
-            Tracer.v_cat = "sched";
-            v_type = "bid";
-            v_fields =
-              [
-                ("host", Tracer.Str host);
-                ("bidder", Str bidder);
-                ("free_memory", Int free_memory);
-                ("guests", Int guests);
-                ("responded_in", Span responded_in);
-              ];
-          }
+        Tracer.view_as "sched" "bid"
+          [
+            ("host", Tracer.Str host);
+            ("bidder", Str bidder);
+            ("free_memory", Int free_memory);
+            ("guests", Int guests);
+            ("responded_in", Span responded_in);
+          ]
     | Sched_select { host; dest } ->
-        Some
-          {
-            Tracer.v_cat = "sched";
-            v_type = "select";
-            v_fields = [ ("host", Tracer.Str host); ("dest", Str dest) ];
-          }
+        Tracer.view_as "sched" "select"
+          [ ("host", Tracer.Str host); ("dest", Str dest) ]
     | Sched_timeout { host; target } ->
-        Some
-          {
-            Tracer.v_cat = "sched";
-            v_type = "timeout";
-            v_fields = [ ("host", Tracer.Str host); ("target", Str target) ];
-          }
+        Tracer.view_as "sched" "timeout"
+          [ ("host", Tracer.Str host); ("target", Str target) ]
     | _ -> None)
-
-let ev k mk =
-  let trc = Kernel.tracer k in
-  if Tracer.enabled trc then Tracer.emit trc (mk ())
 
 let selection_of_reply ~asked_at k (pm, (m : Message.t)) =
   match m.Message.body with
   | Protocol.Pm_candidate { host; free_memory; guests } ->
       let responded_in = Time.sub (Engine.now (Kernel.engine k)) asked_at in
-      ev k (fun () ->
+      Kernel.emit k (fun () ->
           Sched_bid
             {
               host = Kernel.host_name k;
@@ -126,20 +105,20 @@ module Spine = struct
       | None -> exclude
       | Some h -> Health.dead_hosts h @ exclude
     in
-    ev k (fun () -> Sched_query { host = Kernel.host_name k; bytes });
+    Kernel.emit k (fun () -> Sched_query { host = Kernel.host_name k; bytes });
     let c =
       Kernel.send_group k ~src:self ~group
         (Message.make (Protocol.Pm_query_candidates { bytes; exclude }))
     in
     match collect_best ?health ?accept k cfg c with
     | None ->
-        ev k (fun () ->
+        Kernel.emit k (fun () ->
             Sched_timeout { host = Kernel.host_name k; target = label });
         Error "no idle workstation volunteered"
     | Some reply -> (
         match selection_of_reply ~asked_at k reply with
         | Some s ->
-            ev k (fun () ->
+            Kernel.emit k (fun () ->
                 Sched_select { host = Kernel.host_name k; dest = s.s_host });
             Ok s
         | None -> Error "malformed candidate reply")
@@ -153,20 +132,21 @@ module Spine = struct
            full select timeout. *)
         Error (Printf.sprintf "host %s is dead (health)" host)
     | _ -> (
-        ev k (fun () -> Sched_query { host = Kernel.host_name k; bytes = 0 });
+        Kernel.emit k (fun () ->
+            Sched_query { host = Kernel.host_name k; bytes = 0 });
         let c =
           Kernel.send_group k ~src:self ~group:Ids.program_manager_group
             (Message.make (Protocol.Pm_query_host { host }))
         in
         match Kernel.collect_first k c ~timeout:cfg.Config.select_timeout with
         | None ->
-            ev k (fun () ->
+            Kernel.emit k (fun () ->
                 Sched_timeout { host = Kernel.host_name k; target = host });
             Error (Printf.sprintf "host %s did not respond" host)
         | Some reply -> (
             match selection_of_reply ~asked_at k reply with
             | Some s ->
-                ev k (fun () ->
+                Kernel.emit k (fun () ->
                     Sched_select { host = Kernel.host_name k; dest = s.s_host });
                 Ok s
             | None -> Error "malformed candidate reply"))
@@ -175,7 +155,7 @@ module Spine = struct
       (cfg : Config.t) ~self ~bytes ~window =
     ignore cfg;
     let asked_at = Engine.now (Kernel.engine k) in
-    ev k (fun () -> Sched_query { host = Kernel.host_name k; bytes });
+    Kernel.emit k (fun () -> Sched_query { host = Kernel.host_name k; bytes });
     let c =
       Kernel.send_group k ~src:self ~group
         (Message.make (Protocol.Pm_query_candidates { bytes; exclude }))
@@ -184,12 +164,3 @@ module Spine = struct
       (selection_of_reply ~asked_at k)
       (Kernel.collect_within k c ~window)
 end
-
-let select_any ?health ?exclude k (cfg : Config.t) ~self ~bytes =
-  Spine.select_in_group ?health ?exclude k cfg ~group:Ids.program_manager_group
-    ~self ~bytes
-
-let select_host = Spine.select_host
-
-let candidates ?exclude k cfg ~self ~bytes ~window =
-  Spine.candidates ?exclude k cfg ~self ~bytes ~window

@@ -12,9 +12,8 @@
     The mechanics — multicast an offer to a scheduling group, parse the
     bids, commit to one — live in {!Spine} and are shared by every
     {!Placement} policy; the policies differ only in which group(s) they
-    query and in what order. The top-level [select_any]/[select_host]/
-    [candidates] entry points are the pre-{!Placement} flat API, kept as
-    deprecated shims over the spine. *)
+    query and in what order; {!Placement.select_any} and
+    {!Placement.select_host} are the entry points callers use. *)
 
 (** Typed trace events: one [Sched_query] per multicast offer request,
     one [Sched_bid] per volunteer heard (in response order), one
@@ -66,8 +65,8 @@ module Spine : sig
       bidders (a vetoed bid is kept as a timeout-capped fallback, like a
       [Suspect] bid under [health]); [label] names the tier in the
       [Sched_timeout] event. With [group = Ids.program_manager_group],
-      no [accept], and default [label], this is byte-identical to the
-      pre-{!Placement} [select_any]. *)
+      no [accept], and default [label], this is the flat policy's
+      {!Placement.select_any}. *)
 
   val select_host :
     ?health:Health.t ->
@@ -94,49 +93,3 @@ module Spine : sig
       workstations in the system", Section 2). [group] defaults to the
       global program-manager group. *)
 end
-
-val select_any :
-  ?health:Health.t ->
-  ?exclude:string list ->
-  Kernel.t ->
-  Config.t ->
-  self:Ids.pid ->
-  bytes:int ->
-  (selection, string) result
-[@@deprecated
-  "use Context-carried Placement.select_any (or Scheduler.Spine.select_in_group)"]
-(** "[@ *]": multicast to the program-manager group, take the first
-    responder. [exclude] omits hosts (a migrating program must not pick
-    its own workstation, and a retry must not re-pick a destination
-    that just failed). Blocking; errors if nobody volunteers within the
-    configured timeout.
-
-    With a [health] view, hosts it marks [Dead] are excluded from the
-    query, and a bid from a [Suspect] host is deprioritized: it is held
-    as a fallback while selection briefly waits for an [Alive] bidder,
-    instead of being trusted immediately or ignored for the full
-    timeout.
-
-    Deprecated: callers holding a {!Context.t} should dispatch through
-    its placement policy; this shim is the flat policy hard-wired. *)
-
-val select_host :
-  ?health:Health.t ->
-  Kernel.t -> Config.t -> self:Ids.pid -> host:string ->
-  (selection, string) result
-[@@deprecated
-  "use Context-carried Placement.select_host (or Scheduler.Spine.select_host)"]
-(** "[@ machine]": only the named host may answer. With a [health] view
-    that marks the host [Dead], fails immediately instead of waiting out
-    the select timeout. *)
-
-val candidates :
-  ?exclude:string list ->
-  Kernel.t ->
-  Config.t ->
-  self:Ids.pid ->
-  bytes:int ->
-  window:Time.span ->
-  selection list
-[@@deprecated "use Scheduler.Spine.candidates"]
-(** Every volunteer heard within the window, in response order. *)

@@ -46,61 +46,36 @@ let dst_string = function
 let () =
   Tracer.register_view (function
     | Frame_sent { seg; frame; src; dst; bytes } ->
-        Some
-          {
-            Tracer.v_cat = "net";
-            v_type = "frame_sent";
-            v_fields =
-              [
-                ("seg", Tracer.Int seg);
-                ("frame", Int frame);
-                ("src", Str (Addr.to_string src));
-                ("dst", Str (dst_string dst));
-                ("bytes", Int bytes);
-              ];
-          }
+        Tracer.view_as "net" "frame_sent"
+          [
+            ("seg", Tracer.Int seg);
+            ("frame", Int frame);
+            ("src", Str (Addr.to_string src));
+            ("dst", Str (dst_string dst));
+            ("bytes", Int bytes);
+          ]
     | Frame_dropped { seg; frame; src; dst; bytes } ->
-        Some
-          {
-            Tracer.v_cat = "net";
-            v_type = "frame_dropped";
-            v_fields =
-              [
-                ("seg", Tracer.Int seg);
-                ("frame", Int frame);
-                ("src", Str (Addr.to_string src));
-                ("dst", Str (dst_string dst));
-                ("bytes", Int bytes);
-              ];
-          }
+        Tracer.view_as "net" "frame_dropped"
+          [
+            ("seg", Tracer.Int seg);
+            ("frame", Int frame);
+            ("src", Str (Addr.to_string src));
+            ("dst", Str (dst_string dst));
+            ("bytes", Int bytes);
+          ]
     | Frame_delivered { seg; frame; dst } ->
-        Some
-          {
-            Tracer.v_cat = "net";
-            v_type = "frame_delivered";
-            v_fields =
-              [
-                ("seg", Tracer.Int seg);
-                ("frame", Int frame);
-                ("dst", Str (Addr.to_string dst));
-              ];
-          }
+        Tracer.view_as "net" "frame_delivered"
+          [
+            ("seg", Tracer.Int seg);
+            ("frame", Int frame);
+            ("dst", Str (Addr.to_string dst));
+          ]
     | Station_attached { seg; addr } ->
-        Some
-          {
-            Tracer.v_cat = "net";
-            v_type = "station_attached";
-            v_fields =
-              [ ("seg", Tracer.Int seg); ("addr", Str (Addr.to_string addr)) ];
-          }
+        Tracer.view_as "net" "station_attached"
+          [ ("seg", Tracer.Int seg); ("addr", Str (Addr.to_string addr)) ]
     | Station_detached { seg; addr } ->
-        Some
-          {
-            Tracer.v_cat = "net";
-            v_type = "station_detached";
-            v_fields =
-              [ ("seg", Tracer.Int seg); ("addr", Str (Addr.to_string addr)) ];
-          }
+        Tracer.view_as "net" "station_detached"
+          [ ("seg", Tracer.Int seg); ("addr", Str (Addr.to_string addr)) ]
     | _ -> None)
 
 type 'p station = {

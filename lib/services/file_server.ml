@@ -19,6 +19,28 @@ type Message.body +=
   | Fs_ok
   | Fs_error of string
 
+type Tracer.event +=
+  | Image_loaded of {
+      image : string;
+      chunks : int;
+      total : int;
+      bytes : int;
+      requester : Ids.pid;
+    }
+
+let () =
+  Tracer.register_view (function
+    | Image_loaded { image; chunks; total; bytes; requester } ->
+        Tracer.view_as "fs" "load"
+          [
+            ("image", Tracer.Str image);
+            ("chunks", Int chunks);
+            ("total", Int total);
+            ("bytes", Int bytes);
+            ("for", Str (Ids.pid_to_string requester));
+          ]
+    | _ -> None)
+
 type t = {
   kernel : Kernel.t;
   mutable server_pid : Ids.pid;
@@ -64,6 +86,23 @@ let announce_image t name img =
             (Kernel.Ks_content_announce
                { image = name; first = 0; count = image_chunks img; chunk_bytes })))
 
+(* Read [chunks] of [img]'s chunks ([bytes] bytes) off the disk, ship
+   them to the requester and reply with the image. *)
+let load t (d : Delivery.t) name img ~chunks ~bytes =
+  Kernel.emit t.kernel (fun () ->
+      Image_loaded
+        {
+          image = name;
+          chunks;
+          total = image_chunks img;
+          bytes;
+          requester = d.Delivery.src;
+        });
+  disk_delay t bytes;
+  ship t d bytes;
+  Kernel.reply t.kernel d (Message.make (Fs_image img));
+  if bytes > 0 then announce_image t name img
+
 let serve t (d : Delivery.t) =
   t.requests <- t.requests + 1;
   let k = t.kernel in
@@ -91,14 +130,8 @@ let serve t (d : Delivery.t) =
       match Hashtbl.find_opt t.images name with
       | None -> Kernel.reply k d (Message.make (Fs_error "no such image"))
       | Some img ->
-          let bytes = image_file_bytes img in
-          Tracer.recordf (Kernel.tracer k) ~category:"fs"
-            "loading image %s (%d KB) for %a" name (bytes / 1024) Ids.pp_pid
-            d.Delivery.src;
-          disk_delay t bytes;
-          ship t d bytes;
-          Kernel.reply k d (Message.make (Fs_image img));
-          if bytes > 0 then announce_image t name img)
+          load t d name img ~chunks:(image_chunks img)
+            ~bytes:(image_file_bytes img))
   | Fs_load_delta { name; missing; bytes } -> (
       (* Content-aware load: the requester already holds every chunk it
          did not ask for, so only [missing] chunks ([bytes] bytes) are
@@ -106,14 +139,7 @@ let serve t (d : Delivery.t) =
          trip — no disk, no bulk transfer. *)
       match Hashtbl.find_opt t.images name with
       | None -> Kernel.reply k d (Message.make (Fs_error "no such image"))
-      | Some img ->
-          Tracer.recordf (Kernel.tracer k) ~category:"fs"
-            "loading %d/%d chunks of image %s (%d KB) for %a" missing
-            (image_chunks img) name (bytes / 1024) Ids.pp_pid d.Delivery.src;
-          disk_delay t bytes;
-          ship t d bytes;
-          Kernel.reply k d (Message.make (Fs_image img));
-          if bytes > 0 then announce_image t name img)
+      | Some img -> load t d name img ~chunks:missing ~bytes)
   | _ -> Kernel.reply k d (Message.make (Fs_error "unknown request"))
 
 let create ?(disk_us_per_kb = 300) kernel ~name =

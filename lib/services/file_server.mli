@@ -31,6 +31,18 @@ val chunk_bytes : int
 val image_chunks : image -> int
 (** Number of chunks in the stored image file. *)
 
+(** One event per image load served, full or delta: [chunks] of the
+    image's [total] chunks ([bytes] bytes) are read and shipped to
+    [requester]. Category ["fs"], type ["load"]. *)
+type Tracer.event +=
+  | Image_loaded of {
+      image : string;
+      chunks : int;
+      total : int;
+      bytes : int;
+      requester : Ids.pid;
+    }
+
 type t
 
 val create : ?disk_us_per_kb:int -> Kernel.t -> name:string -> t

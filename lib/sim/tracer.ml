@@ -1,5 +1,4 @@
 type event = ..
-type event += Text of { category : string; message : string }
 
 type value =
   | Int of int
@@ -20,17 +19,14 @@ type view = {
 let viewers : (event -> view option) list ref = ref []
 
 let register_view f = viewers := !viewers @ [ f ]
+let view_as v_cat v_type v_fields = Some { v_cat; v_type; v_fields }
 
 let view ev =
-  match ev with
-  | Text { category; message } ->
-      { v_cat = category; v_type = "text"; v_fields = [ ("msg", Str message) ] }
-  | _ ->
-      let rec first = function
-        | [] -> { v_cat = "?"; v_type = "opaque"; v_fields = [] }
-        | f :: rest -> ( match f ev with Some v -> v | None -> first rest)
-      in
-      first !viewers
+  let rec first = function
+    | [] -> { v_cat = "?"; v_type = "opaque"; v_fields = [] }
+    | f :: rest -> ( match f ev with Some v -> v | None -> first rest)
+  in
+  first !viewers
 
 let pp_value ppf = function
   | Int n -> Format.pp_print_int ppf n
@@ -38,18 +34,6 @@ let pp_value ppf = function
   | Str s -> Format.pp_print_string ppf s
   | Bool b -> Format.pp_print_bool ppf b
   | Span t -> Format.pp_print_string ppf (Time.to_string t)
-
-let message_of ev =
-  match ev with
-  | Text { message; _ } -> message
-  | _ ->
-      let v = view ev in
-      Format.asprintf "%s%a" v.v_type
-        (fun ppf fields ->
-          List.iter
-            (fun (k, value) -> Format.fprintf ppf " %s=%a" k pp_value value)
-            fields)
-        v.v_fields
 
 type record = { at : Time.t; seq : int; ev : event }
 
@@ -66,15 +50,14 @@ type t = {
   mutable start : int; (* index of oldest retained record *)
   mutable len : int;
   mutable next_seq : int;
-  mutable evicted : int;
   mutable subs : (record -> unit) array; (* registration order *)
 }
 
 let default_capacity = 65536
 
 (* Ring filler for unused/cleared slots, so scrubbing never retains a
-   real event. *)
-let blank_ev : event = Text { category = ""; message = "" }
+   real event. Private to this module, so it never reaches a reader. *)
+type event += Blank
 
 let create ?(capacity = default_capacity) engine =
   if capacity < 1 then invalid_arg "Tracer.create: capacity < 1";
@@ -88,14 +71,12 @@ let create ?(capacity = default_capacity) engine =
     start = 0;
     len = 0;
     next_seq = 0;
-    evicted = 0;
     subs = [||];
   }
 
 let enabled t = t.on
 let set_enabled t on = t.on <- on
 let seq t = t.next_seq
-let dropped t = t.evicted
 
 let on_event t f = t.subs <- Array.append t.subs [| f |]
 
@@ -103,7 +84,7 @@ let push t ~at ~seq ev =
   if Array.length t.b_ev = 0 then begin
     t.b_at <- Array.make t.capacity Time.zero;
     t.b_seq <- Array.make t.capacity 0;
-    t.b_ev <- Array.make t.capacity blank_ev
+    t.b_ev <- Array.make t.capacity Blank
   end;
   let i =
     if t.len < t.capacity then begin
@@ -115,7 +96,6 @@ let push t ~at ~seq ev =
       (* Full: overwrite the oldest slot. *)
       let i = t.start in
       t.start <- (t.start + 1) mod t.capacity;
-      t.evicted <- t.evicted + 1;
       i
     end
   in
@@ -141,17 +121,6 @@ let emit t ev =
     end
   end
 
-let record t ~category message =
-  if t.on then emit t (Text { category; message })
-
-(* A disabled tracer must not pay for formatting: [ikfprintf] discards
-   the arguments without interpreting the format string. *)
-let null_formatter = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
-
-let recordf t ~category fmt =
-  if t.on then Format.kasprintf (fun message -> record t ~category message) fmt
-  else Format.ikfprintf (fun _ -> ()) null_formatter fmt
-
 let nth_record t i =
   let j = (t.start + i) mod t.capacity in
   { at = t.b_at.(j); seq = t.b_seq.(j); ev = t.b_ev.(j) }
@@ -165,46 +134,21 @@ let fold_records t f acc =
 
 let records t = List.rev (fold_records t (fun acc r -> r :: acc) [])
 
-let records_between t ~lo ~hi =
-  List.rev
-    (fold_records t
-       (fun acc r -> if r.seq >= lo && r.seq <= hi then r :: acc else acc)
-       [])
-
 let clear t =
   (* Retain the allocated rings — a cleared tracer is usually about to
      fill up again — but scrub the event slots so cleared events are not
      kept reachable. *)
-  if Array.length t.b_ev > 0 then Array.fill t.b_ev 0 t.capacity blank_ev;
+  if Array.length t.b_ev > 0 then Array.fill t.b_ev 0 t.capacity Blank;
   t.start <- 0;
   t.len <- 0
 
-(* {2 Legacy string view} *)
-
-type entry = { at : Time.t; category : string; message : string }
-
-let entry_of_record (r : record) =
-  { at = r.at; category = (view r.ev).v_cat; message = message_of r.ev }
-
-let entries t =
-  List.rev (fold_records t (fun acc r -> entry_of_record r :: acc) [])
-
-let by_category t category =
-  List.rev
-    (fold_records t
-       (fun acc r ->
-         let e = entry_of_record r in
-         if String.equal e.category category then e :: acc else acc)
-       [])
-
-let pp_entry ppf e =
-  Format.fprintf ppf "[%10s] %s: %s" (Time.to_string e.at) e.category e.message
-
 let pp_record ppf r =
-  Format.fprintf ppf "#%-6d %a" r.seq pp_entry (entry_of_record r)
-
-let dump ppf t =
-  List.iter (fun e -> Format.fprintf ppf "%a@." pp_entry e) (entries t)
+  let v = view r.ev in
+  Format.fprintf ppf "#%-6d [%10s] %s: %s" r.seq (Time.to_string r.at) v.v_cat
+    v.v_type;
+  List.iter
+    (fun (k, value) -> Format.fprintf ppf " %s=%a" k pp_value value)
+    v.v_fields
 
 (* {2 JSONL export} *)
 

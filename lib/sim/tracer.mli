@@ -1,7 +1,8 @@
 (** Typed, timestamped event traces.
 
-    Subsystems emit {e typed} trace events (IPC packets, migration phase
-    transitions, scheduler decisions, frame deliveries); online invariant
+    Every event is typed: subsystems emit their own variants (IPC
+    packets, migration phase transitions, scheduler decisions, frame
+    deliveries, program creations, image loads); online invariant
     monitors subscribe to the live stream, tests assert on it, and
     examples print it — the quickstart's rendering of the paper's
     Figure 2-1 communication paths is a filtered trace.
@@ -19,9 +20,6 @@
 type event = ..
 (** The extensible event type. Layers add variants; anything without a
     registered view still traces, rendered opaquely. *)
-
-type event += Text of { category : string; message : string }
-(** Free-form legacy events, emitted by {!record} and {!recordf}. *)
 
 (** Scalar field values carried by an event view. *)
 type value =
@@ -42,14 +40,13 @@ val register_view : (event -> view option) -> unit
     function recognizing its own variants (returning [None] for
     everything else) at module initialization. *)
 
-val view : event -> view
-(** Render an event through the registry. [Text] events view as their
-    category with a single [msg] field; unknown variants render as
-    category ["?"]. *)
+val view_as : string -> string -> (string * value) list -> view option
+(** [view_as cat typ fields] is a viewer's answer for a variant it
+    recognizes. *)
 
-val message_of : event -> string
-(** One-line rendering of an event's fields ("k=v k=v ..."); the verbatim
-    message for [Text]. *)
+val view : event -> view
+(** Render an event through the registry. Variants no viewer recognizes
+    render as category ["?"], type ["opaque"]. *)
 
 type record = { at : Time.t; seq : int; ev : event }
 (** A stamped event: virtual instant plus a per-tracer sequence number
@@ -76,61 +73,23 @@ val on_event : t -> (record -> unit) -> unit
 (** Subscribe to the live stream. Subscribers run synchronously inside
     {!emit} and must not emit events themselves. *)
 
-val record : t -> category:string -> string -> unit
-(** Append a [Text] entry (no-op when disabled). *)
-
-val recordf :
-  t -> category:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted variant of {!record}. *)
-
 val records : t -> record list
-(** Retained records, oldest first. Older events may have been evicted:
-    see {!dropped}. *)
-
-val records_between : t -> lo:int -> hi:int -> record list
-(** Retained records with [lo <= seq <= hi], oldest first. *)
+(** Retained records, oldest first. Older events may have been evicted
+    from the ring. *)
 
 val seq : t -> int
 (** Number of events emitted so far (= next sequence number). *)
 
-val dropped : t -> int
-(** Events evicted from the ring so far. *)
-
 val clear : t -> unit
 
-(** {1 Legacy string view}
-
-    The original string-only API, kept for tests and examples: an entry
-    is a record rendered through its view. *)
-
-type entry = {
-  at : Time.t;  (** Virtual instant of the event. *)
-  category : string;  (** Subsystem tag, e.g. ["ipc"], ["migrate"]. *)
-  message : string;  (** Human-readable description. *)
-}
-
-val entries : t -> entry list
-(** All retained events as rendered entries, oldest first. *)
-
-val by_category : t -> string -> entry list
-(** Entries whose category matches, oldest first. *)
-
-val pp_entry : Format.formatter -> entry -> unit
-(** One-line rendering: ["\[   3.200ms\] ipc: ..."]. *)
-
 val pp_record : Format.formatter -> record -> unit
-(** One-line rendering including the sequence number. *)
-
-val dump : Format.formatter -> t -> unit
-(** Print all retained events, one per line. *)
+(** One-line rendering through the event's view:
+    ["#12     \[   3.200ms\] ipc: send host=ws0 txn=4 ..."]. *)
 
 (** {1 JSONL export} *)
 
-val jsonl_of_record : record -> string
-(** One JSON object on a single line:
-    [{"seq":N,"at_us":N,"cat":"...","type":"...",<fields>}]. [Span]
-    fields export as integer microseconds. *)
-
 val to_jsonl : ?categories:string list -> t -> string
 (** All retained records (optionally restricted to the given view
-    categories), one JSON object per line. *)
+    categories), one JSON object per line:
+    [{"seq":N,"at_us":N,"cat":"...","type":"...",<fields>}]. [Span]
+    fields export as integer microseconds. *)

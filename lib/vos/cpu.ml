@@ -10,17 +10,12 @@ type Tracer.event += Slice of { owner : int; foreground : bool; span : Time.span
 let () =
   Tracer.register_view (function
     | Slice { owner; foreground; span } ->
-        Some
-          {
-            Tracer.v_cat = "cpu";
-            v_type = "slice";
-            v_fields =
-              [
-                ("owner", Tracer.Int owner);
-                ("foreground", Bool foreground);
-                ("span", Span span);
-              ];
-          }
+        Tracer.view_as "cpu" "slice"
+          [
+            ("owner", Tracer.Int owner);
+            ("foreground", Bool foreground);
+            ("span", Span span);
+          ]
     | _ -> None)
 
 type entry = { wake : unit -> unit; mutable abandoned : bool }

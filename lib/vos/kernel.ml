@@ -133,6 +133,7 @@ type Tracer.event +=
       pages : int;
       bytes : int;
     }
+  | Page_source_lost of { host : string; lh : Ids.lh_id }
   (* Content-addressed transfer. A manifest scan always emits the
      triple [Xfer_manifest; Xfer_chunk_hit; Xfer_chunk_miss] back to
      back (possibly with zero counts) at the probing host; the dedup
@@ -169,154 +170,98 @@ type Tracer.event +=
 let () =
   let pid p = Tracer.Str (Ids.pid_to_string p) in
   let ipc type_ host txn src dst =
-    Some
-      {
-        Tracer.v_cat = "ipc";
-        v_type = type_;
-        v_fields =
-          [
-            ("host", Tracer.Str host);
-            ("txn", Int txn);
-            ("src", pid src);
-            ("dst", pid dst);
-          ];
-      }
+    Tracer.view_as "ipc" type_
+      [
+        ("host", Tracer.Str host);
+        ("txn", Int txn);
+        ("src", pid src);
+        ("dst", pid dst);
+      ]
   in
   Tracer.register_view (function
     | Ipc_send { host; txn; src; dst } -> ipc "send" host txn src dst
     | Ipc_recv { host; txn; src; dst } -> ipc "recv" host txn src dst
     | Ipc_reply { host; txn; src; dst } -> ipc "reply" host txn src dst
     | Ipc_forward { host; txn; lh; to_station } ->
-        Some
-          {
-            Tracer.v_cat = "ipc";
-            v_type = "forward";
-            v_fields =
-              [
-                ("host", Tracer.Str host);
-                ("txn", Int txn);
-                ("lh", Int lh);
-                ("to", Str (Addr.to_string to_station));
-              ];
-          }
+        Tracer.view_as "ipc" "forward"
+          [
+            ("host", Tracer.Str host);
+            ("txn", Int txn);
+            ("lh", Int lh);
+            ("to", Str (Addr.to_string to_station));
+          ]
     | Binding_set { host; lh; station } ->
-        Some
-          {
-            Tracer.v_cat = "bind";
-            v_type = "set";
-            v_fields =
-              [
-                ("host", Tracer.Str host);
-                ("lh", Int lh);
-                ("station", Str (Addr.to_string station));
-              ];
-          }
+        Tracer.view_as "bind" "set"
+          [
+            ("host", Tracer.Str host);
+            ("lh", Int lh);
+            ("station", Str (Addr.to_string station));
+          ]
     | Binding_invalidated { host; lh } ->
-        Some
-          {
-            Tracer.v_cat = "bind";
-            v_type = "invalidated";
-            v_fields = [ ("host", Tracer.Str host); ("lh", Int lh) ];
-          }
+        Tracer.view_as "bind" "invalidated"
+          [ ("host", Tracer.Str host); ("lh", Int lh) ]
     | Host_crashed { host } ->
-        Some
-          {
-            Tracer.v_cat = "host";
-            v_type = "crashed";
-            v_fields = [ ("host", Tracer.Str host) ];
-          }
+        Tracer.view_as "host" "crashed" [ ("host", Tracer.Str host) ]
     | Host_rebooted { host } ->
-        Some
-          {
-            Tracer.v_cat = "host";
-            v_type = "rebooted";
-            v_fields = [ ("host", Tracer.Str host) ];
-          }
+        Tracer.view_as "host" "rebooted" [ ("host", Tracer.Str host) ]
     | Page_fault_service { host; lh; pages; bytes } ->
-        Some
-          {
-            Tracer.v_cat = "migrate";
-            v_type = "page-fault";
-            v_fields =
-              [
-                ("host", Tracer.Str host);
-                ("lh", Int lh);
-                ("pages", Int pages);
-                ("bytes", Int bytes);
-              ];
-          }
+        Tracer.view_as "migrate" "page-fault"
+          [
+            ("host", Tracer.Str host);
+            ("lh", Int lh);
+            ("pages", Int pages);
+            ("bytes", Int bytes);
+          ]
+    | Page_source_lost { host; lh } ->
+        Tracer.view_as "migrate" "page-source-lost"
+          [ ("host", Tracer.Str host); ("lh", Int lh) ]
     | Xfer_manifest { host; lh; label; chunks; bytes; wire_bytes; digest_sum } ->
-        Some
-          {
-            Tracer.v_cat = "xfer";
-            v_type = "manifest";
-            v_fields =
-              [
-                ("host", Tracer.Str host);
-                ("lh", Int lh);
-                ("label", Str label);
-                ("chunks", Int chunks);
-                ("bytes", Int bytes);
-                ("wire", Int wire_bytes);
-                ("sum", Int digest_sum);
-              ];
-          }
+        Tracer.view_as "xfer" "manifest"
+          [
+            ("host", Tracer.Str host);
+            ("lh", Int lh);
+            ("label", Str label);
+            ("chunks", Int chunks);
+            ("bytes", Int bytes);
+            ("wire", Int wire_bytes);
+            ("sum", Int digest_sum);
+          ]
     | Xfer_chunk_hit { host; lh; label; chunks; bytes; digest_sum } ->
-        Some
-          {
-            Tracer.v_cat = "xfer";
-            v_type = "hit";
-            v_fields =
-              [
-                ("host", Tracer.Str host);
-                ("lh", Int lh);
-                ("label", Str label);
-                ("chunks", Int chunks);
-                ("bytes", Int bytes);
-                ("sum", Int digest_sum);
-              ];
-          }
+        Tracer.view_as "xfer" "hit"
+          [
+            ("host", Tracer.Str host);
+            ("lh", Int lh);
+            ("label", Str label);
+            ("chunks", Int chunks);
+            ("bytes", Int bytes);
+            ("sum", Int digest_sum);
+          ]
     | Xfer_chunk_miss { host; lh; label; chunks; bytes; digest_sum } ->
-        Some
-          {
-            Tracer.v_cat = "xfer";
-            v_type = "miss";
-            v_fields =
-              [
-                ("host", Tracer.Str host);
-                ("lh", Int lh);
-                ("label", Str label);
-                ("chunks", Int chunks);
-                ("bytes", Int bytes);
-                ("sum", Int digest_sum);
-              ];
-          }
+        Tracer.view_as "xfer" "miss"
+          [
+            ("host", Tracer.Str host);
+            ("lh", Int lh);
+            ("label", Str label);
+            ("chunks", Int chunks);
+            ("bytes", Int bytes);
+            ("sum", Int digest_sum);
+          ]
     | Img_cache_hit { host; image; chunks; bytes } ->
-        Some
-          {
-            Tracer.v_cat = "img";
-            v_type = "hit";
-            v_fields =
-              [
-                ("host", Tracer.Str host);
-                ("image", Str image);
-                ("chunks", Int chunks);
-                ("bytes", Int bytes);
-              ];
-          }
+        Tracer.view_as "img" "hit"
+          [
+            ("host", Tracer.Str host);
+            ("image", Str image);
+            ("chunks", Int chunks);
+            ("bytes", Int bytes);
+          ]
     | Img_cache_miss { host; image; chunks; bytes } ->
-        Some
-          {
-            Tracer.v_cat = "img";
-            v_type = "miss";
-            v_fields =
-              [
-                ("host", Tracer.Str host);
-                ("image", Str image);
-                ("chunks", Int chunks);
-                ("bytes", Int bytes);
-              ];
-          }
+        Tracer.view_as "img" "miss"
+          [
+            ("host", Tracer.Str host);
+            ("image", Str image);
+            ("chunks", Int chunks);
+            ("bytes", Int bytes);
+          ]
     | _ -> None)
 
 (* Domain-local transaction counter — see [Proc.reset_ids]: replica
@@ -364,11 +309,9 @@ let content_caching t = Content_cache.enabled t.cache
 let stat t name =
   match Hashtbl.find_opt t.stats name with Some r -> !r | None -> 0
 
-let trace t fmt = Tracer.recordf t.trc ~category:"kernel" ("%s: " ^^ fmt) t.name
-
 (* Typed-event helper: the thunk defers allocation to the enabled case,
    keeping the IPC fast path allocation-free under disabled tracing. *)
-let ev t mk = if Tracer.enabled t.trc then Tracer.emit t.trc (mk ())
+let emit t mk = if Tracer.enabled t.trc then Tracer.emit t.trc (mk ())
 
 let memory_free t =
   let resident =
@@ -415,13 +358,13 @@ let lookup_binding t lh = Hashtbl.find_opt t.bindings lh
 let set_binding t lh addr =
   (match Hashtbl.find_opt t.bindings lh with
   | Some prev when Addr.equal prev addr -> ()
-  | _ -> ev t (fun () -> Binding_set { host = t.name; lh; station = addr }));
+  | _ -> emit t (fun () -> Binding_set { host = t.name; lh; station = addr }));
   Hashtbl.replace t.bindings lh addr
 
 let invalidate_binding t lh =
   if Hashtbl.mem t.bindings lh then begin
     Hashtbl.remove t.bindings lh;
-    ev t (fun () -> Binding_invalidated { host = t.name; lh })
+    emit t (fun () -> Binding_invalidated { host = t.name; lh })
   end
 let set_forward t lh addr = Hashtbl.replace t.forwards lh addr
 
@@ -529,7 +472,7 @@ let deliver_request t ~src ~dst ~txn ~msg ~origin =
               Hashtbl.replace inbound txn Logical_host.Queued;
               Mailbox.send (Vproc.inbox vp)
                 { Delivery.src; dst; txn; msg; origin };
-              ev t (fun () -> Ipc_recv { host = t.name; txn; src; dst });
+              emit t (fun () -> Ipc_recv { host = t.name; txn; src; dst });
               Delivered))
 
 (* {2 The send machine} *)
@@ -635,7 +578,7 @@ let send ?deadline t ~src ~dst msg =
   charge t ~local_group:(Ids.is_local_group dst);
   bump t "sends";
   let os = make_osend t ~src ~dst msg in
-  ev t (fun () -> Ipc_send { host = t.name; txn = os.os_txn; src; dst });
+  emit t (fun () -> Ipc_send { host = t.name; txn = os.os_txn; src; dst });
   Hashtbl.replace t.outstanding os.os_txn os;
   osend_attempt t os;
   (* A caller-imposed deadline races the normal completion paths;
@@ -731,7 +674,7 @@ let receive t vp =
 let reply ?from t (d : Delivery.t) msg =
   charge t ~local_group:false;
   let reply_src = Option.value from ~default:d.Delivery.dst in
-  ev t (fun () ->
+  emit t (fun () ->
       Ipc_reply
         {
           host = t.name;
@@ -813,7 +756,7 @@ let handle_request t ~(frame_src : Addr.t) ~txn ~src ~dst ~msg =
       match Hashtbl.find_opt t.forwards dst.Ids.lh with
       | Some station when t.stn <> None ->
           bump t "forwarded";
-          ev t (fun () ->
+          emit t (fun () ->
               Ipc_forward
                 { host = t.name; txn; lh = dst.Ids.lh; to_station = station });
           let pkt = Packet.Request { txn; src; dst; msg } in
@@ -837,7 +780,6 @@ let handle_reply t ~txn ~dst ~msg =
             (* Discard; the kernel keeps retransmitting on the frozen
                process' behalf so the replier retains the reply
                (Section 3.1.3). *)
-            trace t "DISCARD reply #%d for %a" txn Ids.pp_pid os.os_src;
             bump t "replies_discarded_frozen"
           end
           else complete t os (Ok msg)
@@ -966,8 +908,7 @@ let destroy_logical_host t lh =
         Hashtbl.remove t.outstanding txn
       end)
     (Hashtbl.copy t.outstanding);
-  ev t (fun () -> Logical_host.Lh_destroyed { host = t.name; lh = id });
-  trace t "destroyed %a" Ids.pp_lh id
+  emit t (fun () -> Logical_host.Lh_destroyed { host = t.name; lh = id })
 
 let system_process t ~index ~name body =
   assert (index < Ids.first_user_index);
@@ -1007,9 +948,8 @@ let freeze_lh t lh =
   (* Emitted only after the CPU drained the host's in-flight slice (and
      its slice event), so the freeze-window monitor sees no guest
      progress after this point. *)
-  ev t (fun () ->
-      Logical_host.Lh_frozen { host = t.name; lh = Logical_host.id lh });
-  trace t "froze %a" Ids.pp_lh (Logical_host.id lh)
+  emit t (fun () ->
+      Logical_host.Lh_frozen { host = t.name; lh = Logical_host.id lh })
 
 let redeliver_deferred t lh =
   List.iter
@@ -1022,23 +962,18 @@ let redeliver_deferred t lh =
 let restart_osends t lh_id =
   Hashtbl.iter
     (fun _ os ->
-      if os.os_src.Ids.lh = lh_id && not os.os_done then begin
-        trace t "restarting send #%d %a->%a" os.os_txn Ids.pp_pid os.os_src
-          Ids.pp_pid os.os_dst;
-        osend_attempt t os
-      end)
+      if os.os_src.Ids.lh = lh_id && not os.os_done then osend_attempt t os)
     (Hashtbl.copy t.outstanding)
 
 let unfreeze_lh t lh =
   (* Emitted before any thawed process can resume. *)
-  ev t (fun () ->
+  emit t (fun () ->
       Logical_host.Lh_unfrozen { host = t.name; lh = Logical_host.id lh });
   Logical_host.set_frozen lh false;
   List.iter Vproc.unpause (Logical_host.processes lh);
   Logical_host.thaw lh;
   redeliver_deferred t lh;
-  restart_osends t (Logical_host.id lh);
-  trace t "unfroze %a" Ids.pp_lh (Logical_host.id lh)
+  restart_osends t (Logical_host.id lh)
 
 let kernel_state_copy_span _t lh =
   let objects =
@@ -1104,14 +1039,10 @@ let extract_lh ?page_source t lh =
         osend_attempt t os
       end)
     (Hashtbl.copy t.outstanding);
-  ev t (fun () ->
+  emit t (fun () ->
       Logical_host.Lh_extracted
         { host = t.name; lh = id; bytes = Logical_host.total_bytes lh });
-  (if page_source <> None then begin
-     Hashtbl.replace t.page_sources id ();
-     trace t "retaining pages of %a for copy-on-reference" Ids.pp_lh id
-   end);
-  trace t "extracted %a" Ids.pp_lh id;
+  if page_source <> None then Hashtbl.replace t.page_sources id ();
   { st_lh = lh; st_osends = !moved; st_page_source = page_source }
 
 (* Re-arming expiry timer: fires at the recorded deadline; if traffic
@@ -1128,9 +1059,7 @@ let rec arm_reservation_timer t id =
              | Some r ->
                  if Time.(r.r_expires <= Engine.now t.eng) then begin
                    Hashtbl.remove t.reservations id;
-                   bump t "reservations_expired";
-                   trace t "reservation %a expired, released %d bytes"
-                     Ids.pp_lh id r.r_bytes
+                   bump t "reservations_expired"
                  end
                  else arm_reservation_timer t id)
 
@@ -1162,10 +1091,9 @@ let install_lh t state =
   List.iter
     (fun os -> Hashtbl.replace t.outstanding os.os_txn os)
     state.st_osends;
-  ev t (fun () ->
+  emit t (fun () ->
       Logical_host.Lh_installed
         { host = t.name; lh = id; bytes = Logical_host.total_bytes lh });
-  trace t "installed %a" Ids.pp_lh id;
   lh
 
 let announce_lh t lh =
@@ -1206,7 +1134,7 @@ let scan_manifest t ~lh ~label ~wire_bytes digests =
   bump_by t "xfer_chunks_hit" !hit_chunks;
   bump_by t "xfer_chunks_miss" !miss_chunks;
   bump_by t "xfer_bytes_deduped" !hit_bytes;
-  ev t (fun () ->
+  emit t (fun () ->
       Xfer_manifest
         {
           host = t.name;
@@ -1217,7 +1145,7 @@ let scan_manifest t ~lh ~label ~wire_bytes digests =
           wire_bytes;
           digest_sum = !total_sum;
         });
-  ev t (fun () ->
+  emit t (fun () ->
       Xfer_chunk_hit
         {
           host = t.name;
@@ -1227,7 +1155,7 @@ let scan_manifest t ~lh ~label ~wire_bytes digests =
           bytes = !hit_bytes;
           digest_sum = !hit_sum;
         });
-  ev t (fun () ->
+  emit t (fun () ->
       Xfer_chunk_miss
         {
           host = t.name;
@@ -1300,7 +1228,8 @@ let service_page_faults t ~self ~lh:lh_id =
                    the fragility copy-on-reference accepts. Drop the
                    dependency so the program is not stuck retrying. *)
                 Hashtbl.remove t.fault_sources lh_id;
-                trace t "page source for %a lost" Ids.pp_lh lh_id
+                emit t (fun () ->
+                    Page_source_lost { host = t.name; lh = lh_id })
           end)
 
 (* {2 Kernel server} *)
@@ -1373,7 +1302,7 @@ let ks_body t vp =
         | Ks_fault_pages { lh = flh; pages; bytes } ->
             if serves_pages_for t flh then begin
               bump t "page_fault_serves";
-              ev t (fun () ->
+              emit t (fun () ->
                   Page_fault_service { host = t.name; lh = flh; pages; bytes });
               let to_station =
                 match d.Delivery.origin with
@@ -1459,7 +1388,7 @@ let create ~engine:eng ~rng:krng ~tracer:trc ~params:prm ~net ~station:self
   t
 
 let shutdown t =
-  ev t (fun () -> Host_crashed { host = t.name });
+  emit t (fun () -> Host_crashed { host = t.name });
   (match t.stn with
   | Some s ->
       Ethernet.detach s;
@@ -1494,8 +1423,7 @@ let shutdown t =
   (* The content cache is RAM with the rest. *)
   Content_cache.clear t.cache;
   Hashtbl.reset t.sys_procs;
-  Hashtbl.reset (Logical_host.inbound t.the_host_lh);
-  trace t "shut down"
+  Hashtbl.reset (Logical_host.inbound t.the_host_lh)
 
 let running t = t.stn <> None
 
@@ -1516,5 +1444,4 @@ let reboot t =
   if Content_cache.enabled t.cache then
     join_group t ~group:Ids.content_group ks;
   bump t "reboots";
-  ev t (fun () -> Host_rebooted { host = t.name });
-  trace t "rebooted"
+  emit t (fun () -> Host_rebooted { host = t.name })

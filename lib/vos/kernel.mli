@@ -70,6 +70,11 @@ type Tracer.event +=
           [lh]. Emitted with category ["migrate"], type ["page-fault"];
           the no-residual-dependency monitor attributes these to the
           banned (logical host, old host) pair. *)
+  | Page_source_lost of { host : string; lh : Ids.lh_id }
+      (** A copy-on-reference client [host] gave up on the source
+          serving logical host [lh]'s retained pages: the fault request
+          went unanswered, so the unreferenced pages are lost with it.
+          Category ["migrate"], type ["page-source-lost"]. *)
   | Xfer_manifest of {
       host : string;
       lh : Ids.lh_id;
@@ -176,6 +181,11 @@ val reboot : t -> unit
 val engine : t -> Engine.t
 val params : t -> Os_params.t
 val tracer : t -> Tracer.t
+
+val emit : t -> (unit -> Tracer.event) -> unit
+(** Emit the event the thunk builds on this kernel's tracer; when
+    tracing is off the thunk is never called. *)
+
 val host_name : t -> string
 val station : t -> Addr.t
 val cpu : t -> Cpu.t

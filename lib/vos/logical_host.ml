@@ -12,12 +12,8 @@ type Tracer.event +=
 
 let () =
   let v type_ host lh extra =
-    Some
-      {
-        Tracer.v_cat = "lh";
-        v_type = type_;
-        v_fields = ("host", Tracer.Str host) :: ("lh", Tracer.Int lh) :: extra;
-      }
+    Tracer.view_as "lh" type_
+      (("host", Tracer.Str host) :: ("lh", Tracer.Int lh) :: extra)
   in
   Tracer.register_view (function
     | Lh_frozen { host; lh } -> v "frozen" host lh []

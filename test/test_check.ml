@@ -272,6 +272,116 @@ let test_library_plain_clean_and_hinted () =
           Alcotest.(check (option int)) "seed" (Some 5) r.Replay.r_seed)
     Scenario.Library.all
 
+(* {1 Every traced event is typed}
+
+   Traced clusters driven through the paths whose events exist only as
+   dedicated constructors. Crashes are posted from a trace subscriber,
+   so each lands at a protocol point, not at a hand-tuned instant. *)
+
+let ws cl host = Option.get (Cluster.find_workstation cl host)
+
+let crash ?(after = Time.zero) cl host =
+  Engine.post_after (Cluster.engine cl) after (fun () ->
+      let k = (ws cl host).Cluster.ws_kernel in
+      if Kernel.running k then Kernel.shutdown k)
+
+(* The "category/type" of every event a traced 4-workstation cluster
+   emits while [drive] runs it; [react] sees each record as it lands. *)
+let kinds_of ?faults ?(react = fun _ _ -> ()) ~seed drive =
+  let cl = Cluster.create ?faults ~seed ~workstations:4 ~trace:true () in
+  let kinds = Hashtbl.create 64 in
+  Tracer.on_event (Cluster.tracer cl) (fun r ->
+      let v = Tracer.view r.Tracer.ev in
+      Hashtbl.replace kinds (v.Tracer.v_cat ^ "/" ^ v.Tracer.v_type) ();
+      react cl r);
+  drive cl;
+  List.of_seq (Hashtbl.to_seq_keys kinds)
+
+let test_every_traced_event_is_typed () =
+  let migrate strategy cl =
+    ignore (Experiment.migrate_program cl ~strategy ~prog:"tex" ())
+  in
+  (* Copy-on-reference, then the source dies: the program's next page
+     fault finds nobody serving its pages. *)
+  let cor =
+    kinds_of ~seed:1985 (migrate Protocol.Copy_on_reference)
+      ~react:(fun cl r ->
+        match r.Tracer.ev with
+        | Migration.Mig_committed { from_host; _ } ->
+            crash ~after:(Time.of_ms 100.) cl from_host
+        | _ -> ())
+  in
+  (* Pre-copy whose destination dies after acknowledging the install,
+     while the adoption request is on the wire. *)
+  let adopt =
+    let source = ref "" and dest = ref "" in
+    kinds_of ~seed:1985 (migrate Protocol.Precopy) ~react:(fun cl r ->
+        match r.Tracer.ev with
+        | Migration.Mig_start { from_host; _ } -> source := from_host
+        | Logical_host.Lh_installed { host; _ } when host <> !source ->
+            dest := host
+        | Kernel.Ipc_send { host; dst; _ }
+          when host = !source && !dest <> ""
+               && dst = Program_manager.pid (ws cl !dest).Cluster.ws_pm ->
+            crash cl !dest;
+            dest := ""
+        | _ -> ())
+  in
+  (* ws1 crashes under a program whose caller re-executes it. Three
+     guests pinned on ws2 with nobody volunteering make the balancer
+     pick one to move, and the move fails for want of a host. *)
+  let churn =
+    kinds_of ~seed:71
+      ~faults:[ Faults.Crash_host { host = "ws1"; at = Time.of_sec 2. } ]
+      (fun cl ->
+        List.iter
+          (fun w -> Program_manager.set_accepting w.Cluster.ws_pm false)
+          (Cluster.workstations cl);
+        List.iter
+          (fun (prog, host) ->
+            ignore
+              (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
+                   ignore
+                     (Remote_exec.exec_and_wait ~on_host_failure:(`Reexec 1)
+                        ctx ~prog ~target:(Remote_exec.Named host)))))
+          [ ("make", "ws1"); ("optimizer", "ws2"); ("parser", "ws2");
+            ("assembler", "ws2") ];
+        ignore
+          (Balancer.start ~interval:(Time.of_sec 2.)
+             (ws cl "ws0").Cluster.ws_kernel);
+        Cluster.run cl ~until:(Time.of_sec 60.))
+  in
+  (* The flash-crowd family with content caches on: delta image loads. *)
+  let crowd =
+    let entry = Option.get (Scenario.Library.find "flash-crowd") in
+    let o =
+      Scenario.run ~content_cache:(1024 * 1024)
+        (Scenario.Library.plain entry ~seed:77)
+    in
+    List.map fst o.Scenario.o_event_kinds
+  in
+  let runs =
+    [ ("cor", cor); ("adopt", adopt); ("churn", churn); ("crowd", crowd) ]
+  in
+  List.iter
+    (fun (name, kinds) ->
+      if List.mem "?/opaque" kinds then
+        Alcotest.failf "%s: an event has no registered view" name)
+    runs;
+  List.iter
+    (fun (name, kind) ->
+      if not (List.mem kind (List.assoc name runs)) then
+        Alcotest.failf "%s: no %s event" name kind)
+    [
+      ("crowd", "pm/created");
+      ("crowd", "fs/load");
+      ("cor", "migrate/page-source-lost");
+      ("adopt", "migrate/unmanaged");
+      ("churn", "exec/reexec");
+      ("churn", "balance/move");
+      ("churn", "balance/skip");
+    ]
+
 let () =
   Alcotest.run "check"
     [
@@ -302,6 +412,8 @@ let () =
             `Slow test_forwarding_ablation_caught;
           Alcotest.test_case "copy-on-reference mutation caught on every seed"
             `Slow test_cor_mutation_caught_on_every_seed;
+          Alcotest.test_case "every traced event is typed" `Quick
+            test_every_traced_event_is_typed;
         ] );
       ( "replay",
         QCheck_alcotest.to_alcotest prop_replay_roundtrip

@@ -276,11 +276,11 @@ let test_trace_flag () =
   let cl = Cluster.create ~seed:2 ~workstations:2 ~trace:true () in
   ignore (Experiment.remote_exec cl ~prog:"make" ());
   Alcotest.(check bool) "trace captured" true
-    (List.length (Tracer.entries (Cluster.tracer cl)) > 0);
+    (List.length (Tracer.records (Cluster.tracer cl)) > 0);
   let cl2 = Cluster.create ~seed:2 ~workstations:2 () in
   ignore (Experiment.remote_exec cl2 ~prog:"make" ());
   Alcotest.(check int) "trace off by default" 0
-    (List.length (Tracer.entries (Cluster.tracer cl2)))
+    (List.length (Tracer.records (Cluster.tracer cl2)))
 
 let () =
   Alcotest.run "v_cluster"

@@ -11,7 +11,7 @@
    The flat policy additionally carries a compatibility obligation: it
    is the pre-[Placement] scheduler verbatim, so dispatching through
    the policy must produce the same selection and the same trace as the
-   bare [Scheduler.Spine] calls the deprecated shims wrapped. (The
+   bare [Scheduler.Spine] calls. (The
    committed golden-trace fixtures, generated before the refactor, pin
    the same equivalence end-to-end in runtest.) *)
 
@@ -147,26 +147,16 @@ let test_topology () =
 (* {1 Compatibility: flat policy == bare spine}
 
    Two identically seeded clusters; one selects through the raw
-   [Scheduler.Spine] (the documented flat-equivalent calls the
-   deprecated [select_any]/[select_host] shims wrapped), the other
+   [Scheduler.Spine] (the documented flat-equivalent calls), the other
    through the flat [Placement] dispatch. Selection results and the full
    traced event streams must both be byte-identical. *)
-
-module Shim = struct
-  let select_any k cfg ~self ~bytes =
-    Scheduler.Spine.select_in_group k cfg ~group:Ids.program_manager_group
-      ~self ~bytes
-
-  let select_host k cfg ~self ~host =
-    Scheduler.Spine.select_host k cfg ~self ~host
-end
 
 let selection_sig (s : Scheduler.selection) =
   Printf.sprintf "%s free=%d guests=%d in=%s" s.Scheduler.s_host
     s.Scheduler.s_free_memory s.Scheduler.s_guests
     (Time.to_string s.Scheduler.s_responded_in)
 
-let shim_scenario ~via =
+let spine_scenario ~via =
   let cl = Cluster.create ~seed:4242 ~workstations:4 ~trace:true () in
   let eng = Cluster.engine cl in
   let picks = ref [] in
@@ -178,14 +168,16 @@ let shim_scenario ~via =
          Proc.sleep eng (sec 1.);
          let any =
            match via with
-           | `Shim -> Shim.select_any k cfg ~self ~bytes:(96 * 1024)
+           | `Spine ->
+               Scheduler.Spine.select_in_group k cfg
+                 ~group:Ids.program_manager_group ~self ~bytes:(96 * 1024)
            | `Policy ->
                Placement.select_any (Context.placement ctx) k cfg ~self
                  ~bytes:(96 * 1024)
          in
          let named =
            match via with
-           | `Shim -> Shim.select_host k cfg ~self ~host:"ws2"
+           | `Spine -> Scheduler.Spine.select_host k cfg ~self ~host:"ws2"
            | `Policy ->
                Placement.select_host (Context.placement ctx) k cfg ~self
                  ~host:"ws2"
@@ -199,17 +191,17 @@ let shim_scenario ~via =
   Cluster.run cl ~until:(sec 10.);
   (!picks, Tracer.to_jsonl (Cluster.tracer cl))
 
-let test_flat_matches_shim () =
-  let shim_picks, shim_trace = shim_scenario ~via:`Shim in
-  let policy_picks, policy_trace = shim_scenario ~via:`Policy in
+let test_flat_matches_spine () =
+  let spine_picks, spine_trace = spine_scenario ~via:`Spine in
+  let policy_picks, policy_trace = spine_scenario ~via:`Policy in
   Alcotest.(check (list string))
-    "same selections through shim and policy" shim_picks policy_picks;
+    "same selections through spine and policy" spine_picks policy_picks;
   Alcotest.(check bool) "byte-identical traces" true
-    (String.equal shim_trace policy_trace);
-  (match shim_picks with
+    (String.equal spine_trace policy_trace);
+  (match spine_picks with
   | pick :: _ when String.length pick > 0 && pick.[0] = 'w' -> ()
   | _ -> Alcotest.failf "expected a workstation pick, got %s"
-           (String.concat ", " shim_picks))
+           (String.concat ", " spine_picks))
 
 let () =
   let case name = Alcotest.test_case name `Slow in
@@ -230,5 +222,5 @@ let () =
       ( "topology",
         [ case "pod map follows the config" test_topology ] );
       ( "compatibility",
-        [ case "flat policy == bare spine" test_flat_matches_shim ] );
+        [ case "flat policy == bare spine" test_flat_matches_spine ] );
     ]

@@ -486,25 +486,34 @@ let test_counter () =
 
 (* {1 Tracer} *)
 
+type Tracer.event += Probe of { cat : string; msg : string }
+
+let () =
+  Tracer.register_view (function
+    | Probe { cat; msg } -> Tracer.view_as cat "probe" [ ("msg", Str msg) ]
+    | _ -> None)
+
+let probe tr cat msg = Tracer.emit tr (Probe { cat; msg })
+
 let test_tracer_records () =
   let e = Engine.create () in
   let tr = Tracer.create e in
-  ignore
-    (Engine.schedule e ~at:(ms 3.) (fun () ->
-         Tracer.record tr ~category:"x" "hello"));
+  ignore (Engine.schedule e ~at:(ms 3.) (fun () -> probe tr "x" "hello"));
   Engine.run e;
-  match Tracer.entries tr with
-  | [ entry ] ->
-      Alcotest.(check string) "msg" "hello" entry.Tracer.message;
-      Alcotest.(check int) "time" 3000 (Time.to_us entry.Tracer.at)
-  | _ -> Alcotest.fail "expected one entry"
+  match Tracer.records tr with
+  | [ r ] ->
+      Alcotest.(check string)
+        "rendering" "#0      [       3ms] x: probe msg=hello"
+        (Format.asprintf "%a" Tracer.pp_record r);
+      Alcotest.(check int) "time" 3000 (Time.to_us r.Tracer.at)
+  | _ -> Alcotest.fail "expected one record"
 
 let test_tracer_disabled () =
   let e = Engine.create () in
   let tr = Tracer.create e in
   Tracer.set_enabled tr false;
-  Tracer.record tr ~category:"x" "dropped";
-  Alcotest.(check int) "no entries" 0 (List.length (Tracer.entries tr))
+  probe tr "x" "dropped";
+  Alcotest.(check int) "no records" 0 (List.length (Tracer.records tr))
 
 (* {1 More properties} *)
 
@@ -604,15 +613,17 @@ let test_semaphore_counters () =
          Semaphore.release s));
   Engine.run e
 
-let test_tracer_by_category () =
+let test_tracer_filter_clear () =
   let e = Engine.create () in
   let tr = Tracer.create e in
-  Tracer.record tr ~category:"a" "one";
-  Tracer.record tr ~category:"b" "two";
-  Tracer.record tr ~category:"a" "three";
-  Alcotest.(check int) "category a" 2 (List.length (Tracer.by_category tr "a"));
+  probe tr "a" "one";
+  probe tr "b" "two";
+  probe tr "a" "three";
+  let in_a (r : Tracer.record) = (Tracer.view r.Tracer.ev).Tracer.v_cat = "a" in
+  Alcotest.(check int) "category a" 2
+    (List.length (List.filter in_a (Tracer.records tr)));
   Tracer.clear tr;
-  Alcotest.(check int) "cleared" 0 (List.length (Tracer.entries tr))
+  Alcotest.(check int) "cleared" 0 (List.length (Tracer.records tr))
 
 (* {1 Handle-pooling properties}
 
@@ -811,7 +822,7 @@ let () =
           Alcotest.test_case "records" `Quick test_tracer_records;
           Alcotest.test_case "disabled" `Quick test_tracer_disabled;
           Alcotest.test_case "by category / clear" `Quick
-            test_tracer_by_category;
+            test_tracer_filter_clear;
         ] );
       ( "more-properties",
         Alcotest.test_case "nested spawn/join" `Quick test_proc_nested_spawn
