@@ -1,17 +1,16 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 4), plus Bechamel micro-benchmarks of the
-   simulator's hot paths.
+   evaluation (Section 4), plus the simulator's own throughput cells.
 
-     dune exec bench/main.exe                 -- run everything
-     dune exec bench/main.exe -- <name>       -- one experiment
-                                                 (table-4-1, exec-cost, copy-rate,
-                                                  kernel-state, freeze-time,
-                                                  vm-flush, overheads, space-cost,
-                                                  usage, strategies, bechamel, ...)
+     dune exec bench/main.exe                 -- every default-profile cell
+     dune exec bench/main.exe -- <name>       -- one cell, or a family
+                                                 ("stress" runs every
+                                                  stress:NAME cell)
+     dune exec bench/main.exe -- --list       -- every cell and its profile
      dune exec bench/main.exe -- -j N         -- replica parallelism (domains)
-     dune exec bench/main.exe -- --quick      -- reduced reps, no bechamel
+     dune exec bench/main.exe -- --quick      -- reduced reps
      dune exec bench/main.exe -- --json FILE  -- machine-readable results
-     dune exec bench/main.exe -- --check-json FILE  -- validate a results file
+     dune exec bench/main.exe -- --gate DIR   -- the runtest regression gate
+                                                 against DIR/BENCH_*.json
 
    Per-cell cluster runs are independent seeded replicas, fanned out on
    OCaml 5 domains via [Parrun]; results merge in job-index order, so
@@ -21,16 +20,25 @@
    document each constant's provenance); what these benches establish is
    that the *shapes* the paper reports emerge from the mechanisms. *)
 
-module Sim_time = Time
-(* [open Bechamel] below shadows [Time]; the simulator's module stays
-   reachable as [Sim_time]. *)
-
 let sec = Time.of_sec
-let banner title = Printf.printf "\n=== %s ===\n%!" title
-let row fmt = Printf.printf (fmt ^^ "\n%!")
 
-(* {1 Harness state: parallelism, event accounting, JSON report} *)
+(* {1 Harness state: output, parallelism, event accounting, JSON report} *)
 
+(* Every line a cell prints goes through [row]: it is echoed to stdout
+   and kept in [out], so the gate can byte-compare a cell's output
+   across [-j] without re-running it in a subprocess. *)
+let out = Buffer.create 4096
+let echo = ref true
+
+let row fmt =
+  Printf.ksprintf
+    (fun s ->
+      Buffer.add_string out s;
+      Buffer.add_char out '\n';
+      if !echo then print_endline s)
+    fmt
+
+let banner title = row "\n=== %s ===" title
 let quick = ref false
 let jobs = ref (Parrun.default_jobs ())
 
@@ -79,7 +87,14 @@ let mk_cluster ?seed ?workstations ?bridged ?cfg ?net_config ?disk_us_per_kb
 let fresh_cluster ?(seed = 1985) ?(workstations = 6) () =
   mk_cluster ~seed ~workstations ()
 
-let par thunks = Parrun.run ~jobs:!jobs thunks
+(* [par] is the only reader of [!jobs], so a cell that never calls it
+   cannot depend on [-j]; the gate re-runs at [-j 2] exactly the cells
+   that set this flag. *)
+let used_par = ref false
+
+let par thunks =
+  used_par := true;
+  Parrun.run ~jobs:!jobs thunks
 
 (* Headline numbers for the JSON report; recorded from the main domain
    while formatting, never from inside jobs. *)
@@ -96,6 +111,33 @@ let ok what = function
   | Error e ->
       Printf.eprintf "%s failed: %s\n%!" what e;
       exit 1
+
+(* migrateprog from a shell: pre-copy [h]'s logical host to [dest], or
+   wherever selection picks. The request goes to the program manager of
+   workstation [from] when given, else to the one the logical host's
+   binding resolves to. *)
+let migrateprog cl ctx ?from ?dest h =
+  let lh = h.Remote_exec.h_lh in
+  let pm =
+    match Option.bind from (Cluster.find_workstation cl) with
+    | Some w -> Program_manager.pid w.Cluster.ws_pm
+    | None -> Ids.program_manager_of lh
+  in
+  match
+    Kernel.send (Context.kernel ctx) ~src:(Context.self ctx) ~dst:pm
+      (Message.make
+         (Protocol.Pm_migrate
+            {
+              lh = Some lh;
+              dest;
+              force_destroy = false;
+              strategy = Protocol.Precopy;
+            }))
+  with
+  | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } -> Ok o
+  | Ok { Message.body = Protocol.Pm_migrate_failed m; _ } -> Error m
+  | Ok _ -> Error "malformed migrate reply"
+  | Error e -> Error (Format.asprintf "%a" Kernel.pp_send_error e)
 
 (* {1 Table 4-1: dirty page generation rates} *)
 
@@ -415,42 +457,42 @@ let space_cost () =
     "E-space: code added for migration support (paper: +8 KB kernel, +4 KB \
      program manager)";
   let file_stats path =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let lines = ref 0 in
-      (try
-         while true do
-           ignore (input_line ic);
-           incr lines
-         done
-       with End_of_file -> ());
-      close_in ic;
-      Some (n, !lines)
-    end
-    else None
+    if not (Sys.file_exists path) then begin
+      Printf.eprintf "space-cost: listed source file %s is missing\n%!" path;
+      exit 1
+    end;
+    let ic = open_in path in
+    let n = in_channel_length ic in
+    let lines = ref 0 in
+    (try
+       while true do
+         ignore (input_line ic);
+         incr lines
+       done
+     with End_of_file -> ());
+    close_in ic;
+    (n, !lines)
   in
   let group name paths =
     let bytes, lines =
       List.fold_left
         (fun (b, l) p ->
-          match file_stats p with
-          | Some (b', l') -> (b + b', l + l')
-          | None -> (b, l))
+          let b', l' = file_stats p in
+          (b + b', l + l'))
         (0, 0) paths
     in
     row "  %-44s %7d bytes %6d lines" name bytes lines
   in
-  if Sys.file_exists "lib/core/migration.ml" then begin
+  if Sys.file_exists "lib" then begin
     group "migration support (migrateprog + manager)"
       [
         "lib/core/migration.ml"; "lib/core/migration.mli";
         "lib/core/protocol.ml"; "lib/core/protocol.mli";
       ];
-    group "kernel freeze/extract/install (in kernel.ml)"
+    group "logical host freeze/extract/install"
       [ "lib/vos/logical_host.ml"; "lib/vos/logical_host.mli" ];
     group "whole kernel substrate (for scale)"
-      [ "lib/vos/kernel.ml"; "lib/vos/ipc.ml" ];
+      [ "lib/vos/kernel.ml"; "lib/vos/kernel.mli" ];
     row
       "  shape check: migration support is a modest fraction of the kernel, \
        as in the paper's 8 KB + 4 KB"
@@ -477,7 +519,7 @@ let usage () =
         Experiment.u_horizon = sec (60. *. minutes);
       }
   in
-  Format.printf "%a@." Experiment.pp_usage stats;
+  row "%s" (Format.asprintf "%a" Experiment.pp_usage stats);
   row "paper: >1/3 workstations idle at the busiest times; >80%% idle at peak \
        hours; almost all remote execution requests honored";
   let honored_frac =
@@ -629,24 +671,12 @@ let rebind_ablation () =
     let forwarded = ref 0 in
     ignore
       (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
-           let k = Context.kernel ctx and self = Context.self ctx in
            match Remote_exec.exec ctx ~prog:"assembler" ~target:Remote_exec.Any with
            | Error e -> outcome := "exec failed: " ^ e
            | Ok h -> (
                Proc.sleep (Cluster.engine cl) (sec 1.);
-               match
-                 Kernel.send k ~src:self
-                   ~dst:(Ids.program_manager_of h.Remote_exec.h_lh)
-                   (Message.make
-                      (Protocol.Pm_migrate
-                         {
-                           lh = Some h.Remote_exec.h_lh;
-                           dest = None;
-                           force_destroy = false;
-                           strategy = Protocol.Precopy;
-                         }))
-               with
-               | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } -> (
+               match migrateprog cl ctx h with
+               | Ok o -> (
                    let old_ws = Cluster.find_workstation cl o.Protocol.m_from in
                    if reboot_old then
                      Option.iter
@@ -660,7 +690,7 @@ let rebind_ablation () =
                          old_ws;
                        outcome := "completed"
                    | Error e -> outcome := "stale reference FAILED: " ^ e)
-               | _ -> outcome := "migration failed")));
+               | Error _ -> outcome := "migration failed")));
     Cluster.run cl ~until:(sec 200.);
     Printf.sprintf "  %-44s %-28s old host relayed %d packets" label !outcome
       !forwarded
@@ -707,37 +737,20 @@ let recovery () =
     let outcome = ref "did not run" in
     ignore
       (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
-           let k = Context.kernel ctx and self = Context.self ctx in
            match Remote_exec.exec ctx ~prog:"tex" ~target:Remote_exec.Any with
            | Error e -> outcome := "exec failed: " ^ e
            | Ok h -> (
                Proc.sleep eng (Time.sub (sec 4.) (Engine.now eng));
                let t0 = Engine.now eng in
-               let stable_pm =
-                 match Cluster.find_workstation cl h.Remote_exec.h_host with
-                 | Some w -> Program_manager.pid w.Cluster.ws_pm
-                 | None -> Ids.program_manager_of h.Remote_exec.h_lh
-               in
-               let migrate =
-                 Kernel.send k ~src:self ~dst:stable_pm
-                   (Message.make
-                      (Protocol.Pm_migrate
-                         {
-                           lh = Some h.Remote_exec.h_lh;
-                           dest = None;
-                           force_destroy = false;
-                           strategy = Protocol.Precopy;
-                         }))
-               in
+               let migrate = migrateprog cl ctx ~from:h.Remote_exec.h_host h in
                let elapsed = Time.to_sec (Time.sub (Engine.now eng) t0) in
                let verdict =
                  match migrate with
-                 | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } ->
+                 | Ok o ->
                      Printf.sprintf "migrated to %s in %.1f s"
                        o.Protocol.m_dest elapsed
-                 | Ok { Message.body = Protocol.Pm_migrate_failed m; _ } ->
+                 | Error m ->
                      Printf.sprintf "rolled back after %.1f s (%s)" elapsed m
-                 | _ -> "malformed migrate reply"
                in
                match Remote_exec.wait ctx h with
                | Ok (wall, _) ->
@@ -781,30 +794,18 @@ let internet () =
     let result = ref (Error "incomplete") in
     ignore
       (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
-           let k = Context.kernel ctx and self = Context.self ctx in
            match Remote_exec.exec ctx ~prog:"optimizer" ~target:Remote_exec.Any with
            | Error e -> result := Error ("exec: " ^ e)
-           | Ok h -> (
+           | Ok h ->
                if far then begin
                  open_segment 1 true;
                  open_segment 0 false
                end;
                Proc.sleep (Cluster.engine cl) (sec 3.);
-               match
-                 Kernel.send k ~src:self
-                   ~dst:(Ids.program_manager_of h.Remote_exec.h_lh)
-                   (Message.make
-                      (Protocol.Pm_migrate
-                         {
-                           lh = Some h.Remote_exec.h_lh;
-                           dest = None;
-                           force_destroy = false;
-                           strategy = Protocol.Precopy;
-                         }))
-               with
-               | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } ->
-                   result := Ok o
-               | _ -> result := Error "migration failed")));
+               result :=
+                 Result.map_error
+                   (fun _ -> "migration failed")
+                   (migrateprog cl ctx h)));
     Cluster.run cl ~until:(sec 120.);
     !result
   in
@@ -895,113 +896,6 @@ let balance_ablation () =
   row
     "shape: preemption turns an overloaded workstation into pool-wide \
      parallelism; makespan drops toward the per-job runtime"
-
-(* {1 Bechamel micro-benchmarks (real wall-clock of simulator hot paths)} *)
-
-let bechamel () =
-  banner "Bechamel micro-benchmarks (wall-clock cost of simulator hot paths)";
-  let open Bechamel in
-  let open Toolkit in
-  let heap_bench =
-    Test.make ~name:"heap: 1k push+pop"
-      (Staged.stage (fun () ->
-           let h = Heap.create ~cmp:Int.compare in
-           for i = 0 to 999 do
-             Heap.push h ((i * 7919) mod 1000)
-           done;
-           while not (Heap.is_empty h) do
-             ignore (Heap.pop h)
-           done))
-  in
-  let engine_bench =
-    Test.make ~name:"engine: 1k events"
-      (Staged.stage (fun () ->
-           let e = Engine.create () in
-           for i = 1 to 1000 do
-             Engine.post e ~at:(Sim_time.of_us i) (fun () -> ())
-           done;
-           Engine.run e))
-  in
-  let rng_bench =
-    let r = Rng.create 1 in
-    Test.make ~name:"rng: 1k draws"
-      (Staged.stage (fun () ->
-           for _ = 1 to 1000 do
-             ignore (Rng.bits64 r)
-           done))
-  in
-  (* The Ethernet delivery hot path: with the cached recipient rosters,
-     neither broadcast nor multicast delivery rebuilds or sorts the
-     station list per frame. *)
-  let net_delivery ~name ~frame =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let e = Engine.create () in
-           let net : unit Ethernet.t = Ethernet.create e (Rng.create 7) in
-           let stations =
-             Array.init 32 (fun i ->
-                 Ethernet.attach net (Addr.of_int (i + 1)) (fun _ -> ()))
-           in
-           Array.iteri
-             (fun i s -> if i land 1 = 0 then Ethernet.subscribe s 9)
-             stations;
-           for _ = 1 to 100 do
-             Ethernet.send net (frame ())
-           done;
-           Engine.run e))
-  in
-  let broadcast_bench =
-    net_delivery ~name:"ethernet: 100 broadcasts to 32 stations"
-      ~frame:(fun () -> Frame.broadcast ~src:(Addr.of_int 1) ~bytes:64 ())
-  in
-  let multicast_bench =
-    net_delivery ~name:"ethernet: 100 multicasts, 16/32 subscribed"
-      ~frame:(fun () ->
-        Frame.multicast ~src:(Addr.of_int 1) ~group:9 ~bytes:64 ())
-  in
-  let ipc_bench =
-    Test.make ~name:"sim: local IPC round trip (full cluster boot)"
-      (Staged.stage (fun () ->
-           let cl = Cluster.create ~seed:3 ~workstations:1 () in
-           ignore
-             (Cluster.user cl ~ws:0 ~name:"pinger" (fun k self ->
-                  let ks =
-                    Ids.kernel_server_of (Logical_host.id (Kernel.host_lh k))
-                  in
-                  ignore
-                    (Kernel.send k ~src:self ~dst:ks (Message.make Kernel.Ks_ping))));
-           Cluster.run cl ~until:(Sim_time.of_sec 1.)))
-  in
-  let migration_bench =
-    Test.make ~name:"sim: full tex migration"
-      (Staged.stage (fun () ->
-           let cl = Cluster.create ~seed:4 ~workstations:4 () in
-           ignore (Experiment.migrate_program cl ~prog:"tex" ())))
-  in
-  let tests =
-    Test.make_grouped ~name:"vsystem" ~fmt:"%s %s"
-      [
-        heap_bench; engine_bench; rng_bench; broadcast_bench; multicast_bench;
-        ipc_bench; migration_bench;
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ t ] ->
-          row "  %-48s %12.1f ns/run" name t;
-          metric ("ns_per_run:" ^ name) t
-      | _ -> row "  %-48s (no estimate)" name)
-    results
 
 (* {1 E-serve: sustained traffic through the service layer} *)
 
@@ -1229,7 +1123,7 @@ let chaos () =
          (List.length (Monitors.violations mon) + Monitors.dropped mon));
   if not (Monitors.ok mon) then
     List.iter
-      (fun v -> Format.printf "%a@." Monitors.pp_violation v)
+      (fun v -> row "%s" (Format.asprintf "%a" Monitors.pp_violation v))
       (Monitors.violations mon);
   row
     "shape: the rack crash orphans a burst of requests that the re-exec \
@@ -1337,10 +1231,7 @@ let strategies () =
    request. Every printed number is an event count or virtual-time
    quantity, so stdout is byte-identical for any [-j]; the committed
    BENCH_stress.json floors feed the same events/s regression gate as
-   the main profile (regenerate with
-     dune exec bench/main.exe -- stress --quick -j 1 --json BENCH_stress.json
-   run a few times and keep conservative per-cell minima, DESIGN.md
-   §4h/§4i). *)
+   the main profile (DESIGN.md §4h/§4i). *)
 let stress entry () =
   let name = Scenario.Library.name entry in
   banner
@@ -1378,7 +1269,7 @@ let stress entry () =
       if viol > 0 || o.Scenario.so_stuck > 0 then begin
         incr bad;
         List.iter
-          (fun v -> Format.printf "%a@." Monitors.pp_violation v)
+          (fun v -> row "%s" (Format.asprintf "%a" Monitors.pp_violation v))
           o.Scenario.so_violations;
         row "  REPLAY: %s" (Scenario.replay_serve_hint sv)
       end)
@@ -1408,10 +1299,10 @@ let stress entry () =
    counts minor-heap words allocated per engine event on the core hot
    paths, so an accidental box/closure on the schedule/fire/emit path
    shows up as a number even when throughput noise hides it. The raw
-   engines here are deliberately not registered with the cluster
-   registry: the experiment reports 0 events and is thereby excluded
-   from the events/s regression gate (allocation counts are
-   deterministic; its metrics are the signal). *)
+   engines here are registered, so the events they fire (warm-up and
+   measured passes alike) put the cell under the events/s gate like any
+   other; the allocation counts are deterministic and are its real
+   signal. *)
 let alloc () =
   banner "E-alloc: minor-heap words allocated per event (GC pressure)";
   let nop () = () in
@@ -1436,7 +1327,7 @@ let alloc () =
   report "engine post+fire"
     (words_per ~events:n (fun () ->
          for i = 1 to n do
-           Engine.post_after e (Sim_time.of_us i) nop
+           Engine.post_after e (Time.of_us i) nop
          done;
          Engine.run e));
   (* Cancellable scheduling: pays only for the 3-field handle. *)
@@ -1445,7 +1336,7 @@ let alloc () =
   report "engine schedule+fire (handle)"
     (words_per ~events:n (fun () ->
          for i = 1 to n do
-           ignore (Engine.schedule_after e (Sim_time.of_us i) nop)
+           ignore (Engine.schedule_after e (Time.of_us i) nop)
          done;
          Engine.run e));
   (* Tracing on, no subscriber: ring writes only, no record boxing. *)
@@ -1453,7 +1344,7 @@ let alloc () =
   register_engine e;
   let trc = Tracer.create ~capacity:1024 e in
   let ev =
-    Cpu.Slice { owner = 1; foreground = true; span = Sim_time.of_us 1 }
+    Cpu.Slice { owner = 1; foreground = true; span = Time.of_us 1 }
   in
   report "tracer emit (on, no subscriber)"
     (words_per ~events:n (fun () ->
@@ -1481,9 +1372,10 @@ let alloc () =
 
 (* Times each layer of the stack in isolation so a throughput regression
    can be attributed: raw engine dispatch, the effect/suspension
-   machinery ([Proc.sleep] loops), the CPU scheduler's slice loop, and a
-   kernel IPC ping loop on a long-lived cluster (no per-iteration
-   boot). Run explicitly as [bench layers]; not part of the default
+   machinery ([Proc.sleep] loops), the CPU scheduler's slice loop,
+   multicast delivery, a kernel IPC ping loop on a long-lived cluster
+   (no per-iteration boot), and one whole tex migration from cluster
+   boot. Run explicitly as [bench layers]; not part of the default
    profile. *)
 let layers () =
   banner "E-layers: per-layer cost breakdown (ns per engine event)";
@@ -1501,7 +1393,7 @@ let layers () =
       let e = Engine.create () in
       let n = 500_000 in
       for i = 1 to n do
-        Engine.post_after e (Sim_time.of_us i) nop
+        Engine.post_after e (Time.of_us i) nop
       done;
       Engine.run e;
       Engine.events_fired e);
@@ -1510,21 +1402,35 @@ let layers () =
       ignore
         (Proc.spawn e ~name:"sleeper" (fun () ->
              for _ = 1 to 200_000 do
-               Proc.sleep e (Sim_time.of_us 1)
+               Proc.sleep e (Time.of_us 1)
              done));
       Engine.run e;
       Engine.events_fired e);
   time_events "cpu slice loop (1ms quantum)" (fun () ->
       let e = Engine.create () in
-      let cpu = Cpu.create e ~quantum:(Sim_time.of_ms 1.) in
+      let cpu = Cpu.create e ~quantum:(Time.of_ms 1.) in
       ignore
         (Proc.spawn e ~name:"worker" (fun () ->
-             Cpu.compute cpu ~priority:Cpu.Foreground (Sim_time.of_sec 100.)));
+             Cpu.compute cpu ~priority:Cpu.Foreground (Time.of_sec 100.)));
+      Engine.run e;
+      Engine.events_fired e);
+  (* Multicast fan-out through the cached recipient rosters: no
+     per-frame rebuild or sort of the station list. *)
+  time_events "ethernet multicast (16/32 subscribed)" (fun () ->
+      let e = Engine.create () in
+      let net : unit Ethernet.t = Ethernet.create e (Rng.create 7) in
+      for i = 0 to 31 do
+        let s = Ethernet.attach net (Addr.of_int (i + 1)) (fun _ -> ()) in
+        if i land 1 = 0 then Ethernet.subscribe s 9
+      done;
+      for _ = 1 to 5_000 do
+        Ethernet.send net
+          (Frame.multicast ~src:(Addr.of_int 1) ~group:9 ~bytes:64 ())
+      done;
       Engine.run e;
       Engine.events_fired e);
   time_events "kernel IPC ping loop (resident cluster)" (fun () ->
       let cl = Cluster.create ~seed:11 ~workstations:2 () in
-      let k0 = (Cluster.workstation cl 0).Cluster.ws_kernel in
       ignore
         (Cluster.user cl ~ws:0 ~name:"pinger" (fun k self ->
              let ks =
@@ -1533,8 +1439,11 @@ let layers () =
              for _ = 1 to 20_000 do
                ignore (Kernel.send k ~src:self ~dst:ks (Message.make Kernel.Ks_ping))
              done));
-      Cluster.run cl ~until:(Sim_time.of_sec 1000.);
-      ignore k0;
+      Cluster.run cl ~until:(Time.of_sec 1000.);
+      Engine.events_fired (Cluster.engine cl));
+  time_events "full tex migration (cluster boot included)" (fun () ->
+      let cl = Cluster.create ~seed:4 ~workstations:4 () in
+      ignore (ok "migrate" (Experiment.migrate_program cl ~prog:"tex" ()));
       Engine.events_fired (Cluster.engine cl))
 
 (* {1 E-engine-core: raw dispatch throughput}
@@ -1563,7 +1472,7 @@ let engine_core () =
   register_engine e;
   time "burst: post N, drain (heap grows to N)" burst (fun () ->
       for i = 1 to burst do
-        Engine.post_after e (Sim_time.of_us i) nop
+        Engine.post_after e (Time.of_us i) nop
       done;
       Engine.run e);
   let timers = 64 in
@@ -1578,9 +1487,9 @@ let engine_core () =
         let remaining = ref rounds in
         let rec tick () =
           decr remaining;
-          if !remaining > 0 then Engine.post_after e (Sim_time.of_us t) tick
+          if !remaining > 0 then Engine.post_after e (Time.of_us t) tick
         in
-        Engine.post_after e (Sim_time.of_us t) tick
+        Engine.post_after e (Time.of_us t) tick
       done;
       Engine.run e)
 
@@ -1652,44 +1561,19 @@ let dedup_remigrate ~cache () =
   let result = ref (Error "re-migration cell did not complete") in
   ignore
     (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
-         let k = Context.kernel ctx and self = Context.self ctx in
          match Remote_exec.exec ctx ~prog:"tex" ~target:Remote_exec.Local with
          | Error e -> result := Error ("exec: " ^ e)
          | Ok h -> (
-             let migrate ~from_host ~dest =
-               let pm =
-                 match Cluster.find_workstation cl from_host with
-                 | Some w -> Program_manager.pid w.Cluster.ws_pm
-                 | None -> Ids.program_manager_of h.Remote_exec.h_lh
-               in
-               match
-                 Kernel.send k ~src:self ~dst:pm
-                   (Message.make
-                      (Protocol.Pm_migrate
-                         {
-                           lh = Some h.Remote_exec.h_lh;
-                           dest = Some dest;
-                           force_destroy = false;
-                           strategy = Protocol.Precopy;
-                         }))
-               with
-               | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } -> Ok o
-               | Ok { Message.body = Protocol.Pm_migrate_failed m; _ } ->
-                   Error m
-               | Ok _ -> Error "malformed migrate reply"
-               | Error e ->
-                   Error (Format.asprintf "%a" Kernel.pp_send_error e)
-             in
              Proc.sleep eng (sec 3.);
              let shipped0 = dedup_sum_stat cl "xfer_bytes_shipped" in
-             match migrate ~from_host:h.Remote_exec.h_host ~dest:"ws1" with
+             match migrateprog cl ctx ~from:h.Remote_exec.h_host ~dest:"ws1" h with
              | Error e -> result := Error ("first migration: " ^ e)
              | Ok o1 -> (
                  Proc.sleep eng (sec 1.);
                  let shipped1 = dedup_sum_stat cl "xfer_bytes_shipped" in
                  match
-                   migrate ~from_host:o1.Protocol.m_dest
-                     ~dest:h.Remote_exec.h_host
+                   migrateprog cl ctx ~from:o1.Protocol.m_dest
+                     ~dest:h.Remote_exec.h_host h
                  with
                  | Error e -> result := Error ("return migration: " ^ e)
                  | Ok o2 ->
@@ -1779,45 +1663,70 @@ let dedup () =
 
 (* {1 Driver} *)
 
-let experiments =
-  [
-    ("engine-core", engine_core);
-    ("table-4-1", table_4_1);
-    ("exec-cost", exec_cost);
-    ("copy-rate", copy_rate);
-    ("kernel-state", kernel_state);
-    ("freeze-time", freeze_time);
-    ("vm-flush", vm_flush);
-    ("overheads", overheads);
-    ("space-cost", space_cost);
-    ("usage", usage);
-    ("serve", serve);
-    ("serve-pods", serve_pods);
-    ("chaos", chaos);
-    ("strategies", strategies);
-    ("dedup", dedup);
-    ("precopy-ablation", precopy_ablation);
-    ("loss-ablation", loss_ablation);
-    ("scale", scale);
-    ("rebind-ablation", rebind_ablation);
-    ("balance-ablation", balance_ablation);
-    ("recovery", recovery);
-    ("internet", internet);
-    ("alloc", alloc);
-    ("bechamel", bechamel);
-  ]
+(* A cell's profile decides when it runs: the bare run (and the pinned
+   [--quick] profile) is every [Default] cell, [Stress] cells are the
+   scenario-library family, and [Diagnostic] cells run only by name.
+   The gate runs every [Default] and [Stress] cell. *)
+type profile = Default | Diagnostic | Stress
 
-(* Diagnostics runnable by name but excluded from the default (and
-   [--quick]) profiles — and thereby from the committed baseline. *)
-let named_only_experiments = [ ("layers", layers) ]
+type cell = { name : string; run : unit -> unit; profile : profile }
 
-(* The scenario-library stress family: its own profile with its own
-   committed floors (BENCH_stress.json). The bare name "stress" expands
-   to every family; "stress:NAME" runs one. *)
-let stress_experiments =
+let cells =
   List.map
-    (fun e -> ("stress:" ^ Scenario.Library.name e, stress e))
-    Scenario.Library.all
+    (fun (name, run) -> { name; run; profile = Default })
+    [
+      ("engine-core", engine_core);
+      ("table-4-1", table_4_1);
+      ("exec-cost", exec_cost);
+      ("copy-rate", copy_rate);
+      ("kernel-state", kernel_state);
+      ("freeze-time", freeze_time);
+      ("vm-flush", vm_flush);
+      ("overheads", overheads);
+      ("space-cost", space_cost);
+      ("usage", usage);
+      ("serve", serve);
+      ("serve-pods", serve_pods);
+      ("chaos", chaos);
+      ("strategies", strategies);
+      ("dedup", dedup);
+      ("precopy-ablation", precopy_ablation);
+      ("loss-ablation", loss_ablation);
+      ("scale", scale);
+      ("rebind-ablation", rebind_ablation);
+      ("balance-ablation", balance_ablation);
+      ("recovery", recovery);
+      ("internet", internet);
+      ("alloc", alloc);
+    ]
+  @ [ { name = "layers"; run = layers; profile = Diagnostic } ]
+  @ List.map
+      (fun e ->
+        {
+          name = "stress:" ^ Scenario.Library.name e;
+          run = stress e;
+          profile = Stress;
+        })
+      Scenario.Library.all
+
+let profile_name = function
+  | Default -> "default"
+  | Diagnostic -> "diagnostic"
+  | Stress -> "stress"
+
+(* A name selects its cell, or every cell of the family [NAME:*]. *)
+let select name =
+  match
+    List.filter
+      (fun c ->
+        String.equal c.name name
+        || String.starts_with ~prefix:(name ^ ":") c.name)
+      cells
+  with
+  | [] ->
+      Printf.eprintf "unknown cell %S; --list shows every cell\n" name;
+      exit 2
+  | cs -> cs
 
 type report = {
   r_name : string;
@@ -1825,28 +1734,33 @@ type report = {
   r_events : int;
   r_metrics : (string * float) list;
   r_details : (string * Json_min.t) list;
+  r_output : string;  (** Everything the cell printed. *)
+  r_par : bool;  (** Whether the cell called [par]. *)
 }
 
-let reports : report list ref = ref []
-
-let run_one (name, f) =
+let run_cell c =
   ignore (drain_events ());
   metrics := [];
   details := [];
+  Buffer.clear out;
+  used_par := false;
   let t0 = Unix.gettimeofday () in
-  f ();
+  c.run ();
   let wall = Unix.gettimeofday () -. t0 in
-  reports :=
-    {
-      r_name = name;
-      r_wall = wall;
-      r_events = drain_events ();
-      r_metrics = List.rev !metrics;
-      r_details = List.rev !details;
-    }
-    :: !reports
+  {
+    r_name = c.name;
+    r_wall = wall;
+    r_events = drain_events ();
+    r_metrics = List.rev !metrics;
+    r_details = List.rev !details;
+    r_output = Buffer.contents out;
+    r_par = !used_par;
+  }
 
-let json_report () =
+let events_per_sec r =
+  if r.r_wall > 0. then float_of_int r.r_events /. r.r_wall else 0.
+
+let json_report reports =
   let open Json_min in
   Obj
     [
@@ -1855,38 +1769,27 @@ let json_report () =
       ("jobs", Num (float_of_int !jobs));
       ( "experiments",
         Arr
-          (List.rev_map
+          (List.map
              (fun r ->
                Obj
                  [
                    ("name", Str r.r_name);
                    ("wall_s", Num r.r_wall);
                    ("events", Num (float_of_int r.r_events));
-                   ( "events_per_sec",
-                     Num
-                       (if r.r_wall > 0. then
-                          float_of_int r.r_events /. r.r_wall
-                        else 0.) );
+                   ("events_per_sec", Num (events_per_sec r));
                    ( "metrics",
                      Obj (List.map (fun (k, v) -> (k, Num v)) r.r_metrics) );
                    ("details", Obj r.r_details);
                  ])
-             !reports) );
+             reports) );
     ]
 
-(* Validate a previously written results file: the runtest smoke uses
-   this to check that [--quick --json] produced well-formed output.
-   Returns the per-experiment (name, events, events_per_sec) triples so
-   the same parse doubles as the regression-gate baseline. *)
-let check_json path =
-  let contents =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
+(* Validate a results document ([src] names it in messages) and return
+   its per-cell (name, events, events_per_sec) triples: the same parse
+   checks the fresh report and loads the committed floors. *)
+let parse_report ~src contents =
   let fail msg =
-    Printf.eprintf "%s: %s\n%!" path msg;
+    Printf.eprintf "%s: %s\n%!" src msg;
     exit 1
   in
   match Json_min.parse contents with
@@ -1920,81 +1823,112 @@ let check_json path =
                 (name, events, eps))
               exps
           in
-          Printf.printf "%s: OK (%d experiments)\n%!" path (List.length exps);
+          Printf.printf "%s: OK (%d experiments)\n%!" src (List.length exps);
           triples
       | _ -> fail "missing experiments array")
 
 (* {2 Regression gate}
 
-   When experiments ran in the same invocation, [--check-json BASELINE]
-   compares each experiment's fresh events/s against the committed
-   baseline and fails on a drop beyond [--tolerance] percent (default
-   25). Experiments too small to time reliably — under
-   [min_gate_events] on either side — are reported but never gated, so
-   wall-clock noise on sub-100ms cells cannot flake the build. *)
-let tolerance = ref 25.0
+   [--gate DIR] is the whole runtest check. It runs every [Default] and
+   [Stress] cell once in the pinned profile ([--quick -j 1]), re-runs
+   at [-j 2] each cell that called [par] and requires byte-identical
+   output, round-trips the fresh report through [parse_report], and
+   compares each cell's events/s against the one committed
+   DIR/BENCH_*.json file that names it, failing on a drop of more than
+   [tolerance_pct]. Cells under [min_gate_events] on either side are
+   reported but never gated, so wall-clock noise on sub-100ms cells
+   cannot flake the build. *)
+let tolerance_pct = 25.
 let min_gate_events = 100_000.
 
-let gate_against ~baseline_path reports =
-  let baseline = check_json baseline_path in
+(* Every committed floor by cell name. A name in two files is an error:
+   each cell's floor has exactly one home. *)
+let committed_floors dir =
+  let floors = Hashtbl.create 64 in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f ->
+         String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+  |> List.sort String.compare
+  |> List.iter (fun file ->
+         let path = Filename.concat dir file in
+         let ic = open_in_bin path in
+         let contents = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         List.iter
+           (fun (name, events, eps) ->
+             match Hashtbl.find_opt floors name with
+             | Some (other, _, _) ->
+                 Printf.eprintf "gate: cell %S is named in both %s and %s\n%!"
+                   name other file;
+                 exit 1
+             | None -> Hashtbl.replace floors name (file, events, eps))
+           (parse_report ~src:path contents));
+  floors
+
+let gate ~dir floors ran =
   let failures = ref 0 and gated = ref 0 in
+  let line ?(failed = false) name fmt =
+    Printf.ksprintf
+      (fun s ->
+        if failed then incr failures;
+        Printf.printf "gate: %-22s %s\n%!" name s)
+      fmt
+  in
+  ignore
+    (parse_report ~src:"fresh report"
+       (Json_min.to_string (json_report (List.map snd ran))));
   List.iter
-    (fun r ->
-      let fresh_events = float_of_int r.r_events in
-      let fresh_eps =
-        if r.r_wall > 0. then fresh_events /. r.r_wall else 0.
-      in
-      match
-        List.find_opt (fun (n, _, _) -> String.equal n r.r_name) baseline
-      with
+    (fun (_, r) ->
+      let events = float_of_int r.r_events and eps = events_per_sec r in
+      match Hashtbl.find_opt floors r.r_name with
       | None ->
-          Printf.printf "gate: %-18s no baseline entry, skipped\n%!" r.r_name
-      | Some (_, base_events, base_eps) ->
+          line ~failed:true r.r_name
+            "FAIL  no committed BENCH_*.json names this cell"
+      | Some (file, base_events, base_eps) ->
           if
             base_events < min_gate_events
-            || fresh_events < min_gate_events
-            || base_eps <= 0.
+            || events < min_gate_events || base_eps <= 0.
           then
-            Printf.printf "gate: %-18s below %.0fk events, not gated\n%!"
-              r.r_name (min_gate_events /. 1000.)
+            line r.r_name "below %.0fk events, not gated"
+              (min_gate_events /. 1000.)
           else begin
             incr gated;
-            let delta = 100. *. ((fresh_eps /. base_eps) -. 1.) in
-            let floor = base_eps *. (1. -. (!tolerance /. 100.)) in
-            if fresh_eps < floor then begin
-              incr failures;
-              Printf.printf
-                "gate: %-18s FAIL  %.2fM ev/s vs baseline %.2fM (%+.0f%%, \
-                 tolerance -%.0f%%)\n\
-                 %!"
-                r.r_name (fresh_eps /. 1e6) (base_eps /. 1e6) delta !tolerance
-            end
+            let delta = 100. *. ((eps /. base_eps) -. 1.) in
+            if eps < base_eps *. (1. -. (tolerance_pct /. 100.)) then
+              line ~failed:true r.r_name
+                "FAIL  %.2fM ev/s vs %s %.2fM (%+.0f%%, tolerance -%.0f%%)"
+                (eps /. 1e6) file (base_eps /. 1e6) delta tolerance_pct
             else
-              Printf.printf
-                "gate: %-18s ok    %.2fM ev/s vs baseline %.2fM (%+.0f%%)\n%!"
-                r.r_name (fresh_eps /. 1e6) (base_eps /. 1e6) delta
+              line r.r_name "ok    %.2fM ev/s vs %s %.2fM (%+.0f%%)"
+                (eps /. 1e6) file (base_eps /. 1e6) delta
           end)
-    reports;
+    ran;
+  let par_cells = List.filter (fun (_, r) -> r.r_par) ran in
+  jobs := 2;
+  echo := false;
+  List.iter
+    (fun (c, r) ->
+      if not (String.equal (run_cell c).r_output r.r_output) then
+        line ~failed:true c.name "FAIL  output differs between -j 1 and -j 2")
+    par_cells;
+  Printf.printf "gate: -j 1 vs -j 2 byte-compared on %d cell(s): %s\n%!"
+    (List.length par_cells)
+    (String.concat " " (List.map (fun (c, _) -> c.name) par_cells));
   if !failures > 0 then begin
-    Printf.eprintf
-      "check-json: %d of %d gated experiment(s) regressed more than %.0f%% \
-       below %s\n\
-       %!"
-      !failures !gated !tolerance baseline_path;
+    Printf.eprintf "gate: %d failure(s) against %s/BENCH_*.json\n%!" !failures
+      dir;
     exit 1
   end
   else
-    Printf.printf "check-json: %d gated experiment(s) within %.0f%% of %s\n%!"
-      !gated !tolerance baseline_path
+    Printf.printf "gate: %d cell(s) ran, %d gated within %.0f%% of %s/BENCH_*.json\n%!"
+      (List.length ran) !gated tolerance_pct dir
 
 let () =
-  let json_out = ref None in
-  let check_path = ref None in
+  let json_out = ref None and gate_dir = ref None in
   let usage_and_exit code =
     Printf.eprintf
-      "usage: main.exe [-j N] [--quick] [--json FILE] [--check-json FILE] \
-       [--tolerance PCT] [EXPERIMENT...]\nknown experiments: %s\n"
-      (String.concat ", " (List.map fst experiments));
+      "usage: main.exe [-j N] [--quick] [--json FILE] [--gate DIR] [--list] \
+       [CELL...]\n";
     exit code
   in
   let rec parse_args names = function
@@ -2005,75 +1939,48 @@ let () =
     | "--json" :: file :: rest ->
         json_out := Some file;
         parse_args names rest
-    | [ "--json" ] -> usage_and_exit 2
-    | "--check-json" :: file :: rest ->
-        check_path := Some file;
+    | "--gate" :: dir :: rest ->
+        gate_dir := Some dir;
         parse_args names rest
-    | [ "--check-json" ] -> usage_and_exit 2
-    | "--tolerance" :: pct :: rest -> (
-        match float_of_string_opt pct with
-        | Some p when p >= 0. ->
-            tolerance := p;
-            parse_args names rest
-        | _ -> usage_and_exit 2)
-    | [ "--tolerance" ] -> usage_and_exit 2
     | "-j" :: n :: rest -> (
         match int_of_string_opt n with
         | Some n when n >= 1 ->
             jobs := n;
             parse_args names rest
         | _ -> usage_and_exit 2)
-    | [ "-j" ] -> usage_and_exit 2
+    | [ ("--json" | "--gate" | "-j") ] -> usage_and_exit 2
     | "--list" :: _ ->
-        List.iter (fun (n, _) -> print_endline n) experiments;
+        List.iter
+          (fun c -> Printf.printf "%-24s %s\n" c.name (profile_name c.profile))
+          cells;
         exit 0
     | ("--help" | "-h") :: _ -> usage_and_exit 0
     | name :: rest -> parse_args (name :: names) rest
   in
   let names = parse_args [] (List.tl (Array.to_list Sys.argv)) in
-  (* [--check-json] alone (no run requested) validates the file's schema
-     and exits — the mode the committed-results runtest guards use. With
-     a run in the same invocation it becomes the regression gate below. *)
-  (match (!check_path, names, !json_out) with
-  | Some file, [], None ->
-      ignore (check_json file);
-      exit 0
-  | _ -> ());
   let chosen =
-    match names with
-    | [] ->
+    match (!gate_dir, names) with
+    | Some _, [] ->
+        quick := true;
+        jobs := 1;
+        List.filter (fun c -> c.profile <> Diagnostic) cells
+    | Some _, _ :: _ -> usage_and_exit 2
+    | None, [] ->
         Printf.printf
           "Reproducing the evaluation of \"Preemptable Remote Execution \
            Facilities for the V-System\" (SOSP 1985)\n";
-        (* [--quick] is the pinned baseline profile: every experiment at
-           reduced reps, minus the wall-clock bechamel suite. *)
-        if !quick then List.filter (fun (n, _) -> n <> "bechamel") experiments
-        else experiments
-    | names ->
-        List.concat_map
-          (fun name ->
-            if String.equal name "stress" then stress_experiments
-            else
-              match
-                List.assoc_opt name
-                  (experiments @ named_only_experiments @ stress_experiments)
-              with
-              | Some f -> [ (name, f) ]
-              | None ->
-                  Printf.eprintf "unknown experiment %S; known: %s, stress\n"
-                    name
-                    (String.concat ", " (List.map fst experiments));
-                  exit 2)
-          names
+        List.filter (fun c -> c.profile = Default) cells
+    | None, names -> List.concat_map select names
   in
-  List.iter run_one chosen;
-  (match !json_out with
-  | None -> ()
-  | Some file ->
+  (* Committed floors load before any cell runs, so a malformed or
+     duplicated entry fails in milliseconds. *)
+  let floors = Option.map (fun dir -> (dir, committed_floors dir)) !gate_dir in
+  let ran = List.map (fun c -> (c, run_cell c)) chosen in
+  Option.iter
+    (fun file ->
       let oc = open_out file in
-      output_string oc (Json_min.to_string (json_report ()));
+      output_string oc (Json_min.to_string (json_report (List.map snd ran)));
       close_out oc;
-      Printf.eprintf "wrote %s\n%!" file);
-  match !check_path with
-  | None -> ()
-  | Some baseline_path -> gate_against ~baseline_path (List.rev !reports)
+      Printf.eprintf "wrote %s\n%!" file)
+    !json_out;
+  Option.iter (fun (dir, floors) -> gate ~dir floors ran) floors

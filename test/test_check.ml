@@ -1,66 +1,7 @@
-(* Property tests for the simulation substrate (Heap, Engine.cancel) and
-   the deterministic-simulation-testing layer itself (Scenario +
-   Monitors). Randomness comes from the same Rng the scenario generator
-   uses, so every case is replayable from its seed. *)
-
-let drain_ints h =
-  let rec loop acc =
-    match Heap.pop h with Some x -> loop (x :: acc) | None -> List.rev acc
-  in
-  loop []
-
-(* Heap: popping everything yields the insertion multiset in sorted
-   order, whatever the (duplicate-heavy) input. *)
-let test_heap_pop_order () =
-  for seed = 1 to 25 do
-    let rng = Rng.create seed in
-    let n = 1 + Rng.int rng 300 in
-    let xs = List.init n (fun _ -> Rng.int rng 50) in
-    let h = Heap.create ~cmp:Int.compare in
-    List.iter (Heap.push h) xs;
-    Alcotest.(check int) "length" n (Heap.length h);
-    (match Heap.peek h with
-    | Some top ->
-        Alcotest.(check int)
-          (Printf.sprintf "seed %d: peek is min" seed)
-          (List.fold_left Stdlib.min Stdlib.max_int xs)
-          top
-    | None -> Alcotest.fail "non-empty heap peeked None");
-    Alcotest.(check (list int))
-      (Printf.sprintf "seed %d: pop order" seed)
-      (List.sort Int.compare xs) (drain_ints h)
-  done
-
-(* Heap: vacated slots are scrubbed. Pop leaves the element's old slot,
-   and grow leaves the Array.make fill element, in the backing array;
-   both must be overwritten or the heap pins dead values. Observed
-   through weak pointers: after popping everything, no pushed box may
-   survive a full GC. *)
-let heap_scrub_fill h weak n =
-  let rng = Rng.create 7 in
-  for i = 0 to n - 1 do
-    let r = ref (Rng.int rng 10_000) in
-    Weak.set weak i (Some r);
-    Heap.push h r
-  done
-
-let rec heap_scrub_drain h =
-  match Heap.pop h with Some _ -> heap_scrub_drain h | None -> ()
-
-let test_heap_scrub () =
-  let h = Heap.create ~cmp:(fun a b -> Int.compare !a !b) in
-  let n = 100 (* several grows: capacity 16 -> 32 -> 64 -> 128 *) in
-  let weak = Weak.create n in
-  heap_scrub_fill h weak n;
-  heap_scrub_drain h;
-  Gc.full_major ();
-  let live = ref 0 in
-  for i = 0 to n - 1 do
-    if Weak.check weak i then incr live
-  done;
-  Alcotest.(check int) "popped elements retained by backing array" 0 !live;
-  (* Keep [h] reachable past the GC so the check exercised a live heap. *)
-  Alcotest.(check bool) "heap empty" true (Heap.is_empty h)
+(* Property tests for the simulation substrate (Engine.cancel) and the
+   deterministic-simulation-testing layer itself (Scenario + Monitors).
+   Randomness comes from the same Rng the scenario generator uses, so
+   every case is replayable from its seed. *)
 
 (* Engine.cancel: cancelled events never fire, double-cancel is a no-op,
    and [pending] counts exactly the survivors. *)
@@ -385,13 +326,6 @@ let test_every_traced_event_is_typed () =
 let () =
   Alcotest.run "check"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "pop order is sorted insertion" `Quick
-            test_heap_pop_order;
-          Alcotest.test_case "pop/grow scrub vacated slots" `Quick
-            test_heap_scrub;
-        ] );
       ( "engine",
         [
           Alcotest.test_case "cancel never fires, pending exact" `Quick

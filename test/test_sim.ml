@@ -1,4 +1,4 @@
-(* Tests for the simulation substrate: time, heap, rng, engine, processes
+(* Tests for the simulation substrate: time, rng, engine, processes
    and the synchronization primitives. *)
 
 let ms = Time.of_ms
@@ -23,40 +23,6 @@ let test_time_arith () =
 let test_time_pp () =
   Alcotest.(check string) "us" "13us" (Time.to_string (us 13));
   Alcotest.(check string) "s" "3.000s" (Time.to_string (Time.of_sec 3.))
-
-(* {1 Heap} *)
-
-let test_heap_order () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain [])
-
-let test_heap_empty () =
-  let h = Heap.create ~cmp:Int.compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop none" None (Heap.pop h);
-  Alcotest.(check (option int)) "peek none" None (Heap.peek h)
-
-let test_heap_peek () =
-  let h = Heap.create ~cmp:Int.compare in
-  Heap.push h 4;
-  Heap.push h 2;
-  Alcotest.(check (option int)) "peek min" (Some 2) (Heap.peek h);
-  Alcotest.(check int) "length" 2 (Heap.length h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun l ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) l;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare l)
 
 (* {1 Rng} *)
 
@@ -737,11 +703,6 @@ let () =
           Alcotest.test_case "arithmetic" `Quick test_time_arith;
           Alcotest.test_case "pretty-printing" `Quick test_time_pp;
         ] );
-      ( "heap",
-        Alcotest.test_case "ordering" `Quick test_heap_order
-        :: Alcotest.test_case "empty" `Quick test_heap_empty
-        :: Alcotest.test_case "peek" `Quick test_heap_peek
-        :: qcheck [ prop_heap_sorts ] );
       ( "rng",
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic
         :: Alcotest.test_case "split independence" `Quick
