@@ -686,7 +686,7 @@ let rebind_ablation () =
                    | Ok _ ->
                        Option.iter
                          (fun w ->
-                           forwarded := Kernel.stat w.Cluster.ws_kernel "forwarded")
+                           forwarded := Kernel.count w.Cluster.ws_kernel Kernel.Forwarded)
                          old_ws;
                        outcome := "completed"
                    | Error e -> outcome := "stale reference FAILED: " ^ e)
@@ -1149,7 +1149,7 @@ let chaos () =
    maximizes the freeze window, copy-on-reference minimizes it but
    leaves the source serving page faults after commit (the residual
    dependency Section 5 holds against Accent/Demos). Residual messages
-   are counted from the per-kernel "page_fault_serves" stat, and every
+   are counted from the kernels' [Page_fault_serves] counter, and every
    reported number is virtual-time or event-count based, so the table
    and metrics are byte-identical for any [-j]. *)
 let strategies () =
@@ -1176,13 +1176,7 @@ let strategies () =
              Experiment.migrate_program cl ~strategy ~run_for:(sec 3.)
                ~prog:"cc68" ()
            in
-           let residual_msgs =
-             List.fold_left
-               (fun acc w ->
-                 acc + Kernel.stat w.Cluster.ws_kernel "page_fault_serves")
-               0 (Cluster.workstations cl)
-           in
-           (strategy, rep, outcome, residual_msgs))
+           (strategy, rep, outcome, Cluster.sum_stat cl Kernel.Page_fault_serves))
          cells)
   in
   let agg = Hashtbl.create 8 in
@@ -1525,11 +1519,6 @@ let dedup_cfg ~cache =
         };
     }
 
-let dedup_sum_stat cl name =
-  List.fold_left
-    (fun acc w -> acc + Kernel.stat w.Cluster.ws_kernel name)
-    0 (Cluster.workstations cl)
-
 let dedup_pod ~cache () =
   let launches = 8 in
   let cl =
@@ -1550,10 +1539,10 @@ let dedup_pod ~cache () =
     File_server.image_file_bytes (Programs.find "cc68").Programs.image
   in
   let wire_bytes =
-    if cache then dedup_sum_stat cl "img_chunks_miss" * File_server.chunk_bytes
+    if cache then Cluster.sum_stat cl Kernel.Img_chunks_miss * File_server.chunk_bytes
     else launches * image_bytes
   in
-  (loads, wire_bytes, dedup_sum_stat cl "img_chunks_hit")
+  (loads, wire_bytes, Cluster.sum_stat cl Kernel.Img_chunks_hit)
 
 let dedup_remigrate ~cache () =
   let cl = mk_cluster ~seed:2042 ~workstations:4 ~cfg:(dedup_cfg ~cache) () in
@@ -1565,19 +1554,19 @@ let dedup_remigrate ~cache () =
          | Error e -> result := Error ("exec: " ^ e)
          | Ok h -> (
              Proc.sleep eng (sec 3.);
-             let shipped0 = dedup_sum_stat cl "xfer_bytes_shipped" in
+             let shipped0 = Cluster.sum_stat cl Kernel.Xfer_bytes_shipped in
              match migrateprog cl ctx ~from:h.Remote_exec.h_host ~dest:"ws1" h with
              | Error e -> result := Error ("first migration: " ^ e)
              | Ok o1 -> (
                  Proc.sleep eng (sec 1.);
-                 let shipped1 = dedup_sum_stat cl "xfer_bytes_shipped" in
+                 let shipped1 = Cluster.sum_stat cl Kernel.Xfer_bytes_shipped in
                  match
                    migrateprog cl ctx ~from:o1.Protocol.m_dest
                      ~dest:h.Remote_exec.h_host h
                  with
                  | Error e -> result := Error ("return migration: " ^ e)
                  | Ok o2 ->
-                     let shipped2 = dedup_sum_stat cl "xfer_bytes_shipped" in
+                     let shipped2 = Cluster.sum_stat cl Kernel.Xfer_bytes_shipped in
                      (* With caching off the stats stay zero and the wire
                         cost of a migration is everything it copied. *)
                      let wire o lo hi =

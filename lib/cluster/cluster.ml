@@ -38,6 +38,9 @@ let size t = Array.length t.stations
 let workstation t i = t.stations.(i)
 let workstations t = Array.to_list t.stations
 
+let sum_stat t c =
+  Array.fold_left (fun acc ws -> acc + Kernel.count ws.ws_kernel c) 0 t.stations
+
 let find_workstation t name =
   List.find_opt
     (fun ws -> String.equal (Kernel.host_name ws.ws_kernel) name)

@@ -94,6 +94,9 @@ val workstation : t -> int -> workstation
 val workstations : t -> workstation list
 val find_workstation : t -> string -> workstation option
 
+val sum_stat : t -> Kernel.counter -> int
+(** A kernel counter summed over the workstations, not the file server. *)
+
 val env_for : t -> workstation -> Env.t
 (** The standard execution environment for programs invoked from this
     workstation: the global file server, the {e originating} display,

@@ -174,7 +174,7 @@ let manifest_exchange kernel ~deadline ~self ~temp_lh ~lh_id ~label m =
   let wire = manifest_entry_bytes * Array.length m in
   let msg_bytes = min Message.max_bytes (Message.short_bytes + wire) in
   let overflow = wire - (msg_bytes - Message.short_bytes) in
-  Kernel.bump_by kernel "xfer_manifest_bytes" (Message.short_bytes + wire);
+  Kernel.add kernel Kernel.Xfer_manifest_bytes (Message.short_bytes + wire);
   match
     if overflow > 0 then
       bounded_transfer kernel ~deadline ~temp_lh ~bytes:overflow
@@ -189,8 +189,8 @@ let manifest_exchange kernel ~deadline ~self ~temp_lh ~lh_id ~label m =
              (Kernel.Ks_xfer_manifest { lh = lh_id; label; digests = m }))
       with
       | Ok { Message.body = Kernel.Ks_xfer_need { missing = _; bytes }; _ } ->
-          Kernel.bump_by kernel "xfer_bytes_shipped" bytes;
-          Kernel.bump_by kernel "xfer_bytes_saved" (!total - bytes);
+          Kernel.add kernel Kernel.Xfer_bytes_shipped bytes;
+          Kernel.add kernel Kernel.Xfer_bytes_saved (!total - bytes);
           Ok bytes
       | Ok _ -> Error (Transfer_failed "unexpected manifest reply")
       | Error e ->

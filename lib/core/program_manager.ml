@@ -17,8 +17,6 @@ type t = {
   tbl : Progtable.t;
   mutable pm_pid : Ids.pid;
   mutable is_accepting : bool;
-  mutable created : int;
-  mutable refused : int;
   mutable pm_health : Health.t option;
   mutable pm_vp : Vproc.t option;
   mutable pm_pod : int option;
@@ -38,8 +36,6 @@ let accepting t = t.is_accepting
 let set_accepting t b = t.is_accepting <- b
 let health t = t.pm_health
 let set_health t h = t.pm_health <- h
-let creations t = t.created
-let refusals t = t.refused
 
 let eng t = Kernel.engine t.pm_kernel
 
@@ -140,8 +136,8 @@ let handle_create t d ~prog ~env ~priority ~explicit_host =
             done;
             let miss_bytes = !missing * cb in
             let hit = chunks - !missing in
-            Kernel.bump_by k "img_chunks_hit" hit;
-            Kernel.bump_by k "img_chunks_miss" !missing;
+            Kernel.add k Kernel.Img_chunks_hit hit;
+            Kernel.add k Kernel.Img_chunks_miss !missing;
             Kernel.emit k (fun () ->
                 if !missing = 0 then
                   Kernel.Img_cache_hit
@@ -192,7 +188,6 @@ let handle_create t d ~prog ~env ~priority ~explicit_host =
             (match Vproc.thread root with
             | Some thread -> Proc.on_exit thread (fun _ -> reap t program)
             | None -> ());
-            t.created <- t.created + 1;
             Kernel.emit k (fun () ->
                 Pm_created
                   { host = Kernel.host_name k; prog; lh = Logical_host.id lh });
@@ -329,7 +324,6 @@ let serve t d =
   | Protocol.Pm_query_candidates { bytes; exclude } ->
       let excluded = List.mem (Kernel.host_name k) exclude in
       if (not excluded) && willing t ~bytes then answer_candidate t d
-      else t.refused <- t.refused + 1
   | Protocol.Pm_query_host { host } ->
       if String.equal host (Kernel.host_name k) then answer_candidate t d
   | Protocol.Pm_create_program { prog; env; priority; explicit_host } ->
@@ -341,10 +335,7 @@ let serve t d =
   | Protocol.Pm_reserve { temp_lh; lh = _; bytes } ->
       if willing t ~bytes && Kernel.reserve_lh k ~temp_lh ~bytes then
         Kernel.reply k d (Message.make Protocol.Pm_reserved)
-      else begin
-        t.refused <- t.refused + 1;
-        Kernel.reply k d (Message.make (Protocol.Pm_refused "not willing"))
-      end
+      else Kernel.reply k d (Message.make (Protocol.Pm_refused "not willing"))
   | Protocol.Pm_cancel_reserve { temp_lh } ->
       Kernel.cancel_reservation k ~temp_lh;
       Kernel.reply k d (Message.make Protocol.Pm_ok)
@@ -388,8 +379,6 @@ let create ?(accepting = true) k ~cfg ~directory ~rng =
       tbl = Progtable.create k;
       pm_pid = Ids.pid 0 0;
       is_accepting = accepting;
-      created = 0;
-      refused = 0;
       pm_health = None;
       pm_vp = None;
       pm_pod = None;

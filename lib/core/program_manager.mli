@@ -58,9 +58,3 @@ val set_health : t -> Health.t option -> unit
 (** Attach (or detach) the cluster failure-detector view. When present,
     the migration manager spawned by [migrateprog] threads it through
     destination selection and the migration budget/retry loop. *)
-
-val creations : t -> int
-(** Programs this manager has created (usage statistics). *)
-
-val refusals : t -> int
-(** Candidate queries declined. *)

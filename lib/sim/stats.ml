@@ -1,12 +1,3 @@
-module Counter = struct
-  type t = { mutable n : int }
-
-  let create () = { n = 0 }
-  let incr t = t.n <- t.n + 1
-  let add t k = t.n <- t.n + k
-  let value t = t.n
-end
-
 module Summary = struct
   type t = {
     mutable rev_samples : float list;

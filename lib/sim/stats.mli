@@ -1,19 +1,9 @@
 (** Measurement collection.
 
     Small, allocation-light accumulators used by the cluster metrics layer
-    and the benchmark harness: counters, sample summaries with percentiles,
-    and time-weighted gauges (for utilization-style metrics where the value
-    of a quantity must be integrated over virtual time). *)
-
-(** Monotonic event counters. *)
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val value : t -> int
-end
+    and the benchmark harness: sample summaries with percentiles, and
+    time-weighted gauges (for utilization-style metrics where the value of
+    a quantity must be integrated over virtual time). *)
 
 (** Scalar sample sets: mean/stddev/min/max and exact percentiles.
     Stores all samples; experiments record at most a few thousand. *)

@@ -22,7 +22,6 @@ type t = {
          version local touches have since pushed it to *)
   mutable absent_count : int;
   mutable pending : int list; (* faulted pages, most recent first *)
-  mutable pending_count : int;
 }
 
 (* Domain-local, so replica simulations running on parallel domains
@@ -58,7 +57,6 @@ let create ?(page_bytes = 1024) ?(image = "") ~code_bytes ~data_bytes
     baseline = None;
     absent_count = 0;
     pending = [];
-    pending_count = 0;
   }
 
 let id t = t.id
@@ -84,7 +82,6 @@ let touch t p =
       Bytes.set r p '\001';
       t.absent_count <- t.absent_count - 1;
       t.pending <- p :: t.pending;
-      t.pending_count <- t.pending_count + 1;
       if t.absent_count = 0 then t.resident <- None
   | _ -> ());
   t.versions.(p) <- t.versions.(p) + 1;
@@ -161,21 +158,17 @@ let evict_all t =
   t.resident <- (if n = 0 then None else Some (Bytes.make n '\000'));
   t.baseline <- (if n = 0 then None else Some (Array.copy t.versions));
   t.absent_count <- n;
-  t.pending <- [];
-  t.pending_count <- 0
+  t.pending <- []
 
 let make_all_resident t =
   t.resident <- None;
   t.baseline <- None;
   t.absent_count <- 0;
-  t.pending <- [];
-  t.pending_count <- 0
+  t.pending <- []
 
 let absent_count t = t.absent_count
-let pending_fault_count t = t.pending_count
 
 let take_pending_faults t =
   let ps = List.rev t.pending in
   t.pending <- [];
-  t.pending_count <- 0;
   ps

@@ -122,9 +122,6 @@ val make_all_resident : t -> unit
 val absent_count : t -> int
 (** Pages still on the source host (0 when residency is not tracked). *)
 
-val pending_fault_count : t -> int
-(** First-touch faults queued since the last {!take_pending_faults}. *)
-
 val take_pending_faults : t -> int list
 (** Return the queued faulted page indices in touch order and clear the
     queue. The caller owes the source host one page transfer each. *)

@@ -18,20 +18,16 @@ type t = {
   tbl : (int, node) Hashtbl.t;
   sentinel : node;
   mutable bytes : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ~budget =
   let rec s = { n_digest = min_int; n_bytes = 0; prev = s; next = s } in
-  { budget; tbl = Hashtbl.create 64; sentinel = s; bytes = 0; hits = 0; misses = 0 }
+  { budget; tbl = Hashtbl.create 64; sentinel = s; bytes = 0 }
 
 let budget t = t.budget
 let enabled t = t.budget > 0
 let bytes t = t.bytes
 let entries t = Hashtbl.length t.tbl
-let hits t = t.hits
-let misses t = t.misses
 
 let unlink n =
   n.prev.next <- n.next;
@@ -73,12 +69,10 @@ let insert t ~digest ~bytes =
 let probe t ~digest ~bytes =
   match Hashtbl.find_opt t.tbl digest with
   | Some n ->
-      t.hits <- t.hits + 1;
       unlink n;
       push_front t n;
       true
   | None ->
-      t.misses <- t.misses + 1;
       insert t ~digest ~bytes;
       false
 

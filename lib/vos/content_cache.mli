@@ -25,11 +25,10 @@ val probe : t -> digest:int -> bytes:int -> bool
 (** [probe t ~digest ~bytes] is the one-shot dedup step: [true] (hit —
     the host already holds content with this digest; recency is
     refreshed), or [false] (miss — the content will now be shipped, so
-    it is inserted, evicting LRU entries past the budget). Bumps the
-    {!hits}/{!misses} counters. *)
+    it is inserted, evicting LRU entries past the budget). *)
 
 val mem : t -> int -> bool
-(** Membership without touching recency or counters. *)
+(** Membership without touching recency. *)
 
 val insert : t -> digest:int -> bytes:int -> unit
 (** Record that the host now holds this content (refreshes recency if
@@ -40,12 +39,9 @@ val bytes : t -> int
 (** Current sum of entry sizes; invariant [bytes t <= max 0 (budget t)]. *)
 
 val entries : t -> int
-val hits : t -> int
-val misses : t -> int
 
 val clear : t -> unit
-(** Forget everything (counters survive) — a crashed host loses its
-    cache with the rest of RAM. *)
+(** Forget everything — a crashed host loses its cache with its RAM. *)
 
 val digests : t -> int list
 (** Entries in most- to least-recently-used order, for tests. *)

@@ -40,6 +40,44 @@ type collector = {
    recovery). *)
 type reservation = { r_bytes : int; mutable r_expires : Time.t }
 
+(* The counter registry (documented in kernel.mli): every counter with
+   its export name, in declaration order; [index] is its [counts] slot. *)
+type counter =
+  | Sends | Sends_failed | Group_sends | Retransmissions | Where_is
+  | Reply_pending | Duplicates | Forwarded | Replies_discarded_frozen
+  | Packets_rx | Ks_pings | Reservations_expired | Reboots | Page_faults
+  | Page_fault_serves | Xfer_chunks_hit | Xfer_chunks_miss
+  | Xfer_bytes_deduped | Xfer_bytes_shipped | Xfer_bytes_saved
+  | Xfer_manifest_bytes | Img_announced_chunks | Img_chunks_hit
+  | Img_chunks_miss
+
+let registry =
+  [| Sends, "sends"; Sends_failed, "sends_failed"; Group_sends, "group_sends";
+     Retransmissions, "retransmissions"; Where_is, "where_is";
+     Reply_pending, "reply_pending"; Duplicates, "duplicates"; Forwarded, "forwarded";
+     Replies_discarded_frozen, "replies_discarded_frozen"; Packets_rx, "packets_rx";
+     Ks_pings, "ks_pings"; Reservations_expired, "reservations_expired";
+     Reboots, "reboots"; Page_faults, "page_faults";
+     Page_fault_serves, "page_fault_serves"; Xfer_chunks_hit, "xfer_chunks_hit";
+     Xfer_chunks_miss, "xfer_chunks_miss"; Xfer_bytes_deduped, "xfer_bytes_deduped";
+     Xfer_bytes_shipped, "xfer_bytes_shipped"; Xfer_bytes_saved, "xfer_bytes_saved";
+     Xfer_manifest_bytes, "xfer_manifest_bytes";
+     Img_announced_chunks, "img_announced_chunks"; Img_chunks_hit, "img_chunks_hit";
+     Img_chunks_miss, "img_chunks_miss" |]
+
+let index = function
+  | Sends -> 0 | Sends_failed -> 1 | Group_sends -> 2 | Retransmissions -> 3
+  | Where_is -> 4 | Reply_pending -> 5 | Duplicates -> 6 | Forwarded -> 7
+  | Replies_discarded_frozen -> 8 | Packets_rx -> 9 | Ks_pings -> 10
+  | Reservations_expired -> 11 | Reboots -> 12 | Page_faults -> 13
+  | Page_fault_serves -> 14 | Xfer_chunks_hit -> 15 | Xfer_chunks_miss -> 16
+  | Xfer_bytes_deduped -> 17 | Xfer_bytes_shipped -> 18 | Xfer_bytes_saved -> 19
+  | Xfer_manifest_bytes -> 20 | Img_announced_chunks -> 21
+  | Img_chunks_hit -> 22 | Img_chunks_miss -> 23
+
+let counters = Array.to_list (Array.map fst registry)
+let counter_name c = snd registry.(index c)
+
 type t = {
   eng : Engine.t;
   krng : Rng.t;
@@ -72,7 +110,7 @@ type t = {
       (* Copy-on-reference destination side: resident logical host ->
          the old host's kernel server that still holds its unreferenced
          pages. *)
-  stats : (string, int ref) Hashtbl.t;
+  counts : int array;  (* by [index]; kept across shutdown/reboot *)
   cache : Content_cache.t;
       (* Per-host content cache for content-addressed transfer
          (DESIGN.md §4k). Budget 0 (the default) disables the whole
@@ -290,24 +328,17 @@ let allocator t = t.alloc
 let host_lh t = t.the_host_lh
 let memory_bytes t = t.mem_bytes
 
-(* Stat counters fire on every IPC; [Hashtbl.find] avoids the [Some]
-   box that [find_opt] allocates per hit. *)
-let bump t name =
-  match Hashtbl.find t.stats name with
-  | r -> incr r
-  | exception Not_found -> Hashtbl.replace t.stats name (ref 1)
-
-let bump_by t name n =
-  if n <> 0 then
-    match Hashtbl.find t.stats name with
-    | r -> r := !r + n
-    | exception Not_found -> Hashtbl.replace t.stats name (ref n)
+let count t c = t.counts.(index c)
+let add t c n = t.counts.(index c) <- count t c + n
+let bump t c = add t c 1
 
 let content_cache t = t.cache
 let content_caching t = Content_cache.enabled t.cache
 
 let stat t name =
-  match Hashtbl.find_opt t.stats name with Some r -> !r | None -> 0
+  match Array.find_opt (fun (_, n) -> String.equal n name) registry with
+  | Some (c, _) -> count t c
+  | None -> invalid_arg ("Kernel.stat: unknown counter " ^ name)
 
 (* Typed-event helper: the thunk defers allocation to the enabled case,
    keeping the IPC fast path allocation-free under disabled tracing. *)
@@ -514,7 +545,7 @@ let rec osend_attempt t os =
       else begin
         (match lookup_binding t dst.Ids.lh with
         | Some station ->
-            if os.os_attempts_since_heard > 0 then bump t "retransmissions";
+            if os.os_attempts_since_heard > 0 then bump t Retransmissions;
             transmit t ~dst:station
               (Packet.Request
                  { txn = os.os_txn; src = os.os_src; dst; msg = os.os_msg })
@@ -524,7 +555,7 @@ let rec osend_attempt t os =
                ablation's difference is below — stale bindings are never
                invalidated, so a silent correspondent never triggers a
                re-query and only the forwarding address can save it. *)
-            bump t "where_is";
+            bump t Where_is;
             transmit_broadcast t (Packet.Where_is { lh = dst.Ids.lh }));
         os.os_attempts_since_heard <- os.os_attempts_since_heard + 1;
         if
@@ -576,7 +607,7 @@ let charge t ~local_group =
 
 let send ?deadline t ~src ~dst msg =
   charge t ~local_group:(Ids.is_local_group dst);
-  bump t "sends";
+  bump t Sends;
   let os = make_osend t ~src ~dst msg in
   emit t (fun () -> Ipc_send { host = t.name; txn = os.os_txn; src; dst });
   Hashtbl.replace t.outstanding os.os_txn os;
@@ -590,14 +621,14 @@ let send ?deadline t ~src ~dst msg =
         Engine.post t.eng ~at (fun () -> complete t os (Error No_response))
   | None -> ());
   let r = Ivar.read os.os_ivar in
-  (match r with Error _ -> bump t "sends_failed" | Ok _ -> ());
+  (match r with Error _ -> bump t Sends_failed | Ok _ -> ());
   r
 
 (* {2 Group sends} *)
 
 let send_group t ~src ~group msg =
   charge t ~local_group:false;
-  bump t "group_sends";
+  bump t Group_sends;
   let txn = fresh_txn () in
   let mailbox = Mailbox.create () in
   Hashtbl.replace t.group_outstanding txn mailbox;
@@ -737,15 +768,15 @@ let handle_request t ~(frame_src : Addr.t) ~txn ~src ~dst ~msg =
   match deliver_request t ~src ~dst ~txn ~msg ~origin:(Delivery.Remote frame_src) with
   | Delivered ->
       if target_frozen t dst then begin
-        bump t "reply_pending";
+        bump t Reply_pending;
         transmit t ~dst:frame_src (Packet.Reply_pending { txn; dst })
       end
   | Pending ->
-      bump t "duplicates";
-      bump t "reply_pending";
+      bump t Duplicates;
+      bump t Reply_pending;
       transmit t ~dst:frame_src (Packet.Reply_pending { txn; dst })
   | Already_replied m ->
-      bump t "duplicates";
+      bump t Duplicates;
       transmit t ~dst:frame_src (Packet.Reply { txn; src = dst; dst = src; msg = m })
   | No_target -> (
       (* Not ours (any more). In the paper's design the sender rebinds
@@ -755,7 +786,7 @@ let handle_request t ~(frame_src : Addr.t) ~txn ~src ~dst ~msg =
          host that Section 5 criticizes. *)
       match Hashtbl.find_opt t.forwards dst.Ids.lh with
       | Some station when t.stn <> None ->
-          bump t "forwarded";
+          bump t Forwarded;
           emit t (fun () ->
               Ipc_forward
                 { host = t.name; txn; lh = dst.Ids.lh; to_station = station });
@@ -780,7 +811,7 @@ let handle_reply t ~txn ~dst ~msg =
             (* Discard; the kernel keeps retransmitting on the frozen
                process' behalf so the replier retains the reply
                (Section 3.1.3). *)
-            bump t "replies_discarded_frozen"
+            bump t Replies_discarded_frozen
           end
           else complete t os (Ok msg)
       | None -> ())
@@ -802,7 +833,7 @@ let handle_group_request t ~frame_src ~txn ~src ~group ~msg =
         members
 
 let handle_frame t (frame : Packet.t Frame.t) =
-  bump t "packets_rx";
+  bump t Packets_rx;
   let frame_src = frame.Frame.src in
   match frame.Frame.payload with
   | Packet.Request { txn; src; dst; msg } ->
@@ -1059,7 +1090,7 @@ let rec arm_reservation_timer t id =
              | Some r ->
                  if Time.(r.r_expires <= Engine.now t.eng) then begin
                    Hashtbl.remove t.reservations id;
-                   bump t "reservations_expired"
+                   bump t Reservations_expired
                  end
                  else arm_reservation_timer t id)
 
@@ -1131,9 +1162,9 @@ let scan_manifest t ~lh ~label ~wire_bytes digests =
         miss_sum := !miss_sum + dg
       end)
     digests;
-  bump_by t "xfer_chunks_hit" !hit_chunks;
-  bump_by t "xfer_chunks_miss" !miss_chunks;
-  bump_by t "xfer_bytes_deduped" !hit_bytes;
+  add t Xfer_chunks_hit !hit_chunks;
+  add t Xfer_chunks_miss !miss_chunks;
+  add t Xfer_bytes_deduped !hit_bytes;
   emit t (fun () ->
       Xfer_manifest
         {
@@ -1217,7 +1248,7 @@ let service_page_faults t ~self ~lh:lh_id =
                 (0, 0) (Logical_host.spaces lh)
           in
           if pages > 0 then begin
-            bump t "page_faults";
+            bump t Page_faults;
             match
               send t ~src:self ~dst:source
                 (Message.make (Ks_fault_pages { lh = lh_id; pages; bytes }))
@@ -1250,7 +1281,7 @@ let ks_body t vp =
     | _ -> (
         match d.Delivery.msg.Message.body with
         | Ks_ping ->
-            bump t "ks_pings";
+            bump t Ks_pings;
             reply t d (Message.make Ks_pong)
         | Ks_query_load ->
             reply t d
@@ -1301,7 +1332,7 @@ let ks_body t vp =
             | None -> reply t d (Message.make (Ks_refused "no such logical host")))
         | Ks_fault_pages { lh = flh; pages; bytes } ->
             if serves_pages_for t flh then begin
-              bump t "page_fault_serves";
+              bump t Page_fault_serves;
               emit t (fun () ->
                   Page_fault_service { host = t.name; lh = flh; pages; bytes });
               let to_station =
@@ -1332,7 +1363,7 @@ let ks_body t vp =
                   ~digest:(Pagehash.image_chunk ~image ~index:i)
                   ~bytes:chunk_bytes
               done;
-              bump_by t "img_announced_chunks" count
+              add t Img_announced_chunks count
             end
         | _ -> reply t d (Message.make (Ks_refused "unknown operation"))));
     loop ()
@@ -1372,7 +1403,7 @@ let create ~engine:eng ~rng:krng ~tracer:trc ~params:prm ~net ~station:self
       forwards = Hashtbl.create 4;
       page_sources = Hashtbl.create 4;
       fault_sources = Hashtbl.create 4;
-      stats = Hashtbl.create 16;
+      counts = Array.make (Array.length registry) 0;
       cache = Content_cache.create ~budget:prm.Os_params.content_cache_bytes;
     }
   in
@@ -1408,7 +1439,7 @@ let shutdown t =
   Hashtbl.reset t.outstanding;
   (* Everything else the kernel keeps is RAM, lost with the crash:
      bindings, reply retention, reservations (so no spurious
-     "reservations_expired" ticks from a dead destination), forwarding
+     [Reservations_expired] ticks from a dead destination), forwarding
      addresses (the Demos/MP ablation's Section 5 failure mode), group
      memberships. *)
   Hashtbl.reset t.bindings;
@@ -1443,5 +1474,5 @@ let reboot t =
   in
   if Content_cache.enabled t.cache then
     join_group t ~group:Ids.content_group ks;
-  bump t "reboots";
+  bump t Reboots;
   emit t (fun () -> Host_rebooted { host = t.name })

@@ -378,7 +378,7 @@ val reserve_lh : t -> temp_lh:Ids.lh_id -> bytes:int -> bool
     every request addressed through the reserved id (each copy round's
     acknowledgement ping) refreshes it, and a reservation whose source
     goes silent — crashed mid-pre-copy, never to install — expires,
-    releasing the memory and bumping the ["reservations_expired"]
+    releasing the memory and bumping the [Reservations_expired]
     counter. *)
 
 val cancel_reservation : t -> temp_lh:Ids.lh_id -> unit
@@ -484,21 +484,47 @@ val content_cache : t -> Content_cache.t
 val content_caching : t -> bool
 (** [Content_cache.enabled (content_cache t)]. *)
 
-(** {1 Statistics} *)
+(** {1 Counters}
+
+    Each kernel counts from boot; counts survive {!shutdown} and
+    {!reboot}. The content-caching counters stay 0 unless
+    [Os_params.content_cache_bytes] enables the cache. *)
+
+type counter =
+  | Sends  (** Logical sends opened by {!send} (not retransmissions). *)
+  | Sends_failed  (** Sends that completed [Error No_response]. *)
+  | Group_sends  (** Multicasts opened by {!send_group}. *)
+  | Retransmissions  (** Request packets re-sent to a bound station. *)
+  | Where_is  (** [Where_is] queries broadcast for an unbound host. *)
+  | Reply_pending  (** Reply-pending packets sent for in-service requests. *)
+  | Duplicates  (** Duplicate requests answered from the transaction table. *)
+  | Forwarded  (** Requests relayed off a forwarding address ({!set_forward}). *)
+  | Replies_discarded_frozen  (** Replies dropped because the sender was frozen. *)
+  | Packets_rx  (** Frames received from the network. *)
+  | Ks_pings  (** [Ks_ping] requests served by the kernel server. *)
+  | Reservations_expired  (** Migration reservations whose lease ran out. *)
+  | Reboots  (** Cold boots by {!reboot}. *)
+  | Page_faults  (** Batched fault requests a copy-on-reference destination issued. *)
+  | Page_fault_serves  (** Fault batches this kernel served as an old host. *)
+  | Xfer_chunks_hit  (** Manifest chunks scanned here and found cached. *)
+  | Xfer_chunks_miss  (** Manifest chunks scanned here and not cached. *)
+  | Xfer_bytes_deduped  (** Bytes of those hits: skipped on the way here. *)
+  | Xfer_bytes_shipped  (** Bytes this host sent after a manifest exchange. *)
+  | Xfer_bytes_saved  (** Bytes this host did not send thanks to a manifest. *)
+  | Xfer_manifest_bytes  (** Wire bytes of the manifests this host sent. *)
+  | Img_announced_chunks  (** Image chunks cached from file-server multicasts. *)
+  | Img_chunks_hit  (** Image chunks a program creation found cached. *)
+  | Img_chunks_miss  (** Image chunks a program creation pulled. *)
+
+val count : t -> counter -> int
+val add : t -> counter -> int -> unit
+
+val counters : counter list
+(** Every counter, in declaration order. *)
+
+val counter_name : counter -> string
+(** The export name: the constructor in lower case. *)
 
 val stat : t -> string -> int
-(** Named counters: ["sends"], ["sends_failed"], ["retransmissions"],
-    ["where_is"], ["reply_pending"], ["duplicates"], ["packets_rx"],
-    ["replies_discarded_frozen"], ["ks_pings"],
-    ["reservations_expired"], ["reboots"], ["page_faults"] (batched
-    fault requests issued by a copy-on-reference destination),
-    ["page_fault_serves"] (batches served by an old host). Content
-    caching adds ["xfer_chunks_hit"] / ["xfer_chunks_miss"] /
-    ["xfer_bytes_deduped"] (manifest scans at this host),
-    ["xfer_bytes_shipped"] / ["xfer_bytes_saved"] /
-    ["xfer_manifest_bytes"] (transfers this host sourced) and
-    ["img_announced_chunks"]. Unknown names are 0. *)
-
-val bump_by : t -> string -> int -> unit
-(** Add [n] to a named counter (creating it at [n]) — the hook
-    transfer layers use to account bytes-on-wire. [n = 0] is a no-op. *)
+(** [stat t (counter_name c) = count t c]; raises [Invalid_argument] on
+    any other name. *)

@@ -213,6 +213,50 @@ let test_library_plain_clean_and_hinted () =
           Alcotest.(check (option int)) "seed" (Some 5) r.Replay.r_seed)
     Scenario.Library.all
 
+(* {1 Every registered counter moves}
+
+   Each library family once, in both shapes, under the paper's
+   configuration, a 1 MiB content cache and the Demos/MP forwarding
+   ablation: between them the runs must move every kernel counter, so a
+   bump site that goes dead (or a counter nothing can reach) fails here.
+   The one exception is [Reservations_expired], which needs a source to
+   fall silent mid-pre-copy; test_faults' "expiry counted" covers it. *)
+
+let covered_elsewhere = [ Kernel.Reservations_expired ]
+
+let test_every_counter_moves () =
+  let moved = Hashtbl.create 32 in
+  let tally cl =
+    List.iter
+      (fun c -> if Cluster.sum_stat cl c > 0 then Hashtbl.replace moved c ())
+      Kernel.counters
+  in
+  let modes =
+    [ (None, None); (None, Some (1024 * 1024)); (Some Os_params.Forwarding, None) ]
+  in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun (rebind, content_cache) ->
+          tally
+            (snd
+               (Scenario.run_cluster ?rebind ?content_cache
+                  (Scenario.Library.plain e ~seed:1)));
+          tally
+            (snd
+               (Scenario.run_serve_cluster ?rebind ?content_cache
+                  (Scenario.Library.serve e ~seed:1))))
+        modes)
+    Scenario.Library.all;
+  let still =
+    List.filter
+      (fun c -> not (Hashtbl.mem moved c || List.mem c covered_elsewhere))
+      Kernel.counters
+  in
+  Alcotest.(check (list string))
+    "counters no run moved" []
+    (List.map Kernel.counter_name still)
+
 (* {1 Every traced event is typed}
 
    Traced clusters driven through the paths whose events exist only as
@@ -348,6 +392,8 @@ let () =
             `Slow test_cor_mutation_caught_on_every_seed;
           Alcotest.test_case "every traced event is typed" `Quick
             test_every_traced_event_is_typed;
+          Alcotest.test_case "every registered counter moves" `Quick
+            test_every_counter_moves;
         ] );
       ( "replay",
         QCheck_alcotest.to_alcotest prop_replay_roundtrip

@@ -768,7 +768,7 @@ let test_forwarding_relays_stale_references () =
   match Cluster.find_workstation cl !old_host with
   | Some w ->
       (* The residual load the paper criticizes: the old host relayed. *)
-      if Kernel.stat w.Cluster.ws_kernel "forwarded" = 0 then
+      if Kernel.count w.Cluster.ws_kernel Kernel.Forwarded = 0 then
         Alcotest.fail "expected forwarded packets at the old host"
   | None -> Alcotest.fail "old host not found"
 

@@ -95,11 +95,6 @@ type run = {
   r_miss : int;
 }
 
-let sum_stat cl name =
-  List.fold_left
-    (fun acc w -> acc + Kernel.stat w.Cluster.ws_kernel name)
-    0 (Cluster.workstations cl)
-
 (* The pinned scenario: exec cc68 "[@ *]" from ws0 (the placement
    policy picks the host, the file server's chunk announcement warms
    every cache), migrate it mid-run with the given discipline (the
@@ -163,12 +158,12 @@ let run_one ~cache ~strategy ~placement =
     r_xfer = Tracer.to_jsonl ~categories:[ "xfer" ] tr;
     r_img = Tracer.to_jsonl ~categories:[ "img" ] tr;
     r_violations = Monitors.violations mon;
-    r_shipped = sum_stat cl "xfer_bytes_shipped";
-    r_saved = sum_stat cl "xfer_bytes_saved";
-    r_deduped = sum_stat cl "xfer_bytes_deduped";
-    r_manifest_bytes = sum_stat cl "xfer_manifest_bytes";
-    r_hit = sum_stat cl "xfer_chunks_hit";
-    r_miss = sum_stat cl "xfer_chunks_miss";
+    r_shipped = Cluster.sum_stat cl Kernel.Xfer_bytes_shipped;
+    r_saved = Cluster.sum_stat cl Kernel.Xfer_bytes_saved;
+    r_deduped = Cluster.sum_stat cl Kernel.Xfer_bytes_deduped;
+    r_manifest_bytes = Cluster.sum_stat cl Kernel.Xfer_manifest_bytes;
+    r_hit = Cluster.sum_stat cl Kernel.Xfer_chunks_hit;
+    r_miss = Cluster.sum_stat cl Kernel.Xfer_chunks_miss;
   }
 
 (* One cache-off run (the baseline) and two cached runs (for the
@@ -217,14 +212,15 @@ let test_deterministic key () =
 let test_cache_off_is_inert key () =
   let off, _, _ = find key in
   List.iter
-    (fun (what, v) -> Alcotest.(check int) (what ^ " stays zero") 0 v)
+    (fun (c, v) ->
+      Alcotest.(check int) (Kernel.counter_name c ^ " stays zero") 0 v)
     [
-      ("xfer_bytes_shipped", off.r_shipped);
-      ("xfer_bytes_saved", off.r_saved);
-      ("xfer_bytes_deduped", off.r_deduped);
-      ("xfer_manifest_bytes", off.r_manifest_bytes);
-      ("xfer_chunks_hit", off.r_hit);
-      ("xfer_chunks_miss", off.r_miss);
+      (Kernel.Xfer_bytes_shipped, off.r_shipped);
+      (Kernel.Xfer_bytes_saved, off.r_saved);
+      (Kernel.Xfer_bytes_deduped, off.r_deduped);
+      (Kernel.Xfer_manifest_bytes, off.r_manifest_bytes);
+      (Kernel.Xfer_chunks_hit, off.r_hit);
+      (Kernel.Xfer_chunks_miss, off.r_miss);
     ];
   Alcotest.(check string) "no manifest events" "" (String.trim off.r_xfer);
   Alcotest.(check string) "no image-cache events" "" (String.trim off.r_img)

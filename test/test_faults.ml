@@ -181,7 +181,7 @@ let test_reservation_expires_when_untouched () =
   Cluster.run cl ~until:(sec 20.);
   Alcotest.(check int) "reservation gone" 0 (Kernel.reservation_count k);
   Alcotest.(check int) "memory released" free0 (Kernel.memory_free k);
-  Alcotest.(check int) "expiry counted" 1 (Kernel.stat k "reservations_expired")
+  Alcotest.(check int) "expiry counted" 1 (Kernel.count k Kernel.Reservations_expired)
 
 let test_reservation_ttl_disabled () =
   let cfg =
@@ -197,7 +197,7 @@ let test_reservation_ttl_disabled () =
   ignore (Kernel.reserve_lh k ~temp_lh:temp ~bytes:1024);
   Cluster.run cl ~until:(sec 60.);
   Alcotest.(check int) "reservation survives" 1 (Kernel.reservation_count k);
-  Alcotest.(check int) "no expiry" 0 (Kernel.stat k "reservations_expired")
+  Alcotest.(check int) "no expiry" 0 (Kernel.count k Kernel.Reservations_expired)
 
 let test_healthy_migration_never_expires () =
   (* A normal pre-copy migration: the copy-round pings refresh the lease,
@@ -214,7 +214,7 @@ let test_healthy_migration_never_expires () =
       Alcotest.(check int)
         (Kernel.host_name k ^ " expired")
         0
-        (Kernel.stat k "reservations_expired");
+        (Kernel.count k Kernel.Reservations_expired);
       Alcotest.(check int)
         (Kernel.host_name k ^ " leaked")
         0 (Kernel.reservation_count k))
@@ -263,7 +263,7 @@ let test_source_crash_releases_reservation () =
   let dest = (Cluster.workstation cl 2).Cluster.ws_kernel in
   Alcotest.(check int) "reservation released" 0 (Kernel.reservation_count dest);
   Alcotest.(check bool) "expiry fired" true
-    (Kernel.stat dest "reservations_expired" > 0);
+    (Kernel.count dest Kernel.Reservations_expired > 0);
   Alcotest.(check int) "full memory back" (Kernel.memory_bytes dest)
     (Kernel.memory_free dest
     + List.fold_left
@@ -291,7 +291,7 @@ let crash_dest_at_round ~round =
      acknowledged and starts the next step). *)
   ignore
     (Proc.spawn eng ~name:"assassin" (fun () ->
-         while Kernel.stat dest "ks_pings" < round do
+         while Kernel.count dest Kernel.Ks_pings < round do
            Proc.sleep eng (ms 5.)
          done;
          Kernel.shutdown dest));
@@ -372,7 +372,7 @@ let test_retry_reselects_excluding_failed () =
   let dest = (Cluster.workstation cl 2).Cluster.ws_kernel in
   ignore
     (Proc.spawn eng ~name:"assassin" (fun () ->
-         while Kernel.stat dest "ks_pings" < 1 do
+         while Kernel.count dest Kernel.Ks_pings < 1 do
            Proc.sleep eng (ms 5.)
          done;
          Kernel.shutdown dest;
@@ -520,7 +520,7 @@ let test_crash_reboot_cycle () =
         h.Remote_exec.h_host
   | Error e -> Alcotest.failf "exec after reboot: %s" e);
   let k1 = (Cluster.workstation cl 1).Cluster.ws_kernel in
-  Alcotest.(check int) "reboot counted" 1 (Kernel.stat k1 "reboots")
+  Alcotest.(check int) "reboot counted" 1 (Kernel.count k1 Kernel.Reboots)
 
 let test_slow_host_stretches_run () =
   let run faults =
@@ -648,13 +648,7 @@ let test_chaos_deterministic () =
     let cl, results, migration = chaos_run ~seed () in
     let stats =
       List.map
-        (fun w ->
-          let k = w.Cluster.ws_kernel in
-          ( Kernel.stat k "sends",
-            Kernel.stat k "retransmissions",
-            Kernel.stat k "where_is",
-            Kernel.stat k "packets_rx",
-            Kernel.stat k "reservations_expired" ))
+        (fun w -> List.map (Kernel.count w.Cluster.ws_kernel) Kernel.counters)
         (Cluster.workstations cl)
     in
     let injected =

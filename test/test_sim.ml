@@ -444,12 +444,6 @@ let test_gauge_time_average () =
   (* 1.0 for 20ms out of 40ms. *)
   Alcotest.(check (float 1e-6)) "time avg" 0.5 (Stats.Gauge.time_average g)
 
-let test_counter () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c;
-  Stats.Counter.add c 4;
-  Alcotest.(check int) "value" 5 (Stats.Counter.value c)
-
 (* {1 Tracer} *)
 
 type Tracer.event += Probe of { cat : string; msg : string }
@@ -776,7 +770,6 @@ let () =
             test_percentile_edge_cases;
           Alcotest.test_case "gauge time average" `Quick
             test_gauge_time_average;
-          Alcotest.test_case "counter" `Quick test_counter;
         ] );
       ( "tracer",
         [

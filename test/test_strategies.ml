@@ -111,10 +111,7 @@ let run_one ?(seed = 1985) strategy =
       Display_server.output (Cluster.workstation cl 0).Cluster.ws_display;
     r_trace = Tracer.to_jsonl (Cluster.tracer cl);
     r_violations = Monitors.violations mon;
-    r_fault_serves =
-      List.fold_left
-        (fun acc w -> acc + Kernel.stat w.Cluster.ws_kernel "page_fault_serves")
-        0 (Cluster.workstations cl);
+    r_fault_serves = Cluster.sum_stat cl Kernel.Page_fault_serves;
   }
 
 (* Each strategy is run twice (for the determinism check); everything is

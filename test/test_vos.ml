@@ -107,7 +107,7 @@ let test_remote_second_send_uses_cache () =
          ignore (Kernel.send k0 ~src:(Vproc.pid vp) ~dst:pid (Message.make Message.Ping));
          second := Time.sub (Engine.now fx.eng) t1));
   Engine.run fx.eng ~until:(Time.of_sec 1.);
-  Alcotest.(check int) "one where_is total" 1 (Kernel.stat k0 "where_is");
+  Alcotest.(check int) "one where_is total" 1 (Kernel.count k0 Kernel.Where_is);
   if Time.(!second >= !first) then
     Alcotest.failf "cached send (%s) not faster than cold send (%s)"
       (Time.to_string !second) (Time.to_string !first)
@@ -158,7 +158,7 @@ let test_loss_recovery_exactly_once () =
   Engine.run fx.eng ~until:(Time.of_sec 120.);
   Alcotest.(check int) "all sends complete" 20 !ok;
   Alcotest.(check int) "exactly-once delivery" 20 !served;
-  if Kernel.stat k0 "retransmissions" = 0 then
+  if Kernel.count k0 Kernel.Retransmissions = 0 then
     Alcotest.fail "expected retransmissions under loss"
 
 let test_slow_server_reply_pending_prevents_abort () =
@@ -174,7 +174,7 @@ let test_slow_server_reply_pending_prevents_abort () =
   check_pong "slow server" !result;
   let waited = Time.to_sec !finished in
   if waited < 12.0 then Alcotest.failf "finished too early: %.2fs" waited;
-  if Kernel.stat fx.kernels.(1) "reply_pending" = 0 then
+  if Kernel.count fx.kernels.(1) Kernel.Reply_pending = 0 then
     Alcotest.fail "expected reply-pending packets"
 
 let test_lost_reply_resent_from_cache () =
@@ -395,7 +395,7 @@ let test_freeze_remote_sender_gets_reply_pending () =
          result := Some (Kernel.send k0 ~src:(Vproc.pid vp) ~dst:pid (Message.make Message.Ping))));
   Engine.run fx.eng ~until:(Time.of_sec 30.);
   check_pong "survived long freeze" !result;
-  if Kernel.stat k1 "reply_pending" = 0 then
+  if Kernel.count k1 Kernel.Reply_pending = 0 then
     Alcotest.fail "expected reply-pending during freeze"
 
 let test_freeze_stops_cpu_consumption () =

@@ -296,10 +296,10 @@ let test_binding_stats_after_migration () =
          Proc.sleep fx.eng (ms 50.);
          (* The Here_is announcement should have rebound us without a
             Where_is query. *)
-         let before = Kernel.stat k0 "where_is" in
+         let before = Kernel.count k0 Kernel.Where_is in
          ignore (Kernel.send k0 ~src:(Vproc.pid vp) ~dst:pid (Message.make Message.Ping));
          Alcotest.(check int) "no extra query after announce" before
-           (Kernel.stat k0 "where_is")));
+           (Kernel.count k0 Kernel.Where_is)));
   Engine.run fx.eng ~until:(sec 30.)
 
 (* {1 Memory and reservations} *)
@@ -412,9 +412,51 @@ let test_destroy_frozen_logical_host () =
   Alcotest.(check bool) "victim never resumed" false !ran_after;
   Alcotest.(check bool) "gone" true (Kernel.find_lh k (Logical_host.id lh) = None)
 
-let test_stat_unknown_is_zero () =
-  let fx = setup ~hosts:1 () in
-  Alcotest.(check int) "unknown stat" 0 (Kernel.stat fx.kernels.(0) "nonsense")
+(* {1 Counter registry} *)
+
+(* The export names are the benchmark's and reports' contract: [stat]
+   by name must agree with [count] by constructor, and a name that is
+   not registered is an error, not a silent 0. *)
+let test_counter_registry () =
+  let names = List.map Kernel.counter_name Kernel.counters in
+  Alcotest.(check (list string))
+    "export names"
+    [
+      "sends"; "sends_failed"; "group_sends"; "retransmissions"; "where_is";
+      "reply_pending"; "duplicates"; "forwarded"; "replies_discarded_frozen";
+      "packets_rx"; "ks_pings"; "reservations_expired"; "reboots";
+      "page_faults"; "page_fault_serves"; "xfer_chunks_hit";
+      "xfer_chunks_miss"; "xfer_bytes_deduped"; "xfer_bytes_shipped";
+      "xfer_bytes_saved"; "xfer_manifest_bytes"; "img_announced_chunks";
+      "img_chunks_hit"; "img_chunks_miss";
+    ]
+    names;
+  Alcotest.(check int) "names unique" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  let fx = setup ~hosts:2 () in
+  let _, pid, _ = echo_server fx fx.kernels.(1) in
+  let k0 = fx.kernels.(0) in
+  let clh = Kernel.create_logical_host k0 ~priority:Cpu.Foreground in
+  ignore
+    (Kernel.spawn_process k0 clh ~name:"client" (fun vp ->
+         for _ = 1 to 3 do
+           ignore
+             (Kernel.send k0 ~src:(Vproc.pid vp) ~dst:pid
+                (Message.make Message.Ping))
+         done));
+  Engine.run fx.eng ~until:(sec 10.);
+  Alcotest.(check int) "sends counted" 3 (Kernel.count k0 Kernel.Sends);
+  Array.iter
+    (fun k ->
+      List.iter
+        (fun c ->
+          let name = Kernel.counter_name c in
+          Alcotest.(check int) name (Kernel.count k c) (Kernel.stat k name))
+        Kernel.counters)
+    fx.kernels;
+  Alcotest.check_raises "unknown name"
+    (Invalid_argument "Kernel.stat: unknown counter nonsense") (fun () ->
+      ignore (Kernel.stat k0 "nonsense"))
 
 (* {1 Engine odds and ends} *)
 
@@ -494,9 +536,8 @@ let () =
         [
           Alcotest.test_case "destroy frozen host" `Quick
             test_destroy_frozen_logical_host;
-          Alcotest.test_case "unknown stat is zero" `Quick
-            test_stat_unknown_is_zero;
         ] );
+      ("counters", [ Alcotest.test_case "registry" `Quick test_counter_registry ]);
       ( "engine-extra",
         [
           Alcotest.test_case "max steps" `Quick test_engine_max_steps;
