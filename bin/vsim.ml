@@ -122,33 +122,17 @@ let exec_cmd seed workstations bridged trace faults prog at local reexec =
 
 (* {1 migrate} *)
 
-let strategy_token = function
-  | `Precopy -> "precopy"
-  | `Freeze -> "freeze"
-  | `Cor -> "cor"
-  | `Vmflush -> "vmflush"
-
+(* The one token table: [Replay.strategy_tokens] through
+   [Scenario.strategy_of_token]. *)
 let strategy_conv =
-  let parse = function
-    | "precopy" -> Ok `Precopy
-    | "freeze" -> Ok `Freeze
-    | "cor" -> Ok `Cor
-    | "vmflush" -> Ok `Vmflush
-    | s -> Error (`Msg (Printf.sprintf "unknown strategy %S" s))
-  in
-  let print ppf s = Format.pp_print_string ppf (strategy_token s) in
-  Cmdliner.Arg.conv (parse, print)
+  Cmdliner.Arg.enum (List.map (fun t -> (t, t)) Replay.strategy_tokens)
+
+let resolve_token cl tok =
+  Scenario.resolve_strategy cl (Scenario.strategy_of_token tok)
 
 let migrate_cmd seed workstations bridged trace faults prog strategy run_for =
   let cl = make_cluster ?faults ~seed ~workstations ~bridged ~trace () in
-  let strategy =
-    match strategy with
-    | `Precopy -> Protocol.Precopy
-    | `Freeze -> Protocol.Freeze_and_copy
-    | `Cor -> Protocol.Copy_on_reference
-    | `Vmflush ->
-        Protocol.Vm_flush { page_server = File_server.pid (Cluster.file_server cl) }
-  in
+  let strategy = resolve_token cl strategy in
   let code = ref 0 in
   (match
      Experiment.migrate_program cl ~strategy ~run_for:(Time.of_sec run_for)
@@ -235,15 +219,7 @@ let sweep_cmd prog seeds_s ws_s fault_specs migrate strategy run_for jobs =
             fired
         in
         if migrate then begin
-          let strategy =
-            match strategy with
-            | `Precopy -> Protocol.Precopy
-            | `Freeze -> Protocol.Freeze_and_copy
-            | `Cor -> Protocol.Copy_on_reference
-            | `Vmflush ->
-                Protocol.Vm_flush
-                  { page_server = File_server.pid (Cluster.file_server cl) }
-          in
+          let strategy = resolve_token cl strategy in
           match
             Experiment.migrate_program cl ~strategy
               ~run_for:(Time.of_sec run_for) ~prog ()
@@ -315,580 +291,29 @@ let programs_cmd () =
 
 (* {1 fuzz} *)
 
-(* Deterministic simulation testing: each seed expands to a full random
-   scenario (cluster, jobs, migrations, faults) and runs under the
-   Monitors bundle. A failure prints the violated invariant plus the
-   exact command line that replays it. *)
+(* Deterministic simulation testing through [Fuzz]: each seed expands to
+   a full random scenario run under the invariant monitors. A failure
+   prints the violated invariant plus the exact command line that
+   replays it. *)
 
-(* Coverage bookkeeping for aggregate fuzz runs: which fault kinds any
-   scenario declared, how often each actually fired, how many events
-   each monitor inspected, which migration strategies started, which
-   trace-event constructors were observed, and — for library scenarios —
-   how often each entry ran and which of its declared features
-   materialized. A green run must also prove the behavior matrix was
-   genuinely exercised. *)
-
-type coverage_acc = {
-  cov_declared : (string, unit) Hashtbl.t;
-  cov_fired : (string, int ref) Hashtbl.t;
-  cov_monitors : (string, int ref) Hashtbl.t;
-  cov_scenarios : (string, int ref) Hashtbl.t;
-  cov_strategies : (string, int ref) Hashtbl.t;
-  cov_events : (string, int ref) Hashtbl.t;
-  (* The sixth dimension: placement policy -> serve runs dispatched
-     through it. *)
-  cov_placements : (string, int ref) Hashtbl.t;
-  (* feature name -> (runs declaring it, runs where it materialized) *)
-  cov_features : (string, int ref * int ref) Hashtbl.t;
-}
-
-let coverage_acc () =
-  {
-    cov_declared = Hashtbl.create 8;
-    cov_fired = Hashtbl.create 8;
-    cov_monitors = Hashtbl.create 8;
-    cov_scenarios = Hashtbl.create 8;
-    cov_strategies = Hashtbl.create 8;
-    cov_events = Hashtbl.create 64;
-    cov_placements = Hashtbl.create 8;
-    cov_features = Hashtbl.create 8;
-  }
-
-let coverage_note ?label ?(features = []) ?(placements = []) acc ~declared
-    ~fired ~monitors ~strategies ~events =
-  let bump tbl (k, n) =
-    match Hashtbl.find_opt tbl k with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.replace tbl k (ref n)
-  in
-  List.iter (fun k -> Hashtbl.replace acc.cov_declared k ()) declared;
-  List.iter (bump acc.cov_fired) fired;
-  List.iter (bump acc.cov_monitors) monitors;
-  List.iter (bump acc.cov_strategies) strategies;
-  List.iter (bump acc.cov_events) events;
-  List.iter (fun (p, _) -> bump acc.cov_placements (p, 1)) placements;
-  (match label with Some l -> bump acc.cov_scenarios (l, 1) | None -> ());
-  List.iter
-    (fun (f, materialized) ->
-      let decl, mat =
-        match Hashtbl.find_opt acc.cov_features f with
-        | Some cell -> cell
-        | None ->
-            let cell = (ref 0, ref 0) in
-            Hashtbl.replace acc.cov_features f cell;
-            cell
-      in
-      incr decl;
-      if materialized then incr mat)
-    features
-
-(* What a library-sampled run promises in aggregate: every sampled entry
-   ran, every feature it declares materialized somewhere, every strategy
-   it promises started at least once. *)
-type coverage_expect = {
-  x_scenarios : string list;
-  x_strategies : string list;
-  x_features : string list;
-  x_placements : string list;
-      (* Serve mode promises all three placement policies were
-         dispatched through (the round-robin sampler guarantees it over
-         any >= 4-seed range); empty in plain mode. *)
-}
-
-let expect_of_entries entries ~serve =
-  let union l = List.sort_uniq String.compare (List.concat l) in
-  {
-    x_scenarios = List.map Scenario.Library.name entries;
-    x_strategies =
-      union (List.map (fun e -> Scenario.Library.strategies e ~serve) entries);
-    x_features =
-      union (List.map (fun e -> Scenario.Library.features e ~serve) entries);
-    x_placements = (if serve then Replay.placement_tokens else []);
-  }
-
-let sorted_keys tbl =
-  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
-
-(* Prints the coverage report; returns [true] if a gate is armed and
-   missed. [require] gates fault kinds and monitors;
-   [require_scenario] additionally gates the library [expect]
-   contract (and implies [require]). *)
-let coverage_report ~require ~require_scenario ?expect acc =
-  let require = require || require_scenario in
-  let count tbl k =
-    match Hashtbl.find_opt tbl k with Some r -> !r | None -> 0
-  in
-  let fmt_counts tbl keys =
-    if keys = [] then "(none)"
-    else
-      String.concat ", "
-        (List.map (fun k -> Printf.sprintf "%s=%d" k (count tbl k)) keys)
-  in
-  (match expect with
-  | Some x ->
-      Printf.printf "scenario coverage: %s\n"
-        (fmt_counts acc.cov_scenarios x.x_scenarios)
-  | None -> ());
-  let declared =
-    List.filter (Hashtbl.mem acc.cov_declared) Faults.all_kinds
-  in
-  Printf.printf "fault coverage: %s\n"
-    (if declared = [] then "(no fault kinds declared)"
-     else fmt_counts acc.cov_fired declared);
-  Printf.printf "monitor coverage: %s\n"
-    (fmt_counts acc.cov_monitors Monitors.monitor_names);
-  Printf.printf "strategy coverage: %s\n"
-    (fmt_counts acc.cov_strategies (sorted_keys acc.cov_strategies));
-  if Hashtbl.length acc.cov_placements > 0 then
-    Printf.printf "placement coverage: %s\n"
-      (fmt_counts acc.cov_placements (sorted_keys acc.cov_placements));
-  (* The dedup dimension: content-addressed transfer event kinds, pulled
-     from the per-run event-kind census. Informational in plain runs;
-     [--require-scenario-coverage] gates on manifests actually flowing. *)
-  let dedup_kinds =
-    [ "xfer/manifest"; "xfer/hit"; "xfer/miss"; "img/hit"; "img/miss" ]
-  in
-  Printf.printf "dedup coverage: %s\n" (fmt_counts acc.cov_events dedup_kinds);
-  (match expect with
-  | Some _ ->
-      let features = sorted_keys acc.cov_features in
-      Printf.printf "feature coverage: %s\n"
-        (if features = [] then "(none declared)"
-         else
-           String.concat ", "
-             (List.map
-                (fun f ->
-                  let decl, mat = Hashtbl.find acc.cov_features f in
-                  Printf.sprintf "%s=%d/%d" f !mat !decl)
-                features))
-  | None -> ());
-  let event_kinds = sorted_keys acc.cov_events in
-  Printf.printf "trace coverage: %d event kinds: %s\n"
-    (List.length event_kinds)
-    (fmt_counts acc.cov_events event_kinds);
-  if not require then false
-  else begin
-    let missing = List.filter (fun k -> count acc.cov_fired k = 0) declared in
-    let idle =
-      (* The dedup monitor only sees events when caching is on, which
-         the plain fuzz gate does not promise — it is held to the
-         stricter library contract ([--require-scenario-coverage]),
-         where the seed alternation guarantees caching-on runs. *)
-      List.filter
-        (fun m ->
-          count acc.cov_monitors m = 0 && (require_scenario || m <> "dedup"))
-        Monitors.monitor_names
-    in
-    List.iter
-      (Printf.printf
-         "COVERAGE FAIL: fault kind %S was declared but never fired\n")
-      missing;
-    List.iter
-      (Printf.printf "COVERAGE FAIL: monitor %S never inspected an event\n")
-      idle;
-    let scenario_gaps =
-      if not require_scenario then []
-      else
-        match expect with
-        | None -> []
-        | Some x ->
-            let never_ran =
-              List.filter
-                (fun s -> count acc.cov_scenarios s = 0)
-                x.x_scenarios
-            in
-            let no_strategy =
-              List.filter
-                (fun s -> count acc.cov_strategies s = 0)
-                x.x_strategies
-            in
-            let dry_features =
-              List.filter
-                (fun f ->
-                  match Hashtbl.find_opt acc.cov_features f with
-                  | Some (_, mat) -> !mat = 0
-                  | None -> true)
-                x.x_features
-            in
-            let no_placement =
-              List.filter
-                (fun p -> count acc.cov_placements p = 0)
-                x.x_placements
-            in
-            List.iter
-              (Printf.printf "COVERAGE FAIL: scenario %S never ran\n")
-              never_ran;
-            List.iter
-              (Printf.printf
-                 "COVERAGE FAIL: strategy %S never started a migration\n")
-              no_strategy;
-            List.iter
-              (Printf.printf
-                 "COVERAGE FAIL: feature %S never materialized\n")
-              dry_features;
-            List.iter
-              (Printf.printf
-                 "COVERAGE FAIL: placement %S never dispatched a selection\n")
-              no_placement;
-            let no_dedup =
-              if count acc.cov_events "xfer/manifest" = 0 then begin
-                Printf.printf
-                  "COVERAGE FAIL: content-addressed transfer never \
-                   exercised (no xfer/manifest events)\n";
-                [ "dedup" ]
-              end
-              else []
-            in
-            never_ran @ no_strategy @ dry_features @ no_placement @ no_dedup
-    in
-    missing <> [] || idle <> [] || scenario_gaps <> []
-  end
-
-(* Scenario selection: [None] is the free-form generator; a library
-   entry list samples round-robin by seed, so every entry gets its share
-   of any contiguous seed range. *)
-let entry_for entries seed =
-  let n = List.length entries in
-  List.nth entries (((seed mod n) + n) mod n)
-
-let resolve_scenario = function
-  | None -> None
-  | Some "all" -> Some Scenario.Library.all
-  | Some name -> (
-      match Scenario.Library.find name with
-      | Some e -> Some [ e ]
-      | None ->
-          Printf.eprintf "vsim fuzz: unknown scenario %S (known: %s, all)\n"
-            name
-            (String.concat ", " Scenario.Library.names);
-          exit 124)
-
-let fuzz_serve_cmd count base_seed single jobs rebind ~forwarding
-    ~strategy_tok ~strategy ~placement_tok ~content_cache_tok
-    ~content_cache_for ~entries ~require_coverage ~require_scenario =
-  let gen seed =
-    match entries with
-    | None -> Scenario.serve_of_seed seed
-    | Some es -> Scenario.Library.serve (entry_for es seed) ~seed
-  in
-  (* Placement sampling: an explicit [--placement] forces that policy on
-     every run; otherwise seeds cycle through the scenario's own draw
-     and the three named policies, so any contiguous >= 4-seed range
-     dispatches through every policy. The per-seed choice is a pure
-     function of the seed, so a REPLAY line (which records the token
-     when one was forced) reproduces the fan-out exactly. *)
-  let placement_cycle =
-    Array.of_list (None :: List.map Option.some Replay.placement_tokens)
-  in
-  let placement_tok_for seed =
-    match placement_tok with
-    | Some _ -> placement_tok
-    | None ->
-        let n = Array.length placement_cycle in
-        placement_cycle.(((seed mod n) + n) mod n)
-  in
-  (* The named tokens parse to a pod size of 32 (right for scale-out
-     benches); fuzz clusters run 4-12 workstations, so rescale to ~3
-     pods — still a pure function of (token, scenario). *)
-  let placement_for seed sv =
-    Option.map
-      (fun p ->
-        let pod_size = max 2 (sv.Scenario.sv_workstations / 3) in
-        match p with
-        | Config.Flat_multicast -> p
-        | Config.Pod_sharded _ -> Config.Pod_sharded { pod_size }
-        | Config.Load_predictive { alpha; _ } ->
-            Config.Load_predictive { pod_size; alpha })
-      (Option.bind (placement_tok_for seed) Config.placement_of_string)
-  in
-  let features_of o =
-    match (entries, o.Scenario.so_scenario.Scenario.sv_label) with
-    | Some es, Some l -> (
-        match List.find_opt (fun e -> Scenario.Library.name e = l) es with
-        | Some e -> Scenario.Library.check_serve e o
-        | None -> [])
-    | _ -> []
-  in
-  let replay o =
-    Scenario.replay_serve_hint ~forwarding ?strategy:strategy_tok
-      ?placement:(placement_tok_for o.Scenario.so_scenario.Scenario.sv_seed)
-      ?content_cache:content_cache_tok o.Scenario.so_scenario
-  in
-  match single with
-  | Some seed ->
-      let sv = gen seed in
-      print_endline (Scenario.describe_serve sv);
-      (match placement_tok_for seed with
-      | Some tok when tok <> Scenario.placement_token sv.Scenario.sv_placement
-        ->
-          Printf.printf "placement override: %s\n" tok
-      | _ -> ());
-      if content_cache_for seed > 0 then
-        Printf.printf "content cache: %d KiB/host\n"
-          (content_cache_for seed / 1024);
-      let o =
-        Scenario.run_serve ~rebind
-          ~content_cache:(content_cache_for seed)
-          ?strategy
-          ?placement:(placement_for seed sv)
-          sv
-      in
-      (match features_of o with
-      | [] -> ()
-      | fs ->
-          Printf.printf "features: %s\n"
-            (String.concat ", "
-               (List.map
-                  (fun (f, m) ->
-                    Printf.sprintf "%s=%s" f (if m then "yes" else "no"))
-                  fs)));
-      Printf.printf
-        "%d events checked; %d request(s) submitted, %d completed, %d shed, \
-         %d stuck\n"
-        o.Scenario.so_events o.Scenario.so_submitted o.Scenario.so_completed
-        o.Scenario.so_shed o.Scenario.so_stuck;
-      if o.Scenario.so_violations = [] && o.Scenario.so_stuck = 0 then begin
-        print_endline "all invariants held";
-        0
-      end
-      else begin
-        List.iter
-          (fun v -> Format.printf "%a@." Monitors.pp_violation v)
-          o.Scenario.so_violations;
-        if o.Scenario.so_violations_dropped > 0 then
-          Printf.printf "(%d further violations not retained)\n"
-            o.Scenario.so_violations_dropped;
-        if o.Scenario.so_stuck <> 0 then
-          Printf.printf "%d request(s) stuck in no terminal state\n"
-            o.Scenario.so_stuck;
-        1
-      end
-  | None ->
-      let t0 = Unix.gettimeofday () in
-      let cell seed () =
-        let sv = gen seed in
-        Scenario.run_serve ~rebind
-          ~content_cache:(content_cache_for seed)
-          ?strategy
-          ?placement:(placement_for seed sv)
-          sv
-      in
-      let results =
-        Parrun.run ~jobs (List.init count (fun i -> cell (base_seed + i)))
-      in
-      let failed = ref 0 and events = ref 0 and shed = ref 0 in
-      let acc = coverage_acc () in
-      List.iter
-        (fun o ->
-          events := !events + o.Scenario.so_events;
-          shed := !shed + o.Scenario.so_shed;
-          coverage_note acc
-            ?label:o.Scenario.so_scenario.Scenario.sv_label
-            ~features:(features_of o)
-            ~placements:o.Scenario.so_placements
-            ~declared:o.Scenario.so_fault_declared
-            ~fired:o.Scenario.so_fault_fired ~monitors:o.Scenario.so_monitors
-            ~strategies:o.Scenario.so_strategies
-            ~events:o.Scenario.so_event_kinds;
-          if o.Scenario.so_violations <> [] || o.Scenario.so_stuck <> 0 then begin
-            incr failed;
-            Printf.printf "FAIL %s\n"
-              (Scenario.describe_serve o.Scenario.so_scenario);
-            List.iter
-              (fun v ->
-                Printf.printf "  [%s] at %s (event #%d): %s\n"
-                  v.Monitors.vi_monitor
-                  (Time.to_string v.Monitors.vi_at)
-                  v.Monitors.vi_seq v.Monitors.vi_detail)
-              o.Scenario.so_violations;
-            if o.Scenario.so_stuck <> 0 then
-              Printf.printf "  %d request(s) stuck in no terminal state\n"
-                o.Scenario.so_stuck;
-            Printf.printf "  REPLAY: %s\n" (replay o)
-          end)
-        results;
-      Printf.eprintf
-        "fuzz --serve: %d seeds (base %d) on %d domain%s in %.2f s\n%!" count
-        base_seed jobs
-        (if jobs = 1 then "" else "s")
-        (Unix.gettimeofday () -. t0);
-      let cov_failed =
-        coverage_report ~require:require_coverage
-          ~require_scenario:require_scenario
-          ?expect:
-            (Option.map (fun es -> expect_of_entries es ~serve:true) entries)
-          acc
-      in
-      if !failed = 0 && not cov_failed then begin
-        Printf.printf
-          "fuzz --serve: %d seeds passed, %d events checked, %d shed, 0 stuck\n"
-          count !events !shed;
-        0
-      end
-      else begin
-        if !failed > 0 then
-          Printf.printf "fuzz --serve: %d of %d seeds FAILED\n" !failed count;
-        1
-      end
-
-let fuzz_cmd count base_seed jobs replay_flags require_coverage
-    require_scenario =
-  let {
-    Replay.r_scenario = scenario_arg;
-    r_seed = single;
-    r_serve = serve_mode;
-    r_forwarding = forwarding;
-    r_strategy = strategy_arg;
-    r_placement = placement_arg;
-    r_content_cache = content_cache_arg;
-  } =
-    replay_flags
-  in
-  if (not serve_mode) && placement_arg <> None then
-    Printf.eprintf "vsim fuzz: --placement only applies with --serve; ignored\n";
-  let entries = resolve_scenario scenario_arg in
-  (* Content-cache sampling: an explicit [--content-cache] pins the
-     per-host budget on every run; otherwise odd seeds get a 4 MiB cache
-     and even seeds run with caching off, so any contiguous >= 2-seed
-     range exercises both the content-addressed and the plain transfer
-     paths. The choice is a pure function of the seed, so a REPLAY line
-     reproduces it without recording the value (the flag is recorded
-     only when the user forced one). *)
-  let content_cache_for seed =
-    match content_cache_arg with
-    | Some b -> b
-    | None -> if seed land 1 = 1 then 4 * 1024 * 1024 else 0
-  in
-  let rebind =
-    if forwarding then Os_params.Forwarding else Os_params.Broadcast_query
-  in
-  (* vm-flush needs a per-cluster page-server pid a generated scenario
-     can't know; the placeholder is substituted at launch time. *)
-  let strategy =
-    Option.map
-      (function
-        | "precopy" -> Protocol.Precopy
-        | "freeze" -> Protocol.Freeze_and_copy
-        | "cor" -> Protocol.Copy_on_reference
-        | _ -> Scenario.vm_flush_placeholder)
-      strategy_arg
-  in
-  if serve_mode then
-    fuzz_serve_cmd count base_seed single jobs rebind ~forwarding
-      ~strategy_tok:strategy_arg ~strategy ~placement_tok:placement_arg
-      ~content_cache_tok:content_cache_arg ~content_cache_for ~entries
-      ~require_coverage ~require_scenario
-  else
-  let gen seed =
-    match entries with
-    | None -> Scenario.of_seed seed
-    | Some es -> Scenario.Library.plain (entry_for es seed) ~seed
-  in
-  let prep sc =
-    match strategy with None -> sc | Some s -> Scenario.force_strategy s sc
-  in
-  let features_of o =
-    match (entries, o.Scenario.o_scenario.Scenario.sc_label) with
-    | Some es, Some l -> (
-        match List.find_opt (fun e -> Scenario.Library.name e = l) es with
-        | Some e -> Scenario.Library.check_plain e o
-        | None -> [])
-    | _ -> []
-  in
-  let replay o =
-    Scenario.replay_hint ~forwarding ?strategy:strategy_arg
-      ?content_cache:content_cache_arg o.Scenario.o_scenario
-  in
-  match single with
-  | Some seed ->
-      (* Verbose single-seed replay, with full violation windows. *)
-      let sc = prep (gen seed) in
-      print_endline (Scenario.describe sc);
-      if content_cache_for seed > 0 then
-        Printf.printf "content cache: %d KiB/host\n"
-          (content_cache_for seed / 1024);
-      let o =
-        Scenario.run ~rebind ~content_cache:(content_cache_for seed) sc
-      in
-      Printf.printf "%d events checked; %d job(s) completed, %d failed\n"
-        o.Scenario.o_events o.Scenario.o_completed o.Scenario.o_failed;
-      (match features_of o with
-      | [] -> ()
-      | fs ->
-          Printf.printf "features: %s\n"
-            (String.concat ", "
-               (List.map
-                  (fun (f, m) ->
-                    Printf.sprintf "%s=%s" f (if m then "yes" else "no"))
-                  fs)));
-      if o.Scenario.o_violations = [] then begin
-        print_endline "all invariants held";
-        0
-      end
-      else begin
-        List.iter
-          (fun v -> Format.printf "%a@." Monitors.pp_violation v)
-          o.Scenario.o_violations;
-        if o.Scenario.o_violations_dropped > 0 then
-          Printf.printf "(%d further violations not retained)\n"
-            o.Scenario.o_violations_dropped;
-        1
-      end
-  | None ->
-      let t0 = Unix.gettimeofday () in
-      let cell seed () =
-        Scenario.run ~rebind
-          ~content_cache:(content_cache_for seed)
-          (prep (gen seed))
-      in
-      let results =
-        Parrun.run ~jobs (List.init count (fun i -> cell (base_seed + i)))
-      in
-      let failed = ref 0 and events = ref 0 in
-      let acc = coverage_acc () in
-      List.iter
-        (fun o ->
-          events := !events + o.Scenario.o_events;
-          coverage_note acc
-            ?label:o.Scenario.o_scenario.Scenario.sc_label
-            ~features:(features_of o)
-            ~declared:o.Scenario.o_fault_declared
-            ~fired:o.Scenario.o_fault_fired ~monitors:o.Scenario.o_monitors
-            ~strategies:o.Scenario.o_strategies
-            ~events:o.Scenario.o_event_kinds;
-          if o.Scenario.o_violations <> [] then begin
-            incr failed;
-            Printf.printf "FAIL %s\n" (Scenario.describe o.Scenario.o_scenario);
-            List.iter
-              (fun v ->
-                Printf.printf "  [%s] at %s (event #%d): %s\n"
-                  v.Monitors.vi_monitor
-                  (Time.to_string v.Monitors.vi_at)
-                  v.Monitors.vi_seq v.Monitors.vi_detail)
-              o.Scenario.o_violations;
-            Printf.printf "  REPLAY: %s\n" (replay o)
-          end)
-        results;
-      Printf.eprintf "fuzz: %d seeds (base %d) on %d domain%s in %.2f s\n%!"
-        count base_seed jobs
-        (if jobs = 1 then "" else "s")
-        (Unix.gettimeofday () -. t0);
-      let cov_failed =
-        coverage_report ~require:require_coverage
-          ~require_scenario:require_scenario
-          ?expect:
-            (Option.map (fun es -> expect_of_entries es ~serve:false) entries)
-          acc
-      in
-      if !failed = 0 && not cov_failed then begin
-        Printf.printf "fuzz: %d seeds passed, %d events checked\n" count !events;
-        0
-      end
-      else begin
-        if !failed > 0 then
-          Printf.printf "fuzz: %d of %d seeds FAILED\n" !failed count;
-        1
-      end
+let fuzz_cmd count base_seed jobs replay require_coverage =
+  if (not replay.Replay.r_serve) && replay.Replay.r_placement <> None then
+    Printf.eprintf
+      "vsim fuzz: --placement only applies with --serve; ignored\n";
+  let t0 = Unix.gettimeofday () in
+  match Fuzz.run ~jobs ~count ~base_seed replay with
+  | Error msg ->
+      Printf.eprintf "vsim fuzz: %s\n" msg;
+      exit 124
+  | Ok rep ->
+      if not rep.Fuzz.verbose then
+        Printf.eprintf "%s: %d seeds (base %d) on %d domain%s in %.2f s\n%!"
+          (Fuzz.name rep.Fuzz.shape) count base_seed jobs
+          (if jobs = 1 then "" else "s")
+          (Unix.gettimeofday () -. t0);
+      let lines, passed = Fuzz.render ~require_coverage rep in
+      List.iter print_endline lines;
+      if passed then 0 else 1
 
 (* {1 serve} *)
 
@@ -1067,7 +492,7 @@ let migrate_t =
   let strategy =
     Arg.(
       value
-      & opt strategy_conv `Precopy
+      & opt strategy_conv "precopy"
       & info [ "strategy" ] ~docv:"S"
           ~doc:"Migration strategy: precopy, freeze, or vmflush.")
   in
@@ -1114,7 +539,7 @@ let sweep_t =
   let strategy =
     Arg.(
       value
-      & opt strategy_conv `Precopy
+      & opt strategy_conv "precopy"
       & info [ "strategy" ] ~docv:"S"
           ~doc:"Migration strategy for $(b,--migrate) cells.")
   in
@@ -1311,23 +736,16 @@ let fuzz_t =
   let require_coverage =
     Arg.(
       value & flag
-      & info [ "require-fault-coverage" ]
+      & info [ "require-coverage" ]
           ~doc:
-            "After an aggregate run, fail unless every fault kind declared by \
-             some scenario actually fired and every invariant monitor \
-             inspected at least one event — a green run must prove the fault \
-             matrix was exercised, not merely scheduled.")
-  in
-  let require_scenario =
-    Arg.(
-      value & flag
-      & info [ "require-scenario-coverage" ]
-          ~doc:
-            "With $(b,--scenario): additionally fail unless every sampled \
-             library entry ran, every feature it declares (spike, heal, \
-             storm, brownout, residual) materialized at least once, and \
-             every migration strategy it promises actually started. Implies \
-             $(b,--require-fault-coverage).")
+            "After an aggregate run, fail unless its coverage meets the \
+             contract: every fault kind declared by some scenario fired and \
+             every invariant monitor inspected an event (the dedup monitor \
+             only with $(b,--scenario)). With $(b,--scenario), also every \
+             sampled library entry ran, every feature it declares \
+             materialized, every migration strategy it promises started, \
+             every placement policy dispatched (serve) and at least one \
+             content-addressed manifest flowed.")
   in
   (* The shared replay flags (--scenario/--seed/--serve/--forwarding/
      --strategy) come from Replay.term: the same parser that REPLAY
@@ -1338,8 +756,7 @@ let fuzz_t =
          "Run randomly generated scenarios (seed = test case) under the \
           online invariant monitors; failures print a replayable seed.")
     Term.(
-      const fuzz_cmd $ count $ base $ jobs $ Replay.term $ require_coverage
-      $ require_scenario)
+      const fuzz_cmd $ count $ base $ jobs $ Replay.term $ require_coverage)
 
 let () =
   let info =

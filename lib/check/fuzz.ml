@@ -1,0 +1,483 @@
+module Coverage = struct
+  type counts = (string * int) list
+
+  type t = {
+    declared : string list;
+    fired : counts;
+    monitors : counts;
+    scenarios : counts;
+    strategies : counts;
+    placements : counts;
+    events : counts;
+    features : (string * (int * int)) list;
+  }
+
+  let empty =
+    {
+      declared = [];
+      fired = [];
+      monitors = [];
+      scenarios = [];
+      strategies = [];
+      placements = [];
+      events = [];
+      features = [];
+    }
+
+  let merge plus a b =
+    List.fold_left
+      (fun acc (k, v) ->
+        match List.assoc_opt k acc with
+        | Some w -> (k, plus w v) :: List.remove_assoc k acc
+        | None -> (k, v) :: acc)
+      a b
+
+  let union a b =
+    {
+      declared = List.sort_uniq String.compare (a.declared @ b.declared);
+      fired = merge ( + ) a.fired b.fired;
+      monitors = merge ( + ) a.monitors b.monitors;
+      scenarios = merge ( + ) a.scenarios b.scenarios;
+      strategies = merge ( + ) a.strategies b.strategies;
+      placements = merge ( + ) a.placements b.placements;
+      events = merge ( + ) a.events b.events;
+      features =
+        merge (fun (d, m) (d', m') -> (d + d', m + m')) a.features b.features;
+    }
+
+  type contract =
+    | Free_form
+    | Library of {
+        scenarios : string list;
+        strategies : string list;
+        features : string list;
+        placements : string list;
+      }
+
+  let contract ~serve = function
+    | None -> Free_form
+    | Some entries ->
+        let union f =
+          List.sort_uniq String.compare (List.concat_map f entries)
+        in
+        Library
+          {
+            scenarios = List.map Scenario.Library.name entries;
+            strategies = union (Scenario.Library.strategies ~serve);
+            features = union (Scenario.Library.features ~serve);
+            (* The seed cycle dispatches every policy over any >= 4-seed
+               range. *)
+            placements = (if serve then Replay.placement_tokens else []);
+          }
+
+  type gap =
+    | Fault_never_fired of string
+    | Monitor_idle of string
+    | Scenario_never_ran of string
+    | Strategy_never_started of string
+    | Feature_never_materialized of string
+    | Placement_never_dispatched of string
+    | No_manifest
+
+  let count l k = Option.value (List.assoc_opt k l) ~default:0
+
+  let declared_kinds c =
+    List.filter (fun k -> List.mem k c.declared) Faults.all_kinds
+
+  let gaps contract c =
+    let unmet gap counts =
+      List.filter_map (fun k ->
+          if count counts k = 0 then Some (gap k) else None)
+    in
+    (* The dedup monitor only sees events when caching is on, which the
+       free-form runs do not promise; the library contract does. *)
+    let monitors =
+      List.filter
+        (fun m -> contract <> Free_form || m <> "dedup")
+        Monitors.monitor_names
+    in
+    unmet (fun k -> Fault_never_fired k) c.fired (declared_kinds c)
+    @ unmet (fun m -> Monitor_idle m) c.monitors monitors
+    @
+    match contract with
+    | Free_form -> []
+    | Library x ->
+        unmet (fun s -> Scenario_never_ran s) c.scenarios x.scenarios
+        @ unmet (fun s -> Strategy_never_started s) c.strategies x.strategies
+        @ unmet
+            (fun f -> Feature_never_materialized f)
+            (List.map (fun (f, (_, m)) -> (f, m)) c.features)
+            x.features
+        @ unmet
+            (fun p -> Placement_never_dispatched p)
+            c.placements x.placements
+        @ if count c.events "xfer/manifest" = 0 then [ No_manifest ] else []
+
+  let gap_line g =
+    "COVERAGE FAIL: "
+    ^
+    match g with
+    | Fault_never_fired k ->
+        Printf.sprintf "fault kind %S was declared but never fired" k
+    | Monitor_idle m -> Printf.sprintf "monitor %S never inspected an event" m
+    | Scenario_never_ran s -> Printf.sprintf "scenario %S never ran" s
+    | Strategy_never_started s ->
+        Printf.sprintf "strategy %S never started a migration" s
+    | Feature_never_materialized f ->
+        Printf.sprintf "feature %S never materialized" f
+    | Placement_never_dispatched p ->
+        Printf.sprintf "placement %S never dispatched a selection" p
+    | No_manifest ->
+        "content-addressed transfer never exercised (no xfer/manifest events)"
+
+  let keys l = List.sort_uniq String.compare (List.map fst l)
+
+  let fmt_counts counts = function
+    | [] -> "(none)"
+    | ks ->
+        String.concat ", "
+          (List.map (fun k -> Printf.sprintf "%s=%d" k (count counts k)) ks)
+
+  let dedup_kinds =
+    [ "xfer/manifest"; "xfer/hit"; "xfer/miss"; "img/hit"; "img/miss" ]
+
+  let report contract c =
+    let library = contract <> Free_form in
+    let declared = declared_kinds c in
+    let kinds = keys c.events in
+    (match contract with
+    | Library x ->
+        [ "scenario coverage: " ^ fmt_counts c.scenarios x.scenarios ]
+    | Free_form -> [])
+    @ [
+        "fault coverage: "
+        ^ (if declared = [] then "(no fault kinds declared)"
+           else fmt_counts c.fired declared);
+        "monitor coverage: " ^ fmt_counts c.monitors Monitors.monitor_names;
+        "strategy coverage: " ^ fmt_counts c.strategies (keys c.strategies);
+      ]
+    @ (if c.placements = [] then []
+       else
+         [
+           "placement coverage: "
+           ^ fmt_counts c.placements (keys c.placements);
+         ])
+    @ [ "dedup coverage: " ^ fmt_counts c.events dedup_kinds ]
+    @ (if not library then []
+       else
+         [
+           "feature coverage: "
+           ^
+           match keys c.features with
+           | [] -> "(none declared)"
+           | fs ->
+               String.concat ", "
+                 (List.map
+                    (fun f ->
+                      let d, m = List.assoc f c.features in
+                      Printf.sprintf "%s=%d/%d" f m d)
+                    fs);
+         ])
+    @ [
+        Printf.sprintf "trace coverage: %d event kinds: %s" (List.length kinds)
+          (fmt_counts c.events kinds);
+      ]
+end
+
+type knobs = {
+  rebind : Os_params.rebind_mode;
+  content_cache : int;
+  strategy : Protocol.strategy option;
+  placement : string option;
+}
+
+let cycle arr seed =
+  let n = Array.length arr in
+  arr.(((seed mod n) + n) mod n)
+
+let placement_cycle =
+  Array.of_list (None :: List.map Option.some Replay.placement_tokens)
+
+(* The one seed → knobs function. A forced flag pins its knob on every
+   seed; otherwise odd seeds get a 4 MiB content cache and even seeds
+   run without, and serve seeds cycle through the scenario's own
+   placement draw and the three named policies, so any contiguous
+   >= 4-seed range covers both transfer paths and every policy. Being a
+   pure function of (flags, seed), a REPLAY line that records only the
+   forced flags reproduces every knob. *)
+let knobs (r : Replay.t) seed =
+  {
+    rebind =
+      (if r.Replay.r_forwarding then Os_params.Forwarding
+       else Os_params.Broadcast_query);
+    content_cache =
+      (match r.Replay.r_content_cache with
+      | Some b -> b
+      | None -> if seed land 1 = 1 then 4 * 1024 * 1024 else 0);
+    strategy = Option.map Scenario.strategy_of_token r.Replay.r_strategy;
+    placement =
+      (if not r.Replay.r_serve then None
+       else
+         match r.Replay.r_placement with
+         | Some _ as p -> p
+         | None -> cycle placement_cycle seed);
+  }
+
+type shape = Plain | Serve
+
+type trial = {
+  description : string;
+  details : string list;
+  replay : string;
+  violations : Monitors.violation list;
+  dropped : int;
+  events : int;
+  stuck : int;
+  shed : int;
+  coverage : Coverage.t;
+}
+
+let failed t = t.violations <> [] || t.stuck <> 0
+
+let cache_line k =
+  if k.content_cache > 0 then
+    [ Printf.sprintf "content cache: %d KiB/host" (k.content_cache / 1024) ]
+  else []
+
+let features_line = function
+  | [] -> []
+  | fs ->
+      [
+        "features: "
+        ^ String.concat ", "
+            (List.map
+               (fun (f, m) ->
+                 Printf.sprintf "%s=%s" f (if m then "yes" else "no"))
+               fs);
+      ]
+
+let run_coverage ~label ~features ~placements ~declared ~fired ~monitors
+    ~strategies ~events =
+  {
+    Coverage.declared = List.sort_uniq String.compare declared;
+    fired;
+    monitors;
+    scenarios = (match label with Some l -> [ (l, 1) ] | None -> []);
+    strategies;
+    placements = List.map (fun (p, _) -> (p, 1)) placements;
+    events;
+    features = List.map (fun (f, m) -> (f, (1, Bool.to_int m))) features;
+  }
+
+let plain_trial r entry seed k =
+  let sc =
+    match entry with
+    | None -> Scenario.of_seed seed
+    | Some e -> Scenario.Library.plain e ~seed
+  in
+  let sc =
+    match k.strategy with None -> sc | Some s -> Scenario.force_strategy s sc
+  in
+  let o = Scenario.run ~rebind:k.rebind ~content_cache:k.content_cache sc in
+  let features =
+    match entry with Some e -> Scenario.Library.check_plain e o | None -> []
+  in
+  let description = Scenario.describe sc in
+  {
+    description;
+    details =
+      (description :: cache_line k)
+      @ Printf.sprintf "%d events checked; %d job(s) completed, %d failed"
+          o.Scenario.o_events o.Scenario.o_completed o.Scenario.o_failed
+        :: features_line features;
+    replay =
+      Scenario.replay_hint ~forwarding:r.Replay.r_forwarding
+        ?strategy:r.Replay.r_strategy ?content_cache:r.Replay.r_content_cache
+        sc;
+    violations = o.Scenario.o_violations;
+    dropped = o.Scenario.o_violations_dropped;
+    events = o.Scenario.o_events;
+    stuck = 0;
+    shed = 0;
+    coverage =
+      run_coverage ~label:sc.Scenario.sc_label ~features ~placements:[]
+        ~declared:o.Scenario.o_fault_declared ~fired:o.Scenario.o_fault_fired
+        ~monitors:o.Scenario.o_monitors ~strategies:o.Scenario.o_strategies
+        ~events:o.Scenario.o_event_kinds;
+  }
+
+(* The named tokens parse to a pod size of 32 (right for scale-out
+   benches); fuzz clusters run 4-12 workstations, so rescale to ~3 pods
+   — still a pure function of (token, scenario). *)
+let fuzz_placement sv tok =
+  let pod_size = max 2 (sv.Scenario.sv_workstations / 3) in
+  Option.map
+    (function
+      | Config.Flat_multicast -> Config.Flat_multicast
+      | Config.Pod_sharded _ -> Config.Pod_sharded { pod_size }
+      | Config.Load_predictive { alpha; _ } ->
+          Config.Load_predictive { pod_size; alpha })
+    (Config.placement_of_string tok)
+
+let serve_trial r entry seed k =
+  let sv =
+    match entry with
+    | None -> Scenario.serve_of_seed seed
+    | Some e -> Scenario.Library.serve e ~seed
+  in
+  let placement = Option.bind k.placement (fuzz_placement sv) in
+  let o =
+    Scenario.run_serve ~rebind:k.rebind ~content_cache:k.content_cache
+      ?strategy:k.strategy ?placement sv
+  in
+  let features =
+    match entry with Some e -> Scenario.Library.check_serve e o | None -> []
+  in
+  let override =
+    match k.placement with
+    | Some tok when tok <> Scenario.placement_token sv.Scenario.sv_placement ->
+        [ "placement override: " ^ tok ]
+    | _ -> []
+  in
+  {
+    description =
+      Scenario.describe_serve
+        (match placement with
+        | Some p -> { sv with Scenario.sv_placement = p }
+        | None -> sv);
+    details =
+      (Scenario.describe_serve sv :: override)
+      @ cache_line k @ features_line features
+      @ [
+          Printf.sprintf
+            "%d events checked; %d request(s) submitted, %d completed, %d \
+             shed, %d stuck"
+            o.Scenario.so_events o.Scenario.so_submitted
+            o.Scenario.so_completed o.Scenario.so_shed o.Scenario.so_stuck;
+        ];
+    replay =
+      Scenario.replay_serve_hint ~forwarding:r.Replay.r_forwarding
+        ?strategy:r.Replay.r_strategy ?placement:k.placement
+        ?content_cache:r.Replay.r_content_cache sv;
+    violations = o.Scenario.so_violations;
+    dropped = o.Scenario.so_violations_dropped;
+    events = o.Scenario.so_events;
+    stuck = o.Scenario.so_stuck;
+    shed = o.Scenario.so_shed;
+    coverage =
+      run_coverage ~label:sv.Scenario.sv_label ~features
+        ~placements:o.Scenario.so_placements
+        ~declared:o.Scenario.so_fault_declared
+        ~fired:o.Scenario.so_fault_fired ~monitors:o.Scenario.so_monitors
+        ~strategies:o.Scenario.so_strategies ~events:o.Scenario.so_event_kinds;
+  }
+
+(* Library entries are sampled round-robin by seed, so every entry gets
+   its share of any contiguous seed range; the entry travels with the
+   run, which checks its features. *)
+let trial r entries seed =
+  let entry = Option.map (fun es -> cycle (Array.of_list es) seed) entries in
+  (if r.Replay.r_serve then serve_trial else plain_trial)
+    r entry seed (knobs r seed)
+
+type report = {
+  shape : shape;
+  verbose : bool;
+  contract : Coverage.contract;
+  trials : trial list;
+  coverage : Coverage.t;
+}
+
+let entries = function
+  | None -> Ok None
+  | Some "all" -> Ok (Some Scenario.Library.all)
+  | Some name -> (
+      match Scenario.Library.find name with
+      | Some e -> Ok (Some [ e ])
+      | None ->
+          Error
+            (Printf.sprintf "unknown scenario %S (known: %s, all)" name
+               (String.concat ", " Scenario.Library.names)))
+
+let run ~jobs ~count ~base_seed (r : Replay.t) =
+  Result.map
+    (fun entries ->
+      let seeds =
+        match r.Replay.r_seed with
+        | Some seed -> [ seed ]
+        | None -> List.init count (fun i -> base_seed + i)
+      in
+      let trials =
+        Parrun.run ~jobs (List.map (fun seed () -> trial r entries seed) seeds)
+      in
+      {
+        shape = (if r.Replay.r_serve then Serve else Plain);
+        verbose = r.Replay.r_seed <> None;
+        contract = Coverage.contract ~serve:r.Replay.r_serve entries;
+        trials;
+        coverage =
+          List.fold_left
+            (fun acc (t : trial) -> Coverage.union acc t.coverage)
+            Coverage.empty trials;
+      })
+    (entries r.Replay.r_scenario)
+
+let name = function Plain -> "fuzz" | Serve -> "fuzz --serve"
+
+let stuck_line n = Printf.sprintf "%d request(s) stuck in no terminal state" n
+
+let render_verbose t =
+  if not (failed t) then (t.details @ [ "all invariants held" ], true)
+  else
+    ( t.details
+      @ List.map (Format.asprintf "%a" Monitors.pp_violation) t.violations
+      @ (if t.dropped > 0 then
+           [ Printf.sprintf "(%d further violations not retained)" t.dropped ]
+         else [])
+      @ (if t.stuck <> 0 then [ stuck_line t.stuck ] else []),
+      false )
+
+let fail_block t =
+  ("FAIL " ^ t.description)
+  :: List.map
+       (fun v ->
+         Printf.sprintf "  [%s] at %s (event #%d): %s" v.Monitors.vi_monitor
+           (Time.to_string v.Monitors.vi_at)
+           v.Monitors.vi_seq v.Monitors.vi_detail)
+       t.violations
+  @ (if t.stuck <> 0 then [ "  " ^ stuck_line t.stuck ] else [])
+  @ [ "  REPLAY: " ^ t.replay ]
+
+let render ~require_coverage rep =
+  match rep.trials with
+  | [ t ] when rep.verbose -> render_verbose t
+  | trials ->
+      let failures = List.filter failed trials in
+      let gaps =
+        if require_coverage then Coverage.gaps rep.contract rep.coverage
+        else []
+      in
+      let n = List.length trials in
+      let sum f = List.fold_left (fun acc t -> acc + f t) 0 trials in
+      let passed = failures = [] && gaps = [] in
+      ( List.concat_map fail_block failures
+        @ Coverage.report rep.contract rep.coverage
+        @ List.map Coverage.gap_line gaps
+        @ (if passed then
+             [
+               Printf.sprintf "%s: %d seeds passed, %d events checked%s"
+                 (name rep.shape) n
+                 (sum (fun t -> t.events))
+                 (match rep.shape with
+                 | Plain -> ""
+                 | Serve ->
+                     Printf.sprintf ", %d shed, 0 stuck"
+                       (sum (fun t -> t.shed)));
+             ]
+           else if failures <> [] then
+             [
+               Printf.sprintf "%s: %d of %d seeds FAILED" (name rep.shape)
+                 (List.length failures) n;
+             ]
+           else []),
+        passed )

@@ -276,6 +276,13 @@ let resolve_strategy cl = function
         { page_server = File_server.pid (Cluster.file_server cl) }
   | s -> s
 
+let strategy_of_token = function
+  | "precopy" -> Protocol.Precopy
+  | "freeze" -> Protocol.Freeze_and_copy
+  | "cor" -> Protocol.Copy_on_reference
+  | "vmflush" -> vm_flush_placeholder
+  | tok -> invalid_arg ("Scenario.strategy_of_token: " ^ tok)
+
 let launch cl (j : job) ~completed ~failed =
   let eng = Cluster.engine cl in
   ignore
@@ -333,31 +340,41 @@ let split_residual ~expect violations =
     in
     (List.length res, rest)
 
-let run_cluster ?(rebind = Os_params.Broadcast_query) ?(content_cache = 0) sc
-    =
+(* The monitored cluster both shapes run in: the default configuration
+   with migration budgets plus the run's rebind mode, content cache and
+   (serve mode) placement, tracing on, the failure detector enabled, and
+   the monitor bundle and coverage subscriber attached. *)
+let monitored_cluster ~rebind ~content_cache ?placement ~seed ~workstations
+    ~bridged faults =
   let cfg =
     let base = Config.with_default_budgets Config.default in
-    let base =
-      if base.Config.os.Os_params.rebind = rebind then base
-      else { base with Config.os = { base.Config.os with Os_params.rebind } }
-    in
-    if base.Config.os.Os_params.content_cache_bytes = content_cache then base
-    else
-      {
-        base with
-        Config.os =
-          { base.Config.os with Os_params.content_cache_bytes = content_cache };
-      }
+    {
+      base with
+      Config.os =
+        {
+          base.Config.os with
+          Os_params.rebind;
+          content_cache_bytes = content_cache;
+        };
+      placement = Option.value placement ~default:base.Config.placement;
+    }
   in
   let cl =
-    Cluster.create ~seed:sc.sc_seed ~workstations:sc.sc_workstations
-      ~bridged:sc.sc_bridged ~cfg ~trace:true
-      ?faults:(match sc.sc_faults with [] -> None | plan -> Some plan)
+    Cluster.create ~seed ~workstations ~bridged ~cfg ~trace:true
+      ?faults:(match faults with [] -> None | plan -> Some plan)
       ()
   in
   ignore (Cluster.enable_health cl);
   let mon = Monitors.attach (Cluster.tracer cl) in
   let cov = Coverage.attach (Cluster.tracer cl) in
+  (cl, mon, cov)
+
+let run_cluster ?(rebind = Os_params.Broadcast_query) ?(content_cache = 0) sc
+    =
+  let cl, mon, cov =
+    monitored_cluster ~rebind ~content_cache ~seed:sc.sc_seed
+      ~workstations:sc.sc_workstations ~bridged:sc.sc_bridged sc.sc_faults
+  in
   let eng = Cluster.engine cl in
   let completed = ref 0 and failed = ref 0 in
   List.iter
@@ -501,40 +518,11 @@ type serve_outcome = {
 
 let run_serve_cluster ?(rebind = Os_params.Broadcast_query)
     ?(content_cache = 0) ?strategy ?placement sv =
-  let placement =
-    match placement with Some p -> p | None -> sv.sv_placement
+  let placement = Option.value placement ~default:sv.sv_placement in
+  let cl, mon, cov =
+    monitored_cluster ~rebind ~content_cache ~placement ~seed:sv.sv_seed
+      ~workstations:sv.sv_workstations ~bridged:sv.sv_bridged sv.sv_faults
   in
-  let cfg =
-    let base = Config.with_default_budgets Config.default in
-    let base =
-      if base.Config.os.Os_params.rebind = rebind then base
-      else { base with Config.os = { base.Config.os with Os_params.rebind } }
-    in
-    let base =
-      if base.Config.os.Os_params.content_cache_bytes = content_cache then
-        base
-      else
-        {
-          base with
-          Config.os =
-            {
-              base.Config.os with
-              Os_params.content_cache_bytes = content_cache;
-            };
-        }
-    in
-    if base.Config.placement = placement then base
-    else { base with Config.placement }
-  in
-  let cl =
-    Cluster.create ~seed:sv.sv_seed ~workstations:sv.sv_workstations
-      ~bridged:sv.sv_bridged ~cfg ~trace:true
-      ?faults:(match sv.sv_faults with [] -> None | plan -> Some plan)
-      ()
-  in
-  ignore (Cluster.enable_health cl);
-  let mon = Monitors.attach (Cluster.tracer cl) in
-  let cov = Coverage.attach (Cluster.tracer cl) in
   let strategy =
     Option.map (resolve_strategy cl)
       (match strategy with Some _ -> strategy | None -> sv.sv_strategy)

@@ -72,6 +72,15 @@ val vm_flush_placeholder : Protocol.strategy
     generators can request the discipline before a cluster exists and
     {!run} substitutes the cluster's file server at launch time. *)
 
+val strategy_of_token : string -> Protocol.strategy
+(** The one CLI token table: each of {!Replay.strategy_tokens} to its
+    discipline, [vmflush] to {!vm_flush_placeholder}. Raises
+    [Invalid_argument] on any other token. *)
+
+val resolve_strategy : Cluster.t -> Protocol.strategy -> Protocol.strategy
+(** Substitute the cluster's file server into {!vm_flush_placeholder};
+    every other strategy is returned as is. *)
+
 type outcome = {
   o_scenario : t;
   o_violations : Monitors.violation list;

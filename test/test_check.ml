@@ -367,6 +367,140 @@ let test_every_traced_event_is_typed () =
       ("churn", "balance/skip");
     ]
 
+(* {1 The fuzz driver}
+
+   Coverage is a plain value: each gap kind is provoked by hand against
+   a value that satisfies the library contract, so a gap the gate stops
+   reporting fails here. *)
+
+let library_contract =
+  Fuzz.Coverage.Library
+    {
+      scenarios = [ "s" ];
+      strategies = [ "precopy" ];
+      features = [ "spike" ];
+      placements = [ "flat" ];
+    }
+
+let full_coverage =
+  {
+    Fuzz.Coverage.declared = [ "crash" ];
+    fired = [ ("crash", 1) ];
+    monitors = List.map (fun m -> (m, 1)) Monitors.monitor_names;
+    scenarios = [ ("s", 1) ];
+    strategies = [ ("precopy", 2) ];
+    placements = [ ("flat", 1) ];
+    events = [ ("xfer/manifest", 1) ];
+    features = [ ("spike", (2, 1)) ];
+  }
+
+let gap = Alcotest.testable (Fmt.of_to_string Fuzz.Coverage.gap_line) ( = )
+
+let idle m c =
+  {
+    c with
+    Fuzz.Coverage.monitors =
+      List.map
+        (fun (n, k) -> (n, if n = m then 0 else k))
+        c.Fuzz.Coverage.monitors;
+  }
+
+let test_coverage_gaps () =
+  let check name contract c expected =
+    Alcotest.(check (list gap)) name expected (Fuzz.Coverage.gaps contract c)
+  in
+  let c = full_coverage in
+  check "library contract met" library_contract c [];
+  check "free-form contract met" Fuzz.Coverage.Free_form c [];
+  check "fault never fired" library_contract
+    { c with fired = [ ("crash", 0) ] }
+    [ Fuzz.Coverage.Fault_never_fired "crash" ];
+  check "undeclared kinds are not owed" Fuzz.Coverage.Free_form
+    { c with declared = []; fired = [] }
+    [];
+  check "monitor idle" Fuzz.Coverage.Free_form (idle "clock" c)
+    [ Fuzz.Coverage.Monitor_idle "clock" ];
+  check "scenario never ran" library_contract { c with scenarios = [] }
+    [ Fuzz.Coverage.Scenario_never_ran "s" ];
+  check "strategy never started" library_contract { c with strategies = [] }
+    [ Fuzz.Coverage.Strategy_never_started "precopy" ];
+  check "feature never materialized" library_contract
+    { c with features = [ ("spike", (3, 0)) ] }
+    [ Fuzz.Coverage.Feature_never_materialized "spike" ];
+  check "placement never dispatched" library_contract
+    { c with placements = [] }
+    [ Fuzz.Coverage.Placement_never_dispatched "flat" ];
+  check "no manifest" library_contract { c with events = [] }
+    [ Fuzz.Coverage.No_manifest ];
+  check "free-form owes no library promise" Fuzz.Coverage.Free_form
+    { c with scenarios = []; strategies = []; features = []; placements = [];
+             events = [] }
+    [];
+  (* Caching is only promised by the library contract. *)
+  check "free-form exempts dedup" Fuzz.Coverage.Free_form (idle "dedup" c) [];
+  check "library gates dedup" library_contract (idle "dedup" c)
+    [ Fuzz.Coverage.Monitor_idle "dedup" ]
+
+let test_coverage_union () =
+  let u = Fuzz.Coverage.union full_coverage full_coverage in
+  Alcotest.(check (list string)) "declared deduplicated" [ "crash" ]
+    u.Fuzz.Coverage.declared;
+  Alcotest.(check (list (pair string int))) "counts add" [ ("precopy", 4) ]
+    u.Fuzz.Coverage.strategies;
+  Alcotest.(check (list (pair string (pair int int))))
+    "features add" [ ("spike", (4, 2)) ] u.Fuzz.Coverage.features;
+  Alcotest.(check (list gap)) "empty is the identity" []
+    (Fuzz.Coverage.gaps library_contract
+       (Fuzz.Coverage.union Fuzz.Coverage.empty full_coverage))
+
+(* Every CLI strategy token names a distinct discipline. *)
+let test_strategy_tokens () =
+  let names =
+    List.map
+      (fun t -> Protocol.strategy_name (Scenario.strategy_of_token t))
+      Replay.strategy_tokens
+  in
+  Alcotest.(check int) "distinct" (List.length Replay.strategy_tokens)
+    (List.length (List.sort_uniq String.compare names))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+(* Serve seeds 4..7 walk the placement cycle (own draw, flat, pods,
+   predictive): each trial's description must name the policy the run
+   dispatched through, not the scenario's own draw. Under forwarding
+   seed 7 fails, and its FAIL line must carry the override. *)
+let test_serve_fail_line_names_dispatched_placement () =
+  let run r ~count ~base_seed =
+    match Fuzz.run ~jobs:1 ~count ~base_seed r with
+    | Ok rep -> rep
+    | Error e -> Alcotest.fail e
+  in
+  let rep = run (Replay.make ~serve:true ()) ~count:4 ~base_seed:4 in
+  List.iter
+    (fun (t : Fuzz.trial) ->
+      match t.Fuzz.coverage.Fuzz.Coverage.placements with
+      | [ (policy, _) ] ->
+          if not (contains t.Fuzz.description ("placement " ^ policy)) then
+            Alcotest.failf "dispatched %s but described as: %s" policy
+              t.Fuzz.description
+      | _ -> Alcotest.fail "one placement per serve run")
+    rep.Fuzz.trials;
+  let rep =
+    run (Replay.make ~serve:true ~forwarding:true ()) ~count:1 ~base_seed:7
+  in
+  let lines, passed = Fuzz.render ~require_coverage:false rep in
+  Alcotest.(check bool) "forwarding fails" false passed;
+  match List.find_opt (fun l -> contains l "FAIL serve seed 7:") lines with
+  | Some l ->
+      Alcotest.(check bool) ("FAIL line names predictive: " ^ l) true
+        (contains l "placement predictive/3")
+  | None -> Alcotest.fail "no FAIL line for seed 7"
+
 let () =
   Alcotest.run "check"
     [
@@ -403,4 +537,14 @@ let () =
              Alcotest.test_case "library shapes clean and hinted at seed 5"
                `Slow test_library_plain_clean_and_hinted;
            ] );
+      ( "fuzz",
+        [
+          Alcotest.test_case "every coverage gap kind is reported" `Quick
+            test_coverage_gaps;
+          Alcotest.test_case "coverage union adds" `Quick test_coverage_union;
+          Alcotest.test_case "strategy tokens name distinct disciplines"
+            `Quick test_strategy_tokens;
+          Alcotest.test_case "serve FAIL line names the dispatched placement"
+            `Quick test_serve_fail_line_names_dispatched_placement;
+        ] );
     ]

@@ -364,41 +364,6 @@ let test_mailbox_drain () =
   Alcotest.(check (list int)) "drain" [ 1; 2 ] (Mailbox.drain mb);
   Alcotest.(check int) "empty after" 0 (Mailbox.length mb)
 
-(* {1 Semaphore} *)
-
-let test_semaphore_mutual_exclusion () =
-  let e = Engine.create () in
-  let s = Semaphore.create 1 in
-  let inside = ref 0 and max_inside = ref 0 in
-  for _ = 1 to 5 do
-    ignore
-      (Proc.spawn e ~name:"w" (fun () ->
-           Semaphore.with_permit s (fun () ->
-               incr inside;
-               if !inside > !max_inside then max_inside := !inside;
-               Proc.sleep e (ms 1.);
-               decr inside)))
-  done;
-  Engine.run e;
-  Alcotest.(check int) "never two inside" 1 !max_inside;
-  Alcotest.(check int) "all done at 5ms" 5000 (Time.to_us (Engine.now e))
-
-let test_semaphore_release_on_kill () =
-  let e = Engine.create () in
-  let s = Semaphore.create 1 in
-  let p =
-    Proc.spawn e ~name:"holder" (fun () ->
-        Semaphore.with_permit s (fun () -> Proc.sleep e (Time.of_sec 100.)))
-  in
-  let acquired = ref false in
-  ignore
-    (Proc.spawn e ~name:"waiter" (fun () ->
-         Semaphore.acquire s;
-         acquired := true));
-  ignore (Engine.schedule e ~at:(ms 1.) (fun () -> Proc.kill p));
-  Engine.run e;
-  Alcotest.(check bool) "permit recovered" true !acquired
-
 (* {1 Stats} *)
 
 let test_summary () =
@@ -550,28 +515,6 @@ let test_ivar_peek_states () =
   Ivar.fill iv 3;
   Alcotest.(check bool) "filled" true (Ivar.is_filled iv);
   Alcotest.(check (option int)) "peek some" (Some 3) (Ivar.peek iv)
-
-let test_semaphore_counters () =
-  let e = Engine.create () in
-  let s = Semaphore.create 2 in
-  Alcotest.(check int) "initial" 2 (Semaphore.available s);
-  ignore
-    (Proc.spawn e ~name:"a" (fun () ->
-         Semaphore.acquire s;
-         Semaphore.acquire s;
-         Alcotest.(check int) "exhausted" 0 (Semaphore.available s);
-         ignore
-           (Proc.spawn e ~name:"b" (fun () ->
-                Alcotest.(check int) "one waiting" 1 (Semaphore.waiting s)
-                |> ignore));
-         ignore
-           (Proc.spawn e ~name:"c" (fun () ->
-                Semaphore.acquire s;
-                Semaphore.release s));
-         Proc.sleep e (ms 5.);
-         Semaphore.release s;
-         Semaphore.release s));
-  Engine.run e
 
 let test_tracer_filter_clear () =
   let e = Engine.create () in
@@ -756,13 +699,6 @@ let () =
             test_mailbox_timeout_no_lost_wakeup;
           Alcotest.test_case "drain" `Quick test_mailbox_drain;
         ] );
-      ( "semaphore",
-        [
-          Alcotest.test_case "mutual exclusion" `Quick
-            test_semaphore_mutual_exclusion;
-          Alcotest.test_case "release on kill" `Quick
-            test_semaphore_release_on_kill;
-        ] );
       ( "stats",
         [
           Alcotest.test_case "summary" `Quick test_summary;
@@ -781,8 +717,6 @@ let () =
       ( "more-properties",
         Alcotest.test_case "nested spawn/join" `Quick test_proc_nested_spawn
         :: Alcotest.test_case "ivar peek states" `Quick test_ivar_peek_states
-        :: Alcotest.test_case "semaphore counters" `Quick
-             test_semaphore_counters
         :: qcheck
              [
                prop_engine_fires_in_time_order;
