@@ -112,33 +112,6 @@ let ok what = function
       Printf.eprintf "%s failed: %s\n%!" what e;
       exit 1
 
-(* migrateprog from a shell: pre-copy [h]'s logical host to [dest], or
-   wherever selection picks. The request goes to the program manager of
-   workstation [from] when given, else to the one the logical host's
-   binding resolves to. *)
-let migrateprog cl ctx ?from ?dest h =
-  let lh = h.Remote_exec.h_lh in
-  let pm =
-    match Option.bind from (Cluster.find_workstation cl) with
-    | Some w -> Program_manager.pid w.Cluster.ws_pm
-    | None -> Ids.program_manager_of lh
-  in
-  match
-    Kernel.send (Context.kernel ctx) ~src:(Context.self ctx) ~dst:pm
-      (Message.make
-         (Protocol.Pm_migrate
-            {
-              lh = Some lh;
-              dest;
-              force_destroy = false;
-              strategy = Protocol.Precopy;
-            }))
-  with
-  | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } -> Ok o
-  | Ok { Message.body = Protocol.Pm_migrate_failed m; _ } -> Error m
-  | Ok _ -> Error "malformed migrate reply"
-  | Error e -> Error (Format.asprintf "%a" Kernel.pp_send_error e)
-
 (* {1 Table 4-1: dirty page generation rates} *)
 
 let table_4_1 () =
@@ -675,7 +648,7 @@ let rebind_ablation () =
            | Error e -> outcome := "exec failed: " ^ e
            | Ok h -> (
                Proc.sleep (Cluster.engine cl) (sec 1.);
-               match migrateprog cl ctx h with
+               match Remote_exec.migrate_program ctx h with
                | Ok o -> (
                    let old_ws = Cluster.find_workstation cl o.Protocol.m_from in
                    if reboot_old then
@@ -742,7 +715,10 @@ let recovery () =
            | Ok h -> (
                Proc.sleep eng (Time.sub (sec 4.) (Engine.now eng));
                let t0 = Engine.now eng in
-               let migrate = migrateprog cl ctx ~from:h.Remote_exec.h_host h in
+               let migrate =
+                 Result.map_error Remote_exec.migrate_error_message
+                   (Remote_exec.migrate_program ~pm:h.Remote_exec.h_pm ctx h)
+               in
                let elapsed = Time.to_sec (Time.sub (Engine.now eng) t0) in
                let verdict =
                  match migrate with
@@ -805,7 +781,7 @@ let internet () =
                result :=
                  Result.map_error
                    (fun _ -> "migration failed")
-                   (migrateprog cl ctx h)));
+                   (Remote_exec.migrate_program ctx h)));
     Cluster.run cl ~until:(sec 120.);
     !result
   in
@@ -1555,16 +1531,31 @@ let dedup_remigrate ~cache () =
          | Ok h -> (
              Proc.sleep eng (sec 3.);
              let shipped0 = Cluster.sum_stat cl Kernel.Xfer_bytes_shipped in
-             match migrateprog cl ctx ~from:h.Remote_exec.h_host ~dest:"ws1" h with
-             | Error e -> result := Error ("first migration: " ^ e)
+             match
+               Remote_exec.migrate_program ~pm:h.Remote_exec.h_pm ~dest:"ws1"
+                 ctx h
+             with
+             | Error e ->
+                 result :=
+                   Error
+                     ("first migration: " ^ Remote_exec.migrate_error_message e)
              | Ok o1 -> (
                  Proc.sleep eng (sec 1.);
                  let shipped1 = Cluster.sum_stat cl Kernel.Xfer_bytes_shipped in
+                 let pm =
+                   Program_manager.pid
+                     (Option.get (Cluster.find_workstation cl o1.Protocol.m_dest))
+                       .Cluster.ws_pm
+                 in
                  match
-                   migrateprog cl ctx ~from:o1.Protocol.m_dest
-                     ~dest:h.Remote_exec.h_host h
+                   Remote_exec.migrate_program ~pm ~dest:h.Remote_exec.h_host
+                     ctx h
                  with
-                 | Error e -> result := Error ("return migration: " ^ e)
+                 | Error e ->
+                     result :=
+                       Error
+                         ("return migration: "
+                         ^ Remote_exec.migrate_error_message e)
                  | Ok o2 ->
                      let shipped2 = Cluster.sum_stat cl Kernel.Xfer_bytes_shipped in
                      (* With caching off the stats stay zero and the wire

@@ -28,18 +28,10 @@ let () =
                (Time.to_string (Engine.now eng))
                h.Remote_exec.h_host;
              (match
-                Kernel.send (Context.kernel ctx) ~src:(Context.self ctx)
-                  ~dst:host_pm
-                  (Message.make
-                     (Protocol.Pm_migrate
-                        {
-                          lh = None;
-                          dest = None;
-                          force_destroy = true;
-                          strategy = Protocol.Precopy;
-                        }))
+                Remote_exec.migrate ~force_destroy:true (Context.kernel ctx)
+                  ~self:(Context.self ctx) ~pm:host_pm None
               with
-             | Ok { Message.body = Protocol.Pm_migrated outcomes; _ } ->
+             | Ok outcomes ->
                  List.iter
                    (fun o ->
                      Printf.printf "[%s] migrated %s: %s -> %s\n"
@@ -61,9 +53,10 @@ let () =
                        (Time.to_string o.Protocol.m_kernel_state)
                        (Time.to_string (Protocol.freeze_span o)))
                    outcomes
-             | Ok { Message.body = Protocol.Pm_migrate_failed m; _ } ->
+             | Error (Remote_exec.Refused m) ->
                  Printf.printf "migration failed: %s\n" m
-             | _ -> Printf.printf "migration: unexpected reply\n");
+             | Error (Remote_exec.No_answer _) ->
+                 Printf.printf "migration: unexpected reply\n");
              match Remote_exec.wait ctx h with
              | Ok (wall, cpu) ->
                  Printf.printf

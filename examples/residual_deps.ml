@@ -15,21 +15,7 @@ let find_program cl (h : Remote_exec.handle) host =
   | Some w ->
       Progtable.find (Program_manager.table w.Cluster.ws_pm) h.Remote_exec.h_lh
 
-let migrate_it ctx (h : Remote_exec.handle) =
-  match
-    Kernel.send (Context.kernel ctx) ~src:(Context.self ctx)
-      ~dst:(Ids.program_manager_of h.Remote_exec.h_lh)
-      (Message.make
-         (Protocol.Pm_migrate
-            {
-              lh = Some h.Remote_exec.h_lh;
-              dest = None;
-              force_destroy = false;
-              strategy = Protocol.Precopy;
-            }))
-  with
-  | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } -> Some o
-  | _ -> None
+let migrate_it ctx h = Result.to_option (Remote_exec.migrate_program ctx h)
 
 let scenario ~use_origin_file_server =
   let cl = Cluster.create ~seed:23 ~workstations:5 () in

@@ -301,22 +301,10 @@ let launch cl (j : job) ~completed ~failed =
                  Proc.sleep eng d;
                  (* Address the manager by its stable pid: it stays put
                     when the program moves (see Experiment). *)
-                 let pm =
-                   match Cluster.find_workstation cl h.Remote_exec.h_host with
-                   | Some w -> Program_manager.pid w.Cluster.ws_pm
-                   | None -> Ids.program_manager_of h.Remote_exec.h_lh
-                 in
                  ignore
-                   (Kernel.send (Context.kernel ctx) ~src:(Context.self ctx)
-                      ~dst:pm
-                      (Message.make
-                         (Protocol.Pm_migrate
-                            {
-                              lh = Some h.Remote_exec.h_lh;
-                              dest = None;
-                              force_destroy = false;
-                              strategy = resolve_strategy cl j.j_strategy;
-                            })))
+                   (Remote_exec.migrate_program
+                      ~strategy:(resolve_strategy cl j.j_strategy)
+                      ~pm:h.Remote_exec.h_pm ctx h)
              | None -> ());
              match Remote_exec.wait ctx h with
              | Ok _ -> incr completed

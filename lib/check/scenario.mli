@@ -150,8 +150,9 @@ type serve = {
   sv_queue_limit : int;
   sv_balancer_interval : Time.span;
   sv_strategy : Protocol.strategy option;
-      (** Copy discipline for balancer migrations; [None] = config
-          default. Overridden by {!run_serve}'s [?strategy]. *)
+      (** Copy discipline for balancer migrations; [None] = pre-copy,
+          the balancer's default. Overridden by {!run_serve}'s
+          [?strategy]. *)
   sv_slo_shed : float option;
       (** Brownout multiple ([params.slo_shed_multiple]); [None] = no
           shedding. *)

@@ -104,13 +104,12 @@ let dirty_rate_jobs ?(workstations = 2) ~base_seed ~prog ~window ~reps () =
       let cl = Cluster.create ~seed ~workstations () in
       dirty_rate cl ~prog ~window ~reps:1 ())
 
-let migrate_program cl ?(ws = 0) ?(strategy = Protocol.Precopy)
-    ?(run_for = Time.of_sec 3.) ?(extra_processes = 0) ~prog () =
+let migrate_program cl ?(ws = 0) ?strategy ?(run_for = Time.of_sec 3.)
+    ?(extra_processes = 0) ~prog () =
   let eng = Cluster.engine cl in
   let result = ref (Error "experiment did not complete") in
   ignore
     (Cluster.shell cl ~ws ~name:"shell" (fun ctx ->
-         let k = Context.kernel ctx and self = Context.self ctx in
          match Remote_exec.exec ctx ~prog ~target:Remote_exec.Any with
          | Error e -> result := Error ("exec: " ^ e)
          | Ok h -> (
@@ -130,34 +129,10 @@ let migrate_program cl ?(ws = 0) ?(strategy = Protocol.Precopy)
                 local-group id: the manager stays put when the program
                 moves, and a non-idempotent request must keep talking to
                 the host actually running it. *)
-             let stable_pm =
-               match Cluster.find_workstation cl h.Remote_exec.h_host with
-               | Some w -> Program_manager.pid w.Cluster.ws_pm
-               | None -> Ids.program_manager_of h.Remote_exec.h_lh
-             in
-             match
-               Kernel.send k ~src:self ~dst:stable_pm
-                 (Message.make
-                    (Protocol.Pm_migrate
-                       {
-                         lh = Some h.Remote_exec.h_lh;
-                         dest = None;
-                         force_destroy = false;
-                         strategy;
-                       }))
-             with
-             | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } ->
-                 result := Ok o
-             | Ok { Message.body = Protocol.Pm_migrated os; _ } ->
-                 result :=
-                   Error
-                     (Printf.sprintf "expected one outcome, got %d"
-                        (List.length os))
-             | Ok { Message.body = Protocol.Pm_migrate_failed m; _ } ->
-                 result := Error m
-             | Ok _ -> result := Error "malformed migrate reply"
-             | Error e ->
-                 result := Error (Format.asprintf "%a" Kernel.pp_send_error e))));
+             result :=
+               Result.map_error Remote_exec.migrate_error_message
+                 (Remote_exec.migrate_program ?strategy
+                    ~pm:h.Remote_exec.h_pm ctx h))));
   horizon_run cl;
   !result
 
@@ -278,19 +253,10 @@ let install_owner cl w params ~preempted ~destroyed ~freeze_ms =
            let before = Kernel.guest_count k in
            if before > 0 then
              match
-               Kernel.send k ~src:self ~dst:(Program_manager.pid pm)
-                 (Message.make
-                    (Protocol.Pm_migrate
-                       {
-                         lh = None;
-                         dest = None;
-                         force_destroy = true;
-                         strategy =
-                           Protocol.strategy_of_config
-                             (Cluster.cfg cl).Config.strategy;
-                       }))
+               Remote_exec.migrate ~force_destroy:true k ~self
+                 ~pm:(Program_manager.pid pm) None
              with
-             | Ok { Message.body = Protocol.Pm_migrated outcomes; _ } ->
+             | Ok outcomes ->
                  let n = List.length outcomes in
                  preempted := !preempted + n;
                  destroyed := !destroyed + Stdlib.max 0 (before - n);
@@ -299,7 +265,7 @@ let install_owner cl w params ~preempted ~destroyed ~freeze_ms =
                      freeze_ms :=
                        Time.to_ms (Protocol.freeze_span o) :: !freeze_ms)
                    outcomes
-             | Ok _ | Error _ -> ()))
+             | Error _ -> ()))
   in
   let owner =
     Arrivals.Owner.start eng rng params ~on_transition:(fun active ->

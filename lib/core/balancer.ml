@@ -61,7 +61,7 @@ let worth_surveying health =
       watched = []
       || List.length (List.filter (fun (_, s) -> s = Health.Alive) watched) >= 2
 
-let rebalance_once ?health ?group t k ~self ~imbalance ~strategy ~on_outcome =
+let rebalance_once ?health ?group ?strategy t k ~self ~imbalance ~on_outcome =
   match List.filter (trusted health) (survey ?group k ~self) with
   | [] | [ _ ] -> ()
   | loads ->
@@ -87,21 +87,13 @@ let rebalance_once ?health ?group t k ~self ~imbalance ~strategy ~on_outcome =
                     let guests = List.length busiest in
                     Bal_move { host = busy_host; guests; floor });
                 match
-                  Kernel.send k ~src:self ~dst:busy_pm
-                    (Message.make
-                       (Protocol.Pm_migrate
-                          {
-                            lh = Some victim;
-                            dest = None;
-                            force_destroy = false;
-                            strategy;
-                          }))
+                  Remote_exec.migrate ?strategy k ~self ~pm:busy_pm
+                    (Some victim)
                 with
-                | Ok { Message.body = Protocol.Pm_migrated (_ :: _ as os); _ }
-                  ->
+                | Ok (_ :: _ as os) ->
                     t.rebalance_count <- t.rebalance_count + 1;
                     List.iter on_outcome os
-                | Ok _ | Error _ ->
+                | Ok [] | Error _ ->
                     t.skip_count <- t.skip_count + 1;
                     Kernel.emit k (fun () ->
                         Bal_skip
@@ -112,8 +104,7 @@ let rebalance_once ?health ?group t k ~self ~imbalance ~strategy ~on_outcome =
       try_candidates (List.rev by_load)
 
 let start ?health ?placement ?(interval = Time.of_sec 5.) ?(imbalance = 2)
-    ?(strategy = Protocol.Precopy)
-    ?(on_outcome = fun (_ : Protocol.migration_outcome) -> ()) k =
+    ?strategy ?(on_outcome = fun (_ : Protocol.migration_outcome) -> ()) k =
   let eng = Kernel.engine k in
   let lh = Kernel.create_logical_host k ~priority:Cpu.Foreground in
   let self = Vproc.pid (Kernel.create_process k lh) in
@@ -150,7 +141,7 @@ let start ?health ?placement ?(interval = Time.of_sec 5.) ?(imbalance = 2)
                  mid-cycle crash does to the survey or the migrate
                  conversation, absorb it and try again next interval. *)
               try
-                rebalance_once ?health ?group t k ~self ~imbalance ~strategy
+                rebalance_once ?health ?group ?strategy t k ~self ~imbalance
                   ~on_outcome
               with exn ->
                 t.skip_count <- t.skip_count + 1;

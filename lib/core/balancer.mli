@@ -39,7 +39,8 @@ val start :
   t
 (** Start the daemon on the given workstation. [interval] defaults to
     5 s, [imbalance] to 2 guests, [strategy] (the copy discipline every
-    triggered migration uses) to [Protocol.Precopy]. [on_outcome] is
+    triggered migration uses) to {!Remote_exec.migrate}'s,
+    [Protocol.Precopy]. [on_outcome] is
     invoked once per completed rebalancing migration with the full
     migration outcome — service layers use it for freeze-time
     accounting.

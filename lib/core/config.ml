@@ -1,16 +1,3 @@
-type migration_strategy = Pre_copy | Freeze_and_copy | Copy_on_reference
-
-let migration_strategy_name = function
-  | Pre_copy -> "precopy"
-  | Freeze_and_copy -> "freeze-and-copy"
-  | Copy_on_reference -> "copy-on-reference"
-
-let migration_strategy_of_string = function
-  | "precopy" | "pre-copy" -> Some Pre_copy
-  | "freeze" | "freeze-and-copy" -> Some Freeze_and_copy
-  | "cor" | "copy-on-reference" -> Some Copy_on_reference
-  | _ -> None
-
 type placement =
   | Flat_multicast
   | Pod_sharded of { pod_size : int }
@@ -55,7 +42,6 @@ type t = {
   migration_retries : int;
   kernel_state_base : Time.span;
   kernel_state_per_object : Time.span;
-  strategy : migration_strategy;
   budget_precopy : budget option;
   budget_freeze_copy : budget option;
   budget_cor : budget option;
@@ -81,7 +67,6 @@ let default =
     migration_retries = 0;
     kernel_state_base = Time.of_ms 14.;
     kernel_state_per_object = Time.of_ms 9.;
-    strategy = Pre_copy;
     budget_precopy = None;
     budget_freeze_copy = None;
     budget_cor = None;

@@ -5,18 +5,6 @@
     here, with its provenance. Changing a value rescales the benches'
     absolute numbers but not their shape. *)
 
-type migration_strategy = Pre_copy | Freeze_and_copy | Copy_on_reference
-(** Which copy discipline migrations use by default. The wire-level
-    {!Protocol.strategy} carried in [Pm_migrate] can still override this
-    per request (and can name [Vm_flush], which needs a concrete page
-    server and so has no configuration-level spelling). *)
-
-val migration_strategy_name : migration_strategy -> string
-
-val migration_strategy_of_string : string -> migration_strategy option
-(** Accepts the canonical names plus the short CLI spellings
-    ["precopy"], ["freeze"] and ["cor"]. *)
-
 (** Which placement policy host selection uses ({!Placement}). The
     symbolic constructor names a policy family; {!Placement.of_config}
     resolves it into a runtime policy instance per cluster.
@@ -90,9 +78,6 @@ type t = {
   kernel_state_base : Time.span;  (** 14 ms (Section 4.1). *)
   kernel_state_per_object : Time.span;
       (** + 9 ms per process and address space (Section 4.1). *)
-  strategy : migration_strategy;
-      (** Default strategy for migrations that do not name one
-          explicitly (balancer-initiated moves, [Serve] sessions). *)
   budget_precopy : budget option;  (** Budget for pre-copy migrations. *)
   budget_freeze_copy : budget option;
   budget_cor : budget option;  (** ... copy-on-reference. *)

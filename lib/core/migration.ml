@@ -303,7 +303,6 @@ let rec precopy_rounds kernel (cfg : Config.t) ~deadline ~self ~temp_lh ~lh ~k
    again after the program resumes. *)
 module Strategy = struct
   type nonrec t = {
-    s_protocol : Protocol.strategy;
     s_copy_phase :
       Kernel.t ->
       Config.t ->
@@ -331,9 +330,6 @@ module Strategy = struct
     s_faultin : Progtable.program -> lh:Logical_host.t -> final_bytes:int -> int;
         (* Bytes expected to move again after commit. *)
   }
-
-  let protocol t = t.s_protocol
-  let name t = Protocol.strategy_name t.s_protocol
 
   (* Initial copy of the complete address spaces — code and initialized
      data move while the program keeps running — then dirty-residue
@@ -371,7 +367,6 @@ module Strategy = struct
 
   let pre_copy =
     {
-      s_protocol = Protocol.Precopy;
       s_copy_phase = full_copy_then_rounds;
       s_frozen_residue = (fun lh -> Logical_host.clear_dirty lh);
       s_frozen_manifest = dirty_manifest;
@@ -384,7 +379,6 @@ module Strategy = struct
      so the whole image crosses the wire inside the freeze window. *)
   let freeze_and_copy =
     {
-      s_protocol = Protocol.Freeze_and_copy;
       s_copy_phase = no_copy_phase;
       s_frozen_residue = Logical_host.total_bytes;
       s_frozen_manifest = full_manifest;
@@ -399,7 +393,6 @@ module Strategy = struct
      page has been referenced, the residual dependency of Section 3.2. *)
   let copy_on_reference =
     {
-      s_protocol = Protocol.Copy_on_reference;
       s_copy_phase = no_copy_phase;
       s_frozen_residue = (fun _ -> 0);
       s_frozen_manifest = (fun _ -> [||]);
@@ -413,10 +406,10 @@ module Strategy = struct
   (* VM-flush (Section 3.2): wire timing of the copy phase is identical
      to pre-copy — the bytes flow to the page server instead of the new
      host — and dirty-then-referenced pages cross the wire twice: the
-     rewritten hot set plus the frozen residue fault back in later. *)
-  let vm_flush ~page_server =
+     rewritten hot set plus the frozen residue fault back in later. The
+     page server's pid does not change the timing. *)
+  let vm_flush =
     {
-      s_protocol = Protocol.Vm_flush { page_server };
       s_copy_phase = full_copy_then_rounds;
       s_frozen_residue = (fun lh -> Logical_host.clear_dirty lh);
       s_frozen_manifest = dirty_manifest;
@@ -437,7 +430,7 @@ module Strategy = struct
     | Protocol.Precopy -> pre_copy
     | Protocol.Freeze_and_copy -> freeze_and_copy
     | Protocol.Copy_on_reference -> copy_on_reference
-    | Protocol.Vm_flush { page_server } -> vm_flush ~page_server
+    | Protocol.Vm_flush _ -> vm_flush
 end
 
 let cancel_reservation_best_effort kernel ~self ~pm ~temp_lh =
@@ -722,8 +715,7 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
                ( Transfer_failed (Format.asprintf "%a" Kernel.pp_send_error e),
                  Some dest.Scheduler.s_host )))
 
-let migrate ?health ~kernel ~cfg ~rng ~table ~self ~program ?dest ~strategy () =
-  ignore rng;
+let migrate ?health ~kernel ~cfg ~table ~self ~program ?dest ~strategy () =
   if program.Progtable.p_status <> Progtable.Running then
     (* A suspended program stays where its owner parked it: migration
        would unfreeze it at the destination. Mid-migration and finished

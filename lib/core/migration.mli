@@ -23,7 +23,7 @@
     excluded, so a crashed host that is still being advertised by stale
     bindings cannot be picked twice.
 
-    The copy discipline is pluggable ({!Strategy}): every strategy
+    The copy discipline is pluggable ({!Protocol.strategy}): every strategy
     shares steps 1, 2, 4's freeze + kernel-state copy, and step 5's
     extract/install/rebind, and differs only in what moves while the
     program runs, what must move while it is frozen, and what is left
@@ -78,41 +78,10 @@ type Tracer.event +=
           manager never acknowledged adopting the program: it runs
           there, but unmanaged. *)
 
-(** The pluggable copy discipline. A strategy bundles the four decisions
-    that distinguish the paper's pre-copy from its alternatives; all of
-    the surrounding five-step protocol is shared. *)
-module Strategy : sig
-  type t
-
-  val pre_copy : t
-  (** Full copy plus dirty-residue rounds while running; only the last
-      residue moves frozen (Section 3.1.2). *)
-
-  val freeze_and_copy : t
-  (** Nothing moves while running; the whole image moves frozen — the
-      maximal freeze window. *)
-
-  val copy_on_reference : t
-  (** Only kernel state moves; the source retains the memory image and
-      serves page faults after commit ({!Kernel.service_page_faults}) —
-      minimal freeze window, residual source dependency. *)
-
-  val vm_flush : page_server:Ids.pid -> t
-  (** Pre-copy wire timing toward a page server; dirty-then-referenced
-      pages cross the wire twice (Section 3.2). *)
-
-  val of_protocol : Protocol.strategy -> t
-  (** The strategy named by a [Pm_migrate] request. *)
-
-  val protocol : t -> Protocol.strategy
-  val name : t -> string
-end
-
 val migrate :
   ?health:Health.t ->
   kernel:Kernel.t ->
   cfg:Config.t ->
-  rng:Rng.t ->
   table:Progtable.t ->
   self:Ids.pid ->
   program:Progtable.program ->

@@ -31,7 +31,6 @@ type tier = { t_group : Ids.pid; t_label : string }
 
 type t = {
   p_placement : Config.placement;
-  p_name : string;
   p_pod_size : int;
   p_max_guests : int;
   p_alpha : float;
@@ -39,24 +38,9 @@ type t = {
   p_pod_of : (string, int) Hashtbl.t;
   mutable p_selections : int;
   mutable p_timeouts : int;
-  mutable p_policy : policy;
 }
 
-and policy = {
-  pol_name : string;
-  pol_query : t -> bytes:int -> tier list;
-      (* Ordered multicast tiers to offer the program to. *)
-  pol_bid : (t -> host:string -> bool) option;
-      (* Optional bidder veto, folded into the spine's acceptance test.
-         [None] keeps the spine on the exact pre-refactor collect path. *)
-  pol_select : t -> now:Time.t -> Scheduler.selection -> unit;
-      (* A destination was committed to. *)
-  pol_on_result : t -> host:string -> ok:bool -> unit;
-      (* The placed program finished ([ok]) or its placement failed. *)
-}
-
-let name t = t.p_name
-let placement t = t.p_placement
+let name t = Config.placement_name t.p_placement
 let selections t = t.p_selections
 let timeouts t = t.p_timeouts
 let pod_count t = Array.length t.p_pods
@@ -135,7 +119,9 @@ let release t ~host =
       pd.pd_inflight <- Stdlib.max 0 (pd.pd_inflight - 1)
   | _ -> ()
 
-let note_result t ~host ~ok = t.p_policy.pol_on_result t ~host ~ok
+(* Success is left to the caller's explicit [release]: a served program
+   holds its credit for its whole lifetime. *)
+let note_result t ~host ~ok = if not ok then release t ~host
 
 (* --- credit windows (backpressure) ----------------------------------- *)
 
@@ -152,14 +138,11 @@ let has_credit pd = float_of_int pd.pd_inflight < pd.pd_window
 let admit t =
   Array.length t.p_pods = 0 || Array.exists has_credit t.p_pods
 
-let credit_windows t =
-  Array.to_list t.p_pods |> List.map (fun pd -> (pd.pd_label, pd.pd_window))
-
-(* --- the three built-in policies ------------------------------------- *)
+(* --- the three policies ----------------------------------------------- *)
 
 let flat_tier = { t_group = Ids.program_manager_group; t_label = "*" }
 
-let note_select_accounting t ~now (s : Scheduler.selection) =
+let note_select t ~now (s : Scheduler.selection) =
   t.p_selections <- t.p_selections + 1;
   match pod_of t ~host:s.Scheduler.s_host with
   | Some i when i < Array.length t.p_pods ->
@@ -175,17 +158,6 @@ let note_select_accounting t ~now (s : Scheduler.selection) =
       pd.pd_last_select <- Some now
   | _ -> ()
 
-let release_on_failure t ~host ~ok = if not ok then release t ~host
-
-let flat_policy =
-  {
-    pol_name = "flat";
-    pol_query = (fun _ ~bytes:_ -> [ flat_tier ]);
-    pol_bid = None;
-    pol_select = note_select_accounting;
-    pol_on_result = release_on_failure;
-  }
-
 (* Pod routing score: lower is better. A pod with idle hosts and a short
    gossiped queue wins; outstanding placements we routed there since the
    last gossip count against it so a burst spreads instead of dogpiling
@@ -198,10 +170,31 @@ let pod_score pd =
    the global fallback guarantees liveness under stale summaries. *)
 let pod_fanout = 2
 
-let ordered_pod_tiers t ~saturated =
+(* Predictive saturation test: occupancy now plus the arrivals the
+   smoothed rate predicts before the next gossip refresh would exceed
+   the pod's guest capacity. [lookahead] approximates the gossip cycle. *)
+let predictive_lookahead = 1.0 (* seconds *)
+
+let predicted_occupancy pd =
+  pd.pd_queue_ewma +. float_of_int pd.pd_inflight
+  +. (pd.pd_rate_ewma *. predictive_lookahead)
+
+(* The one difference between the policies: which pods are too full to
+   offer work to. The flat policy has no pods, so only its global tier
+   is ever offered. *)
+let saturated t pd =
+  match t.p_placement with
+  | Config.Flat_multicast -> true
+  | Config.Pod_sharded _ -> not (has_credit pd)
+  | Config.Load_predictive _ ->
+      (not (has_credit pd)) || predicted_occupancy pd >= pod_capacity t pd
+
+(* Ordered multicast tiers to offer a program to: the best
+   [pod_fanout] unsaturated pods, then the global group. *)
+let tiers t =
   let pods =
     Array.to_list t.p_pods
-    |> List.filter (fun pd -> pd.pd_hosts > 0 && not (saturated pd))
+    |> List.filter (fun pd -> pd.pd_hosts > 0 && not (saturated t pd))
   in
   let scored = List.map (fun pd -> (pod_score pd, pd)) pods in
   let sorted =
@@ -219,109 +212,52 @@ let ordered_pod_tiers t ~saturated =
   in
   take pod_fanout sorted @ [ flat_tier ]
 
-let pod_policy =
-  {
-    pol_name = "pods";
-    pol_query =
-      (fun t ~bytes:_ ->
-        ordered_pod_tiers t ~saturated:(fun pd -> not (has_credit pd)));
-    pol_bid = None;
-    pol_select = note_select_accounting;
-    pol_on_result = release_on_failure;
-  }
-
-(* Predictive saturation test: occupancy now plus the arrivals the
-   smoothed rate predicts before the next gossip refresh would exceed
-   the pod's guest capacity. [lookahead] approximates the gossip cycle. *)
-let predictive_lookahead = 1.0 (* seconds *)
-
-let predicted_occupancy pd =
-  pd.pd_queue_ewma +. float_of_int pd.pd_inflight
-  +. (pd.pd_rate_ewma *. predictive_lookahead)
-
-let predictive_policy =
-  {
-    pol_name = "predictive";
-    pol_query =
-      (fun t ~bytes:_ ->
-        ordered_pod_tiers t ~saturated:(fun pd ->
-            (not (has_credit pd))
-            || predicted_occupancy pd >= pod_capacity t pd));
-    pol_bid = None;
-    pol_select = note_select_accounting;
-    pol_on_result = release_on_failure;
-  }
-
 (* --- construction ---------------------------------------------------- *)
 
-let make ?(max_guests = Config.default.Config.max_guests) placement =
-  let pod_size = Config.placement_pod_size placement in
-  let alpha =
-    match placement with
-    | Config.Load_predictive { alpha; _ } -> alpha
-    | _ -> 0.3
-  in
-  let policy =
-    match placement with
-    | Config.Flat_multicast -> flat_policy
-    | Config.Pod_sharded _ -> pod_policy
-    | Config.Load_predictive _ -> predictive_policy
-  in
+let of_config (cfg : Config.t) =
+  let placement = cfg.Config.placement in
   {
     p_placement = placement;
-    p_name = policy.pol_name;
-    p_pod_size = pod_size;
-    p_max_guests = max_guests;
-    p_alpha = alpha;
+    p_pod_size = Config.placement_pod_size placement;
+    p_max_guests = cfg.Config.max_guests;
+    p_alpha =
+      (match placement with
+      | Config.Load_predictive { alpha; _ } -> alpha
+      | _ -> 0.3);
     p_pods = [||];
     p_pod_of = Hashtbl.create 64;
     p_selections = 0;
     p_timeouts = 0;
-    p_policy = policy;
   }
 
-let flat () = make Config.Flat_multicast
-let of_config (cfg : Config.t) =
-  make ~max_guests:cfg.Config.max_guests cfg.Config.placement
-
 let pod_size t = t.p_pod_size
-let pod_group_of t ~host =
-  match pod_of t ~host with
-  | Some i when i < Array.length t.p_pods -> Some t.p_pods.(i).pd_group
-  | _ -> None
 
 (* --- selection entry points ------------------------------------------ *)
 
 let select_any ?health ?(exclude = []) t k (cfg : Config.t) ~self ~bytes =
   let now = Engine.now (Kernel.engine k) in
-  let tiers = t.p_policy.pol_query t ~bytes in
-  let accept =
-    match t.p_policy.pol_bid with
-    | None -> None
-    | Some f -> Some (fun ~host -> f t ~host)
-  in
   let rec go last_err = function
     | [] ->
         Option.value last_err ~default:(Error "no idle workstation volunteered")
     | tier :: rest -> (
         match
-          Scheduler.Spine.select_in_group ?health ?accept ~exclude
+          Scheduler.Spine.select_in_group ?health ~exclude
             ~label:tier.t_label k cfg ~group:tier.t_group ~self ~bytes
         with
         | Ok s ->
-            t.p_policy.pol_select t ~now s;
+            note_select t ~now s;
             Ok s
         | Error e ->
             t.p_timeouts <- t.p_timeouts + 1;
             go (Some (Error e)) rest)
   in
-  go None tiers
+  go None (tiers t)
 
 let select_host ?health t k (cfg : Config.t) ~self ~host =
   let now = Engine.now (Kernel.engine k) in
   match Scheduler.Spine.select_host ?health k cfg ~self ~host with
   | Ok s ->
-      t.p_policy.pol_select t ~now s;
+      note_select t ~now s;
       Ok s
   | Error e ->
       t.p_timeouts <- t.p_timeouts + 1;

@@ -1,15 +1,15 @@
-(** Pluggable placement policies over the shared candidate spine.
+(** Placement policies over the shared candidate spine.
 
     The paper's host selection is one multicast and the first answer —
     "performs well at minimal cost for reasonably small systems"
     (Section 2.1). A [Placement.t] keeps that bidding mechanic
     ({!Scheduler.Spine}) but makes the {e scheduling domain} a policy
-    decision, the same way {!Migration.Strategy} made the copy
-    discipline one: a policy is a record of [query]/[bid]/[select]/
-    [on_result] hooks over the spine, resolved from the symbolic
-    {!Config.placement} once per cluster and carried in {!Context.t}.
+    decision: which multicast groups to offer a program to, and in what
+    order. The policy is the symbolic {!Config.placement}, resolved once
+    per cluster and carried in {!Context.t}; the three policies share
+    every step except which pods count as saturated.
 
-    Three built-in policies:
+    Three policies:
 
     - [flat] — the paper verbatim: one global multicast domain
       ({!Ids.program_manager_group}). Byte-identical traces to the
@@ -39,17 +39,8 @@ val of_config : Config.t -> t
     per cluster: the instance holds the pod map, gossip summaries and
     credit windows. *)
 
-val flat : unit -> t
-(** A fresh flat-multicast instance (the {!Context.t} default). *)
-
-val make : ?max_guests:int -> Config.placement -> t
-(** [of_config] without a full config; [max_guests] sizes pod guest
-    capacity (credit-window ceiling and saturation tests). *)
-
 val name : t -> string
 (** ["flat"], ["pods"] or ["predictive"]. *)
-
-val placement : t -> Config.placement
 
 val pod_size : t -> int
 (** Configured pod capacity; [0] under the flat policy. *)
@@ -63,15 +54,16 @@ val pod_size : t -> int
 val register_host : t -> host:string -> pod:int -> unit
 val pod_of : t -> host:string -> int option
 val pod_count : t -> int
-val pod_group_of : t -> host:string -> Ids.pid option
 
 (** {1 Selection}
 
-    Policy dispatch over {!Scheduler.Spine.select_in_group} and
-    {!Scheduler.Spine.select_host}: the policy's [query] hook yields an
-    ordered list of multicast tiers, and each tier is offered through
-    the spine until one yields a first responder. Trace output: one
-    [Sched_query] (and on silence one [Sched_timeout]) per tier tried. *)
+    Offers over {!Scheduler.Spine.select_in_group} and
+    {!Scheduler.Spine.select_host}. [select_any] offers the program to
+    an ordered list of multicast tiers — under the pod policies the
+    best-scored unsaturated pods, then the global group; under flat the
+    global group alone — until one yields a first responder. Trace
+    output: one [Sched_query] (and on silence one [Sched_timeout]) per
+    tier tried. *)
 
 val select_any :
   ?health:Health.t ->
@@ -106,10 +98,10 @@ val release : t -> host:string -> unit
 (** The program placed on [host] finished (or was torn down). *)
 
 val note_result : t -> host:string -> ok:bool -> unit
-(** Dispatch the policy's [on_result] hook. The built-in policies
-    release the in-flight credit on failure and leave success to the
-    caller's explicit {!release} (a served program holds its credit for
-    its whole lifetime). *)
+(** The placed program's outcome: a failed placement releases its
+    in-flight credit; success is left to the caller's explicit
+    {!release} (a served program holds its credit for its whole
+    lifetime). *)
 
 val note_pod_load : t -> pod:int -> queue:int -> idle:int -> unit
 (** Fold one gossip observation — total guest programs and idle-host
@@ -125,8 +117,6 @@ val note_queue_pressure : t -> over:bool -> unit
 (** AIMD credit adjustment: [over = true] (queue-wait EWMA past the SLO
     shed threshold) halves every pod's window (floor 1); [over = false]
     grows each window by 1 up to pod guest capacity. *)
-
-val credit_windows : t -> (string * float) list
 
 (** {1 Introspection} *)
 

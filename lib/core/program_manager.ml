@@ -292,7 +292,7 @@ let handle_migrate t d ~lh ~dest ~force_destroy ~strategy =
                (fun (oks, errs) p ->
                  match
                    Migration.migrate ?health:t.pm_health ~kernel:k ~cfg:t.cfg
-                     ~rng:t.rng ~table:t.tbl ~self:t.pm_pid ~program:p
+                     ~table:t.tbl ~self:t.pm_pid ~program:p
                      ?dest:dest_sel ~strategy ()
                  with
                  | Ok o -> (o :: oks, errs)

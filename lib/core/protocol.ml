@@ -38,11 +38,6 @@ let strategy_name = function
   | Copy_on_reference -> "copy-on-reference"
   | Vm_flush _ -> "vm-flush"
 
-let strategy_of_config = function
-  | Config.Pre_copy -> Precopy
-  | Config.Freeze_and_copy -> Freeze_and_copy
-  | Config.Copy_on_reference -> Copy_on_reference
-
 type Message.body +=
   | Pm_query_candidates of { bytes : int; exclude : string list }
   | Pm_query_host of { host : string }

@@ -59,9 +59,6 @@ type strategy =
 
 val strategy_name : strategy -> string
 
-val strategy_of_config : Config.migration_strategy -> strategy
-(** Lift the configuration-level strategy choice (which cannot name
-    per-cluster pids, so excludes [Vm_flush]) into the wire vocabulary. *)
 
 (** {1 Program-manager messages} *)
 

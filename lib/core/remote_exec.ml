@@ -82,7 +82,7 @@ let rec exec ?(attempts = 5) (ctx : Context.t) ~prog ~target =
   | Ok (pm, host, t_select, priority) -> (
       let explicit_host = target <> Any in
       (* A selection that does not stick must give its pod in-flight
-         credit back; the policy's on_result hook owns that. *)
+         credit back; Placement.note_result owns that. *)
       let placement_failed () =
         if target <> Local then
           Placement.note_result ctx.Context.placement ~host ~ok:false
@@ -169,6 +169,31 @@ let resume ctx handle =
 
 let destroy ctx handle =
   manage ctx handle (Protocol.Pm_destroy { lh = handle.h_lh })
+
+type migrate_error = Refused of string | No_answer of string
+
+let migrate_error_message = function Refused m | No_answer m -> m
+
+let migrate ?(strategy = Protocol.Precopy) ?dest ?(force_destroy = false) k
+    ~self ~pm lh =
+  match
+    Kernel.send k ~src:self ~dst:pm
+      (Message.make (Protocol.Pm_migrate { lh; dest; force_destroy; strategy }))
+  with
+  | Ok { Message.body = Protocol.Pm_migrated os; _ } -> Ok os
+  | Ok { Message.body = Protocol.Pm_migrate_failed m; _ } -> Error (Refused m)
+  | Ok _ -> Error (No_answer "malformed migrate reply")
+  | Error e -> Error (No_answer (Format.asprintf "%a" Kernel.pp_send_error e))
+
+let migrate_program ?strategy ?dest ?pm (ctx : Context.t) handle =
+  let pm = Option.value pm ~default:(Ids.program_manager_of handle.h_lh) in
+  match
+    migrate ?strategy ?dest ctx.Context.kernel ~self:ctx.Context.self ~pm
+      (Some handle.h_lh)
+  with
+  | Ok [ o ] -> Ok o
+  | Ok _ -> Error (No_answer "malformed migrate reply")
+  | Error e -> Error e
 
 (* Wait errors that mean the program's host died under it (as opposed to
    the program itself failing): the send machine gave up reaching any

@@ -35,7 +35,11 @@ type timings = {
 }
 
 type handle = {
-  h_pm : Ids.pid;  (** Program manager responsible (at creation time). *)
+  h_pm : Ids.pid;
+      (** The creating workstation's own program-manager pid. It stays
+          on that workstation when the program moves (and is preserved
+          across a reboot), so it is the stable address for
+          {!migrate_program} from the program's first host. *)
   h_host : string;
   h_lh : Ids.lh_id;
   h_root : Ids.pid;
@@ -97,3 +101,51 @@ val resume : Context.t -> handle -> (unit, string) result
 val destroy : Context.t -> handle -> (unit, string) result
 (** Terminate the program wherever it currently runs. Completion waiters
     are answered with a failure. *)
+
+(** {1 Migration}
+
+    "[migrateprog [-n] [program]]" (Section 3): ask a program manager to
+    move one of its guests, or all of them, to other workstations. *)
+
+type migrate_error =
+  | Refused of string
+      (** The manager answered [Pm_migrate_failed]: it tried (or could
+          not start) and every program it was asked about still runs
+          where it did. *)
+  | No_answer of string
+      (** The request got no migration answer: the send gave up (the
+          send error's text) or the reply was malformed. *)
+
+val migrate_error_message : migrate_error -> string
+
+val migrate :
+  ?strategy:Protocol.strategy ->
+  ?dest:string ->
+  ?force_destroy:bool ->
+  Kernel.t ->
+  self:Ids.pid ->
+  pm:Ids.pid ->
+  Ids.lh_id option ->
+  (Protocol.migration_outcome list, migrate_error) result
+(** [migrate k ~self ~pm lh] sends one [Pm_migrate] request from [self]
+    to the program manager [pm] and waits for its answer, one outcome per
+    program moved. [lh = None] is [migrateprog] with no argument: every
+    guest on [pm]'s workstation. [strategy] defaults to
+    [Protocol.Precopy]; [dest] names the destination (default: host
+    selection picks); [force_destroy] is the paper's [-n] flag, destroying
+    a program no host will take (it is then missing from the outcomes).
+    Which [pm] to address is the caller's choice: a workstation's own
+    manager pid, or [Ids.program_manager_of lh], the program's
+    logical-host group, which resolves to wherever it runs now. Blocking;
+    call from the simulated process [self]. *)
+
+val migrate_program :
+  ?strategy:Protocol.strategy ->
+  ?dest:string ->
+  ?pm:Ids.pid ->
+  Context.t ->
+  handle ->
+  (Protocol.migration_outcome, migrate_error) result
+(** {!migrate} for one program started by {!exec}. [pm] defaults to the
+    program's logical-host group, [Ids.program_manager_of h.h_lh]; pass
+    [h.h_pm] to address the manager of the workstation it started on. *)

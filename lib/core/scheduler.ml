@@ -80,23 +80,18 @@ let bid_host (_, (m : Message.t)) =
 let grace_of (cfg : Config.t) = Time.scale cfg.Config.select_timeout 0.1
 
 module Spine = struct
-  let collect_best ?health ?accept k (cfg : Config.t) c =
-    match (health, accept) with
-    | None, None -> Kernel.collect_first k c ~timeout:cfg.Config.select_timeout
-    | _ ->
+  let collect_best ?health k (cfg : Config.t) c =
+    match health with
+    | None -> Kernel.collect_first k c ~timeout:cfg.Config.select_timeout
+    | Some h ->
         Kernel.collect_first_where k c
           ~accept:(fun reply ->
             match bid_host reply with
             | None -> false
-            | Some host ->
-                (match health with
-                | None -> true
-                | Some h -> Health.is_alive h host)
-                &&
-                (match accept with None -> true | Some f -> f ~host))
+            | Some host -> Health.is_alive h host)
           ~timeout:cfg.Config.select_timeout ~grace:(grace_of cfg)
 
-  let select_in_group ?health ?accept ?(exclude = []) ?(label = "*") k
+  let select_in_group ?health ?(exclude = []) ?(label = "*") k
       (cfg : Config.t) ~group ~self ~bytes =
     let eng = Kernel.engine k in
     let asked_at = Engine.now eng in
@@ -110,7 +105,7 @@ module Spine = struct
       Kernel.send_group k ~src:self ~group
         (Message.make (Protocol.Pm_query_candidates { bytes; exclude }))
     in
-    match collect_best ?health ?accept k cfg c with
+    match collect_best ?health k cfg c with
     | None ->
         Kernel.emit k (fun () ->
             Sched_timeout { host = Kernel.host_name k; target = label });

@@ -51,7 +51,6 @@ type selection = {
 module Spine : sig
   val select_in_group :
     ?health:Health.t ->
-    ?accept:(host:string -> bool) ->
     ?exclude:string list ->
     ?label:string ->
     Kernel.t ->
@@ -61,12 +60,11 @@ module Spine : sig
     bytes:int ->
     (selection, string) result
   (** Multicast an offer to [group] and take the first acceptable
-      responder. [exclude] omits hosts; [accept] lets a policy veto
-      bidders (a vetoed bid is kept as a timeout-capped fallback, like a
-      [Suspect] bid under [health]); [label] names the tier in the
-      [Sched_timeout] event. With [group = Ids.program_manager_group],
-      no [accept], and default [label], this is the flat policy's
-      {!Placement.select_any}. *)
+      responder. [exclude] omits hosts; under [health] a [Suspect]
+      bidder is kept only as a timeout-capped fallback; [label] names
+      the tier in the [Sched_timeout] event. With
+      [group = Ids.program_manager_group] and default [label], this is
+      the flat policy's {!Placement.select_any}. *)
 
   val select_host :
     ?health:Health.t ->

@@ -593,17 +593,12 @@ module Session = struct
     (match params.balancer_interval with
     | None -> ()
     | Some interval ->
-        let strategy =
-          match params.strategy with
-          | Some s -> s
-          | None ->
-              Protocol.strategy_of_config (Cluster.cfg cl).Config.strategy
-        in
         t.s_balancer <-
           Some
             (Balancer.start
                ?health:(Cluster.health cl)
-               ~placement:(Cluster.placement cl) ~interval ~strategy
+               ~placement:(Cluster.placement cl) ~interval
+               ?strategy:params.strategy
                ~on_outcome:(fun o ->
                  t.migrations <- t.migrations + 1;
                  Stats.Summary.record t.freeze_ms

@@ -66,7 +66,7 @@ module Session : sig
         (** Rebalancing cycle period; [None] disables the balancer. *)
     strategy : Protocol.strategy option;
         (** Copy discipline for balancer-triggered migrations; [None]
-            falls back to the cluster's {!Config.t.strategy}. *)
+            is the balancer's default, [Protocol.Precopy]. *)
     snapshot_every : Time.span option;
         (** Periodic metric snapshots; [None] disables them. *)
     reexec_attempts : int;

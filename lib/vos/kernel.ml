@@ -1006,12 +1006,6 @@ let unfreeze_lh t lh =
   redeliver_deferred t lh;
   restart_osends t (Logical_host.id lh)
 
-let kernel_state_copy_span _t lh =
-  let objects =
-    Logical_host.process_count lh + List.length (Logical_host.spaces lh)
-  in
-  Time.add (Time.of_ms 14.) (Time.mul (Time.of_ms 9.) objects)
-
 let extract_lh ?page_source t lh =
   assert (Logical_host.frozen lh);
   let id = Logical_host.id lh in

@@ -347,10 +347,6 @@ val unfreeze_lh : t -> Logical_host.t -> unit
     deferred kernel-server/program-manager operations, restart outstanding
     sends. *)
 
-val kernel_state_copy_span : t -> Logical_host.t -> Time.span
-(** Time to copy the logical host's kernel-server and program-manager
-    state: 14 ms plus 9 ms per process and address space (Section 4.1). *)
-
 val extract_lh : ?page_source:Ids.pid -> t -> Logical_host.t -> lh_state
 (** Remove a frozen logical host from this kernel: scrub queued requests
     (remote senders will retransmit; local senders' sends restart through

@@ -65,29 +65,18 @@ let dedup_case () =
   let failed = ref None in
   ignore
     (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
-         let k = Context.kernel ctx and self = Context.self ctx in
          match Remote_exec.exec ctx ~prog:"cc68" ~target:Remote_exec.Local with
          | Error e -> failed := Some ("exec: " ^ e)
          | Ok h -> (
              let migrate ~from_host ~dest =
                let pm =
-                 match Cluster.find_workstation cl from_host with
-                 | Some w -> Program_manager.pid w.Cluster.ws_pm
-                 | None -> Ids.program_manager_of h.Remote_exec.h_lh
+                 Program_manager.pid
+                   (Option.get (Cluster.find_workstation cl from_host))
+                     .Cluster.ws_pm
                in
-               match
-                 Kernel.send k ~src:self ~dst:pm
-                   (Message.make
-                      (Protocol.Pm_migrate
-                         {
-                           lh = Some h.Remote_exec.h_lh;
-                           dest = Some dest;
-                           force_destroy = false;
-                           strategy = Protocol.Precopy;
-                         }))
-               with
-               | Ok { Message.body = Protocol.Pm_migrated [ _ ]; _ } -> Ok ()
-               | _ -> Error "migration failed"
+               match Remote_exec.migrate_program ~pm ~dest ctx h with
+               | Ok _ -> Ok ()
+               | Error _ -> Error "migration failed"
              in
              Proc.sleep eng (Time.of_sec 2.);
              match migrate ~from_host:h.Remote_exec.h_host ~dest:"ws1" with

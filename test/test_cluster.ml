@@ -201,8 +201,7 @@ let test_cross_segment_migration () =
   (* Program lands on segment 0 (ws1, say)... *)
   let result = ref (Error "incomplete") in
   ignore
-    (Cluster.user cl ~ws:0 ~name:"shell" (fun k self ->
-         let ctx = Cluster.context cl ~ws:0 ~self in
+    (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
          match
            Remote_exec.exec ctx ~prog:"optimizer"
              ~target:Remote_exec.Any
@@ -215,23 +214,12 @@ let test_cross_segment_migration () =
              (* ... then only far hosts volunteer for the migration. *)
              far_accepts true;
              Proc.sleep (Cluster.engine cl) (sec 1.);
-             match
-               Kernel.send k ~src:self
-                 ~dst:(Ids.program_manager_of h.Remote_exec.h_lh)
-                 (Message.make
-                    (Protocol.Pm_migrate
-                       {
-                         lh = Some h.Remote_exec.h_lh;
-                         dest = None;
-                         force_destroy = false;
-                         strategy = Protocol.Precopy;
-                       }))
-             with
-             | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } -> (
+             match Remote_exec.migrate_program ctx h with
+             | Ok o -> (
                  match Remote_exec.wait ctx h with
                  | Ok (_, cpu) -> result := Ok (o, cpu)
                  | Error e -> result := Error ("wait: " ^ e))
-             | _ -> result := Error "migration failed")));
+             | Error _ -> result := Error "migration failed")));
   Cluster.run cl ~until:(sec 120.);
   match !result with
   | Error e -> Alcotest.fail e

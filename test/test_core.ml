@@ -167,8 +167,7 @@ let test_migrate_program_still_completes () =
   let cl = default_cluster () in
   let done_count = ref 0 in
   ignore
-    (Cluster.user cl ~ws:0 ~name:"shell" (fun k self ->
-         let ctx = Cluster.context cl ~ws:0 ~self in
+    (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
          match
            Remote_exec.exec ctx ~prog:"assembler"
              ~target:Remote_exec.Any
@@ -176,20 +175,9 @@ let test_migrate_program_still_completes () =
          | Error e -> Alcotest.failf "exec: %s" e
          | Ok h -> (
              Proc.sleep (Cluster.engine cl) (sec 2.);
-             (match
-                Kernel.send k ~src:self
-                  ~dst:(Ids.program_manager_of h.Remote_exec.h_lh)
-                  (Message.make
-                     (Protocol.Pm_migrate
-                        {
-                          lh = Some h.Remote_exec.h_lh;
-                          dest = None;
-                          force_destroy = false;
-                          strategy = Protocol.Precopy;
-                        }))
-              with
-             | Ok { Message.body = Protocol.Pm_migrated [ _ ]; _ } -> ()
-             | _ -> Alcotest.fail "migration failed");
+             (match Remote_exec.migrate_program ctx h with
+             | Ok _ -> ()
+             | Error _ -> Alcotest.fail "migration failed");
              match Remote_exec.wait ctx h with
              | Ok (_, cpu) ->
                  (* The full 8 s of CPU despite moving hosts mid-run. *)
@@ -250,10 +238,9 @@ let test_migrate_dest_dies_mid_copy () =
   let cl = default_cluster ~workstations:3 () in
   (* Make only ws2 able to volunteer as a destination, then kill it
      during the (seconds-long) pre-copy of tex. *)
-  let result = ref (Error "no result") in
+  let result = ref (Error (Remote_exec.No_answer "no result")) in
   ignore
-    (Cluster.user cl ~ws:0 ~name:"shell" (fun k self ->
-         let ctx = Cluster.context cl ~ws:0 ~self in
+    (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
          match
            Remote_exec.exec ctx ~prog:"tex"
              ~target:(Remote_exec.Named "ws1")
@@ -266,18 +253,7 @@ let test_migrate_dest_dies_mid_copy () =
              ignore
                (Engine.schedule_after (Cluster.engine cl) (ms 500.) (fun () ->
                     Kernel.shutdown (Cluster.workstation cl 2).Cluster.ws_kernel));
-             result :=
-               Kernel.send k ~src:self
-                 ~dst:(Ids.program_manager_of h.Remote_exec.h_lh)
-                 (Message.make
-                    (Protocol.Pm_migrate
-                       {
-                         lh = Some h.Remote_exec.h_lh;
-                         dest = None;
-                         force_destroy = false;
-                         strategy = Protocol.Precopy;
-                       }))
-               |> Result.map_error (Format.asprintf "%a" Kernel.pp_send_error);
+             result := Remote_exec.migrate_program ctx h;
              (* Immediately after the failure, the program must still be
                 resident on ws1 and unfrozen — the recovery path of
                 Section 3.1.3. *)
@@ -291,11 +267,10 @@ let test_migrate_dest_dies_mid_copy () =
                    (List.length ps))));
   Cluster.run cl ~until:(sec 120.);
   match !result with
-  | Ok { Message.body = Protocol.Pm_migrate_failed _; _ } -> ()
-  | Ok { Message.body = Protocol.Pm_migrated _; _ } ->
-      Alcotest.fail "migration to a dead host cannot succeed"
-  | Ok _ -> Alcotest.fail "unexpected reply"
-  | Error e -> Alcotest.failf "migrate request itself failed: %s" e
+  | Error (Remote_exec.Refused _) -> ()
+  | Ok _ -> Alcotest.fail "migration to a dead host cannot succeed"
+  | Error (Remote_exec.No_answer e) ->
+      Alcotest.failf "migrate request itself failed: %s" e
 
 let test_migrateprog_all_guests () =
   let cl = default_cluster ~workstations:4 () in
@@ -324,19 +299,12 @@ let test_migrateprog_all_guests () =
          Program_manager.set_accepting (Cluster.workstation cl 3).Cluster.ws_pm true;
          Proc.sleep (Cluster.engine cl) (sec 1.);
          match
-           Kernel.send k ~src:self
-             ~dst:(Program_manager.pid (Cluster.workstation cl 1).Cluster.ws_pm)
-             (Message.make
-                (Protocol.Pm_migrate
-                   {
-                     lh = None;
-                     dest = None;
-                     force_destroy = false;
-                     strategy = Protocol.Precopy;
-                   }))
+           Remote_exec.migrate k ~self
+             ~pm:(Program_manager.pid (Cluster.workstation cl 1).Cluster.ws_pm)
+             None
          with
-         | Ok { Message.body = Protocol.Pm_migrated os; _ } -> outcomes := os
-         | _ -> Alcotest.fail "migrateprog failed"));
+         | Ok os -> outcomes := os
+         | Error _ -> Alcotest.fail "migrateprog failed"));
   Cluster.run cl ~until:(sec 200.);
   Alcotest.(check int) "both guests migrated" 2 (List.length !outcomes);
   Alcotest.(check int) "ws1 empty" 0
@@ -358,18 +326,11 @@ let test_migrateprog_force_destroy_when_no_host () =
          | Ok h -> (
              Proc.sleep (Cluster.engine cl) (sec 1.);
              match
-               Kernel.send k ~src:self
-                 ~dst:(Ids.program_manager_of h.Remote_exec.h_lh)
-                 (Message.make
-                    (Protocol.Pm_migrate
-                       {
-                         lh = Some h.Remote_exec.h_lh;
-                         dest = None;
-                         force_destroy = true;
-                         strategy = Protocol.Precopy;
-                       }))
+               Remote_exec.migrate ~force_destroy:true k ~self
+                 ~pm:(Ids.program_manager_of h.Remote_exec.h_lh)
+                 (Some h.Remote_exec.h_lh)
              with
-             | Ok { Message.body = Protocol.Pm_migrated []; _ } -> replied := true
+             | Ok [] -> replied := true
              | _ -> Alcotest.fail "expected empty outcome list (destroyed)")));
   Cluster.run cl ~until:(sec 60.);
   Alcotest.(check bool) "migrateprog -n replied" true !replied;
@@ -384,20 +345,9 @@ let exec_then_migrate cl ~prog ctx =
   | Error e -> Error ("exec: " ^ e)
   | Ok h -> (
       Proc.sleep (Cluster.engine cl) (sec 1.);
-      match
-        Kernel.send (Context.kernel ctx) ~src:(Context.self ctx)
-          ~dst:(Ids.program_manager_of h.Remote_exec.h_lh)
-          (Message.make
-             (Protocol.Pm_migrate
-                {
-                  lh = Some h.Remote_exec.h_lh;
-                  dest = None;
-                  force_destroy = false;
-                  strategy = Protocol.Precopy;
-                }))
-      with
-      | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } -> Ok (h, o)
-      | _ -> Error "migration failed")
+      match Remote_exec.migrate_program ctx h with
+      | Ok o -> Ok (h, o)
+      | Error _ -> Error "migration failed")
 
 (* {1 Program management: suspend / resume / destroy (Section 2)} *)
 
@@ -462,8 +412,7 @@ let test_migrate_suspended_refused () =
   let cl = default_cluster () in
   let refused = ref false in
   ignore
-    (Cluster.user cl ~ws:0 ~name:"shell" (fun k self ->
-         let ctx = Cluster.context cl ~ws:0 ~self in
+    (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
          let h =
            Result.get_ok
              (Remote_exec.exec ctx ~prog:"tex"
@@ -471,21 +420,9 @@ let test_migrate_suspended_refused () =
          in
          Proc.sleep (Cluster.engine cl) (sec 1.);
          ignore (Remote_exec.suspend ctx h);
-         match
-           Kernel.send k ~src:self
-             ~dst:(Ids.program_manager_of h.Remote_exec.h_lh)
-             (Message.make
-                (Protocol.Pm_migrate
-                   {
-                     lh = Some h.Remote_exec.h_lh;
-                     dest = None;
-                     force_destroy = false;
-                     strategy = Protocol.Precopy;
-                   }))
-         with
-         | Ok { Message.body = Protocol.Pm_migrate_failed _; _ } ->
-             refused := true
-         | _ -> ()));
+         match Remote_exec.migrate_program ctx h with
+         | Error (Remote_exec.Refused _) -> refused := true
+         | Ok _ | Error (Remote_exec.No_answer _) -> ()));
   Cluster.run cl ~until:(sec 30.);
   Alcotest.(check bool) "suspended program not migratable" true !refused
 
@@ -585,8 +522,7 @@ let test_subprograms_migrate_with_parent () =
   let outcome = ref None in
   let sub_exit = ref None in
   ignore
-    (Cluster.user cl ~ws:0 ~name:"shell" (fun k self ->
-         let ctx = Cluster.context cl ~ws:0 ~self in
+    (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
          match
            Remote_exec.exec ctx ~prog:"tex"
              ~target:Remote_exec.Any
@@ -602,23 +538,12 @@ let test_subprograms_migrate_with_parent () =
                         ~parent ~prog:"parser")
                  in
                  Proc.sleep (Cluster.engine cl) (sec 2.);
-                 match
-                   Kernel.send k ~src:self
-                     ~dst:(Ids.program_manager_of h.Remote_exec.h_lh)
-                     (Message.make
-                        (Protocol.Pm_migrate
-                           {
-                             lh = Some h.Remote_exec.h_lh;
-                             dest = None;
-                             force_destroy = false;
-                             strategy = Protocol.Precopy;
-                           }))
-                 with
-                 | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } ->
+                 match Remote_exec.migrate_program ctx h with
+                 | Ok o ->
                      outcome := Some o;
                      (* The sub-program survives the move and finishes. *)
                      sub_exit := Some (Subprogram.join sub)
-                 | _ -> Alcotest.fail "migration failed"))));
+                 | Error _ -> Alcotest.fail "migration failed"))));
   Cluster.run cl ~until:(sec 200.);
   (match !outcome with
   | None -> Alcotest.fail "no migration outcome"
@@ -637,8 +562,7 @@ let test_remote_subprogram_does_not_migrate_with_parent () =
   let checked = ref false in
   let cl = default_cluster ~seed:61 () in
   ignore
-    (Cluster.user cl ~ws:0 ~name:"shell" (fun k self ->
-         let ctx = Cluster.context cl ~ws:0 ~self in
+    (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
          match
            Remote_exec.exec ctx ~prog:"tex"
              ~target:Remote_exec.Any
@@ -657,19 +581,8 @@ let test_remote_subprogram_does_not_migrate_with_parent () =
                    (parent_h.Remote_exec.h_lh <> child_h.Remote_exec.h_lh);
                  let child_host_before = child_h.Remote_exec.h_host in
                  Proc.sleep (Cluster.engine cl) (sec 1.);
-                 match
-                   Kernel.send k ~src:self
-                     ~dst:(Ids.program_manager_of parent_h.Remote_exec.h_lh)
-                     (Message.make
-                        (Protocol.Pm_migrate
-                           {
-                             lh = Some parent_h.Remote_exec.h_lh;
-                             dest = None;
-                             force_destroy = false;
-                             strategy = Protocol.Precopy;
-                           }))
-                 with
-                 | Ok { Message.body = Protocol.Pm_migrated [ _ ]; _ } ->
+                 match Remote_exec.migrate_program ctx parent_h with
+                 | Ok _ ->
                      (* The remotely executed child did not move. *)
                      let w =
                        Option.get (Cluster.find_workstation cl child_host_before)
@@ -679,7 +592,7 @@ let test_remote_subprogram_does_not_migrate_with_parent () =
                           child_h.Remote_exec.h_lh
                        <> None);
                      checked := true
-                 | _ -> Alcotest.fail "parent migration failed"))));
+                 | Error _ -> Alcotest.fail "parent migration failed"))));
   Cluster.run cl ~until:(sec 60.);
   Alcotest.(check bool) "assertions ran" true !checked
 
@@ -848,8 +761,7 @@ let test_survives_origin_reboot_after_migration () =
   let cl = default_cluster () in
   let prog_ref = ref None in
   ignore
-    (Cluster.user cl ~ws:0 ~name:"shell" (fun k self ->
-         let ctx = Cluster.context cl ~ws:0 ~self in
+    (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
          match
            Remote_exec.exec ctx ~prog:"optimizer"
              ~target:Remote_exec.Any
@@ -857,19 +769,8 @@ let test_survives_origin_reboot_after_migration () =
          | Error e -> Alcotest.failf "exec: %s" e
          | Ok h -> (
              Proc.sleep (Cluster.engine cl) (sec 1.);
-             match
-               Kernel.send k ~src:self
-                 ~dst:(Ids.program_manager_of h.Remote_exec.h_lh)
-                 (Message.make
-                    (Protocol.Pm_migrate
-                       {
-                         lh = Some h.Remote_exec.h_lh;
-                         dest = None;
-                         force_destroy = false;
-                         strategy = Protocol.Precopy;
-                       }))
-             with
-             | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } -> (
+             match Remote_exec.migrate_program ctx h with
+             | Ok o -> (
                  match
                    Cluster.find_workstation cl o.Protocol.m_dest
                    |> Fun.flip Option.bind (fun w ->
@@ -882,7 +783,7 @@ let test_survives_origin_reboot_after_migration () =
                      (* Origin reboots. *)
                      Kernel.shutdown (Cluster.workstation cl 0).Cluster.ws_kernel
                  | None -> Alcotest.fail "record not adopted")
-             | _ -> Alcotest.fail "migration failed")));
+             | Error _ -> Alcotest.fail "migration failed")));
   Cluster.run cl ~until:(sec 120.);
   match !prog_ref with
   | Some p -> (
@@ -969,8 +870,7 @@ let run_migration_scenario ~seed ~migrate_after_ms ~strategy ~loss =
   in
   let verdict = ref (Error "scenario incomplete") in
   ignore
-    (Cluster.user cl ~ws:0 ~name:"shell" (fun k self ->
-         let ctx = Cluster.context cl ~ws:0 ~self in
+    (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
          match
            Remote_exec.exec ctx ~prog:"assembler"
              ~target:Remote_exec.Any
@@ -978,25 +878,10 @@ let run_migration_scenario ~seed ~migrate_after_ms ~strategy ~loss =
          | Error e -> verdict := Error ("exec: " ^ e)
          | Ok h -> (
              Proc.sleep (Cluster.engine cl) (Time.of_ms (float_of_int migrate_after_ms));
-             let stable_pm =
-               match Cluster.find_workstation cl h.Remote_exec.h_host with
-               | Some w -> Program_manager.pid w.Cluster.ws_pm
-               | None -> Ids.program_manager_of h.Remote_exec.h_lh
-             in
              let migrated =
-               match
-                 Kernel.send k ~src:self ~dst:stable_pm
-                   (Message.make
-                      (Protocol.Pm_migrate
-                         {
-                           lh = Some h.Remote_exec.h_lh;
-                           dest = None;
-                           force_destroy = false;
-                           strategy;
-                         }))
-               with
-               | Ok { Message.body = Protocol.Pm_migrated [ _ ]; _ } -> true
-               | _ -> false
+               Result.is_ok
+                 (Remote_exec.migrate_program ~strategy ~pm:h.Remote_exec.h_pm
+                    ctx h)
              in
              match Remote_exec.wait ctx h with
              | Ok (_, cpu) ->

@@ -328,6 +328,98 @@ let test_residual_lists_name_cache_bindings () =
   Alcotest.(check bool) "not on alpha" false
     (Residual.depends_on dir p ~host:"alpha")
 
+(* {1 migrateprog client} *)
+
+(* [Remote_exec.migrate_program ~pm:h.h_pm] addresses the manager of the
+   workstation a program started on, so [h_pm] must be that
+   workstation's own program-manager pid for every kind of target, and
+   stay so across a reboot (the fresh manager keeps the well-known
+   pid). *)
+let test_handle_pm_is_stable_manager () =
+  let cl =
+    Cluster.create ~seed:5 ~workstations:3
+      ~faults:
+        [
+          Faults.Crash_host { host = "ws2"; at = sec 20. };
+          Faults.Reboot_host { host = "ws2"; at = sec 21. };
+        ]
+      ()
+  in
+  let pm_of host =
+    Program_manager.pid (Option.get (Cluster.find_workstation cl host)).Cluster.ws_pm
+  in
+  let handles = ref [] in
+  ignore
+    (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
+         List.iter
+           (fun target ->
+             match Remote_exec.exec ctx ~prog:"cc68" ~target with
+             | Ok h -> handles := h :: !handles
+             | Error e -> Alcotest.failf "exec: %s" e)
+           [ Remote_exec.Local; Remote_exec.Named "ws2"; Remote_exec.Any ]));
+  let check label =
+    List.iter
+      (fun h ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s's manager" label h.Remote_exec.h_host)
+          true
+          (Ids.pid_equal h.Remote_exec.h_pm (pm_of h.Remote_exec.h_host)))
+      !handles
+  in
+  Cluster.run cl ~until:(sec 10.);
+  Alcotest.(check int) "three programs started" 3 (List.length !handles);
+  check "at start";
+  Cluster.run cl ~until:(sec 30.);
+  check "after ws2 reboots"
+
+(* Every [Mig_start] strategy a traced run emits. *)
+let migration_strategies cl =
+  let seen = ref [] in
+  Tracer.on_event (Cluster.tracer cl) (fun r ->
+      match r.Tracer.ev with
+      | Migration.Mig_start { strategy; _ } -> seen := strategy :: !seen
+      | _ -> ());
+  seen
+
+let check_all_precopy label seen =
+  Alcotest.(check bool) (label ^ ": migrated") true (seen <> []);
+  List.iter (Alcotest.(check string) (label ^ ": strategy") "precopy") seen
+
+(* With no strategy named, a serve session's balancer and the usage
+   experiment's owner reclaim both migrate with pre-copy. *)
+let test_default_discipline_is_precopy () =
+  let cl = Cluster.create ~seed:5 ~workstations:6 ~trace:true () in
+  let seen = migration_strategies cl in
+  (* Pile guests onto ws2 so the balancer has someone to move. *)
+  ignore
+    (Cluster.shell cl ~ws:0 ~name:"loader" (fun ctx ->
+         for _ = 1 to 3 do
+           ignore
+             (Remote_exec.exec ctx ~prog:"tex" ~target:(Remote_exec.Named "ws2"))
+         done));
+  let params =
+    {
+      Serve.Session.default_params with
+      Serve.Session.arrivals = Serve.Session.Poisson 1.5;
+      duration = sec 30.;
+      balancer_interval = Some (sec 2.);
+      strategy = None;
+      snapshot_every = None;
+      drain_grace = sec 30.;
+    }
+  in
+  Serve.Session.drain (Serve.Session.create ~params cl);
+  check_all_precopy "serve balancer" !seen;
+  let cl = Cluster.create ~seed:1985 ~workstations:6 ~trace:true () in
+  let seen = migration_strategies cl in
+  let stats =
+    Experiment.usage cl
+      { Experiment.default_usage_params with Experiment.u_horizon = sec 180. }
+  in
+  Alcotest.(check bool) "owner reclaimed a guest" true
+    (stats.Experiment.us_preemptions > 0);
+  check_all_precopy "owner reclaim" !seen
+
 let () =
   Alcotest.run "v_core_units"
     [
@@ -370,5 +462,12 @@ let () =
         [
           Alcotest.test_case "name-cache bindings listed" `Quick
             test_residual_lists_name_cache_bindings;
+        ] );
+      ( "migrateprog",
+        [
+          Alcotest.test_case "h_pm is the stable manager" `Quick
+            test_handle_pm_is_stable_manager;
+          Alcotest.test_case "default discipline is precopy" `Quick
+            test_default_discipline_is_precopy;
         ] );
     ]

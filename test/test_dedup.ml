@@ -111,30 +111,17 @@ let run_one ~cache ~strategy ~placement =
   let cpu = ref Time.zero in
   ignore
     (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
-         let k = Context.kernel ctx and self = Context.self ctx in
          match Remote_exec.exec ctx ~prog:"cc68" ~target:Remote_exec.Any with
          | Error e -> Alcotest.failf "exec: %s" e
          | Ok h -> (
              Proc.sleep eng (sec 2.);
-             let stable_pm =
-               match Cluster.find_workstation cl h.Remote_exec.h_host with
-               | Some w -> Program_manager.pid w.Cluster.ws_pm
-               | None -> Ids.program_manager_of h.Remote_exec.h_lh
-             in
              (match
-                Kernel.send k ~src:self ~dst:stable_pm
-                  (Message.make
-                     (Protocol.Pm_migrate
-                        {
-                          lh = Some h.Remote_exec.h_lh;
-                          dest = None;
-                          force_destroy = false;
-                          strategy;
-                        }))
+                Remote_exec.migrate_program ~strategy ~pm:h.Remote_exec.h_pm
+                  ctx h
               with
-             | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } ->
+             | Ok o ->
                  outcome := Some o
-             | _ -> Alcotest.fail "migration failed");
+             | Error _ -> Alcotest.fail "migration failed");
              match Remote_exec.wait ctx h with
              | Ok (_, c) ->
                  cpu := c;

@@ -235,8 +235,7 @@ let test_source_crash_releases_reservation () =
       Program_manager.set_accepting w.Cluster.ws_pm (i = 1 || i = 2))
     (Cluster.workstations cl);
   ignore
-    (Cluster.user cl ~ws:0 ~name:"shell" (fun k self ->
-         let ctx = Cluster.context cl ~ws:0 ~self in
+    (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
          match
            Remote_exec.exec ctx ~prog:"tex"
              ~target:(Remote_exec.Named "ws1")
@@ -248,17 +247,7 @@ let test_source_crash_releases_reservation () =
              Proc.sleep (Cluster.engine cl) (sec 3.);
              (* Fire and forget: the source will die mid-migration, so
                 no reply ever comes. *)
-             ignore
-               (Kernel.send k ~src:self
-                  ~dst:(Program_manager.pid (Cluster.workstation cl 1).Cluster.ws_pm)
-                  (Message.make
-                     (Protocol.Pm_migrate
-                        {
-                          lh = Some h.Remote_exec.h_lh;
-                          dest = None;
-                          force_destroy = false;
-                          strategy = Protocol.Precopy;
-                        })))));
+             ignore (Remote_exec.migrate_program ~pm:h.Remote_exec.h_pm ctx h)));
   Cluster.run cl ~until:(sec 60.);
   let dest = (Cluster.workstation cl 2).Cluster.ws_kernel in
   Alcotest.(check int) "reservation released" 0 (Kernel.reservation_count dest);
@@ -296,8 +285,7 @@ let crash_dest_at_round ~round =
          done;
          Kernel.shutdown dest));
   ignore
-    (Cluster.user cl ~ws:0 ~name:"shell" (fun k self ->
-         let ctx = Cluster.context cl ~ws:0 ~self in
+    (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
          match
            Remote_exec.exec ctx ~prog:"tex"
              ~target:(Remote_exec.Named "ws1")
@@ -313,25 +301,10 @@ let crash_dest_at_round ~round =
              free_before := Kernel.memory_free src;
              migration :=
                (match
-                  Kernel.send k ~src:self
-                    ~dst:
-                      (Program_manager.pid
-                         (Cluster.workstation cl 1).Cluster.ws_pm)
-                    (Message.make
-                       (Protocol.Pm_migrate
-                          {
-                            lh = Some h.Remote_exec.h_lh;
-                            dest = None;
-                            force_destroy = false;
-                            strategy = Protocol.Precopy;
-                          }))
+                  Remote_exec.migrate_program ~pm:h.Remote_exec.h_pm ctx h
                 with
-               | Ok { Message.body = Protocol.Pm_migrate_failed m; _ } ->
-                   Error m
-               | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } ->
-                   Ok o.Protocol.m_dest
-               | Ok _ -> Error "malformed reply"
-               | Error e -> Error (Format.asprintf "%a" Kernel.pp_send_error e));
+               | Ok o -> Ok o.Protocol.m_dest
+               | Error e -> Error (Remote_exec.migrate_error_message e));
              free_after := Kernel.memory_free src;
              wait_result := Remote_exec.wait ctx h));
   Cluster.run cl ~until:(sec 120.);
@@ -380,8 +353,7 @@ let test_retry_reselects_excluding_failed () =
            (Cluster.workstation cl 3).Cluster.ws_pm true));
   let outcome = ref (Error "did not run") in
   ignore
-    (Cluster.user cl ~ws:0 ~name:"shell" (fun k self ->
-         let ctx = Cluster.context cl ~ws:0 ~self in
+    (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
          match
            Remote_exec.exec ctx ~prog:"tex"
              ~target:(Remote_exec.Named "ws1")
@@ -393,24 +365,9 @@ let test_retry_reselects_excluding_failed () =
              Program_manager.set_accepting
                (Cluster.workstation cl 2).Cluster.ws_pm true;
              Proc.sleep eng (sec 3.);
-             match
-               Kernel.send k ~src:self
-                 ~dst:
-                   (Program_manager.pid (Cluster.workstation cl 1).Cluster.ws_pm)
-                 (Message.make
-                    (Protocol.Pm_migrate
-                       {
-                         lh = Some h.Remote_exec.h_lh;
-                         dest = None;
-                         force_destroy = false;
-                         strategy = Protocol.Precopy;
-                       }))
-             with
-             | Ok { Message.body = Protocol.Pm_migrated [ o ]; _ } ->
-                 outcome := Ok o.Protocol.m_dest
-             | Ok { Message.body = Protocol.Pm_migrate_failed m; _ } ->
-                 outcome := Error m
-             | _ -> outcome := Error "malformed reply")));
+             match Remote_exec.migrate_program ~pm:h.Remote_exec.h_pm ctx h with
+             | Ok o -> outcome := Ok o.Protocol.m_dest
+             | Error e -> outcome := Error (Remote_exec.migrate_error_message e))));
   Cluster.run cl ~until:(sec 200.);
   match !outcome with
   | Ok d -> Alcotest.(check string) "retried onto the live host" "ws3" d
@@ -583,8 +540,7 @@ let chaos_run ?(watch = ignore) ~seed () =
   (* One migration whose chosen destination may be the crashing ws2. *)
   let migration = ref "no result" in
   ignore
-    (Cluster.user cl ~ws:0 ~name:"migrator" (fun k self ->
-         let ctx = Cluster.context cl ~ws:0 ~self in
+    (Cluster.shell cl ~ws:0 ~name:"migrator" (fun ctx ->
          match
            Remote_exec.exec ctx ~prog:"tex"
              ~target:(Remote_exec.Named "ws1")
@@ -592,32 +548,18 @@ let chaos_run ?(watch = ignore) ~seed () =
          | Error e -> migration := "exec: " ^ e
          | Ok h -> (
              Proc.sleep eng (sec 3.);
-             match
-               Kernel.send k ~src:self
-                 ~dst:
-                   (Program_manager.pid (Cluster.workstation cl 1).Cluster.ws_pm)
-                 (Message.make
-                    (Protocol.Pm_migrate
-                       {
-                         lh = Some h.Remote_exec.h_lh;
-                         dest = None;
-                         force_destroy = false;
-                         strategy = Protocol.Precopy;
-                       }))
-             with
-             | Ok { Message.body = Protocol.Pm_migrated [ _ ]; _ } -> (
+             match Remote_exec.migrate_program ~pm:h.Remote_exec.h_pm ctx h with
+             | Ok _ -> (
                  migration := "migrated";
                  match Remote_exec.wait ctx h with
                  | Ok _ -> migration := "migrated+completed"
                  | Error e -> migration := "migrated but lost: " ^ e)
-             | Ok { Message.body = Protocol.Pm_migrate_failed _; _ } -> (
+             | Error (Remote_exec.Refused _) -> (
                  migration := "rolled back";
                  match Remote_exec.wait ctx h with
                  | Ok _ -> migration := "rolled back+completed"
                  | Error e -> migration := "rolled back but lost: " ^ e)
-             | Ok _ -> migration := "malformed reply"
-             | Error e ->
-                 migration := Format.asprintf "%a" Kernel.pp_send_error e)));
+             | Error (Remote_exec.No_answer e) -> migration := e)));
   Cluster.run cl ~until:(sec 300.);
   (cl, !results, !migration)
 
