@@ -209,8 +209,10 @@ let replay_hint ?(forwarding = false) ?strategy ?content_cache sc =
    started, by name from [Mig_start]. *)
 
 module Coverage = struct
+  (* Keyed by extension-constructor id: one int per event kind, so no
+     per-event string hashing. *)
   type nonrec t = {
-    kinds : (string, Tracer.event * int ref) Hashtbl.t;
+    kinds : (int, Tracer.event * int ref) Hashtbl.t;
     strategies : (string, int ref) Hashtbl.t;
   }
 
@@ -218,7 +220,7 @@ module Coverage = struct
     let c = { kinds = Hashtbl.create 64; strategies = Hashtbl.create 4 } in
     Tracer.on_event trc (fun r ->
         let ev = r.Tracer.ev in
-        let key = Obj.Extension_constructor.(name (of_val ev)) in
+        let key = Obj.Extension_constructor.(id (of_val ev)) in
         (match Hashtbl.find_opt c.kinds key with
         | Some (_, n) -> incr n
         | None -> Hashtbl.add c.kinds key (ev, ref 1));

@@ -1,16 +1,3 @@
-(* Per-process I/O counters, keyed by pid (module-private; exposed for
-   tests via [io_operations]). *)
-let io_counts : (Ids.pid, int) Hashtbl.t = Hashtbl.create 64
-
-let io_operations (p : Progtable.program) =
-  Option.value
-    (Hashtbl.find_opt io_counts (Vproc.pid p.Progtable.p_root))
-    ~default:0
-
-let count_io self =
-  Hashtbl.replace io_counts self
-    (1 + Option.value (Hashtbl.find_opt io_counts self) ~default:0)
-
 let run_spec ctx rng ~lh ~spec ~env ~model ~charge ~self =
   let lh_id = Logical_host.id lh in
   let io = spec.Programs.io in
@@ -26,7 +13,6 @@ let run_spec ctx rng ~lh ~spec ~env ~model ~charge ~self =
   let do_io () =
     while !read_debt >= 1. do
       read_debt := !read_debt -. 1.;
-      count_io self;
       gate ();
       let k = Directory.current ctx lh_id in
       match
@@ -39,7 +25,6 @@ let run_spec ctx rng ~lh ~spec ~env ~model ~charge ~self =
     done;
     while !write_debt >= 1. do
       write_debt := !write_debt -. 1.;
-      count_io self;
       gate ();
       let k = Directory.current ctx lh_id in
       match

@@ -27,6 +27,3 @@ val run_spec :
 (** The body's engine, reusable by sub-programs running in the same
     logical host: [charge] accounts scheduled CPU (to the program record,
     or to the parent's for a sub-program). *)
-
-val io_operations : Progtable.program -> int
-(** File-server operations the program (root process) has performed. *)

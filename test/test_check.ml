@@ -501,6 +501,128 @@ let test_serve_fail_line_names_dispatched_placement () =
         (contains l "placement predictive/3")
   | None -> Alcotest.fail "no FAIL line for seed 7"
 
+(* Synthetic traces: the monitor bundle attached to a bare tracer and fed
+   hand-written records, so each check is shown to fire on exactly the
+   stream that breaks it. *)
+let addr = Addr.of_int
+
+let sent ?(seg = 0) frame =
+  Ethernet.Frame_sent
+    { seg; frame; src = addr 9; dst = Frame.Broadcast; bytes = 64 }
+
+let delivered ?(seg = 0) frame dst =
+  Ethernet.Frame_delivered { seg; frame; dst = addr dst }
+
+let attached ?(seg = 0) a = Ethernet.Station_attached { seg; addr = addr a }
+let detached ?(seg = 0) a = Ethernet.Station_detached { seg; addr = addr a }
+let slice owner = Cpu.Slice { owner; foreground = true; span = Time.of_us 100 }
+let frozen lh host = Logical_host.Lh_frozen { host; lh }
+let unfrozen lh host = Logical_host.Lh_unfrozen { host; lh }
+
+let committed lh from_host dest =
+  Migration.Mig_committed { lh; from_host; dest; freeze = Time.of_us 10 }
+
+let recv host lh =
+  Kernel.Ipc_recv { host; txn = 1; src = Ids.pid 1 0; dst = Ids.pid lh 1 }
+
+let synthetic evs =
+  let trc = Tracer.create (Engine.create ()) in
+  let mon = Monitors.attach trc in
+  List.iter (Tracer.emit trc) evs;
+  (trc, mon)
+
+let test_synthetic_clean () =
+  let evs =
+    [
+      attached 1; attached 2; attached ~seg:1 1;
+      sent 0; sent 1; sent ~seg:1 0;
+      (* Segments keep separate frame ids and delivery runs. *)
+      delivered 0 1; delivered ~seg:1 0 1; delivered 0 2; delivered 1 1;
+      frozen 5 "ws1"; slice 6; unfrozen 5 "ws1"; slice 5;
+      committed 5 "ws1" "ws2"; recv "ws2" 5; recv "ws1" 6;
+      (* A migration back installs a fresh copy and lifts the ban. *)
+      Logical_host.Lh_installed { host = "ws1"; lh = 5; bytes = 0 };
+      recv "ws1" 5; detached 2;
+    ]
+  in
+  let _, mon = synthetic evs in
+  Alcotest.(check (list string))
+    "no violations" []
+    (List.map (fun v -> v.Monitors.vi_detail) (Monitors.violations mon));
+  Alcotest.(check int) "events seen" (List.length evs) (Monitors.events_seen mon);
+  Alcotest.(check (list (pair string int)))
+    "per-monitor coverage"
+    [
+      ("clock", List.length evs); ("conservation", 11); ("convergence", 0);
+      ("freeze", 4); ("residual", 5); ("budget", 0); ("dedup", 0);
+    ]
+    (Monitors.coverage mon)
+
+(* Each stream breaks one check: exactly one violation, from the named
+   monitor, with its detail, and a window ending at the offending
+   record. *)
+let violation_cases =
+  [
+    ( "never sent", [ attached 1; delivered 7 1 ], "conservation",
+      "frame 7 delivered on seg 0 but never sent" );
+    ( "twice to one station",
+      [ attached 1; sent 0; delivered 0 1; delivered 0 1 ],
+      "conservation", "frame 0 delivered twice to station-1 on seg 0" );
+    ( "finished frame delivered again",
+      [ attached 1; attached 2; sent 0; sent 1; delivered 0 1; delivered 1 1;
+        delivered 0 2 ],
+      "conservation",
+      "frame 0 delivered again to station-2 on seg 0 after its delivery ended" );
+    ( "detached station",
+      [ attached 1; detached 1; sent 0; delivered 0 1 ],
+      "conservation", "frame 0 delivered to detached station station-1" );
+    ( "slice while frozen", [ frozen 5 "ws1"; slice 5 ], "freeze",
+      "lh 5 got a CPU slice while frozen on ws1" );
+    ( "residual delivery",
+      [ committed 5 "ws1" "ws2"; recv "ws1" 5 ],
+      "residual", "delivery references lh 5 on ws1 after it migrated away: " );
+  ]
+
+let test_synthetic_violation (name, evs, monitor, detail) () =
+  let trc, mon = synthetic evs in
+  match Monitors.violations mon with
+  | [ v ] ->
+      Alcotest.(check string) "monitor" monitor v.Monitors.vi_monitor;
+      Alcotest.(check bool)
+        (Printf.sprintf "detail %S starts with %S" v.Monitors.vi_detail detail)
+        true
+        (String.starts_with ~prefix:detail v.Monitors.vi_detail);
+      Alcotest.(check int) "seq" (Tracer.seq trc - 1) v.Monitors.vi_seq;
+      Alcotest.(check int) "window" (List.length evs)
+        (List.length v.Monitors.vi_window)
+  | vs ->
+      Alcotest.failf "%s: %d violations: %s" name (List.length vs)
+        (String.concat "; " (List.map (fun v -> v.Monitors.vi_detail) vs))
+
+(* Allocation pin: on the common path of the two most frequent
+   monitored kinds the monitors allocate nothing beyond amortized bitset
+   growth. What remains is the record the tracer boxes for its
+   subscribers (4 words); tuple keys or boxed options cost 19. *)
+let test_monitor_allocation () =
+  let n = 5_000 in
+  let trc = Tracer.create ~capacity:64 (Engine.create ()) in
+  let mon = Monitors.attach trc in
+  List.iter (Tracer.emit trc) [ attached 1; attached 2; frozen 99 "ws1" ];
+  for f = 0 to n - 1 do
+    Tracer.emit trc (sent f)
+  done;
+  let evs =
+    Array.init (2 * n) (fun i ->
+        if i mod 2 = 0 then delivered (i / 2) (1 + (i / 2 mod 2))
+        else slice (i mod 7))
+  in
+  let before = Gc.minor_words () in
+  Array.iter (Tracer.emit trc) evs;
+  let per_record = (Gc.minor_words () -. before) /. float_of_int (2 * n) in
+  Alcotest.(check bool) "clean" true (Monitors.ok mon);
+  if per_record > 4.5 then
+    Alcotest.failf "%.2f minor words per record (bound 4.5)" per_record
+
 let () =
   Alcotest.run "check"
     [
@@ -529,6 +651,18 @@ let () =
           Alcotest.test_case "every registered counter moves" `Quick
             test_every_counter_moves;
         ] );
+      ( "monitors",
+        [
+          Alcotest.test_case "clean synthetic stream, exact coverage" `Quick
+            test_synthetic_clean;
+          Alcotest.test_case "common path allocates no monitor state" `Quick
+            test_monitor_allocation;
+        ]
+        @ List.map
+            (fun ((name, _, _, _) as c) ->
+              Alcotest.test_case ("fires on: " ^ name) `Quick
+                (test_synthetic_violation c))
+            violation_cases );
       ( "replay",
         QCheck_alcotest.to_alcotest prop_replay_roundtrip
         :: [
