@@ -1234,8 +1234,8 @@ let stress entry () =
         seed o.Scenario.so_submitted o.Scenario.so_completed
         o.Scenario.so_shed o.Scenario.so_stuck viol o.Scenario.so_events;
       row "           faults [%s]  migrations [%s]"
-        (counts o.Scenario.so_fault_fired)
-        (counts o.Scenario.so_strategies);
+        (counts o.Scenario.so_coverage.Coverage.fired)
+        (counts o.Scenario.so_coverage.Coverage.strategies);
       if viol > 0 || o.Scenario.so_stuck > 0 then begin
         incr bad;
         List.iter

@@ -1,188 +1,16 @@
-module Coverage = struct
-  type counts = (string * int) list
-
-  type t = {
-    declared : string list;
-    fired : counts;
-    monitors : counts;
-    scenarios : counts;
-    strategies : counts;
-    placements : counts;
-    events : counts;
-    features : (string * (int * int)) list;
-  }
-
-  let empty =
-    {
-      declared = [];
-      fired = [];
-      monitors = [];
-      scenarios = [];
-      strategies = [];
-      placements = [];
-      events = [];
-      features = [];
-    }
-
-  let merge plus a b =
-    List.fold_left
-      (fun acc (k, v) ->
-        match List.assoc_opt k acc with
-        | Some w -> (k, plus w v) :: List.remove_assoc k acc
-        | None -> (k, v) :: acc)
-      a b
-
-  let union a b =
-    {
-      declared = List.sort_uniq String.compare (a.declared @ b.declared);
-      fired = merge ( + ) a.fired b.fired;
-      monitors = merge ( + ) a.monitors b.monitors;
-      scenarios = merge ( + ) a.scenarios b.scenarios;
-      strategies = merge ( + ) a.strategies b.strategies;
-      placements = merge ( + ) a.placements b.placements;
-      events = merge ( + ) a.events b.events;
-      features =
-        merge (fun (d, m) (d', m') -> (d + d', m + m')) a.features b.features;
-    }
-
-  type contract =
-    | Free_form
-    | Library of {
-        scenarios : string list;
-        strategies : string list;
-        features : string list;
-        placements : string list;
-      }
-
-  let contract ~serve = function
-    | None -> Free_form
-    | Some entries ->
-        let union f =
-          List.sort_uniq String.compare (List.concat_map f entries)
-        in
-        Library
-          {
-            scenarios = List.map Scenario.Library.name entries;
-            strategies = union (Scenario.Library.strategies ~serve);
-            features = union (Scenario.Library.features ~serve);
-            (* The seed cycle dispatches every policy over any >= 4-seed
-               range. *)
-            placements = (if serve then Replay.placement_tokens else []);
-          }
-
-  type gap =
-    | Fault_never_fired of string
-    | Monitor_idle of string
-    | Scenario_never_ran of string
-    | Strategy_never_started of string
-    | Feature_never_materialized of string
-    | Placement_never_dispatched of string
-    | No_manifest
-
-  let count l k = Option.value (List.assoc_opt k l) ~default:0
-
-  let declared_kinds c =
-    List.filter (fun k -> List.mem k c.declared) Faults.all_kinds
-
-  let gaps contract c =
-    let unmet gap counts =
-      List.filter_map (fun k ->
-          if count counts k = 0 then Some (gap k) else None)
-    in
-    (* The dedup monitor only sees events when caching is on, which the
-       free-form runs do not promise; the library contract does. *)
-    let monitors =
-      List.filter
-        (fun m -> contract <> Free_form || m <> "dedup")
-        Monitors.monitor_names
-    in
-    unmet (fun k -> Fault_never_fired k) c.fired (declared_kinds c)
-    @ unmet (fun m -> Monitor_idle m) c.monitors monitors
-    @
-    match contract with
-    | Free_form -> []
-    | Library x ->
-        unmet (fun s -> Scenario_never_ran s) c.scenarios x.scenarios
-        @ unmet (fun s -> Strategy_never_started s) c.strategies x.strategies
-        @ unmet
-            (fun f -> Feature_never_materialized f)
-            (List.map (fun (f, (_, m)) -> (f, m)) c.features)
-            x.features
-        @ unmet
-            (fun p -> Placement_never_dispatched p)
-            c.placements x.placements
-        @ if count c.events "xfer/manifest" = 0 then [ No_manifest ] else []
-
-  let gap_line g =
-    "COVERAGE FAIL: "
-    ^
-    match g with
-    | Fault_never_fired k ->
-        Printf.sprintf "fault kind %S was declared but never fired" k
-    | Monitor_idle m -> Printf.sprintf "monitor %S never inspected an event" m
-    | Scenario_never_ran s -> Printf.sprintf "scenario %S never ran" s
-    | Strategy_never_started s ->
-        Printf.sprintf "strategy %S never started a migration" s
-    | Feature_never_materialized f ->
-        Printf.sprintf "feature %S never materialized" f
-    | Placement_never_dispatched p ->
-        Printf.sprintf "placement %S never dispatched a selection" p
-    | No_manifest ->
-        "content-addressed transfer never exercised (no xfer/manifest events)"
-
-  let keys l = List.sort_uniq String.compare (List.map fst l)
-
-  let fmt_counts counts = function
-    | [] -> "(none)"
-    | ks ->
-        String.concat ", "
-          (List.map (fun k -> Printf.sprintf "%s=%d" k (count counts k)) ks)
-
-  let dedup_kinds =
-    [ "xfer/manifest"; "xfer/hit"; "xfer/miss"; "img/hit"; "img/miss" ]
-
-  let report contract c =
-    let library = contract <> Free_form in
-    let declared = declared_kinds c in
-    let kinds = keys c.events in
-    (match contract with
-    | Library x ->
-        [ "scenario coverage: " ^ fmt_counts c.scenarios x.scenarios ]
-    | Free_form -> [])
-    @ [
-        "fault coverage: "
-        ^ (if declared = [] then "(no fault kinds declared)"
-           else fmt_counts c.fired declared);
-        "monitor coverage: " ^ fmt_counts c.monitors Monitors.monitor_names;
-        "strategy coverage: " ^ fmt_counts c.strategies (keys c.strategies);
-      ]
-    @ (if c.placements = [] then []
-       else
-         [
-           "placement coverage: "
-           ^ fmt_counts c.placements (keys c.placements);
-         ])
-    @ [ "dedup coverage: " ^ fmt_counts c.events dedup_kinds ]
-    @ (if not library then []
-       else
-         [
-           "feature coverage: "
-           ^
-           match keys c.features with
-           | [] -> "(none declared)"
-           | fs ->
-               String.concat ", "
-                 (List.map
-                    (fun f ->
-                      let d, m = List.assoc f c.features in
-                      Printf.sprintf "%s=%d/%d" f m d)
-                    fs);
-         ])
-    @ [
-        Printf.sprintf "trace coverage: %d event kinds: %s" (List.length kinds)
-          (fmt_counts c.events kinds);
-      ]
-end
+(* The library contract of the sampled entries; the seed cycle
+   dispatches every placement policy over any >= 4-seed range. *)
+let contract ~serve = function
+  | None -> Coverage.Free_form
+  | Some entries ->
+      let union f = List.sort_uniq String.compare (List.concat_map f entries) in
+      Coverage.Library
+        {
+          scenarios = List.map Scenario.Library.name entries;
+          strategies = union (Scenario.Library.strategies ~serve);
+          features = union (Scenario.Library.features ~serve);
+          placements = (if serve then Replay.placement_tokens else []);
+        }
 
 type knobs = {
   rebind : Os_params.rebind_mode;
@@ -256,19 +84,6 @@ let features_line = function
                fs);
       ]
 
-let run_coverage ~label ~features ~placements ~declared ~fired ~monitors
-    ~strategies ~events =
-  {
-    Coverage.declared = List.sort_uniq String.compare declared;
-    fired;
-    monitors;
-    scenarios = (match label with Some l -> [ (l, 1) ] | None -> []);
-    strategies;
-    placements = List.map (fun (p, _) -> (p, 1)) placements;
-    events;
-    features = List.map (fun (f, m) -> (f, (1, Bool.to_int m))) features;
-  }
-
 let plain_trial r entry seed k =
   let sc =
     match entry with
@@ -299,11 +114,7 @@ let plain_trial r entry seed k =
     events = o.Scenario.o_events;
     stuck = 0;
     shed = 0;
-    coverage =
-      run_coverage ~label:sc.Scenario.sc_label ~features ~placements:[]
-        ~declared:o.Scenario.o_fault_declared ~fired:o.Scenario.o_fault_fired
-        ~monitors:o.Scenario.o_monitors ~strategies:o.Scenario.o_strategies
-        ~events:o.Scenario.o_event_kinds;
+    coverage = Coverage.with_features features o.Scenario.o_coverage;
   }
 
 (* The named tokens parse to a pod size of 32 (right for scale-out
@@ -364,12 +175,7 @@ let serve_trial r entry seed k =
     events = o.Scenario.so_events;
     stuck = o.Scenario.so_stuck;
     shed = o.Scenario.so_shed;
-    coverage =
-      run_coverage ~label:sv.Scenario.sv_label ~features
-        ~placements:o.Scenario.so_placements
-        ~declared:o.Scenario.so_fault_declared
-        ~fired:o.Scenario.so_fault_fired ~monitors:o.Scenario.so_monitors
-        ~strategies:o.Scenario.so_strategies ~events:o.Scenario.so_event_kinds;
+    coverage = Coverage.with_features features o.Scenario.so_coverage;
   }
 
 (* Library entries are sampled round-robin by seed, so every entry gets
@@ -413,7 +219,7 @@ let run ~jobs ~count ~base_seed (r : Replay.t) =
       {
         shape = (if r.Replay.r_serve then Serve else Plain);
         verbose = r.Replay.r_seed <> None;
-        contract = Coverage.contract ~serve:r.Replay.r_serve entries;
+        contract = contract ~serve:r.Replay.r_serve entries;
         trials;
         coverage =
           List.fold_left

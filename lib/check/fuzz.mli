@@ -7,61 +7,9 @@
     and serve sustained-load sessions): a shape only supplies the
     function that runs one seed into a uniform {!trial}; the verbose
     single-seed replay and the aggregate sweep share the rest, including
-    the {!Coverage} aggregate a green run must also satisfy. *)
-
-(** {1 Coverage} *)
-
-module Coverage : sig
-  type counts = (string * int) list
-  (** Name → count; order carries no meaning, a missing name counts 0. *)
-
-  type t = {
-    declared : string list;  (** Fault kinds some run's plan declared. *)
-    fired : counts;  (** Fault kinds that fired. *)
-    monitors : counts;  (** Events each monitor inspected. *)
-    scenarios : counts;  (** Runs per library entry. *)
-    strategies : counts;  (** Migrations started per strategy. *)
-    placements : counts;  (** Serve runs per placement policy. *)
-    events : counts;  (** Trace events per "category/type". *)
-    features : (string * (int * int)) list;
-        (** Feature → (runs declaring it, runs where it materialized). *)
-  }
-  (** What a set of runs exercised. *)
-
-  val empty : t
-  val union : t -> t -> t
-
-  type contract =
-    | Free_form
-        (** Every declared fault kind fired and every monitor but
-            [dedup] inspected an event (caching is not promised). *)
-    | Library of {
-        scenarios : string list;  (** Every sampled entry ran. *)
-        strategies : string list;  (** Every promised strategy started. *)
-        features : string list;  (** Every declared feature materialized. *)
-        placements : string list;
-            (** Every placement policy dispatched a selection (serve). *)
-      }
-        (** The free-form contract with [dedup] included, plus the
-            sampled entries' promises and at least one content-addressed
-            transfer manifest. *)
-
-  type gap =
-    | Fault_never_fired of string
-    | Monitor_idle of string
-    | Scenario_never_ran of string
-    | Strategy_never_started of string
-    | Feature_never_materialized of string
-    | Placement_never_dispatched of string
-    | No_manifest
-
-  val gaps : contract -> t -> gap list
-  (** Every promise of the contract the aggregate misses, in report
-      order; [[]] is a pass. *)
-
-  val gap_line : gap -> string
-  (** The [COVERAGE FAIL: ...] line. *)
-end
+    the {!Coverage} aggregate a green run must also satisfy. Each run
+    returns its own {!Coverage.t}; the driver adds only the library
+    entry's feature verdicts and unions the runs. *)
 
 (** {1 Running seeds} *)
 

@@ -200,58 +200,6 @@ let replay_hint ?(forwarding = false) ?strategy ?content_cache sc =
     (Replay.make ?scenario:sc.sc_label ~seed:sc.sc_seed ~forwarding ?strategy
        ?content_cache ())
 
-(* {1 Coverage collection}
-
-   A per-run trace subscriber that records which extensible trace-event
-   constructors were observed (keyed by constructor name, so no view
-   rendering on the hot path — one [Tracer.view] per distinct
-   constructor at the end) and which migration strategies actually
-   started, by name from [Mig_start]. *)
-
-module Coverage = struct
-  (* Keyed by extension-constructor id: one int per event kind, so no
-     per-event string hashing. *)
-  type nonrec t = {
-    kinds : (int, Tracer.event * int ref) Hashtbl.t;
-    strategies : (string, int ref) Hashtbl.t;
-  }
-
-  let attach trc =
-    let c = { kinds = Hashtbl.create 64; strategies = Hashtbl.create 4 } in
-    Tracer.on_event trc (fun r ->
-        let ev = r.Tracer.ev in
-        let key = Obj.Extension_constructor.(id (of_val ev)) in
-        (match Hashtbl.find_opt c.kinds key with
-        | Some (_, n) -> incr n
-        | None -> Hashtbl.add c.kinds key (ev, ref 1));
-        match ev with
-        | Migration.Mig_start { strategy; _ } -> (
-            match Hashtbl.find_opt c.strategies strategy with
-            | Some n -> incr n
-            | None -> Hashtbl.add c.strategies strategy (ref 1))
-        | _ -> ());
-    c
-
-  let sorted l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
-
-  (* Rendered as "category/type" via the registered views; distinct
-     constructors mapping to one view key merge their counts. *)
-  let event_kinds c =
-    let merged = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun _ (ev, n) ->
-        let v = Tracer.view ev in
-        let key = v.Tracer.v_cat ^ "/" ^ v.Tracer.v_type in
-        match Hashtbl.find_opt merged key with
-        | Some m -> m := !m + !n
-        | None -> Hashtbl.add merged key (ref !n))
-      c.kinds;
-    sorted (Hashtbl.fold (fun k n acc -> (k, !n) :: acc) merged [])
-
-  let strategies c =
-    sorted (Hashtbl.fold (fun k n acc -> (k, !n) :: acc) c.strategies [])
-end
-
 type outcome = {
   o_scenario : t;
   o_violations : Monitors.violation list;
@@ -260,11 +208,7 @@ type outcome = {
   o_events : int;
   o_completed : int;
   o_failed : int;
-  o_fault_declared : string list;
-  o_fault_fired : (string * int) list;
-  o_monitors : (string * int) list;
-  o_strategies : (string * int) list;
-  o_event_kinds : (string * int) list;
+  o_coverage : Coverage.t;
 }
 
 (* Library scenarios can name vm-flush before a cluster exists; the
@@ -312,9 +256,6 @@ let launch cl (j : job) ~completed ~failed =
              | Ok _ -> incr completed
              | Error _ -> incr failed)))
 
-let fired_of cl =
-  match Cluster.faults cl with Some f -> Faults.fired_counts f | None -> []
-
 (* Scenarios that deliberately run copy-on-reference (migrate-storm)
    expect the residual monitor to object — that is the point of the
    monitor. Their residual violations are split out into
@@ -333,7 +274,7 @@ let split_residual ~expect violations =
 (* The monitored cluster both shapes run in: the default configuration
    with migration budgets plus the run's rebind mode, content cache and
    (serve mode) placement, tracing on, the failure detector enabled, and
-   the monitor bundle and coverage subscriber attached. *)
+   the monitor bundle and coverage census attached. *)
 let monitored_cluster ~rebind ~content_cache ?placement ~seed ~workstations
     ~bridged faults =
   let cfg =
@@ -356,8 +297,7 @@ let monitored_cluster ~rebind ~content_cache ?placement ~seed ~workstations
   in
   ignore (Cluster.enable_health cl);
   let mon = Monitors.attach (Cluster.tracer cl) in
-  let cov = Coverage.attach (Cluster.tracer cl) in
-  (cl, mon, cov)
+  (cl, mon, Coverage.attach cl mon)
 
 let run_cluster ?(rebind = Os_params.Broadcast_query) ?(content_cache = 0) sc
     =
@@ -383,11 +323,9 @@ let run_cluster ?(rebind = Os_params.Broadcast_query) ?(content_cache = 0) sc
       o_events = Tracer.seq (Cluster.tracer cl);
       o_completed = !completed;
       o_failed = !failed;
-      o_fault_declared = Faults.declared_kinds sc.sc_faults;
-      o_fault_fired = fired_of cl;
-      o_monitors = Monitors.coverage mon;
-      o_strategies = Coverage.strategies cov;
-      o_event_kinds = Coverage.event_kinds cov;
+      o_coverage =
+        Coverage.of_run cov ~scenario:sc.sc_label ~plan:sc.sc_faults
+          ~placement:None;
     },
     cl )
 
@@ -495,15 +433,7 @@ type serve_outcome = {
   so_completed : int;
   so_shed : int;
   so_stuck : int;
-  so_fault_declared : string list;
-  so_fault_fired : (string * int) list;
-  so_monitors : (string * int) list;
-  so_strategies : (string * int) list;
-  so_event_kinds : (string * int) list;
-  so_placements : (string * int) list;
-      (** Placement policy the run dispatched through, with its
-          selection count — the coverage dimension the serve fuzzer
-          gates on. *)
+  so_coverage : Coverage.t;
 }
 
 let run_serve_cluster ?(rebind = Os_params.Broadcast_query)
@@ -560,14 +490,9 @@ let run_serve_cluster ?(rebind = Os_params.Broadcast_query)
       so_completed = m.Serve.Session.m_completed;
       so_shed = m.Serve.Session.m_shed;
       so_stuck = m.Serve.Session.m_stuck;
-      so_fault_declared = Faults.declared_kinds sv.sv_faults;
-      so_fault_fired = fired_of cl;
-      so_monitors = Monitors.coverage mon;
-      so_strategies = Coverage.strategies cov;
-      so_event_kinds = Coverage.event_kinds cov;
-      so_placements =
-        (let p = Cluster.placement cl in
-         [ (Placement.name p, Placement.selections p) ]);
+      so_coverage =
+        Coverage.of_run cov ~scenario:sv.sv_label ~plan:sv.sv_faults
+          ~placement:(Some (Cluster.placement cl));
     },
     cl )
 
@@ -584,45 +509,52 @@ let run_serve ?rebind ?content_cache ?strategy ?placement sv =
    which strategies the family promises to start. *)
 
 module Library = struct
+  (* One shape of an entry: its generator and its coverage promises. A
+     feature holds over the run's coverage and its outcome; [heal] and
+     [storm] read only the coverage, so both shapes share them. *)
+  type ('sc, 'o) spec = {
+    gen : Rng.t -> 'sc;
+    strategies : string list;
+    features : (string * (Coverage.t -> 'o -> bool)) list;
+  }
+
   type entry = {
     e_name : string;
     e_salt : int;
-    e_knobs : string;
     e_stresses : string;
-    e_monitors : string list;
-    e_features_plain : string list;
-    e_features_serve : string list;
-    e_strategies_plain : string list;
-    e_strategies_serve : string list;
-    e_gen_plain : Rng.t -> t;
-    e_gen_serve : Rng.t -> serve;
-    e_check_plain : outcome -> (string * bool) list;
-    e_check_serve : serve_outcome -> (string * bool) list;
+    e_plain : (t, outcome) spec;
+    e_serve : (serve, serve_outcome) spec;
   }
 
+  let spec ?(strategies = []) ?(features = []) gen =
+    { gen; strategies; features }
+
   let name e = e.e_name
-  let knobs e = e.e_knobs
   let stresses e = e.e_stresses
-  let monitors e = e.e_monitors
+
+  let feature_names spec = List.map fst spec.features
 
   let features e ~serve:sv =
-    if sv then e.e_features_serve else e.e_features_plain
+    if sv then feature_names e.e_serve else feature_names e.e_plain
 
   let strategies e ~serve:sv =
-    if sv then e.e_strategies_serve else e.e_strategies_plain
+    if sv then e.e_serve.strategies else e.e_plain.strategies
 
   let rng_for e seed = Rng.create ((e.e_salt * 1_000_003) + seed)
 
   let plain e ~seed =
-    { (e.e_gen_plain (rng_for e seed)) with sc_seed = seed;
+    { (e.e_plain.gen (rng_for e seed)) with sc_seed = seed;
                                             sc_label = Some e.e_name }
 
   let serve e ~seed =
-    { (e.e_gen_serve (rng_for e seed)) with sv_seed = seed;
+    { (e.e_serve.gen (rng_for e seed)) with sv_seed = seed;
                                             sv_label = Some e.e_name }
 
-  let check_plain e o = e.e_check_plain o
-  let check_serve e o = e.e_check_serve o
+  let verdicts spec cov o =
+    List.map (fun (f, holds) -> (f, holds cov o)) spec.features
+
+  let check_plain e o = verdicts e.e_plain o.o_coverage o
+  let check_serve e o = verdicts e.e_serve o.so_coverage o
 
   (* Generator helpers. *)
 
@@ -683,10 +615,6 @@ module Library = struct
     let pod_size = max 2 (ws / max 1 npods) in
     if Rng.bool rng 0.5 then Config.Pod_sharded { pod_size }
     else Config.Load_predictive { pod_size; alpha = 0.2 +. Rng.float rng 0.3 }
-
-  let count l k = match List.assoc_opt k l with Some n -> n | None -> 0
-  let mig_starts_plain o = count o.o_event_kinds "migrate/start"
-  let mig_starts_serve o = count o.so_event_kinds "migrate/start"
 
   (* A correlated rack: [n] hosts ws1..wsn (ws0 stays up so submitting
      shells and the file-server observer survive), crashed together and
@@ -906,7 +834,7 @@ module Library = struct
   (* A burst: some 3 s window holds at least 5 jobs and at least half of
      them. Data-driven — a generator change that flattens the spike
      fails the feature gate. *)
-  let plain_spike_materialized o =
+  let plain_spike _ o =
     let ats =
       List.map (fun j -> Time.to_sec j.j_at) o.o_scenario.sc_jobs
     in
@@ -922,7 +850,7 @@ module Library = struct
 
   (* Submissions well above the flat-rate expectation betray the spike:
      base rate*duration, gate at 1.5x. *)
-  let serve_spike_materialized o =
+  let serve_spike _ o =
     let sv = o.so_scenario in
     float_of_int o.so_submitted
     >= 1.5 *. sv.sv_rate *. Time.to_sec sv.sv_duration
@@ -965,8 +893,9 @@ module Library = struct
       ~faults:(rack_faults ~n:3 ~crash_at:(sec (8. +. Rng.float rng 2.)))
       ()
 
-  let rack_heal_materialized fired =
-    count fired "crashrack" >= 1 && count fired "reboot" >= 1
+  let rack_heal (c : Coverage.t) _ =
+    Coverage.count c.fired "crashrack" >= 1
+    && Coverage.count c.fired "reboot" >= 1
 
   (* partition-heal: a bridged cluster splits mid-run and heals. *)
 
@@ -1012,7 +941,8 @@ module Library = struct
       ~faults:(partition_window rng) ()
 
   (* Both edges of the window fired: the split happened AND healed. *)
-  let partition_heal_materialized fired = count fired "partition" >= 2
+  let partition_heal (c : Coverage.t) _ =
+    Coverage.count c.fired "partition" >= 2
 
   (* brownout: slow-network windows under sustained serve load, tight
      admission caps, shedding armed. *)
@@ -1077,7 +1007,7 @@ module Library = struct
       ~slo_shed:(1.2 +. Rng.float rng 0.8)
       ~faults:(brownout_faults rng ~ws) ()
 
-  let brownout_materialized o = o.so_shed >= 1
+  let brownout_shed _ o = o.so_shed >= 1
 
   (* migrate-storm: adversarial churn — every job migrates, all four
      disciplines rotate (so copy-on-reference's planted residual
@@ -1107,6 +1037,12 @@ module Library = struct
     mk_plain ~expect_residual:true ~ws ~jobs ~faults:[] ~horizon:(sec 22.)
       ()
 
+  (* At least three migrations started, whatever the shape. *)
+  let storm (c : Coverage.t) _ = Coverage.count c.events "migrate/start" >= 3
+
+  (* Copy-on-reference's planted residual dependency was caught. *)
+  let residual_caught _ o = o.o_residual_seen >= 1
+
   let migrate_storm_serve rng =
     mk_serve
       ~ws:(5 + Rng.int rng 3)
@@ -1125,141 +1061,84 @@ module Library = struct
       {
         e_name = "compile-farm";
         e_salt = 1;
-        e_knobs = "2-3 pipelines x 5 stages, optional TeX, 6-8 ws";
         e_stresses =
           "the paper's workload: staged compile pipelines, fitted dirty \
            models, all three commit-clean disciplines";
-        e_monitors = [ "clock"; "conservation"; "convergence"; "freeze"; "budget" ];
-        e_features_plain = [];
-        e_features_serve = [];
-        e_strategies_plain = [ "precopy"; "freeze-and-copy"; "vm-flush" ];
-        e_strategies_serve = [];
-        e_gen_plain = compile_farm_plain;
-        e_gen_serve = compile_farm_serve;
-        e_check_plain = (fun _ -> []);
-        e_check_serve = (fun _ -> []);
+        e_plain =
+          spec compile_farm_plain
+            ~strategies:[ "precopy"; "freeze-and-copy"; "vm-flush" ];
+        e_serve = spec compile_farm_serve;
       };
       {
         e_name = "diurnal";
         e_salt = 2;
-        e_knobs = "sinusoid period 10-18s, depth 0.7-0.95, base 0.5-1.6/s";
         e_stresses =
           "arrival-rate modulation over a compressed working day: idle \
            troughs then saturated crests";
-        e_monitors = [ "clock"; "conservation"; "convergence"; "freeze" ];
-        e_features_plain = [];
-        e_features_serve = [];
-        e_strategies_plain = [ "precopy"; "freeze-and-copy" ];
-        e_strategies_serve = [];
-        e_gen_plain = diurnal_plain;
-        e_gen_serve = diurnal_serve;
-        e_check_plain = (fun _ -> []);
-        e_check_serve = (fun _ -> []);
+        e_plain =
+          spec diurnal_plain ~strategies:[ "precopy"; "freeze-and-copy" ];
+        e_serve = spec diurnal_serve;
       };
       {
         e_name = "flash-crowd";
         e_salt = 3;
-        e_knobs = "x10 spike, 2s ramp / 2-3s hold / 3s decay";
         e_stresses =
           "admission control and balancer under a sudden arrival spike \
            with ramp and decay";
-        e_monitors = [ "clock"; "conservation"; "convergence"; "freeze" ];
-        e_features_plain = [ "spike" ];
-        e_features_serve = [ "spike" ];
-        e_strategies_plain = [ "precopy"; "freeze-and-copy" ];
-        e_strategies_serve = [];
-        e_gen_plain = flash_crowd_plain;
-        e_gen_serve = flash_crowd_serve;
-        e_check_plain =
-          (fun o -> [ ("spike", plain_spike_materialized o) ]);
-        e_check_serve =
-          (fun o -> [ ("spike", serve_spike_materialized o) ]);
+        e_plain =
+          spec flash_crowd_plain
+            ~strategies:[ "precopy"; "freeze-and-copy" ]
+            ~features:[ ("spike", plain_spike) ];
+        e_serve = spec flash_crowd_serve ~features:[ ("spike", serve_spike) ];
       };
       {
         e_name = "rack-failure";
         e_salt = 4;
-        e_knobs = "crashrack of 2-3 hosts, reboots staggered 1.5s apart";
         e_stresses =
           "correlated failure: suspicion, re-execution and migration \
            reselection while a rack is dark, recovery as it reboots";
-        e_monitors = [ "clock"; "conservation"; "freeze" ];
-        e_features_plain = [ "heal" ];
-        e_features_serve = [ "heal" ];
-        e_strategies_plain = [ "precopy" ];
-        e_strategies_serve = [];
-        e_gen_plain = rack_failure_plain;
-        e_gen_serve = rack_failure_serve;
-        e_check_plain =
-          (fun o -> [ ("heal", rack_heal_materialized o.o_fault_fired) ]);
-        e_check_serve =
-          (fun o -> [ ("heal", rack_heal_materialized o.so_fault_fired) ]);
+        e_plain =
+          spec rack_failure_plain ~strategies:[ "precopy" ]
+            ~features:[ ("heal", rack_heal) ];
+        e_serve = spec rack_failure_serve ~features:[ ("heal", rack_heal) ];
       };
       {
         e_name = "partition-heal";
         e_salt = 5;
-        e_knobs = "2-3 ws behind the bridge, 4-7s partition mid-run";
         e_stresses =
           "cross-segment exec and migration conversations cut by a \
            partition, then the heal: rebinding, retransmission backoff";
-        e_monitors = [ "clock"; "conservation"; "freeze" ];
-        e_features_plain = [ "heal" ];
-        e_features_serve = [ "heal" ];
-        e_strategies_plain = [ "precopy" ];
-        e_strategies_serve = [];
-        e_gen_plain = partition_heal_plain;
-        e_gen_serve = partition_heal_serve;
-        e_check_plain =
-          (fun o ->
-            [ ("heal", partition_heal_materialized o.o_fault_fired) ]);
-        e_check_serve =
-          (fun o ->
-            [ ("heal", partition_heal_materialized o.so_fault_fired) ]);
+        e_plain =
+          spec partition_heal_plain ~strategies:[ "precopy" ]
+            ~features:[ ("heal", partition_heal) ];
+        e_serve =
+          spec partition_heal_serve ~features:[ ("heal", partition_heal) ];
       };
       {
         e_name = "brownout";
         e_salt = 6;
-        e_knobs =
-          "slow-host x3-6 + loss window under 2.5-4/s load, caps 2-3, \
-           shed at 1.2-2x SLO";
         e_stresses =
           "sustained overload on a degraded network: queue growth, \
            brownout shedding, un-latching on recovery";
-        e_monitors = [ "clock"; "conservation"; "freeze" ];
-        e_features_plain = [];
-        e_features_serve = [ "brownout" ];
-        e_strategies_plain = [ "precopy"; "freeze-and-copy" ];
-        e_strategies_serve = [];
-        e_gen_plain = brownout_plain;
-        e_gen_serve = brownout_serve;
-        e_check_plain = (fun _ -> []);
-        e_check_serve =
-          (fun o -> [ ("brownout", brownout_materialized o) ]);
+        e_plain =
+          spec brownout_plain ~strategies:[ "precopy"; "freeze-and-copy" ];
+        e_serve = spec brownout_serve ~features:[ ("brownout", brownout_shed) ];
       };
       {
         e_name = "migrate-storm";
         e_salt = 7;
-        e_knobs =
-          "every job migrates at 0.5-2s, all 4 disciplines; serve \
-           balancer every 0.4-0.8s";
         e_stresses =
           "adversarial churn: overlapping migrations, copy-on-reference \
            residual dependencies, balancer thrash";
-        e_monitors =
-          [ "clock"; "conservation"; "convergence"; "freeze"; "residual"; "budget" ];
-        e_features_plain = [ "storm"; "residual" ];
-        e_features_serve = [ "storm" ];
-        e_strategies_plain =
-          [ "precopy"; "freeze-and-copy"; "vm-flush"; "copy-on-reference" ];
-        e_strategies_serve = [ "precopy"; "freeze-and-copy" ];
-        e_gen_plain = migrate_storm_plain;
-        e_gen_serve = migrate_storm_serve;
-        e_check_plain =
-          (fun o ->
-            [
-              ("storm", mig_starts_plain o >= 3);
-              ("residual", o.o_residual_seen >= 1);
-            ]);
-        e_check_serve = (fun o -> [ ("storm", mig_starts_serve o >= 3) ]);
+        e_plain =
+          spec migrate_storm_plain
+            ~strategies:
+              [ "precopy"; "freeze-and-copy"; "vm-flush"; "copy-on-reference" ]
+            ~features:[ ("storm", storm); ("residual", residual_caught) ];
+        e_serve =
+          spec migrate_storm_serve
+            ~strategies:[ "precopy"; "freeze-and-copy" ]
+            ~features:[ ("storm", storm) ];
       };
     ]
 

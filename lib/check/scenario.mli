@@ -91,18 +91,9 @@ type outcome = {
   o_events : int;  (** Typed events emitted over the run. *)
   o_completed : int;  (** Jobs that ran to completion in the horizon. *)
   o_failed : int;  (** Jobs refused, killed by faults, or timed out. *)
-  o_fault_declared : string list;
-      (** Fault kinds the scenario's plan declares ({!Faults.declared_kinds}). *)
-  o_fault_fired : (string * int) list;
-      (** Fault kinds that actually fired, with counts. *)
-  o_monitors : (string * int) list;
-      (** Per-monitor inspection counts ({!Monitors.coverage}). *)
-  o_strategies : (string * int) list;
-      (** Migration strategies that actually started ([Mig_start]
-          events), by {!Protocol.strategy_name}, with counts. *)
-  o_event_kinds : (string * int) list;
-      (** Distinct trace-event constructors observed, rendered as
-          "category/type" through the registered views, with counts. *)
+  o_coverage : Coverage.t;
+      (** What the run exercised ({!Coverage.of_run}); [placements] is
+          empty and [features] is left to the caller. *)
 }
 
 val run : ?rebind:Os_params.rebind_mode -> ?content_cache:int -> t -> outcome
@@ -194,14 +185,9 @@ type serve_outcome = {
   so_completed : int;
   so_shed : int;  (** Submissions shed by brownout. *)
   so_stuck : int;  (** Requests in no terminal state — must be 0. *)
-  so_fault_declared : string list;
-  so_fault_fired : (string * int) list;
-  so_monitors : (string * int) list;
-  so_strategies : (string * int) list;  (** As [o_strategies]. *)
-  so_event_kinds : (string * int) list;  (** As [o_event_kinds]. *)
-  so_placements : (string * int) list;
-      (** Placement policy dispatched through, with its selection
-          count — the sixth coverage dimension. *)
+  so_coverage : Coverage.t;
+      (** As [o_coverage]; [placements] counts the run's placement
+          policy once when it committed at least one selection. *)
 }
 
 val run_serve :
@@ -214,7 +200,7 @@ val run_serve :
 (** Execute in a fresh cluster (tracing on, monitors attached, the
     failure detector enabled, and default migration budgets installed):
     create the session, drain it, and report the violations with the
-    session's request counts, fault-kind coverage, and monitor coverage.
+    session's request counts and the run's coverage.
     [strategy] forces the copy discipline the balancer uses for its
     migrations ([vsim fuzz --serve --strategy]), overriding the
     scenario's own [sv_strategy]; [placement] likewise forces the
@@ -232,12 +218,14 @@ val run_serve_cluster :
 
 (** {1 The scenario library}
 
-    Production-shaped scenario families, each a pair of seeded
-    generators (a plain job-batch shape and a serve sustained-load
-    shape) plus the coverage contract the fuzz harness gates on with
-    [--require-scenario-coverage]: which features must materialize
-    across the sampled runs and which migration strategies the family
-    promises to start. DESIGN.md §4i holds the catalog table. *)
+    Production-shaped scenario families, each with two shapes (a plain
+    job-batch shape and a serve sustained-load shape). A shape is one
+    spec: a seeded generator plus the coverage it promises to the fuzz
+    harness's [--require-coverage] gate — which migration strategies
+    start and which named features materialize across the sampled runs.
+    A feature is a predicate over a run's {!Coverage.t} and outcome,
+    named once per shape; [heal] and [storm] read only the coverage.
+    DESIGN.md §4i holds the catalog table. *)
 
 module Library : sig
   type entry
@@ -251,14 +239,8 @@ module Library : sig
 
   val name : entry -> string
 
-  val knobs : entry -> string
-  (** Catalog column: the tunables. *)
-
   val stresses : entry -> string
   (** Catalog column: what it stresses. *)
-
-  val monitors : entry -> string list
-  (** Monitors this family is expected to exercise (documentation). *)
 
   val features : entry -> serve:bool -> string list
   (** Feature names that must materialize at least once across the

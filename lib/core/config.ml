@@ -22,8 +22,8 @@ let placement_pod_size = function
 
 (* A per-strategy migration deadline budget (Quest-V-style predictable
    migration): [bg_transfer] bounds the running copy phase, [bg_freeze]
-   bounds the freeze window. [None] (the default everywhere) means
-   unbounded — the paper's behavior. *)
+   bounds the freeze window. [Migration.budget_for] holds the profile;
+   unbudgeted (the default) is the paper's behavior. *)
 type budget = { bg_freeze : Time.span; bg_transfer : Time.span }
 
 type t = {
@@ -35,18 +35,13 @@ type t = {
   select_timeout : Time.span;
   max_guests : int;
   min_free_memory : int;
-  busy_threshold : float;
   precopy_min_residue : int;
   precopy_improvement : float;
   precopy_max_rounds : int;
   migration_retries : int;
   kernel_state_base : Time.span;
   kernel_state_per_object : Time.span;
-  budget_precopy : budget option;
-  budget_freeze_copy : budget option;
-  budget_cor : budget option;
-  budget_flush : budget option;
-  budget_reselects : int;
+  budgeted : bool;
   placement : placement;
 }
 
@@ -60,38 +55,16 @@ let default =
     select_timeout = Time.of_sec 2.;
     max_guests = 3;
     min_free_memory = 128 * 1024;
-    busy_threshold = 0.5;
     precopy_min_residue = 8 * 1024;
     precopy_improvement = 0.7;
     precopy_max_rounds = 8;
     migration_retries = 0;
     kernel_state_base = Time.of_ms 14.;
     kernel_state_per_object = Time.of_ms 9.;
-    budget_precopy = None;
-    budget_freeze_copy = None;
-    budget_cor = None;
-    budget_flush = None;
-    budget_reselects = 0;
+    budgeted = false;
     placement = Flat_multicast;
   }
 
-(* A budget profile sized for the paper's calibration: the freeze bound
-   comfortably covers kernel-state copy plus a small residue at the 3 s/MB
-   bulk rate, and the transfer bound caps the whole running copy phase.
-   Freeze-and-copy moves the entire image frozen, so its freeze budget is
-   the transfer-scale one. *)
-let with_default_budgets t =
-  {
-    t with
-    budget_precopy =
-      Some { bg_freeze = Time.of_ms 600.; bg_transfer = Time.of_sec 30. };
-    budget_freeze_copy =
-      Some { bg_freeze = Time.of_sec 30.; bg_transfer = Time.of_sec 30. };
-    budget_cor =
-      Some { bg_freeze = Time.of_ms 600.; bg_transfer = Time.of_sec 30. };
-    budget_flush =
-      Some { bg_freeze = Time.of_ms 600.; bg_transfer = Time.of_sec 30. };
-    budget_reselects = max 1 t.budget_reselects;
-  }
+let with_default_budgets t = { t with budgeted = true }
 
 let sum_env_spans t = Time.add t.env_setup t.env_destroy

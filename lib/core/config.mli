@@ -35,9 +35,9 @@ type budget = { bg_freeze : Time.span; bg_transfer : Time.span }
 (** A migration deadline budget, à la Quest-V's predictable migration:
     [bg_transfer] bounds the running copy phase (step 3), [bg_freeze]
     bounds the freeze window (steps 4–5, freeze to resume). A migration
-    that would blow its budget aborts — and, when
-    {!field-budget_reselects} allows, reselects a destination — instead
-    of stretching the window. *)
+    that would blow its budget aborts — and, when {!field-budgeted}
+    allows, reselects a destination — instead of stretching the
+    window. *)
 
 type t = {
   os : Os_params.t;  (** Kernel timing (Section 4.1 overheads). *)
@@ -60,9 +60,9 @@ type t = {
           programs. *)
   min_free_memory : int;
       (** Candidacy requires at least this much free RAM beyond the
-          program's own needs. *)
-  busy_threshold : float;
-      (** Candidacy requires recent CPU utilization below this. *)
+          program's own needs, and a ready queue of at most one
+          process ({!Cpu.queue_length}): a workstation volunteers only
+          while its CPU is essentially idle. *)
   precopy_min_residue : int;
       (** Stop pre-copying when the dirty residue is at most this many
           bytes ("until the number of modified pages is relatively
@@ -78,28 +78,25 @@ type t = {
   kernel_state_base : Time.span;  (** 14 ms (Section 4.1). *)
   kernel_state_per_object : Time.span;
       (** + 9 ms per process and address space (Section 4.1). *)
-  budget_precopy : budget option;  (** Budget for pre-copy migrations. *)
-  budget_freeze_copy : budget option;
-  budget_cor : budget option;  (** ... copy-on-reference. *)
-  budget_flush : budget option;  (** ... VM-flush. *)
-  budget_reselects : int;
-      (** How many times a budget-aborted migration may reselect a fresh
-          destination (excluding the one that blew the budget) before
-          giving up. Only applies when the caller did not pin the
-          destination. Default 0, like {!field-migration_retries}. *)
+  budgeted : bool;
+      (** Enforce the per-strategy deadline budgets ({!Migration.migrate}
+          documents the profile) and let a budget-aborted migration
+          reselect a fresh destination once (excluding the one that blew
+          the budget; only when the caller did not pin the destination).
+          Default [false]: unbounded, no reselects, like
+          {!field-migration_retries}. *)
   placement : placement;
       (** Placement policy family for host selection. Default
           [Flat_multicast] — byte-identical to the paper's scheduler. *)
 }
 
 val default : t
-(** Every budget is [None] (unbounded) and [budget_reselects] is 0:
-    byte-identical behavior to the paper's unbudgeted protocol. *)
+(** Unbudgeted ([budgeted = false]): byte-identical behavior to the
+    paper's unbudgeted protocol. *)
 
 val with_default_budgets : t -> t
-(** Enable a budget profile sized for the paper's calibration constants
-    (600 ms freeze bound for the small-residue strategies, transfer-scale
-    bounds elsewhere) and at least one budget reselect. *)
+(** [{ t with budgeted = true }]: the budget profile sized for the
+    paper's calibration constants and one budget reselect. *)
 
 val sum_env_spans : t -> Time.span
 (** [env_setup + env_destroy] — the paper's 40 ms check. *)

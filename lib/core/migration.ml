@@ -438,12 +438,21 @@ let cancel_reservation_best_effort kernel ~self ~pm ~temp_lh =
     (Kernel.send kernel ~src:self ~dst:pm
        (Message.make (Protocol.Pm_cancel_reserve { temp_lh })))
 
-(* The per-strategy deadline budget, if the configuration declares one. *)
-let budget_for (cfg : Config.t) = function
-  | Protocol.Precopy -> cfg.Config.budget_precopy
-  | Protocol.Freeze_and_copy -> cfg.Config.budget_freeze_copy
-  | Protocol.Copy_on_reference -> cfg.Config.budget_cor
-  | Protocol.Vm_flush _ -> cfg.Config.budget_flush
+(* The per-strategy deadline budget when [cfg.budgeted], sized for the
+   paper's calibration: the freeze bound comfortably covers kernel-state
+   copy plus a small residue at the 3 s/MB bulk rate, and the transfer
+   bound caps the whole running copy phase. Freeze-and-copy moves the
+   entire image frozen, so its freeze budget is the transfer-scale one. *)
+let budget_for (cfg : Config.t) strategy =
+  if not cfg.Config.budgeted then None
+  else
+    let freeze =
+      match strategy with
+      | Protocol.Freeze_and_copy -> Time.of_sec 30.
+      | Protocol.Precopy | Protocol.Copy_on_reference | Protocol.Vm_flush _ ->
+          Time.of_ms 600.
+    in
+    Some { Config.bg_freeze = freeze; bg_transfer = Time.of_sec 30. }
 
 (* Covers the install request's IPC cost (and a successful ack's return
    trip) in the pre-freeze estimate. *)
@@ -725,10 +734,10 @@ let migrate ?health ~kernel ~cfg ~table ~self ~program ?dest ~strategy () =
   (* Retries re-run selection — excluding every destination that already
      failed, so a crashed (but still advertised) host is never picked
      twice — and only apply when the destination is ours to choose; the
-     paper's implementation uses zero retries. Budget aborts reselect on
-     their own counter ([budget_reselects]): the copy was too slow for
-     this destination, so try a fresh one rather than stretch the
-     window. *)
+     paper's implementation uses zero retries. A budget abort (only
+     possible when [cfg.budgeted]) reselects once, on its own counter
+     [m]: the copy was too slow for this destination, so try a fresh one
+     rather than stretch the window. *)
   let rec loop n m failed =
     let exclude_tried tried = match tried with Some h -> h :: failed | None -> failed in
     match
@@ -740,7 +749,7 @@ let migrate ?health ~kernel ~cfg ~table ~self ~program ?dest ~strategy () =
           loop (n + 1) m (exclude_tried tried)
         else Error e
     | Error ((Budget_exceeded _ as e), tried) ->
-        if dest = None && m < cfg.Config.budget_reselects then
+        if dest = None && m < 1 then
           loop n (m + 1) (exclude_tried tried)
         else Error e
     | Error (e, _) -> Error e

@@ -99,15 +99,17 @@ val migrate :
     [health] feeds destination selection
     ({!Scheduler.Spine.select_in_group}).
 
-    When {!Config} declares a budget for the strategy, the copy phase
-    checks the transfer bound at every chunk (budgeted transfers move in
-    256 KB chunks) and predicts each pre-copy round's cost from the
-    observed rate; the freeze window is gated before freezing (estimated
-    residue + kernel-state time must fit), checked mid-residue, and
-    enforced at the destination — an install arriving after the freeze
-    deadline is refused, so [Mig_committed.freeze <= bg_freeze] is a
-    hard invariant. Budget aborts reselect a destination up to
-    [budget_reselects] times. *)
+    When [cfg.budgeted] is set, the copy phase checks the transfer bound
+    at every chunk (budgeted transfers move in 256 KB chunks) and
+    predicts each pre-copy round's cost from the observed rate; the
+    freeze window is gated before freezing (estimated residue +
+    kernel-state time must fit), checked mid-residue, and enforced at
+    the destination — an install arriving after the freeze deadline is
+    refused, so [Mig_committed.freeze <= bg_freeze] is a
+    hard invariant. A budget abort reselects a destination once. The
+    per-strategy profile: a 600 ms freeze bound for pre-copy,
+    copy-on-reference and VM-flush, 30 s for freeze-and-copy, and a
+    30 s transfer bound for all. *)
 
 val kernel_state_span : Config.t -> Logical_host.t -> Time.span
 (** The Section 4.1 formula: base + per-object x (processes + spaces). *)

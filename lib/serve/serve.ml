@@ -8,20 +8,18 @@ module Session = struct
     au_interval : Time.span;
     au_min : int;
     au_max : int;
-    au_headroom : float;
-    au_band : float;
-    au_alpha : float;
   }
 
   let default_autoscale =
-    {
-      au_interval = Time.of_sec 2.;
-      au_min = 4;
-      au_max = 4096;
-      au_headroom = 0.8;
-      au_band = 0.2;
-      au_alpha = 0.3;
-    }
+    { au_interval = Time.of_sec 2.; au_min = 4; au_max = 4096 }
+
+  (* The autoscaler's fixed constants: target utilization, hysteresis
+     band (a fraction of the current cap) and the smoothing factor of
+     the rate and service-time EWMAs. *)
+  let headroom = 0.8
+  let band = 0.2
+  let alpha = 0.3
+  let smooth x prev = (alpha *. x) +. ((1. -. alpha) *. prev)
 
   type params = {
     arrivals : arrivals;
@@ -398,14 +396,9 @@ module Session = struct
           t.completed <- t.completed + 1;
           Stats.Summary.record t.submit_to_complete_ms (Time.to_ms span);
           let service_ms = Time.to_ms (Time.sub (now t) rq.rq_running) in
-          let a =
-            match t.s_params.autoscale with
-            | Some au -> au.au_alpha
-            | None -> 0.3
-          in
           t.as_service_ewma_ms <-
             (if t.as_service_ewma_ms = 0. then service_ms
-             else (a *. service_ms) +. ((1. -. a) *. t.as_service_ewma_ms));
+             else smooth service_ms t.as_service_ewma_ms);
           Ok span
       | Error e ->
           t.failed <- t.failed + 1;
@@ -510,19 +503,16 @@ module Session = struct
     t.as_last_submitted <- t.submitted;
     let dt = Time.to_sec au.au_interval in
     let inst = if dt > 0. then float_of_int arrived /. dt else 0. in
-    t.as_rate_ewma <-
-      (au.au_alpha *. inst) +. ((1. -. au.au_alpha) *. t.as_rate_ewma);
+    t.as_rate_ewma <- smooth inst t.as_rate_ewma;
     let service_s = t.as_service_ewma_ms /. 1000. in
     if service_s > 0. then begin
       let target =
         int_of_float
-          (Float.ceil (t.as_rate_ewma *. service_s /. au.au_headroom))
+          (Float.ceil (t.as_rate_ewma *. service_s /. headroom))
       in
       let target = Stdlib.max au.au_min (Stdlib.min au.au_max target) in
-      let band =
-        int_of_float (au.au_band *. float_of_int (Stdlib.max 1 t.s_cap))
-      in
-      if Stdlib.abs (target - t.s_cap) > band then begin
+      let slack = int_of_float (band *. float_of_int (Stdlib.max 1 t.s_cap)) in
+      if Stdlib.abs (target - t.s_cap) > slack then begin
         t.s_cap <- target;
         t.scale_events <- t.scale_events + 1;
         t.cap_min_seen <- Stdlib.min t.cap_min_seen t.s_cap;

@@ -45,16 +45,14 @@ module Session : sig
     au_interval : Time.span;  (** Controller cadence. *)
     au_min : int;  (** Cap floor. *)
     au_max : int;  (** Cap ceiling. *)
-    au_headroom : float;  (** Target utilization, e.g. 0.8. *)
-    au_band : float;
-        (** Hysteresis: retarget only when |target - cap| exceeds this
-            fraction of the current cap. *)
-    au_alpha : float;  (** Smoothing factor for rate and service time. *)
   }
+  (** The controller's constants are fixed: 0.8 utilization headroom, a
+      hysteresis band of 0.2 x the current cap (retarget only when
+      |target - cap| exceeds it), and 0.3 smoothing for both the rate
+      and the service time. *)
 
   val default_autoscale : autoscale
-  (** 2 s cadence, cap in [4, 4096], 0.8 headroom, 0.2 band, 0.3
-      smoothing. *)
+  (** 2 s cadence, cap in [4, 4096]. *)
 
   type params = {
     arrivals : arrivals;

@@ -343,7 +343,7 @@ let test_every_traced_event_is_typed () =
       Scenario.run ~content_cache:(1024 * 1024)
         (Scenario.Library.plain entry ~seed:77)
     in
-    List.map fst o.Scenario.o_event_kinds
+    List.map fst o.Scenario.o_coverage.Coverage.events
   in
   let runs =
     [ ("cor", cor); ("adopt", adopt); ("churn", churn); ("crowd", crowd) ]
@@ -374,7 +374,7 @@ let test_every_traced_event_is_typed () =
    reporting fails here. *)
 
 let library_contract =
-  Fuzz.Coverage.Library
+  Coverage.Library
     {
       scenarios = [ "s" ];
       strategies = [ "precopy" ];
@@ -384,7 +384,7 @@ let library_contract =
 
 let full_coverage =
   {
-    Fuzz.Coverage.declared = [ "crash" ];
+    Coverage.declared = [ "crash" ];
     fired = [ ("crash", 1) ];
     monitors = List.map (fun m -> (m, 1)) Monitors.monitor_names;
     scenarios = [ ("s", 1) ];
@@ -394,64 +394,83 @@ let full_coverage =
     features = [ ("spike", (2, 1)) ];
   }
 
-let gap = Alcotest.testable (Fmt.of_to_string Fuzz.Coverage.gap_line) ( = )
+let gap = Alcotest.testable (Fmt.of_to_string Coverage.gap_line) ( = )
 
 let idle m c =
   {
     c with
-    Fuzz.Coverage.monitors =
+    Coverage.monitors =
       List.map
         (fun (n, k) -> (n, if n = m then 0 else k))
-        c.Fuzz.Coverage.monitors;
+        c.Coverage.monitors;
   }
 
 let test_coverage_gaps () =
   let check name contract c expected =
-    Alcotest.(check (list gap)) name expected (Fuzz.Coverage.gaps contract c)
+    Alcotest.(check (list gap)) name expected (Coverage.gaps contract c)
   in
   let c = full_coverage in
   check "library contract met" library_contract c [];
-  check "free-form contract met" Fuzz.Coverage.Free_form c [];
+  check "free-form contract met" Coverage.Free_form c [];
   check "fault never fired" library_contract
     { c with fired = [ ("crash", 0) ] }
-    [ Fuzz.Coverage.Fault_never_fired "crash" ];
-  check "undeclared kinds are not owed" Fuzz.Coverage.Free_form
+    [ Coverage.Fault_never_fired "crash" ];
+  check "undeclared kinds are not owed" Coverage.Free_form
     { c with declared = []; fired = [] }
     [];
-  check "monitor idle" Fuzz.Coverage.Free_form (idle "clock" c)
-    [ Fuzz.Coverage.Monitor_idle "clock" ];
+  check "monitor idle" Coverage.Free_form (idle "clock" c)
+    [ Coverage.Monitor_idle "clock" ];
   check "scenario never ran" library_contract { c with scenarios = [] }
-    [ Fuzz.Coverage.Scenario_never_ran "s" ];
+    [ Coverage.Scenario_never_ran "s" ];
   check "strategy never started" library_contract { c with strategies = [] }
-    [ Fuzz.Coverage.Strategy_never_started "precopy" ];
+    [ Coverage.Strategy_never_started "precopy" ];
   check "feature never materialized" library_contract
     { c with features = [ ("spike", (3, 0)) ] }
-    [ Fuzz.Coverage.Feature_never_materialized "spike" ];
+    [ Coverage.Feature_never_materialized "spike" ];
   check "placement never dispatched" library_contract
     { c with placements = [] }
-    [ Fuzz.Coverage.Placement_never_dispatched "flat" ];
+    [ Coverage.Placement_never_dispatched "flat" ];
   check "no manifest" library_contract { c with events = [] }
-    [ Fuzz.Coverage.No_manifest ];
-  check "free-form owes no library promise" Fuzz.Coverage.Free_form
+    [ Coverage.No_manifest ];
+  check "free-form owes no library promise" Coverage.Free_form
     { c with scenarios = []; strategies = []; features = []; placements = [];
              events = [] }
     [];
   (* Caching is only promised by the library contract. *)
-  check "free-form exempts dedup" Fuzz.Coverage.Free_form (idle "dedup" c) [];
+  check "free-form exempts dedup" Coverage.Free_form (idle "dedup" c) [];
   check "library gates dedup" library_contract (idle "dedup" c)
-    [ Fuzz.Coverage.Monitor_idle "dedup" ]
+    [ Coverage.Monitor_idle "dedup" ]
 
 let test_coverage_union () =
-  let u = Fuzz.Coverage.union full_coverage full_coverage in
+  let u = Coverage.union full_coverage full_coverage in
   Alcotest.(check (list string)) "declared deduplicated" [ "crash" ]
-    u.Fuzz.Coverage.declared;
+    u.Coverage.declared;
   Alcotest.(check (list (pair string int))) "counts add" [ ("precopy", 4) ]
-    u.Fuzz.Coverage.strategies;
+    u.Coverage.strategies;
   Alcotest.(check (list (pair string (pair int int))))
-    "features add" [ ("spike", (4, 2)) ] u.Fuzz.Coverage.features;
+    "features add" [ ("spike", (4, 2)) ] u.Coverage.features;
   Alcotest.(check (list gap)) "empty is the identity" []
-    (Fuzz.Coverage.gaps library_contract
-       (Fuzz.Coverage.union Fuzz.Coverage.empty full_coverage))
+    (Coverage.gaps library_contract
+       (Coverage.union Coverage.empty full_coverage))
+
+(* A serve run counts toward its placement policy only when it selected:
+   with no arrivals nothing is dispatched, so [Placement_never_dispatched]
+   can fire for a policy whose runs never selected. *)
+let test_placement_counts_only_selecting_runs () =
+  let sv = { (Scenario.serve_of_seed 1) with Scenario.sv_faults = [] } in
+  let placements sv =
+    let o = Scenario.run_serve sv in
+    (o.Scenario.so_submitted, o.Scenario.so_coverage.Coverage.placements)
+  in
+  let submitted, idle =
+    placements { sv with Scenario.sv_duration = Time.zero }
+  in
+  Alcotest.(check int) "no arrivals" 0 submitted;
+  Alcotest.(check (list (pair string int))) "idle run counts no placement" []
+    idle;
+  Alcotest.(check (list (pair string int))) "a selecting run counts once"
+    [ (Config.placement_name sv.Scenario.sv_placement, 1) ]
+    (snd (placements sv))
 
 (* Every CLI strategy token names a distinct discipline. *)
 let test_strategy_tokens () =
@@ -483,7 +502,7 @@ let test_serve_fail_line_names_dispatched_placement () =
   let rep = run (Replay.make ~serve:true ()) ~count:4 ~base_seed:4 in
   List.iter
     (fun (t : Fuzz.trial) ->
-      match t.Fuzz.coverage.Fuzz.Coverage.placements with
+      match t.Fuzz.coverage.Coverage.placements with
       | [ (policy, _) ] ->
           if not (contains t.Fuzz.description ("placement " ^ policy)) then
             Alcotest.failf "dispatched %s but described as: %s" policy
@@ -676,6 +695,8 @@ let () =
           Alcotest.test_case "every coverage gap kind is reported" `Quick
             test_coverage_gaps;
           Alcotest.test_case "coverage union adds" `Quick test_coverage_union;
+          Alcotest.test_case "placement counts only runs that selected" `Quick
+            test_placement_counts_only_selecting_runs;
           Alcotest.test_case "strategy tokens name distinct disciplines"
             `Quick test_strategy_tokens;
           Alcotest.test_case "serve FAIL line names the dispatched placement"
