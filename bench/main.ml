@@ -143,7 +143,7 @@ let table_4_1 () =
          (fun (i, name, wi, w, r) () ->
            let seed = 100 + i + (1000 * ((wi * 8) + r + 1)) in
            let cl = mk_cluster ~seed ~workstations:2 () in
-           match Experiment.dirty_rate cl ~prog:name ~window:(sec w) ~reps:1 () with
+           match Experiment.dirty_rate cl ~prog:name ~window:(sec w) ~reps:1 with
            | Ok kb -> ((i, wi), Some kb)
            | Error e ->
                Printf.eprintf "dirty_rate %s/%.1fs: %s\n%!" name w e;
@@ -191,7 +191,7 @@ let exec_cost () =
     (Cluster.user cl ~ws:0 ~name:"selector" (fun k self ->
          for _ = 1 to samples do
            (match
-              Scheduler.Spine.select_in_group ~group:Ids.program_manager_group k (Cluster.cfg cl) ~self ~bytes:(64 * 1024)
+              Scheduler.Spine.select_in_group ~group:Ids.program_manager_group k ~self ~bytes:(64 * 1024)
             with
            | Ok s ->
                Stats.Summary.record sel (Time.to_ms s.Scheduler.s_responded_in)
@@ -207,12 +207,11 @@ let exec_cost () =
   (* Environment setup + destroy. *)
   let cl = fresh_cluster () in
   let r = ok "exec" (Experiment.remote_exec cl ~prog:"cc68" ()) in
-  let cfg = Cluster.cfg cl in
   row "environment setup + destroy: paper 40 ms";
   row "  measured setup %.1f ms + configured destroy %.1f ms = %.1f ms"
     (Time.to_ms r.Experiment.er_setup)
-    (Time.to_ms cfg.Config.env_destroy)
-    (Time.to_ms r.Experiment.er_setup +. Time.to_ms cfg.Config.env_destroy);
+    (Time.to_ms Config.env_destroy)
+    (Time.to_ms r.Experiment.er_setup +. Time.to_ms Config.env_destroy);
   metric "env_setup_ms" (Time.to_ms r.Experiment.er_setup);
   detail "remote_exec_cc68" (Experiment.exec_result_to_json r);
   (* Program loading vs image size: one replica per program. *)
@@ -603,7 +602,7 @@ let scale () =
            ignore
              (Cluster.user cl ~ws:0 ~name:"prober" (fun k self ->
                   (match
-                     Scheduler.Spine.select_in_group ~group:Ids.program_manager_group k (Cluster.cfg cl) ~self
+                     Scheduler.Spine.select_in_group ~group:Ids.program_manager_group k ~self
                        ~bytes:(64 * 1024)
                    with
                   | Ok s -> first := Time.to_ms s.Scheduler.s_responded_in
@@ -611,7 +610,7 @@ let scale () =
                   Proc.sleep (Cluster.engine cl) (sec 1.);
                   all :=
                     List.length
-                      (Scheduler.Spine.candidates k (Cluster.cfg cl) ~self
+                      (Scheduler.Spine.candidates k ~self
                          ~bytes:(64 * 1024) ~window:(Time.of_ms 100.))));
            Cluster.run cl ~until:(sec 5.);
            (n, !first, !all))
@@ -851,7 +850,7 @@ let balance_ablation () =
     let b =
       if with_balancer then
         Some
-          (Balancer.start ~interval:(sec 3.) ~imbalance:2
+          (Balancer.start ~interval:(sec 3.)
              (Cluster.workstation cl 0).Cluster.ws_kernel)
       else None
     in

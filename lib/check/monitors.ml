@@ -401,16 +401,3 @@ let pp_violation ppf v =
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf r ->
          Format.fprintf ppf "  %a" Tracer.pp_record r))
     v.vi_window
-
-let pp_report ppf t =
-  if ok t then
-    Format.fprintf ppf "all invariants held over %d events" t.seen
-  else begin
-    Format.fprintf ppf "@[<v>%d violation%s over %d events:@ %a@]" t.vio_count
-      (if t.vio_count = 1 then "" else "s")
-      t.seen
-      (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_violation)
-      (violations t);
-    if dropped t > 0 then
-      Format.fprintf ppf "@ (%d further violations not retained)" (dropped t)
-  end

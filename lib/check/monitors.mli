@@ -91,6 +91,3 @@ val coverage : t -> (string * int) list
 
 val pp_violation : Format.formatter -> violation -> unit
 (** Multi-line: header plus the captured event window. *)
-
-val pp_report : Format.formatter -> t -> unit
-(** All retained violations, or a one-line all-clear. *)

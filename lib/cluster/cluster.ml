@@ -141,20 +141,14 @@ let start_gossip t =
              Proc.sleep eng
                (Time.add gossip_interval
                   (Rng.uniform_span rng Time.zero gossip_jitter));
-             let c =
-               Kernel.send_group fsk ~src:self ~group:(Ids.pod_group pod)
-                 (Message.make Protocol.Pm_list_programs)
-             in
-             let replies = Kernel.collect_within fsk c ~window:gossip_window in
              let queue, idle =
                List.fold_left
-                 (fun (q, i) (_, (m : Message.t)) ->
-                   match m.Message.body with
-                   | Protocol.Pm_programs { programs; _ } ->
-                       let n = List.length programs in
-                       (q + n, if n = 0 then i + 1 else i)
-                   | _ -> (q, i))
-                 (0, 0) replies
+                 (fun (q, i) (_, _, programs, _) ->
+                   let n = List.length programs in
+                   (q + n, if n = 0 then i + 1 else i))
+                 (0, 0)
+                 (Remote_exec.survey fsk ~self ~group:(Ids.pod_group pod)
+                    ~window:gossip_window)
              in
              Placement.note_pod_load p ~pod ~queue ~idle;
              loop ()
@@ -162,8 +156,11 @@ let start_gossip t =
            loop ()))
   done
 
+(* Store-and-forward delay per frame at the bridge of a bridged cluster. *)
+let bridge_delay = Time.of_ms 2.
+
 let create ?(seed = 1985) ?(workstations = 6) ?(bridged = 0)
-    ?(bridge_delay = Time.of_ms 2.) ?(memory_bytes = 2 * 1024 * 1024)
+    ?(memory_bytes = 2 * 1024 * 1024)
     ?(cfg = Config.default) ?(net_config = Ethernet.default_config)
     ?disk_us_per_kb ?(trace = false) ?faults ()  =
   assert (bridged >= 0 && bridged <= workstations);
@@ -296,7 +293,7 @@ let user t ~ws ~name body =
 (* The failure detector observes from the file server: fault plans only
    name workstations, so the observer itself never crashes and its view
    survives any churn the plan throws at the cluster. *)
-let enable_health ?config t =
+let enable_health t =
   match t.c_health with
   | Some h -> h
   | None ->
@@ -307,7 +304,7 @@ let enable_health ?config t =
               Logical_host.id (Kernel.host_lh ws.ws_kernel) ))
           (workstations t)
       in
-      let h = Health.start ?config t.c_fs_kernel ~peers in
+      let h = Health.start t.c_fs_kernel ~peers in
       t.c_health <- Some h;
       Array.iter
         (fun ws -> Program_manager.set_health ws.ws_pm (Some h))

@@ -22,7 +22,6 @@ val create :
   ?seed:int ->
   ?workstations:int ->
   ?bridged:int ->
-  ?bridge_delay:Time.span ->
   ?memory_bytes:int ->
   ?cfg:Config.t ->
   ?net_config:Ethernet.config ->
@@ -39,7 +38,7 @@ val create :
 
     [bridged] (default 0) moves the {e last} that-many workstations onto
     a second Ethernet segment joined to the first by a store-and-forward
-    bridge with [bridge_delay] (default 2 ms) per frame — the first step
+    bridge with a 2 ms forwarding delay per frame — the first step
     toward the internet environment Section 6 leaves as future work. The
     file server stays on segment 0.
 
@@ -71,7 +70,7 @@ val name_server : t -> Name_server.t
 val faults : t -> Faults.t option
 (** The installed fault plan, if the cluster was created with one. *)
 
-val enable_health : ?config:Health.config -> t -> Health.t
+val enable_health : t -> Health.t
 (** Start the cluster failure detector (idempotent): probers run on the
     file-server machine — fault plans only target workstations, so the
     observer never crashes — watching every workstation. The view is

@@ -52,7 +52,11 @@ let find_program cl (h : Remote_exec.handle) =
   | Some w ->
       Progtable.find (Program_manager.table w.Cluster.ws_pm) h.Remote_exec.h_lh
 
-let dirty_rate cl ~prog ~window ~reps ?(warmup = Time.of_sec 1.) () =
+(* Each launch runs this long before its first window, so start-up
+   writes do not count. *)
+let dirty_warmup = Time.of_sec 1.
+
+let dirty_rate cl ~prog ~window ~reps =
   let eng = Cluster.engine cl in
   let samples = ref [] in
   let failure = ref None in
@@ -66,7 +70,7 @@ let dirty_rate cl ~prog ~window ~reps ?(warmup = Time.of_sec 1.) () =
                  match find_program cl h with
                  | None -> failure := Some "program record not found"
                  | Some p ->
-                     Proc.sleep eng warmup;
+                     Proc.sleep eng dirty_warmup;
                      let rec windows need =
                        if need > 0 then begin
                          ignore (Logical_host.clear_dirty p.Progtable.p_lh);
@@ -102,7 +106,7 @@ let dirty_rate cl ~prog ~window ~reps ?(warmup = Time.of_sec 1.) () =
 let dirty_rate_jobs ?(workstations = 2) ~base_seed ~prog ~window ~reps () =
   seeded_jobs ~reps ~base_seed (fun ~seed ->
       let cl = Cluster.create ~seed ~workstations () in
-      dirty_rate cl ~prog ~window ~reps:1 ())
+      dirty_rate cl ~prog ~window ~reps:1)
 
 let migrate_program cl ?(ws = 0) ?strategy ?(run_for = Time.of_sec 3.)
     ?(extra_processes = 0) ~prog () =
@@ -137,23 +141,9 @@ let migrate_program cl ?(ws = 0) ?strategy ?(run_for = Time.of_sec 3.)
   !result
 
 let cluster_ps (ctx : Context.t) =
-  let k = Context.kernel ctx in
-  let c =
-    Kernel.send_group k ~src:(Context.self ctx)
-      ~group:Ids.program_manager_group
-      (Message.make Protocol.Pm_list_programs)
-  in
-  let replies =
-    Kernel.collect_within k c ~window:(Context.cfg ctx).Config.select_timeout
-  in
-  List.filter_map
-    (fun ((pm : Ids.pid), (m : Message.t)) ->
-      match m.Message.body with
-      | Protocol.Pm_programs { host; programs; guests = _ } ->
-          ignore pm;
-          Some (host, programs)
-      | _ -> None)
-    replies
+  Remote_exec.survey (Context.kernel ctx) ~self:(Context.self ctx)
+    ~group:Ids.program_manager_group ~window:Config.select_timeout
+  |> List.map (fun (_, host, programs, _) -> (host, programs))
 
 let copy_rate cl ~bytes =
   let eng = Cluster.engine cl in
@@ -188,7 +178,6 @@ let kernel_op_latency cl ~samples =
 type usage_params = {
   u_horizon : Time.span;
   u_job_rate_per_sec : float;
-  u_owner : Arrivals.Owner.params;
   u_progs : string list;
 }
 
@@ -196,7 +185,6 @@ let default_usage_params =
   {
     u_horizon = Time.of_sec 600.;
     u_job_rate_per_sec = 0.1;
-    u_owner = Arrivals.Owner.default;
     u_progs = [ "cc68"; "preprocessor"; "assembler"; "make"; "tex" ];
   }
 
@@ -240,7 +228,8 @@ let pp_usage ppf s =
    the machine stops volunteering and any resident guests are preempted
    with migrateprog -n; editing itself is a light foreground CPU load
    that the priority scheduler serves ahead of guests. *)
-let install_owner cl w params ~preempted ~destroyed ~freeze_ms =
+let install_owner cl w ~preempted ~destroyed ~freeze_ms =
+  let params = Arrivals.Owner.default in
   let eng = Cluster.engine cl in
   let rng = Cluster.rng cl in
   let pm = w.Cluster.ws_pm in
@@ -276,12 +265,12 @@ let install_owner cl w params ~preempted ~destroyed ~freeze_ms =
   (* Editing load: duty-cycled foreground computation while active. *)
   ignore
     (Proc.spawn eng ~name:(Kernel.host_name k ^ ":owner") (fun () ->
-        let quantum = (Cluster.cfg cl).Config.os.Os_params.cpu_quantum in
         let rec loop () =
           if Arrivals.Owner.active owner then begin
-            Cpu.compute (Kernel.cpu k) ~priority:Cpu.Foreground quantum;
+            Cpu.compute (Kernel.cpu k) ~priority:Cpu.Foreground
+              Os_params.cpu_quantum;
             let idle_gap =
-              Time.scale quantum
+              Time.scale Os_params.cpu_quantum
                 ((1. /. Float.max 0.01 params.Arrivals.Owner.active_cpu_fraction)
                 -. 1.)
             in
@@ -304,7 +293,7 @@ let usage cl p =
   and freeze_ms = ref [] in
   let gauges =
     List.map
-      (fun w -> install_owner cl w p.u_owner ~preempted ~destroyed ~freeze_ms)
+      (fun w -> install_owner cl w ~preempted ~destroyed ~freeze_ms)
       (Cluster.workstations cl)
   in
   let progs = Array.of_list p.u_progs in

@@ -52,13 +52,11 @@ val dirty_rate :
   prog:string ->
   window:Time.span ->
   reps:int ->
-  ?warmup:Time.span ->
-  unit ->
   (float, string) result
 (** Run the program locally at foreground priority on an otherwise idle
     workstation and measure the mean KB of unique pages dirtied per
-    window, paper-style: clear the dirty bits, let the program run one
-    window, count. *)
+    window, paper-style: after a 1 s warm-up, clear the dirty bits, let
+    the program run one window, count. *)
 
 val dirty_rate_jobs :
   ?workstations:int ->
@@ -119,13 +117,12 @@ val kernel_op_latency : Cluster.t -> samples:int -> float
 type usage_params = {
   u_horizon : Time.span;
   u_job_rate_per_sec : float;  (** Cluster-wide submission rate. *)
-  u_owner : Arrivals.Owner.params;
   u_progs : string list;  (** Job mix, cycled through. *)
 }
 
 val default_usage_params : usage_params
-(** 10 simulated minutes, one job every ~10 s, default owner behaviour,
-    a compile-and-tex mix. *)
+(** 10 simulated minutes, one job every ~10 s, a compile-and-tex mix.
+    Every workstation's owner follows {!Arrivals.Owner.default}. *)
 
 type usage_stats = {
   us_submitted : int;

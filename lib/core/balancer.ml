@@ -30,16 +30,8 @@ let stop t = Proc.kill t.daemon
 (* One survey: every program manager's migratable-guest list, with the
    manager's own (stable) pid from the reply. *)
 let survey ?(group = Ids.program_manager_group) k ~self =
-  let c =
-    Kernel.send_group k ~src:self ~group
-      (Message.make Protocol.Pm_list_programs)
-  in
-  List.filter_map
-    (fun (pm, (m : Message.t)) ->
-      match m.Message.body with
-      | Protocol.Pm_programs { host; guests; _ } -> Some (pm, host, guests)
-      | _ -> None)
-    (Kernel.collect_within k c ~window:(Time.of_ms 200.))
+  Remote_exec.survey k ~self ~group ~window:(Time.of_ms 200.)
+  |> List.map (fun (pm, host, _, guests) -> (pm, host, guests))
   |> List.sort (fun (_, a, _) (_, b, _) -> String.compare a b)
 
 (* With a health view the survey is consulted through it: replies from
@@ -61,7 +53,11 @@ let worth_surveying health =
       watched = []
       || List.length (List.filter (fun (_, s) -> s = Health.Alive) watched) >= 2
 
-let rebalance_once ?health ?group ?strategy t k ~self ~imbalance ~on_outcome =
+(* A cycle moves a guest only when the busiest host runs at least this
+   many more guests than the idlest volunteer. *)
+let imbalance = 2
+
+let rebalance_once ?health ?group ?strategy t k ~self ~on_outcome =
   match List.filter (trusted health) (survey ?group k ~self) with
   | [] | [ _ ] -> ()
   | loads ->
@@ -103,8 +99,8 @@ let rebalance_once ?health ?group ?strategy t k ~self ~imbalance ~on_outcome =
       in
       try_candidates (List.rev by_load)
 
-let start ?health ?placement ?(interval = Time.of_sec 5.) ?(imbalance = 2)
-    ?strategy ?(on_outcome = fun (_ : Protocol.migration_outcome) -> ()) k =
+let start ?health ?placement ?(interval = Time.of_sec 5.) ?strategy
+    ?(on_outcome = fun (_ : Protocol.migration_outcome) -> ()) k =
   let eng = Kernel.engine k in
   let lh = Kernel.create_logical_host k ~priority:Cpu.Foreground in
   let self = Vproc.pid (Kernel.create_process k lh) in
@@ -141,8 +137,7 @@ let start ?health ?placement ?(interval = Time.of_sec 5.) ?(imbalance = 2)
                  mid-cycle crash does to the survey or the migrate
                  conversation, absorb it and try again next interval. *)
               try
-                rebalance_once ?health ?group ?strategy t k ~self ~imbalance
-                  ~on_outcome
+                rebalance_once ?health ?group ?strategy t k ~self ~on_outcome
               with exn ->
                 t.skip_count <- t.skip_count + 1;
                 Kernel.emit k (fun () ->

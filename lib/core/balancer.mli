@@ -9,7 +9,7 @@
 
     The balancer is a daemon on one workstation. Each cycle it surveys
     every program manager, and if the busiest workstation runs at least
-    [imbalance] more guests than the idlest volunteer, it asks the busy
+    two more guests than the idlest volunteer, it asks the busy
     host's manager to migrate one guest (destination chosen by the normal
     decentralized selection). One move per cycle keeps it stable.
 
@@ -32,13 +32,12 @@ val start :
   ?health:Health.t ->
   ?placement:Placement.t ->
   ?interval:Time.span ->
-  ?imbalance:int ->
   ?strategy:Protocol.strategy ->
   ?on_outcome:(Protocol.migration_outcome -> unit) ->
   Kernel.t ->
   t
 (** Start the daemon on the given workstation. [interval] defaults to
-    5 s, [imbalance] to 2 guests, [strategy] (the copy discipline every
+    5 s, [strategy] (the copy discipline every
     triggered migration uses) to {!Remote_exec.migrate}'s,
     [Protocol.Precopy]. [on_outcome] is
     invoked once per completed rebalancing migration with the full

@@ -28,19 +28,12 @@ type budget = { bg_freeze : Time.span; bg_transfer : Time.span }
 
 type t = {
   os : Os_params.t;
-  env_setup : Time.span;
-  env_destroy : Time.span;
   candidacy_delay : Time.span;
   candidacy_jitter : Time.span;
-  select_timeout : Time.span;
   max_guests : int;
-  min_free_memory : int;
   precopy_min_residue : int;
   precopy_improvement : float;
-  precopy_max_rounds : int;
   migration_retries : int;
-  kernel_state_base : Time.span;
-  kernel_state_per_object : Time.span;
   budgeted : bool;
   placement : placement;
 }
@@ -48,23 +41,23 @@ type t = {
 let default =
   {
     os = Os_params.default;
-    env_setup = Time.of_ms 25.;
-    env_destroy = Time.of_ms 15.;
     candidacy_delay = Time.of_ms 21.5;
     candidacy_jitter = Time.of_ms 4.;
-    select_timeout = Time.of_sec 2.;
     max_guests = 3;
-    min_free_memory = 128 * 1024;
     precopy_min_residue = 8 * 1024;
     precopy_improvement = 0.7;
-    precopy_max_rounds = 8;
     migration_retries = 0;
-    kernel_state_base = Time.of_ms 14.;
-    kernel_state_per_object = Time.of_ms 9.;
     budgeted = false;
     placement = Flat_multicast;
   }
 
 let with_default_budgets t = { t with budgeted = true }
 
-let sum_env_spans t = Time.add t.env_setup t.env_destroy
+let env_setup = Time.of_ms 25.
+let env_destroy = Time.of_ms 15.
+let sum_env_spans = Time.add env_setup env_destroy
+let select_timeout = Time.of_sec 2.
+let min_free_memory = 128 * 1024
+let precopy_max_rounds = 8
+let kernel_state_base = Time.of_ms 14.
+let kernel_state_per_object = Time.of_ms 9.

@@ -2,8 +2,10 @@
 
     Everything the paper measures that is not already a kernel
     ({!Os_params}) or network ({!Ethernet}, {!Transfer}) constant lives
-    here, with its provenance. Changing a value rescales the benches'
-    absolute numbers but not their shape. *)
+    here, with its provenance. The fields of {!t} are the values some
+    experiment varies; the values below it ({!env_setup} and on) are
+    fixed constants. Changing a value rescales the benches' absolute
+    numbers but not their shape. *)
 
 (** Which placement policy host selection uses ({!Placement}). The
     symbolic constructor names a policy family; {!Placement.of_config}
@@ -41,28 +43,14 @@ type budget = { bg_freeze : Time.span; bg_transfer : Time.span }
 
 type t = {
   os : Os_params.t;  (** Kernel timing (Section 4.1 overheads). *)
-  env_setup : Time.span;
-      (** Program-manager work to create and initialize a program
-          environment. Together with [env_destroy] this is the paper's
-          "setting up and later destroying a new execution environment on
-          a specific remote host is 40 milliseconds". *)
-  env_destroy : Time.span;
   candidacy_delay : Time.span;
       (** A program manager's processing before answering a candidate
           query; with IPC and jitter this reproduces the measured 23 ms
           to first response (Section 4.1). *)
   candidacy_jitter : Time.span;  (** Uniform extra [0, jitter]. *)
-  select_timeout : Time.span;
-      (** How long host selection waits for any response before deciding
-          no host is available. *)
   max_guests : int;
       (** A workstation stops volunteering beyond this many guest
           programs. *)
-  min_free_memory : int;
-      (** Candidacy requires at least this much free RAM beyond the
-          program's own needs, and a ready queue of at most one
-          process ({!Cpu.queue_length}): a workstation volunteers only
-          while its CPU is essentially idle. *)
   precopy_min_residue : int;
       (** Stop pre-copying when the dirty residue is at most this many
           bytes ("until the number of modified pages is relatively
@@ -71,13 +59,9 @@ type t = {
       (** ... "or until no significant reduction in the number of
           modified pages is achieved": stop when a round shrinks the
           residue by less than this factor. *)
-  precopy_max_rounds : int;  (** Hard cap on copy rounds. *)
   migration_retries : int;
       (** Attempts after a failed transfer. The paper's implementation
           "simply gives up if the first attempt fails": 0. *)
-  kernel_state_base : Time.span;  (** 14 ms (Section 4.1). *)
-  kernel_state_per_object : Time.span;
-      (** + 9 ms per process and address space (Section 4.1). *)
   budgeted : bool;
       (** Enforce the per-strategy deadline budgets ({!Migration.migrate}
           documents the profile) and let a budget-aborted migration
@@ -98,5 +82,37 @@ val with_default_budgets : t -> t
 (** [{ t with budgeted = true }]: the budget profile sized for the
     paper's calibration constants and one budget reselect. *)
 
-val sum_env_spans : t -> Time.span
+(** {1 Fixed calibration}
+
+    Values no experiment varies. *)
+
+val env_setup : Time.span
+(** 25 ms: program-manager work to create and initialize a program
+    environment. Together with {!env_destroy} this is the paper's
+    "setting up and later destroying a new execution environment on a
+    specific remote host is 40 milliseconds" (Section 4.1). *)
+
+val env_destroy : Time.span
+(** 15 ms: tearing the environment down again. *)
+
+val sum_env_spans : Time.span
 (** [env_setup + env_destroy] — the paper's 40 ms check. *)
+
+val select_timeout : Time.span
+(** 2 s: how long host selection waits for any response before deciding
+    no host is available. *)
+
+val min_free_memory : int
+(** 128 KB: candidacy requires at least this much free RAM beyond the
+    program's own needs, and a ready queue of at most one process
+    ({!Cpu.queue_length}): a workstation volunteers only while its CPU
+    is essentially idle. *)
+
+val precopy_max_rounds : int
+(** 8: hard cap on pre-copy rounds. *)
+
+val kernel_state_base : Time.span
+(** 14 ms to copy a logical host's kernel state (Section 4.1) ... *)
+
+val kernel_state_per_object : Time.span
+(** ... + 9 ms per process and address space (Section 4.1). *)

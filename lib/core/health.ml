@@ -21,30 +21,15 @@ let state_name = function
 
 let pp_state ppf s = Format.pp_print_string ppf (state_name s)
 
-type config = {
-  probe_interval : Time.span;
-  rtt_alpha : float;
-  timeout_multiplier : float;
-  timeout_margin : Time.span;
-  min_timeout : Time.span;
-  max_timeout : Time.span;
-  suspect_after : int;
-  dead_after : int;
-  recover_after : int;
-}
-
-let default_config =
-  {
-    probe_interval = Time.of_ms 500.;
-    rtt_alpha = 0.25;
-    timeout_multiplier = 4.0;
-    timeout_margin = Time.of_ms 5.;
-    min_timeout = Time.of_ms 10.;
-    max_timeout = Time.of_sec 1.;
-    suspect_after = 2;
-    dead_after = 4;
-    recover_after = 2;
-  }
+let probe_interval = Time.of_ms 500.
+let rtt_alpha = 0.25
+let timeout_multiplier = 4.0
+let timeout_margin = Time.of_ms 5.
+let min_timeout = Time.of_ms 10.
+let max_timeout = Time.of_sec 1.
+let suspect_after = 2
+let dead_after = 4
+let recover_after = 2
 
 type peer = {
   p_host : string;
@@ -58,7 +43,6 @@ type peer = {
 
 type t = {
   h_kernel : Kernel.t;
-  h_cfg : config;
   h_peers : (string, peer) Hashtbl.t;
   h_order : peer array;
   mutable h_procs : Vproc.t list;
@@ -89,16 +73,17 @@ let () =
 
 let observer t = Kernel.host_name t.h_kernel
 
-let timeout_for cfg p =
-  if p.p_rtt_ewma_us <= 0. then cfg.max_timeout
+let timeout_for p =
+  if p.p_rtt_ewma_us <= 0. then max_timeout
   else
     let adaptive =
       Time.add
-        (Time.scale (Time.of_us (int_of_float p.p_rtt_ewma_us))
-           cfg.timeout_multiplier)
-        cfg.timeout_margin
+        (Time.scale
+           (Time.of_us (int_of_float p.p_rtt_ewma_us))
+           timeout_multiplier)
+        timeout_margin
     in
-    Time.min cfg.max_timeout (Time.max cfg.min_timeout adaptive)
+    Time.min max_timeout (Time.max min_timeout adaptive)
 
 let set_state t p to_ =
   if p.p_state <> to_ then begin
@@ -115,20 +100,21 @@ let set_state t p to_ =
 let note_hit t p rtt_us =
   p.p_misses <- 0;
   p.p_hits <- p.p_hits + 1;
-  let a = t.h_cfg.rtt_alpha in
   p.p_rtt_ewma_us <-
     (if p.p_rtt_ewma_us <= 0. then float_of_int rtt_us
-     else (a *. float_of_int rtt_us) +. ((1. -. a) *. p.p_rtt_ewma_us));
+     else
+       (rtt_alpha *. float_of_int rtt_us)
+       +. ((1. -. rtt_alpha) *. p.p_rtt_ewma_us));
   match p.p_state with
   | Alive -> ()
   | Suspect | Dead ->
-      if p.p_hits >= t.h_cfg.recover_after then set_state t p Alive
+      if p.p_hits >= recover_after then set_state t p Alive
 
 let note_miss t p =
   p.p_hits <- 0;
   p.p_misses <- p.p_misses + 1;
-  if p.p_misses >= t.h_cfg.dead_after then set_state t p Dead
-  else if p.p_misses >= t.h_cfg.suspect_after && p.p_state = Alive then
+  if p.p_misses >= dead_after then set_state t p Dead
+  else if p.p_misses >= suspect_after && p.p_state = Alive then
     set_state t p Suspect
 
 let prober t i vp =
@@ -140,11 +126,11 @@ let prober t i vp =
      never synchronize (no randomness: replica determinism). *)
   let n = max 1 (Array.length t.h_order) in
   Proc.sleep eng
-    (Time.scale t.h_cfg.probe_interval (float_of_int i /. float_of_int n));
+    (Time.scale probe_interval (float_of_int i /. float_of_int n));
   let rec loop () =
     if not t.h_stopped then begin
       let t0 = Engine.now eng in
-      let deadline = Time.add t0 (timeout_for t.h_cfg p) in
+      let deadline = Time.add t0 (timeout_for p) in
       p.p_probes <- p.p_probes + 1;
       (match
          Kernel.send ~deadline k ~src:self
@@ -156,14 +142,14 @@ let prober t i vp =
       | Ok _ | Error _ -> note_miss t p);
       (* Cadence is anchored to the probe's start so a slow or timed-out
          probe does not stretch the interval. *)
-      let wait = Time.sub (Time.add t0 t.h_cfg.probe_interval) (Engine.now eng) in
+      let wait = Time.sub (Time.add t0 probe_interval) (Engine.now eng) in
       if Time.(wait > Time.zero) then Proc.sleep eng wait;
       loop ()
     end
   in
   loop ()
 
-let start ?(config = default_config) kernel ~peers =
+let start kernel ~peers =
   let mk (host, lh) =
     {
       p_host = host;
@@ -179,7 +165,6 @@ let start ?(config = default_config) kernel ~peers =
   let t =
     {
       h_kernel = kernel;
-      h_cfg = config;
       h_peers = Hashtbl.create (Array.length order);
       h_order = order;
       h_procs = [];
@@ -229,8 +214,3 @@ let summary t =
 let transitions t = t.h_transitions
 let false_suspicions t = t.h_false_suspicions
 let probes t = Array.fold_left (fun acc p -> acc + p.p_probes) 0 t.h_order
-
-let rtt_ms t host =
-  match Hashtbl.find_opt t.h_peers host with
-  | Some p when p.p_rtt_ewma_us > 0. -> Some (p.p_rtt_ewma_us /. 1000.)
-  | Some _ | None -> None

@@ -19,21 +19,36 @@ type state = Alive | Suspect | Dead
 val state_name : state -> string
 val pp_state : Format.formatter -> state -> unit
 
-type config = {
-  probe_interval : Time.span;  (** Cadence per peer (default 500 ms). *)
-  rtt_alpha : float;  (** EWMA weight of the newest RTT sample. *)
-  timeout_multiplier : float;  (** Probe timeout = multiplier × EWMA... *)
-  timeout_margin : Time.span;  (** ... + margin, clamped to... *)
-  min_timeout : Time.span;
-  max_timeout : Time.span;  (** ... (also the cold-start timeout). *)
-  suspect_after : int;  (** Consecutive misses before [Suspect]. *)
-  dead_after : int;  (** Consecutive misses before [Dead]. *)
-  recover_after : int;
-      (** Consecutive hits before a [Suspect]/[Dead] peer returns to
-          [Alive] — the anti-flap hysteresis. *)
-}
+(** {1 Detector constants} *)
 
-val default_config : config
+val probe_interval : Time.span
+(** 500 ms: probe cadence per peer. *)
+
+val rtt_alpha : float
+(** 0.25: EWMA weight of the newest RTT sample. *)
+
+val timeout_multiplier : float
+(** 4: the probe timeout is this multiple of the RTT EWMA ... *)
+
+val timeout_margin : Time.span
+(** ... plus 5 ms, clamped to ... *)
+
+val min_timeout : Time.span
+(** ... at least 10 ms ... *)
+
+val max_timeout : Time.span
+(** ... and at most 1 s, which is also the cold-start timeout before
+    any RTT sample. *)
+
+val suspect_after : int
+(** 2 consecutive misses make an [Alive] peer [Suspect]. *)
+
+val dead_after : int
+(** 4 consecutive misses make a peer [Dead]. *)
+
+val recover_after : int
+(** 2 consecutive hits return a [Suspect]/[Dead] peer to [Alive] — the
+    anti-flap hysteresis. *)
 
 type t
 
@@ -45,8 +60,7 @@ type Tracer.event +=
       to_ : state;
     }  (** Emitted (category ["health"]) on every state change. *)
 
-val start :
-  ?config:config -> Kernel.t -> peers:(string * Ids.lh_id) list -> t
+val start : Kernel.t -> peers:(string * Ids.lh_id) list -> t
 (** [start kernel ~peers] spawns one prober process per peer on
     [kernel] (conventionally the file server: fault plans only target
     workstations, so the observer itself never crashes). Each peer is
@@ -78,6 +92,3 @@ val false_suspicions : t -> int
 
 val probes : t -> int
 (** Total probes issued. *)
-
-val rtt_ms : t -> string -> float option
-(** EWMA round-trip time to a peer, if at least one probe succeeded. *)

@@ -82,12 +82,12 @@ let () =
           [ ("lh", Tracer.Int lh); ("dest", Str dest) ]
     | _ -> None)
 
-let kernel_state_span (cfg : Config.t) lh =
+let kernel_state_span lh =
   let objects =
     Logical_host.process_count lh + List.length (Logical_host.spaces lh)
   in
-  Time.add cfg.Config.kernel_state_base
-    (Time.mul cfg.Config.kernel_state_per_object objects)
+  Time.add Config.kernel_state_base
+    (Time.mul Config.kernel_state_per_object objects)
 
 (* Budgeted copies are cut into chunks so the deadline is checked while
    the bytes move, not only after; unbudgeted copies keep the original
@@ -251,7 +251,7 @@ let rec precopy_rounds kernel (cfg : Config.t) ~deadline ~self ~temp_lh ~lh ~k
   let residue = Logical_host.dirty_bytes lh in
   let stop =
     residue <= cfg.Config.precopy_min_residue
-    || k >= cfg.Config.precopy_max_rounds
+    || k >= Config.precopy_max_rounds
     || float_of_int residue
        >= cfg.Config.precopy_improvement *. float_of_int last_residue
   in
@@ -522,7 +522,7 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
         Result.map_error
           (fun m -> No_host m)
           (Scheduler.Spine.select_in_group ?health
-             ~exclude:(my_host :: exclude) kernel cfg
+             ~exclude:(my_host :: exclude) kernel
              ~group:Ids.program_manager_group ~self
              ~bytes:(Logical_host.total_bytes lh))
   in
@@ -564,7 +564,7 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
                 ~pm:dest.Scheduler.s_pm ~temp_lh;
               finish_with (Error (e, Some dest.Scheduler.s_host))
           | Ok rounds -> (
-              let ks_span = kernel_state_span cfg lh in
+              let ks_span = kernel_state_span lh in
               (* Pre-freeze gate: if the residue the freeze window must
                  move is already predicted (at the observed copy rate) to
                  blow the freeze budget, abort before freezing at all. *)

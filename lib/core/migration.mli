@@ -111,5 +111,5 @@ val migrate :
     copy-on-reference and VM-flush, 30 s for freeze-and-copy, and a
     30 s transfer bound for all. *)
 
-val kernel_state_span : Config.t -> Logical_host.t -> Time.span
+val kernel_state_span : Logical_host.t -> Time.span
 (** The Section 4.1 formula: base + per-object x (processes + spaces). *)

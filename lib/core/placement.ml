@@ -234,7 +234,7 @@ let pod_size t = t.p_pod_size
 
 (* --- selection entry points ------------------------------------------ *)
 
-let select_any ?health ?(exclude = []) t k (cfg : Config.t) ~self ~bytes =
+let select_any ?health ?(exclude = []) t k ~self ~bytes =
   let now = Engine.now (Kernel.engine k) in
   let rec go last_err = function
     | [] ->
@@ -242,7 +242,7 @@ let select_any ?health ?(exclude = []) t k (cfg : Config.t) ~self ~bytes =
     | tier :: rest -> (
         match
           Scheduler.Spine.select_in_group ?health ~exclude
-            ~label:tier.t_label k cfg ~group:tier.t_group ~self ~bytes
+            ~label:tier.t_label k ~group:tier.t_group ~self ~bytes
         with
         | Ok s ->
             note_select t ~now s;
@@ -253,9 +253,9 @@ let select_any ?health ?(exclude = []) t k (cfg : Config.t) ~self ~bytes =
   in
   go None (tiers t)
 
-let select_host ?health t k (cfg : Config.t) ~self ~host =
+let select_host ?health t k ~self ~host =
   let now = Engine.now (Kernel.engine k) in
-  match Scheduler.Spine.select_host ?health k cfg ~self ~host with
+  match Scheduler.Spine.select_host ?health k ~self ~host with
   | Ok s ->
       note_select t ~now s;
       Ok s

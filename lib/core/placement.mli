@@ -70,7 +70,6 @@ val select_any :
   ?exclude:string list ->
   t ->
   Kernel.t ->
-  Config.t ->
   self:Ids.pid ->
   bytes:int ->
   (Scheduler.selection, string) result
@@ -79,7 +78,6 @@ val select_host :
   ?health:Health.t ->
   t ->
   Kernel.t ->
-  Config.t ->
   self:Ids.pid ->
   host:string ->
   (Scheduler.selection, string) result

@@ -48,8 +48,7 @@ let run_spec ctx rng ~lh ~spec ~env ~model ~charge ~self =
          scheduling boundary, where blocking IPC is safe (the compute
          slice below holds the CPU). *)
       Kernel.service_page_faults k ~self ~lh:lh_id;
-      let quantum = (Kernel.params k).Os_params.cpu_quantum in
-      let chunk = Time.min quantum remaining in
+      let chunk = Time.min Os_params.cpu_quantum remaining in
       Cpu.compute_sliced ~owner:lh_id ~gate
         ~must_release:(fun () -> Logical_host.frozen lh)
         (Kernel.cpu k)

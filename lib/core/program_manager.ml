@@ -46,7 +46,7 @@ let eng t = Kernel.engine t.pm_kernel
 let willing t ~bytes =
   t.is_accepting
   && Kernel.guest_count t.pm_kernel < t.cfg.Config.max_guests
-  && Kernel.memory_free t.pm_kernel >= bytes + t.cfg.Config.min_free_memory
+  && Kernel.memory_free t.pm_kernel >= bytes + Config.min_free_memory
   && Cpu.queue_length (Kernel.cpu t.pm_kernel) <= 1
 
 let answer_candidate t d =
@@ -78,7 +78,7 @@ let reap t program =
            | Some thread -> Proc.status thread <> Some Proc.Normal
            | None -> true
          in
-         Proc.sleep (Kernel.engine k) t.cfg.Config.env_destroy;
+         Proc.sleep (Kernel.engine k) Config.env_destroy;
          (match Kernel.find_lh k (Logical_host.id program.Progtable.p_lh) with
          | Some lh -> Kernel.destroy_logical_host k lh
          | None -> ());
@@ -110,7 +110,7 @@ let handle_create t d ~prog ~env ~priority ~explicit_host =
         let t0 = Engine.now (eng t) in
         (* Set up the execution environment (address space, initial
            process, argument/environment initialization). *)
-        Proc.sleep (eng t) t.cfg.Config.env_setup;
+        Proc.sleep (eng t) Config.env_setup;
         let lh = Kernel.create_logical_host k ~priority in
         let setup = Time.sub (Engine.now (eng t)) t0 in
         let t1 = Engine.now (eng t) in
@@ -281,7 +281,7 @@ let handle_migrate t d ~lh ~dest ~force_destroy ~strategy =
              | None -> None
              | Some host -> (
                  match
-                   Scheduler.Spine.select_host ?health:t.pm_health k t.cfg
+                   Scheduler.Spine.select_host ?health:t.pm_health k
                      ~self:t.pm_pid ~host
                  with
                  | Ok s -> Some s
@@ -369,7 +369,7 @@ let serve t d =
               }))
   | _ -> Kernel.reply k d (Message.make (Protocol.Pm_refused "unknown request"))
 
-let create ?(accepting = true) k ~cfg ~directory ~rng =
+let create k ~cfg ~directory ~rng =
   let t =
     {
       pm_kernel = k;
@@ -378,7 +378,7 @@ let create ?(accepting = true) k ~cfg ~directory ~rng =
       rng;
       tbl = Progtable.create k;
       pm_pid = Ids.pid 0 0;
-      is_accepting = accepting;
+      is_accepting = true;
       pm_health = None;
       pm_vp = None;
       pm_pod = None;

@@ -19,15 +19,14 @@ type Tracer.event +=
 type t
 
 val create :
-  ?accepting:bool ->
   Kernel.t ->
   cfg:Config.t ->
   directory:Directory.t ->
   rng:Rng.t ->
   t
-(** Start the program manager on a workstation. [accepting] (default
-    true) is the owner's policy switch: whether this workstation
-    volunteers for guest work. *)
+(** Start the program manager on a workstation. It starts out
+    accepting guest work; {!set_accepting} is the owner's policy
+    switch. *)
 
 val pid : t -> Ids.pid
 (** The manager's process id — also reachable location-independently as

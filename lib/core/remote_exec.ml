@@ -43,9 +43,8 @@ let image_bytes prog =
       + spec.Programs.image.File_server.active_bytes
   | exception Not_found -> 0
 
-let rec exec ?(attempts = 5) (ctx : Context.t) ~prog ~target =
+let rec exec_with ~attempts (ctx : Context.t) ~prog ~target =
   let k = ctx.Context.kernel in
-  let cfg = ctx.Context.cfg in
   let self = ctx.Context.self in
   let env = ctx.Context.env in
   let eng = Kernel.engine k in
@@ -66,7 +65,7 @@ let rec exec ?(attempts = 5) (ctx : Context.t) ~prog ~target =
               Some s.Scheduler.s_responded_in,
               Cpu.Background ))
           (Placement.select_host ?health:ctx.Context.health
-             ctx.Context.placement k cfg ~self ~host)
+             ctx.Context.placement k ~self ~host)
     | Any ->
         Result.map
           (fun s ->
@@ -75,7 +74,7 @@ let rec exec ?(attempts = 5) (ctx : Context.t) ~prog ~target =
               Some s.Scheduler.s_responded_in,
               Cpu.Background ))
           (Placement.select_any ?health:ctx.Context.health
-             ctx.Context.placement k cfg ~self ~bytes:(image_bytes prog))
+             ctx.Context.placement k ~self ~bytes:(image_bytes prog))
   in
   match selection with
   | Error e -> Error e
@@ -121,7 +120,7 @@ let rec exec ?(attempts = 5) (ctx : Context.t) ~prog ~target =
              (selection races under bursts of "@ *"); pick again. *)
           if String.equal m "not willing" && target = Any && attempts > 1 then begin
             Proc.sleep eng (Time.of_ms 50.);
-            exec ~attempts:(attempts - 1) ctx ~prog ~target
+            exec_with ~attempts:(attempts - 1) ctx ~prog ~target
           end
           else Error m
       | Ok _ ->
@@ -130,6 +129,10 @@ let rec exec ?(attempts = 5) (ctx : Context.t) ~prog ~target =
       | Error e ->
           placement_failed ();
           Error (Format.asprintf "%a" Kernel.pp_send_error e))
+
+(* A volunteer that filled up between answering the query and receiving
+   the creation request causes re-selection, up to five tries in all. *)
+let exec ctx ~prog ~target = exec_with ~attempts:5 ctx ~prog ~target
 
 let wait (ctx : Context.t) handle =
   let k = ctx.Context.kernel in
@@ -184,6 +187,19 @@ let migrate ?(strategy = Protocol.Precopy) ?dest ?(force_destroy = false) k
   | Ok { Message.body = Protocol.Pm_migrate_failed m; _ } -> Error (Refused m)
   | Ok _ -> Error (No_answer "malformed migrate reply")
   | Error e -> Error (No_answer (Format.asprintf "%a" Kernel.pp_send_error e))
+
+let survey k ~self ~group ~window =
+  let c =
+    Kernel.send_group k ~src:self ~group
+      (Message.make Protocol.Pm_list_programs)
+  in
+  List.filter_map
+    (fun (pm, (m : Message.t)) ->
+      match m.Message.body with
+      | Protocol.Pm_programs { host; programs; guests } ->
+          Some (pm, host, programs, guests)
+      | _ -> None)
+    (Kernel.collect_within k c ~window)
 
 let migrate_program ?strategy ?dest ?pm (ctx : Context.t) handle =
   let pm = Option.value pm ~default:(Ids.program_manager_of handle.h_lh) in

@@ -47,7 +47,6 @@ type handle = {
 }
 
 val exec :
-  ?attempts:int ->
   Context.t ->
   prog:string ->
   target:target ->
@@ -55,8 +54,8 @@ val exec :
 (** Start a program; returns once it is running. Blocking; call from a
     simulated process (the context's [self]). With [target = Any], a
     volunteer that filled up between answering the query and receiving
-    the creation request causes re-selection, up to [attempts] (default
-    5) tries. *)
+    the creation request causes re-selection, up to five tries in
+    all. *)
 
 val wait : Context.t -> handle -> (Time.span * Time.span, string) result
 (** Block until the program exits; returns (wall time, CPU time). Works
@@ -101,6 +100,23 @@ val resume : Context.t -> handle -> (unit, string) result
 val destroy : Context.t -> handle -> (unit, string) result
 (** Terminate the program wherever it currently runs. Completion waiters
     are answered with a failure. *)
+
+(** {1 Program survey} *)
+
+val survey :
+  Kernel.t ->
+  self:Ids.pid ->
+  group:Ids.pid ->
+  window:Time.span ->
+  (Ids.pid * string * (string * Ids.lh_id * string) list * Ids.lh_id list)
+  list
+(** [survey k ~self ~group ~window] multicasts one [Pm_list_programs]
+    from [self] to the program managers in [group] and collects answers
+    for [window]. One [(pm, host, programs, guests)] per manager heard,
+    in response order: [pm] is the manager's own pid, [programs] its
+    (program, logical host, status) table and [guests] its running,
+    migratable guests. Blocking; call from the simulated process
+    [self]. *)
 
 (** {1 Migration}
 

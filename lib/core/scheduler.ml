@@ -77,22 +77,22 @@ let bid_host (_, (m : Message.t)) =
   | Protocol.Pm_candidate { host; _ } -> Some host
   | _ -> None
 
-let grace_of (cfg : Config.t) = Time.scale cfg.Config.select_timeout 0.1
+let grace = Time.scale Config.select_timeout 0.1
 
 module Spine = struct
-  let collect_best ?health k (cfg : Config.t) c =
+  let collect_best ?health k c =
     match health with
-    | None -> Kernel.collect_first k c ~timeout:cfg.Config.select_timeout
+    | None -> Kernel.collect_first k c ~timeout:Config.select_timeout
     | Some h ->
         Kernel.collect_first_where k c
           ~accept:(fun reply ->
             match bid_host reply with
             | None -> false
             | Some host -> Health.is_alive h host)
-          ~timeout:cfg.Config.select_timeout ~grace:(grace_of cfg)
+          ~timeout:Config.select_timeout ~grace
 
-  let select_in_group ?health ?(exclude = []) ?(label = "*") k
-      (cfg : Config.t) ~group ~self ~bytes =
+  let select_in_group ?health ?(exclude = []) ?(label = "*") k ~group ~self
+      ~bytes =
     let eng = Kernel.engine k in
     let asked_at = Engine.now eng in
     let exclude =
@@ -105,7 +105,7 @@ module Spine = struct
       Kernel.send_group k ~src:self ~group
         (Message.make (Protocol.Pm_query_candidates { bytes; exclude }))
     in
-    match collect_best ?health k cfg c with
+    match collect_best ?health k c with
     | None ->
         Kernel.emit k (fun () ->
             Sched_timeout { host = Kernel.host_name k; target = label });
@@ -118,7 +118,7 @@ module Spine = struct
             Ok s
         | None -> Error "malformed candidate reply")
 
-  let select_host ?health k (cfg : Config.t) ~self ~host =
+  let select_host ?health k ~self ~host =
     let eng = Kernel.engine k in
     let asked_at = Engine.now eng in
     match health with
@@ -133,7 +133,7 @@ module Spine = struct
           Kernel.send_group k ~src:self ~group:Ids.program_manager_group
             (Message.make (Protocol.Pm_query_host { host }))
         in
-        match Kernel.collect_first k c ~timeout:cfg.Config.select_timeout with
+        match Kernel.collect_first k c ~timeout:Config.select_timeout with
         | None ->
             Kernel.emit k (fun () ->
                 Sched_timeout { host = Kernel.host_name k; target = host });
@@ -146,9 +146,8 @@ module Spine = struct
                 Ok s
             | None -> Error "malformed candidate reply"))
 
-  let candidates ?(exclude = []) ?(group = Ids.program_manager_group) k
-      (cfg : Config.t) ~self ~bytes ~window =
-    ignore cfg;
+  let candidates ?(exclude = []) ?(group = Ids.program_manager_group) k ~self
+      ~bytes ~window =
     let asked_at = Engine.now (Kernel.engine k) in
     Kernel.emit k (fun () -> Sched_query { host = Kernel.host_name k; bytes });
     let c =

@@ -54,7 +54,6 @@ module Spine : sig
     ?exclude:string list ->
     ?label:string ->
     Kernel.t ->
-    Config.t ->
     group:Ids.pid ->
     self:Ids.pid ->
     bytes:int ->
@@ -69,7 +68,6 @@ module Spine : sig
   val select_host :
     ?health:Health.t ->
     Kernel.t ->
-    Config.t ->
     self:Ids.pid ->
     host:string ->
     (selection, string) result
@@ -81,7 +79,6 @@ module Spine : sig
     ?exclude:string list ->
     ?group:Ids.pid ->
     Kernel.t ->
-    Config.t ->
     self:Ids.pid ->
     bytes:int ->
     window:Time.span ->

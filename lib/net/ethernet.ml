@@ -1,19 +1,11 @@
-type config = {
-  bandwidth_bytes_per_sec : int;
-  propagation : Time.span;
-  min_frame_bytes : int;
-  max_frame_bytes : int;
-  loss_probability : float;
-}
+type config = { bandwidth_bytes_per_sec : int; loss_probability : float }
 
 let default_config =
-  {
-    bandwidth_bytes_per_sec = 1_250_000;
-    propagation = Time.of_us 5;
-    min_frame_bytes = 64;
-    max_frame_bytes = 1536;
-    loss_probability = 0.;
-  }
+  { bandwidth_bytes_per_sec = 1_250_000; loss_probability = 0. }
+
+let propagation = Time.of_us 5
+let min_frame_bytes = 64
+let max_frame_bytes = 1536
 
 (* Typed trace events. [seg] identifies the segment, [frame] is a
    per-segment transmission id: a bridged relay is a fresh transmission
@@ -182,8 +174,6 @@ let unsubscribe s g =
     Hashtbl.remove s.net.group_rosters g
   end
 
-let station_addr s = s.addr
-
 (* Hashtbl order is unspecified; rosters are sorted by address so
    delivery order (and thus whole-cluster runs) stays deterministic. *)
 let sorted_station_array stations pred =
@@ -208,7 +198,7 @@ let group_roster t g =
       r
 
 let wire_time t bytes =
-  let padded = Stdlib.max bytes t.cfg.min_frame_bytes in
+  let padded = Stdlib.max bytes min_frame_bytes in
   (* Round up so a frame never takes zero wire time. *)
   let us =
     ((padded * 1_000_000) + t.cfg.bandwidth_bytes_per_sec - 1)
@@ -262,9 +252,6 @@ let set_link a b up =
 let sever_bridge a b = set_link a b false
 let heal_bridge a b = set_link a b true
 
-let bridge_up a b =
-  List.exists (fun l -> l.lk_peer == b && l.lk_up) a.peers
-
 let locate t addr =
   if Hashtbl.mem t.stations (Addr.to_int addr) then `Local
   else
@@ -287,10 +274,10 @@ let crosses_to t peer (frame : 'p Frame.t) =
   | Frame.Broadcast | Frame.Multicast _ -> true
 
 let rec send_on ?(forwarded = false) t (frame : 'p Frame.t) =
-  if frame.Frame.bytes > t.cfg.max_frame_bytes then
+  if frame.Frame.bytes > max_frame_bytes then
     invalid_arg
       (Printf.sprintf "Ethernet.send: frame of %d bytes exceeds maximum %d"
-         frame.Frame.bytes t.cfg.max_frame_bytes);
+         frame.Frame.bytes max_frame_bytes);
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + frame.Frame.bytes;
   let fid = t.next_frame in
@@ -325,7 +312,7 @@ let rec send_on ?(forwarded = false) t (frame : 'p Frame.t) =
             })
   end
   else begin
-    let deliver_at = Time.add clear t.cfg.propagation in
+    let deliver_at = Time.add clear propagation in
     (* One engine event per frame, fanning out to every recipient inside
        the action; deliveries are never cancelled, so [post] skips the
        handle. *)

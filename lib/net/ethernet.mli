@@ -11,14 +11,20 @@
 
 type config = {
   bandwidth_bytes_per_sec : int;  (** Wire rate; 10 Mbit/s = 1 250 000. *)
-  propagation : Time.span;  (** Wire end-to-end latency. *)
-  min_frame_bytes : int;  (** Small frames are padded, as on Ethernet. *)
-  max_frame_bytes : int;  (** Larger sends must be fragmented by callers. *)
   loss_probability : float;  (** Independent per-frame loss. *)
 }
 
 val default_config : config
-(** 10 Mbit/s, 5 us propagation, 64/1536-byte frame bounds, no loss. *)
+(** 10 Mbit/s, no loss. *)
+
+val propagation : Time.span
+(** Wire end-to-end latency: 5 us. *)
+
+val min_frame_bytes : int
+(** 64: small frames are padded, as on Ethernet. *)
+
+val max_frame_bytes : int
+(** 1536: larger sends must be fragmented by callers. *)
 
 type 'p t
 (** A segment carrying frames with payloads of type ['p]. *)
@@ -90,12 +96,10 @@ val subscribe : 'p station -> int -> unit
 
 val unsubscribe : 'p station -> int -> unit
 
-val station_addr : 'p station -> Addr.t
-
 val send : 'p t -> 'p Frame.t -> unit
 (** Queue a frame for transmission. Asynchronous: returns immediately;
     delivery callbacks fire when the frame clears the wire. Frames above
-    [max_frame_bytes] raise [Invalid_argument]. *)
+    {!max_frame_bytes} raise [Invalid_argument]. *)
 
 (** {1 Bridged segments}
 
@@ -122,9 +126,6 @@ val heal_bridge : 'p t -> 'p t -> unit
 (** Bring a severed bridge back up. Senders re-establish contact through
     the normal retransmission / [Where_is] machinery — the bridge itself
     holds no state to recover. *)
-
-val bridge_up : 'p t -> 'p t -> bool
-(** Whether a live bridge currently joins the two segments. *)
 
 val locate : 'p t -> Addr.t -> [ `Local | `Peer of 'p t * Time.span | `Unknown ]
 (** Where a station lives relative to this segment — [`Peer] carries the

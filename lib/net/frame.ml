@@ -7,8 +7,3 @@ let broadcast ~src ~bytes payload = { src; dst = Broadcast; bytes; payload }
 
 let multicast ~src ~group ~bytes payload =
   { src; dst = Multicast group; bytes; payload }
-
-let pp_dst ppf = function
-  | Unicast a -> Addr.pp ppf a
-  | Broadcast -> Format.pp_print_string ppf "broadcast"
-  | Multicast g -> Format.fprintf ppf "multicast-%d" g

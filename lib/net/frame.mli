@@ -21,5 +21,3 @@ type 'p t = {
 val unicast : src:Addr.t -> dst:Addr.t -> bytes:int -> 'p -> 'p t
 val broadcast : src:Addr.t -> bytes:int -> 'p -> 'p t
 val multicast : src:Addr.t -> group:int -> bytes:int -> 'p -> 'p t
-
-val pp_dst : Format.formatter -> dst -> unit

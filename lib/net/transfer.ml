@@ -10,13 +10,15 @@ let frames_needed ~pacing ~bytes =
   (bytes + pacing.data_frame_bytes - 1) / pacing.data_frame_bytes
 
 let per_frame_span ~config ~pacing =
-  let wire_bytes = Stdlib.max pacing.data_frame_bytes config.Ethernet.min_frame_bytes in
+  let wire_bytes =
+    Stdlib.max pacing.data_frame_bytes Ethernet.min_frame_bytes
+  in
   let wire_us =
     ((wire_bytes * 1_000_000) + config.Ethernet.bandwidth_bytes_per_sec - 1)
     / config.Ethernet.bandwidth_bytes_per_sec
   in
   Time.add
-    (Time.add (Time.of_us wire_us) config.Ethernet.propagation)
+    (Time.add (Time.of_us wire_us) Ethernet.propagation)
     pacing.per_frame_cpu
 
 let duration ~config ~pacing ~bytes =
@@ -40,19 +42,19 @@ let bulk_copy ?(pacing = v_pacing) ?dst net ~bytes =
   let rec frame_loop remaining =
     if remaining > 0 then begin
       let clear, lost = Ethernet.occupy net ~bytes:pacing.data_frame_bytes in
-      let arrival = Time.add clear (Ethernet.config net).propagation in
+      let local_arrival = Time.add clear Ethernet.propagation in
       let arrival, lost =
         match route with
-        | `Local | `Unknown -> (arrival, lost)
+        | `Local | `Unknown -> (local_arrival, lost)
         | `Peer (peer, delay) ->
             let clear2, lost2 =
-              Ethernet.occupy ~not_before:(Time.add arrival delay) peer
+              Ethernet.occupy ~not_before:(Time.add local_arrival delay) peer
                 ~bytes:pacing.data_frame_bytes
             in
-            (Time.add clear2 (Ethernet.config peer).propagation, lost || lost2)
+            (Time.add clear2 Ethernet.propagation, lost || lost2)
       in
       last_arrival := Time.max !last_arrival arrival;
-      let pace_at = Time.add (Time.add clear (Ethernet.config net).propagation) pacing.per_frame_cpu in
+      let pace_at = Time.add local_arrival pacing.per_frame_cpu in
       Proc.sleep eng (Time.sub pace_at (Engine.now eng));
       (* A lost frame is retransmitted; the remaining count doesn't drop. *)
       frame_loop (if lost then remaining else remaining - 1)

@@ -34,11 +34,8 @@ let collect results =
    mutex per deque — rather than a lock-free Chase-Lev — is noise; what
    matters is that no domain sits idle while another still has a queue.
 
-   Seeding is longest-expected-job-first when the caller supplies a
-   [~cost] estimate: indices are sorted by descending cost and dealt
-   round-robin, so the expensive jobs start first and end-of-sweep
-   stragglers are short. Without [~cost], indices are dealt in submitted
-   order, and stealing alone levels the load.
+   Indices are dealt round-robin in submitted order, and stealing alone
+   levels the load.
 
    None of this affects results: outcomes land in [results.(i)] by job
    index and [collect] merges in index order, so the merged output is
@@ -83,7 +80,7 @@ let steal_back d =
   Mutex.unlock d.mu;
   r
 
-let run ?jobs ?cost thunks =
+let run ?jobs thunks =
   let thunks = Array.of_list thunks in
   let n = Array.length thunks in
   let pool =
@@ -94,21 +91,10 @@ let run ?jobs ?cost thunks =
   else if workers <= 1 then collect (Array.map run_thunk thunks)
   else begin
     let results = Array.make n Pending in
-    (* Seed order: longest expected job first when a cost estimate is
-       available, else submitted order. The sort is stable, so equal
-       costs keep index order. *)
-    let order = Array.init n (fun i -> i) in
-    (match cost with
-    | None -> ()
-    | Some c ->
-        let weights = Array.map c order in
-        let keyed = Array.map (fun i -> (i, weights.(i))) order in
-        Array.stable_sort (fun (_, a) (_, b) -> Float.compare b a) keyed;
-        Array.iteri (fun k (i, _) -> order.(k) <- i) keyed);
     let per_worker = Array.make workers [] in
-    Array.iteri
-      (fun k i -> per_worker.(k mod workers) <- i :: per_worker.(k mod workers))
-      order;
+    for i = 0 to n - 1 do
+      per_worker.(i mod workers) <- i :: per_worker.(i mod workers)
+    done;
     let deques =
       Array.map (fun idxs -> deque_of_list (List.rev idxs)) per_worker
     in

@@ -10,23 +10,16 @@
 
     No external dependencies: a fixed-size pool of plain [Domain]s over
     per-worker work-stealing deques (owner pops the front, idle workers
-    steal the tail), seeded longest-expected-job-first when a [~cost]
-    estimate is supplied so fault-heavy outliers start early instead of
-    stranding a domain at the end of a sweep. *)
+    steal the tail), dealt round-robin in submitted order. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the pool size used when
     [?jobs] is omitted. *)
 
-val run : ?jobs:int -> ?cost:(int -> float) -> (unit -> 'a) list -> 'a list
+val run : ?jobs:int -> (unit -> 'a) list -> 'a list
 (** [run ~jobs thunks] executes every thunk, at most [jobs] at a time
     (each on its own domain; the calling domain participates), and
-    returns the results in the same order as [thunks].
-
-    [?cost] gives the expected relative cost of the job at a given
-    index. It only influences {e scheduling} (expensive jobs are seeded
-    first across the workers' deques); results are merged in index order
-    regardless, so the output is byte-identical with or without it and
+    returns the results in the same order as [thunks], byte-identical
     for any [jobs].
 
     Exception policy: every job runs to completion regardless of other

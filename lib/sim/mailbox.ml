@@ -22,8 +22,6 @@ let send mb v =
   Queue.push v mb.queue;
   wake_one mb
 
-let try_recv mb = Queue.take_opt mb.queue
-
 let length mb = Queue.length mb.queue
 
 let drain mb =

@@ -22,9 +22,6 @@ val recv_timeout : Engine.t -> 'a t -> Time.span -> 'a option
 (** Like {!recv} but gives up after a virtual duration, returning [None].
     This is the primitive beneath IPC retransmission timers. *)
 
-val try_recv : 'a t -> 'a option
-(** Dequeue without blocking. *)
-
 val length : 'a t -> int
 (** Messages currently queued. *)
 

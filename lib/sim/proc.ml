@@ -45,8 +45,6 @@ let alive p = match p.state with Done _ -> false | _ -> true
 
 let status p = match p.state with Done e -> Some e | _ -> None
 
-let is_paused p = p.paused
-
 let finish p e =
   p.state <- Done e;
   p.deferred <- None;

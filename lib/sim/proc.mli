@@ -57,8 +57,6 @@ val unpause : t -> unit
 (** Resume a paused process, delivering a deferred wake-up if one arrived
     during the pause. Idempotent. *)
 
-val is_paused : t -> bool
-
 val on_exit : t -> (exit -> unit) -> unit
 (** Register a hook run when the process terminates (immediately if it
     already has). *)

@@ -30,7 +30,6 @@ type t = {
   mutable drain_waiters : (int * (unit -> unit)) list;
   mutable slow : float; (* wall time per unit of work; 1.0 = nominal *)
   busy : Stats.Gauge.t;
-  fg_busy : Stats.Gauge.t;
 }
 
 let create ?tracer eng ~quantum =
@@ -44,7 +43,6 @@ let create ?tracer eng ~quantum =
     drain_waiters = [];
     slow = 1.0;
     busy = Stats.Gauge.create eng ~initial:0.;
-    fg_busy = Stats.Gauge.create eng ~initial:0.;
   }
 
 let set_slowdown t f =
@@ -89,7 +87,6 @@ let wait_once t priority =
 let release t =
   t.holder <- None;
   Stats.Gauge.set t.busy 0.;
-  Stats.Gauge.set t.fg_busy 0.;
   let drains = t.drain_waiters in
   t.drain_waiters <- [];
   List.iter (fun (_, wake) -> wake ()) drains;
@@ -126,8 +123,7 @@ let compute_sliced ?(owner = 0) ?(gate = fun () -> ())
           acquire ();
           t.holder <- Some owner;
           holding := true;
-          Stats.Gauge.set t.busy 1.;
-          if priority = Foreground then Stats.Gauge.set t.fg_busy 1.
+          Stats.Gauge.set t.busy 1.
         end;
         let slice = Time.min t.quantum !remaining in
         (* A straggling host stretches the wall time of each slice; the
@@ -173,4 +169,3 @@ let wait_clear t ~owner =
   done
 
 let busy_fraction t = Stats.Gauge.time_average t.busy
-let foreground_fraction t = Stats.Gauge.time_average t.fg_busy

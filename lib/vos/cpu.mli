@@ -79,8 +79,5 @@ val busy_fraction : t -> float
 (** Fraction of virtual time the CPU has been running anything since
     creation — drives the idle-workstation statistics of Section 4.3. *)
 
-val foreground_fraction : t -> float
-(** Fraction of virtual time spent on foreground work. *)
-
 val queue_length : t -> int
 (** Requests currently waiting or running. *)

@@ -10,8 +10,6 @@ let pid_compare a b =
   let c = Int.compare a.lh b.lh in
   if c <> 0 then c else Int.compare a.index b.index
 
-let pid_hash = Hashtbl.hash
-
 let pp_lh ppf lh = Format.fprintf ppf "lh-%d" lh
 let pp_pid ppf p = Format.fprintf ppf "<%d.%d>" p.lh p.index
 let pid_to_string p = Format.asprintf "%a" pp_pid p

@@ -16,7 +16,6 @@ val pid : lh_id -> int -> pid
 
 val pid_equal : pid -> pid -> bool
 val pid_compare : pid -> pid -> int
-val pid_hash : pid -> int
 
 val pp_lh : Format.formatter -> lh_id -> unit
 val pp_pid : Format.formatter -> pid -> unit

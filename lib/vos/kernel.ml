@@ -476,10 +476,9 @@ type delivery_outcome =
    healthy migration never times out. *)
 let touch_reservation t lh_id =
   match Hashtbl.find_opt t.reservations lh_id with
-  | Some r when Time.(t.prm.Os_params.reservation_ttl > Time.zero) ->
-      r.r_expires <-
-        Time.add (Engine.now t.eng) t.prm.Os_params.reservation_ttl
-  | Some _ | None -> ()
+  | Some r ->
+      r.r_expires <- Time.add (Engine.now t.eng) Os_params.reservation_ttl
+  | None -> ()
 
 let deliver_request t ~src ~dst ~txn ~msg ~origin =
   touch_reservation t dst.Ids.lh;
@@ -494,7 +493,7 @@ let deliver_request t ~src ~dst ~txn ~msg ~origin =
              timeout for keeping the reply (Section 3.1.3). *)
           Hashtbl.replace inbound txn
             (Logical_host.Replied
-               (m, Time.add (Engine.now t.eng) t.prm.Os_params.reply_cache_ttl));
+               (m, Time.add (Engine.now t.eng) Os_params.reply_cache_ttl));
           Already_replied m
       | None -> (
           match resolve_vproc t dst with
@@ -559,20 +558,17 @@ let rec osend_attempt t os =
             transmit_broadcast t (Packet.Where_is { lh = dst.Ids.lh }));
         os.os_attempts_since_heard <- os.os_attempts_since_heard + 1;
         if
-          os.os_attempts_since_heard > t.prm.Os_params.retries_before_query
+          os.os_attempts_since_heard > Os_params.retries_before_query
           && t.prm.Os_params.rebind = Os_params.Broadcast_query
         then invalidate_binding t dst.Ids.lh;
         (* Exponential backoff: each consecutive unanswered attempt
            widens the interval (capped); any reply or reply-pending
            resets [os_attempts_since_heard] and thus the interval. *)
         let interval =
-          let p = t.prm in
-          let base = p.Os_params.retransmit_interval in
-          if p.Os_params.retransmit_backoff <= 1.0 then base
-          else
-            let n = max 0 (os.os_attempts_since_heard - 1) in
-            Time.min p.Os_params.retransmit_cap
-              (Time.scale base (p.Os_params.retransmit_backoff ** float_of_int n))
+          let n = max 0 (os.os_attempts_since_heard - 1) in
+          Time.min Os_params.retransmit_cap
+            (Time.scale Os_params.retransmit_interval
+               (Os_params.retransmit_backoff ** float_of_int n))
         in
         os.os_timer <-
           Some (Engine.schedule_after t.eng interval (fun () -> osend_attempt t os))
@@ -740,7 +736,7 @@ let reply ?from t (d : Delivery.t) msg =
     | Some home ->
         Hashtbl.replace (Logical_host.inbound home) d.Delivery.txn
           (Logical_host.Replied
-             (msg, Time.add (Engine.now t.eng) t.prm.Os_params.reply_cache_ttl))
+             (msg, Time.add (Engine.now t.eng) Os_params.reply_cache_ttl))
     | None -> ());
     match Hashtbl.find_opt t.outstanding d.Delivery.txn with
     | Some os when Ids.pid_equal os.os_src d.Delivery.src ->
@@ -1090,14 +1086,12 @@ let rec arm_reservation_timer t id =
 
 let reserve_lh t ~temp_lh ~bytes =
   if memory_free t >= bytes then begin
-    let ttl = t.prm.Os_params.reservation_ttl in
-    let live_ttl = Time.(ttl > Time.zero) in
-    let expires =
-      if live_ttl then Time.add (Engine.now t.eng) ttl else Time.zero
-    in
     Hashtbl.replace t.reservations temp_lh
-      { r_bytes = bytes; r_expires = expires };
-    if live_ttl then arm_reservation_timer t temp_lh;
+      {
+        r_bytes = bytes;
+        r_expires = Time.add (Engine.now t.eng) Os_params.reservation_ttl;
+      };
+    arm_reservation_timer t temp_lh;
     true
   end
   else false
@@ -1195,7 +1189,6 @@ let scan_manifest t ~lh ~label ~wire_bytes digests =
 (* {2 Copy-on-reference page faulting} *)
 
 let serves_pages_for t lh = Hashtbl.mem t.page_sources lh
-let page_source_count t = Hashtbl.length t.page_sources
 let fault_source t lh = Hashtbl.find_opt t.fault_sources lh
 
 (* Runs in the faulting process' own context at a scheduling boundary
@@ -1384,7 +1377,7 @@ let create ~engine:eng ~rng:krng ~tracer:trc ~params:prm ~net ~station:self
       name;
       alloc;
       mem_bytes;
-      kcpu = Cpu.create ~tracer:trc eng ~quantum:prm.Os_params.cpu_quantum;
+      kcpu = Cpu.create ~tracer:trc eng ~quantum:Os_params.cpu_quantum;
       lh_table = Hashtbl.create 16;
       on_residency = (fun _ ~resident:_ -> ());
       the_host_lh;

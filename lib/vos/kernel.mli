@@ -399,10 +399,6 @@ val serves_pages_for : t -> Ids.lh_id -> bool
 (** Does this kernel retain (and serve) the pages of a departed logical
     host? *)
 
-val page_source_count : t -> int
-(** How many departed logical hosts this kernel still serves pages
-    for — each one a live residual dependency. *)
-
 val fault_source : t -> Ids.lh_id -> Ids.pid option
 (** Destination side: the old host's kernel server a resident
     copy-on-reference logical host still faults its pages from, if any

@@ -27,7 +27,7 @@ let () =
 
 type t = {
   lh_id : Ids.lh_id;
-  mutable prio : Cpu.priority;
+  prio : Cpu.priority;
   home_host : string;
   procs : (int, Vproc.t) Hashtbl.t;
   mutable proc_order : int list; (* indices, newest first *)
@@ -57,7 +57,6 @@ let create ~id ~priority ~home =
 let id t = t.lh_id
 let priority t = t.prio
 let home t = t.home_host
-let set_priority t p = t.prio <- p
 
 let new_process t =
   let index = t.next_index in

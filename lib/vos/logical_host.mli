@@ -45,8 +45,6 @@ val id : t -> Ids.lh_id
 val priority : t -> Cpu.priority
 val home : t -> string
 
-val set_priority : t -> Cpu.priority -> unit
-
 (** {1 Processes and address spaces} *)
 
 val new_process : t -> Vproc.t

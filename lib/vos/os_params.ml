@@ -4,14 +4,7 @@ type t = {
   local_op : Time.span;
   frozen_check : Time.span;
   group_lookup : Time.span;
-  retransmit_interval : Time.span;
-  retransmit_backoff : float;
-  retransmit_cap : Time.span;
-  retries_before_query : int;
   give_up_after : Time.span;
-  reply_cache_ttl : Time.span;
-  reservation_ttl : Time.span;
-  cpu_quantum : Time.span;
   rebind : rebind_mode;
   bulk_pacing : Transfer.pacing;
   content_cache_bytes : int;
@@ -22,25 +15,16 @@ let default =
     local_op = Time.of_us 500;
     frozen_check = Time.of_us 13;
     group_lookup = Time.of_us 100;
-    retransmit_interval = Time.of_ms 100.;
-    retransmit_backoff = 2.0;
-    retransmit_cap = Time.of_ms 800.;
-    retries_before_query = 3;
     give_up_after = Time.of_sec 5.;
-    reply_cache_ttl = Time.of_sec 2.;
-    reservation_ttl = Time.of_sec 15.;
-    cpu_quantum = Time.of_ms 10.;
     rebind = Broadcast_query;
     bulk_pacing = Transfer.v_pacing;
     content_cache_bytes = 0;
   }
 
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>local_op=%a frozen_check=%a group_lookup=%a@ retransmit=%a \
-     backoff=x%.1f cap=%a retries=%d give_up=%a reply_ttl=%a resv_ttl=%a \
-     quantum=%a@]"
-    Time.pp t.local_op Time.pp t.frozen_check Time.pp t.group_lookup Time.pp
-    t.retransmit_interval t.retransmit_backoff Time.pp t.retransmit_cap
-    t.retries_before_query Time.pp t.give_up_after Time.pp t.reply_cache_ttl
-    Time.pp t.reservation_ttl Time.pp t.cpu_quantum
+let retransmit_interval = Time.of_ms 100.
+let retransmit_backoff = 2.0
+let retransmit_cap = Time.of_ms 800.
+let retries_before_query = 3
+let reply_cache_ttl = Time.of_sec 2.
+let reservation_ttl = Time.of_sec 15.
+let cpu_quantum = Time.of_ms 10.

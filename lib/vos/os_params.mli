@@ -1,10 +1,11 @@
 (** Kernel timing parameters.
 
-    Every cost the simulated kernel charges lives here, so experiments can
-    sweep or ablate them. Defaults are calibrated to the paper's SUN
-    (10 MHz 68010) measurements; the provenance of each constant is noted
-    on its field. Higher-level calibration (program manager, migration,
-    workloads) lives in [V_core.Config]. *)
+    Every cost the simulated kernel charges lives here: the fields of
+    {!t} are the ones experiments sweep or ablate, the constants below
+    them are fixed. Values are calibrated to the paper's SUN
+    (10 MHz 68010) measurements; the provenance of each value is noted
+    on its field or constant. Higher-level calibration (program manager,
+    migration, workloads) lives in [V_core.Config]. *)
 
 (** How references to a migrated logical host get rebound. *)
 type rebind_mode =
@@ -30,39 +31,9 @@ type t = {
   group_lookup : Time.span;
       (** Added when a kernel server or program manager is addressed via
           its local group id — 100 us (Section 4.1). Ablatable likewise. *)
-  retransmit_interval : Time.span;
-      (** Source kernel retransmits an unanswered request after this
-          initial interval. *)
-  retransmit_backoff : float;
-      (** Each consecutive unanswered retransmission multiplies the
-          interval by this factor (exponential backoff), so a loss burst
-          or dead correspondent does not flood the shared wire. [1.0]
-          restores the fixed-interval machine. Any answer — a reply or a
-          reply-pending — resets the interval to
-          [retransmit_interval]. *)
-  retransmit_cap : Time.span;
-      (** Upper bound on the backed-off retransmission interval, keeping
-          recovery latency bounded once the correspondent returns. *)
-  retries_before_query : int;
-      (** Unanswered retransmissions tolerated before the binding-cache
-          entry is invalidated and a [Where_is] broadcast goes out
-          (Section 3.1.4: "a small number of retransmissions"). *)
   give_up_after : Time.span;
       (** A send with no reply and no reply-pending for this long fails.
           Reply-pending packets reset this clock. *)
-  reply_cache_ttl : Time.span;
-      (** How long a replier retains a reply for duplicate requests; each
-          duplicate request refreshes it (Section 3.1.3). *)
-  reservation_ttl : Time.span;
-      (** How long a migration destination holds a {!Kernel.reserve_lh}
-          reservation with no traffic addressed to it before releasing
-          the memory — the recovery path for a source that crashes
-          mid-pre-copy and never installs. Every request addressed
-          through the reserved id (each copy round's acknowledgement
-          ping) refreshes the clock, so a healthy in-progress migration
-          never expires. [Time.zero] or negative disables expiry. *)
-  cpu_quantum : Time.span;
-      (** Scheduler time slice for compute-bound processes. *)
   rebind : rebind_mode;  (** Defaults to {!Broadcast_query}. *)
   bulk_pacing : Transfer.pacing;
       (** Frame size and per-frame host CPU charged by
@@ -82,4 +53,40 @@ type t = {
 
 val default : t
 
-val pp : Format.formatter -> t -> unit
+(** {1 Fixed calibration}
+
+    Kernel constants no experiment varies. *)
+
+val retransmit_interval : Time.span
+(** 100 ms: the source kernel retransmits an unanswered request after
+    this initial interval. *)
+
+val retransmit_backoff : float
+(** ×2: each consecutive unanswered retransmission doubles the interval
+    (exponential backoff), so a loss burst or dead correspondent does
+    not flood the shared wire. Any answer — a reply or a reply-pending —
+    resets the interval to {!retransmit_interval}. *)
+
+val retransmit_cap : Time.span
+(** 800 ms: upper bound on the backed-off retransmission interval,
+    keeping recovery latency bounded once the correspondent returns. *)
+
+val retries_before_query : int
+(** 3: unanswered attempts tolerated before the binding-cache entry is
+    invalidated and a [Where_is] broadcast goes out (Section 3.1.4: "a
+    small number of retransmissions"). *)
+
+val reply_cache_ttl : Time.span
+(** 2 s: how long a replier retains a reply for duplicate requests; each
+    duplicate request refreshes it (Section 3.1.3). *)
+
+val reservation_ttl : Time.span
+(** 15 s: how long a migration destination holds a {!Kernel.reserve_lh}
+    reservation with no traffic addressed to it before releasing the
+    memory — the recovery path for a source that crashes mid-pre-copy
+    and never installs. Every request addressed through the reserved id
+    (each copy round's acknowledgement ping) refreshes the clock, so a
+    healthy in-progress migration never expires. *)
+
+val cpu_quantum : Time.span
+(** 10 ms: scheduler time slice for compute-bound processes. *)

@@ -251,7 +251,6 @@ let test_usage_determinism () =
       {
         Experiment.u_horizon = sec 60.;
         u_job_rate_per_sec = 0.2;
-        u_owner = Arrivals.Owner.default;
         u_progs = [ "cc68" ];
       }
   in

@@ -125,7 +125,7 @@ let test_scheduler_collects_all_idle () =
   ignore
     (Cluster.user cl ~ws:0 ~name:"survey" (fun k self ->
          sels :=
-           Scheduler.Spine.candidates k (Cluster.cfg cl) ~self ~bytes:(64 * 1024)
+           Scheduler.Spine.candidates k ~self ~bytes:(64 * 1024)
              ~window:(ms 200.)));
   Cluster.run cl ~until:(sec 2.);
   (* All four workstations are idle and accepting. *)
@@ -137,7 +137,7 @@ let test_scheduler_excludes_host () =
   ignore
     (Cluster.user cl ~ws:0 ~name:"survey" (fun k self ->
          sels :=
-           Scheduler.Spine.candidates ~exclude:[ "ws1" ] k (Cluster.cfg cl) ~self
+           Scheduler.Spine.candidates ~exclude:[ "ws1" ] k ~self
              ~bytes:1024 ~window:(ms 200.)));
   Cluster.run cl ~until:(sec 2.);
   Alcotest.(check int) "two volunteers" 2 (List.length !sels);
@@ -603,7 +603,6 @@ let test_usage_on_bridged_cluster () =
       {
         Experiment.u_horizon = sec 120.;
         u_job_rate_per_sec = 0.1;
-        u_owner = Arrivals.Owner.default;
         u_progs = [ "cc68"; "make" ];
       }
   in
@@ -630,7 +629,7 @@ let test_balancer_spreads_skewed_load () =
            | Error e -> Alcotest.failf "job: %s" e))
   done;
   let b =
-    Balancer.start ~interval:(sec 3.) ~imbalance:2
+    Balancer.start ~interval:(sec 3.)
       (Cluster.workstation cl 0).Cluster.ws_kernel
   in
   Cluster.run cl ~until:(sec 120.);
@@ -923,7 +922,7 @@ let prop_migration_survives_loss =
 let test_dirty_rate_matches_calibration () =
   let cl = default_cluster () in
   let measured =
-    ok "dirty" (Experiment.dirty_rate cl ~prog:"tex" ~window:(sec 1.) ~reps:3 ())
+    ok "dirty" (Experiment.dirty_rate cl ~prog:"tex" ~window:(sec 1.) ~reps:3)
   in
   (* The paper's tex row says 111.6 KB/s-window; the stochastic model
      should land within ~20%. *)
@@ -939,7 +938,6 @@ let test_usage_smoke () =
       {
         Experiment.u_horizon = sec 120.;
         u_job_rate_per_sec = 0.15;
-        u_owner = Arrivals.Owner.default;
         u_progs = [ "cc68"; "make"; "assembler" ];
       }
   in

@@ -175,13 +175,13 @@ let prop_directory_matches_scan =
 let test_config_env_spans_sum_to_40ms () =
   Alcotest.(check int) "40 ms"
     (Time.to_us (Time.of_ms 40.))
-    (Time.to_us (Config.sum_env_spans Config.default))
+    (Time.to_us Config.sum_env_spans)
 
 let test_config_precopy_policy_sane () =
   let c = Config.default in
   Alcotest.(check bool) "improvement in (0,1)" true
     (c.Config.precopy_improvement > 0. && c.Config.precopy_improvement < 1.);
-  Alcotest.(check bool) "round cap positive" true (c.Config.precopy_max_rounds > 0);
+  Alcotest.(check bool) "round cap positive" true (Config.precopy_max_rounds > 0);
   Alcotest.(check int) "paper gives up immediately" 0 c.Config.migration_retries
 
 (* {1 Protocol records} *)
@@ -240,7 +240,7 @@ let test_kernel_state_span_formula () =
     (Address_space.create ~code_bytes:1024 ~data_bytes:0 ~active_bytes:1024 ());
   (* 2 processes + 1 space: 14 + 9*3 = 41 ms. *)
   Alcotest.(check int) "formula" 41_000
-    (Time.to_us (Migration.kernel_state_span Config.default lh))
+    (Time.to_us (Migration.kernel_state_span lh))
 
 (* {1 Progtable} *)
 

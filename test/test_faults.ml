@@ -183,22 +183,6 @@ let test_reservation_expires_when_untouched () =
   Alcotest.(check int) "memory released" free0 (Kernel.memory_free k);
   Alcotest.(check int) "expiry counted" 1 (Kernel.count k Kernel.Reservations_expired)
 
-let test_reservation_ttl_disabled () =
-  let cfg =
-    {
-      Config.default with
-      Config.os =
-        { Os_params.default with Os_params.reservation_ttl = Time.zero };
-    }
-  in
-  let cl = Cluster.create ~seed:7 ~workstations:2 ~cfg () in
-  let k = (Cluster.workstation cl 1).Cluster.ws_kernel in
-  let temp = Ids.Lh_allocator.fresh (Kernel.allocator k) in
-  ignore (Kernel.reserve_lh k ~temp_lh:temp ~bytes:1024);
-  Cluster.run cl ~until:(sec 60.);
-  Alcotest.(check int) "reservation survives" 1 (Kernel.reservation_count k);
-  Alcotest.(check int) "no expiry" 0 (Kernel.count k Kernel.Reservations_expired)
-
 let test_healthy_migration_never_expires () =
   (* A normal pre-copy migration: the copy-round pings refresh the lease,
      install consumes the reservation, and the expiry counter must stay
@@ -448,6 +432,155 @@ let test_partition_window_heals () =
         (Time.to_sec wall > 6.9)
   | Error e -> Alcotest.failf "exec across partition: %s" e
 
+(* {1 Retransmission schedule}
+
+   A send to a crashed host. The request goes out, then is retransmitted
+   at an interval that doubles from 100 ms up to the 800 ms cap. After
+   three unanswered retransmissions the sender drops its binding and
+   broadcasts [Where_is] instead, on the same schedule. Once nothing has
+   been heard for [give_up_after] (5 s) the send fails with
+   [No_response]. *)
+
+let test_retransmit_schedule_to_crashed_host () =
+  let cl =
+    Cluster.create ~seed:5 ~workstations:2 ~trace:true
+      ~faults:[ Faults.Crash_host { host = "ws1"; at = sec 1. } ]
+      ()
+  in
+  let eng = Cluster.engine cl in
+  let k0 = (Cluster.workstation cl 0).Cluster.ws_kernel
+  and k1 = (Cluster.workstation cl 1).Cluster.ws_kernel in
+  let target = Ids.kernel_server_of (Logical_host.id (Kernel.host_lh k1)) in
+  let warm = ref false and sent_at = ref Time.zero in
+  let result = ref None and failed_at = ref Time.zero in
+  ignore
+    (Cluster.user cl ~ws:0 ~name:"pinger" (fun _ self ->
+         let ping () =
+           Kernel.send k0 ~src:self ~dst:target (Message.make Kernel.Ks_ping)
+         in
+         (* Answered before the crash: ws0 now holds a binding for ws1. *)
+         warm := Result.is_ok (ping ());
+         Proc.sleep eng (sec 2.);
+         sent_at := Engine.now eng;
+         result := Some (ping ());
+         failed_at := Engine.now eng));
+  Cluster.run cl ~until:(sec 20.);
+  Alcotest.(check bool) "warm-up ping answered" true !warm;
+  (match !result with
+  | Some (Error Kernel.No_response) -> ()
+  | Some (Ok _) -> Alcotest.fail "a crashed host answered"
+  | None -> Alcotest.fail "the send never returned");
+  let ws0 = Kernel.station k0 in
+  let attempts =
+    List.filter_map
+      (fun (r : Tracer.record) ->
+        match r.Tracer.ev with
+        | Ethernet.Frame_sent { src; dst; _ }
+          when Addr.equal src ws0 && Time.(r.Tracer.at >= !sent_at) ->
+            let kind =
+              match dst with Frame.Broadcast -> "where-is" | _ -> "request"
+            in
+            Some (r.Tracer.at, kind)
+        | _ -> None)
+      (Tracer.records (Cluster.tracer cl))
+  in
+  let first = match attempts with (t, _) :: _ -> t | [] -> !sent_at in
+  let offset_ms t = Time.to_us (Time.sub t first) / 1000 in
+  Alcotest.(check (list (pair int string)))
+    "attempt instants (ms after the first) and kinds"
+    [
+      (0, "request");
+      (100, "request");
+      (300, "request");
+      (700, "request");
+      (1500, "where-is");
+      (2300, "where-is");
+      (3100, "where-is");
+      (3900, "where-is");
+      (4700, "where-is");
+    ]
+    (List.map (fun (t, kind) -> (offset_ms t, kind)) attempts);
+  (* The attempt after the last one above would fall 5.5 s after the
+     first; by then 5 s have passed since the send began, so it gives
+     up instead of transmitting. *)
+  Alcotest.(check int) "gave up at the next attempt instant" 5500
+    (offset_ms !failed_at);
+  let give_up = Os_params.default.Os_params.give_up_after in
+  Alcotest.(check bool) "not before give_up_after" true
+    Time.(Time.sub !failed_at !sent_at > give_up)
+
+(* {1 Failure detector}
+
+   A workstation crashes and later reboots with the detector on. Its
+   view goes Alive -> Suspect -> Dead -> Alive, each step within what
+   the detector constants allow: probes every [probe_interval], a miss
+   known at most [max_timeout] after its probe starts, [suspect_after]
+   and [dead_after] consecutive misses, [recover_after] consecutive
+   hits. *)
+
+let test_health_crash_reboot_transitions () =
+  let crash_at = sec 3. and reboot_at = sec 12. in
+  let cl =
+    Cluster.create ~seed:17 ~workstations:3 ~trace:true
+      ~faults:
+        [
+          Faults.Crash_host { host = "ws1"; at = crash_at };
+          Faults.Reboot_host { host = "ws1"; at = reboot_at };
+        ]
+      ()
+  in
+  let h = Cluster.enable_health cl in
+  Cluster.run cl ~until:(sec 25.);
+  let moves =
+    List.filter_map
+      (fun (r : Tracer.record) ->
+        match r.Tracer.ev with
+        | Health.Health_transition { peer; from_; to_; _ } ->
+            Some (peer, r.Tracer.at, from_, to_)
+        | _ -> None)
+      (Tracer.records (Cluster.tracer cl))
+  in
+  let name (peer, _, from_, to_) =
+    Printf.sprintf "%s %s->%s" peer (Health.state_name from_)
+      (Health.state_name to_)
+  in
+  Alcotest.(check (list string))
+    "only ws1 moves, through every state"
+    [ "ws1 alive->suspect"; "ws1 suspect->dead"; "ws1 dead->alive" ]
+    (List.map name moves);
+  let at i = match List.nth moves i with _, t, _, _ -> t in
+  let suspect = at 0 and dead = at 1 and alive = at 2 in
+  (* A probe round takes at most one interval plus one timeout. *)
+  let round = Time.add Health.probe_interval Health.max_timeout in
+  let within what lo hi t =
+    if Time.(t < lo || t > hi) then
+      Alcotest.failf "%s at %a, outside [%a, %a]" what Time.pp t Time.pp lo
+        Time.pp hi
+  in
+  within "suspect" crash_at
+    (Time.add crash_at (Time.mul round Health.suspect_after))
+    suspect;
+  (* Each further miss needs a fresh probe, a full interval later. *)
+  within "dead"
+    (Time.add suspect
+       (Time.mul Health.probe_interval
+          (Health.dead_after - Health.suspect_after)))
+    (Time.add crash_at (Time.mul round Health.dead_after))
+    dead;
+  Alcotest.(check bool) "dead before the reboot" true Time.(dead < reboot_at);
+  (* Recovery needs [recover_after] answered probes, an interval apart;
+     the first probe after the reboot may still miss while the observer
+     rebinds through [Where_is]. *)
+  within "alive"
+    (Time.add reboot_at
+       (Time.mul Health.probe_interval (Health.recover_after - 1)))
+    (Time.add reboot_at (Time.mul round (Health.recover_after + 1)))
+    alive;
+  Alcotest.(check int) "a confirmed death is no false suspicion" 0
+    (Health.false_suspicions h);
+  Alcotest.(check (list string))
+    "nobody dead at the end" [] (Health.dead_hosts h)
+
 let test_crash_reboot_cycle () =
   (* ws1 crashes and reboots; afterwards it must serve programs again
      (fresh program manager, same well-known pids). *)
@@ -663,8 +796,6 @@ let () =
         [
           Alcotest.test_case "expires untouched" `Quick
             test_reservation_expires_when_untouched;
-          Alcotest.test_case "disabled by zero ttl" `Quick
-            test_reservation_ttl_disabled;
           Alcotest.test_case "healthy migration never expires" `Quick
             test_healthy_migration_never_expires;
           Alcotest.test_case "source crash releases" `Quick
@@ -686,6 +817,10 @@ let () =
           Alcotest.test_case "crash/reboot cycle" `Quick
             test_crash_reboot_cycle;
           Alcotest.test_case "slow host" `Quick test_slow_host_stretches_run;
+          Alcotest.test_case "retransmit schedule to a crashed host" `Quick
+            test_retransmit_schedule_to_crashed_host;
+          Alcotest.test_case "health crash/reboot transitions" `Quick
+            test_health_crash_reboot_transitions;
         ] );
       ( "chaos",
         [

@@ -116,33 +116,9 @@ let test_dirty_rate_jobs () =
 
 (* {1 Work stealing}
 
-   The cost-aware seeding (LPT: sort by descending estimate, deal
-   round-robin) and tail-stealing must never leak into results: output
-   stays byte-identical for any worker count, with or without a cost
-   function, and every job runs exactly once even when the estimates are
-   wildly wrong. *)
-
-let test_cost_seeding_identical_merge () =
-  let n = 40 in
-  (* Heavily skewed simulated costs: a few elephants, many mice — the
-     shape LPT seeding exists for. Deliberately lie about some of them
-     (the cost function is an {e estimate}) to check scheduling hints
-     cannot affect the merge. *)
-  let cost i = if i mod 7 = 0 then 1000. +. float_of_int i else 1. in
-  let thunks = List.init n (fun i () -> (i * 31) mod 17) in
-  let plain = Parrun.run ~jobs:1 thunks in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "cost-seeded j%d = plain j1" jobs)
-        plain
-        (Parrun.run ~jobs ~cost thunks))
-    [ 1; 2; 8 ];
-  (* Equal costs exercise the stable-sort path: seed order must reduce
-     to submitted order, not scramble ties. *)
-  Alcotest.(check (list int))
-    "all-equal costs, j8 = j1" plain
-    (Parrun.run ~jobs:8 ~cost:(fun _ -> 1.) thunks)
+   Round-robin seeding and tail-stealing must never leak into results:
+   output stays byte-identical for any worker count, and every job runs
+   exactly once. *)
 
 let test_stealing_no_starvation () =
   (* One elephant seeded first onto worker 0; the mice behind it must be
@@ -169,29 +145,11 @@ let test_stealing_no_starvation () =
         end;
         i)
   in
-  let cost i = if i = 0 then 1e9 else 1. in
-  let out = Parrun.run ~jobs:4 ~cost thunks in
+  let out = Parrun.run ~jobs:4 thunks in
   Alcotest.(check (list int)) "index-ordered merge" (List.init n Fun.id) out;
   Alcotest.(check bool)
     "every job ran exactly once" true
     (Array.for_all (fun c -> c = 1) ran)
-
-let test_cost_seeded_replicas_identical () =
-  (* The real cargo: whole-cluster replicas with a skewed cost estimate
-     still render byte-identical summaries for any worker count. *)
-  let jobs_list =
-    Experiment.seeded_jobs ~reps:6 ~base_seed:50 (fun ~seed ->
-        exec_summary ~seed ())
-  in
-  let cost i = if i mod 2 = 0 then 100. else 1. in
-  let serial = Parrun.run ~jobs:1 jobs_list in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "replica summaries, cost-seeded j%d = j1" jobs)
-        serial
-        (Parrun.run ~jobs ~cost jobs_list))
-    [ 2; 8 ]
 
 let () =
   Alcotest.run "par"
@@ -205,12 +163,8 @@ let () =
         ] );
       ( "work-stealing",
         [
-          Alcotest.test_case "skewed costs, identical merge" `Quick
-            test_cost_seeding_identical_merge;
           Alcotest.test_case "no starvation behind an elephant" `Quick
             test_stealing_no_starvation;
-          Alcotest.test_case "cost-seeded replicas, j1 = j2 = j8" `Quick
-            test_cost_seeded_replicas_identical;
         ] );
       ( "determinism",
         [

@@ -162,24 +162,22 @@ let spine_scenario ~via =
   let picks = ref [] in
   ignore
     (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
-         let k = Context.kernel ctx
-         and cfg = Context.cfg ctx
-         and self = Context.self ctx in
+         let k = Context.kernel ctx and self = Context.self ctx in
          Proc.sleep eng (sec 1.);
          let any =
            match via with
            | `Spine ->
-               Scheduler.Spine.select_in_group k cfg
+               Scheduler.Spine.select_in_group k
                  ~group:Ids.program_manager_group ~self ~bytes:(96 * 1024)
            | `Policy ->
-               Placement.select_any (Context.placement ctx) k cfg ~self
+               Placement.select_any (Context.placement ctx) k ~self
                  ~bytes:(96 * 1024)
          in
          let named =
            match via with
-           | `Spine -> Scheduler.Spine.select_host k cfg ~self ~host:"ws2"
+           | `Spine -> Scheduler.Spine.select_host k ~self ~host:"ws2"
            | `Policy ->
-               Placement.select_host (Context.placement ctx) k cfg ~self
+               Placement.select_host (Context.placement ctx) k ~self
                  ~host:"ws2"
          in
          picks :=
