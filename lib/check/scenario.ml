@@ -107,7 +107,8 @@ let gen_fault_event rng ~ws ~bridged =
         [ Faults.Loss_window { p = 0.005 +. Rng.float rng 0.04; start; stop } ]
       end
 
-let arbitrary ?(seed = 0) rng =
+let of_seed seed =
+  let rng = Rng.create seed in
   let ws = 3 + Rng.int rng 6 in
   let bridged = if Rng.bool rng 0.3 then 1 + Rng.int rng (ws / 2) else 0 in
   let njobs = 1 + Rng.int rng 4 in
@@ -146,8 +147,6 @@ let arbitrary ?(seed = 0) rng =
     sc_horizon = Time.of_sec (18. +. (4. *. float_of_int njobs));
     sc_expect_residual = false;
   }
-
-let of_seed seed = arbitrary ~seed (Rng.create seed)
 
 (* Mutation mode for `vsim fuzz --strategy`: take a generated scenario
    and force every job onto one copy discipline. Applied after the
@@ -360,7 +359,8 @@ let placement_token = function
   | Config.Load_predictive { pod_size; _ } ->
       Printf.sprintf "predictive/%d" pod_size
 
-let arbitrary_serve ?(seed = 0) rng =
+let serve_of_seed seed =
+  let rng = Rng.create seed in
   let ws = 4 + Rng.int rng 9 in
   let bridged = if Rng.bool rng 0.25 then 1 + Rng.int rng (ws / 2) else 0 in
   let rate = 0.5 +. Rng.float rng 2.5 in
@@ -400,8 +400,6 @@ let arbitrary_serve ?(seed = 0) rng =
     sv_placement = placement;
     sv_faults = faults;
   }
-
-let serve_of_seed seed = arbitrary_serve ~seed (Rng.create seed)
 
 let describe_serve sv =
   Printf.sprintf

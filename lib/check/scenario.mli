@@ -45,17 +45,14 @@ type t = {
           the mutation test relies on cor failing loudly. *)
 }
 
-val arbitrary : ?seed:int -> Rng.t -> t
-(** Draw a scenario: 3–8 workstations (possibly split over a bridge),
-    1–4 jobs over a mix of program sizes, arrivals in the first five
-    virtual seconds, roughly half the jobs migrated mid-run, and 0–2
-    fault events (crash/reboot pairs, loss windows, host slowdowns,
+val of_seed : int -> t
+(** Draw a scenario from [seed]: 3–8 workstations (possibly split over a
+    bridge), 1–4 jobs over a mix of program sizes, arrivals in the first
+    five virtual seconds, roughly half the jobs migrated mid-run, and
+    0–2 fault events (crash/reboot pairs, loss windows, host slowdowns,
     flaky-host churn, correlated rack crashes with staggered reboots,
     and — on bridged clusters — partitions). [seed] is recorded in
-    [sc_seed] for replay (default 0). *)
-
-val of_seed : int -> t
-(** [arbitrary ~seed (Rng.create seed)]. *)
+    [sc_seed] for replay. *)
 
 val force_strategy : Protocol.strategy -> t -> t
 (** Mutation mode ([vsim fuzz --strategy]): force every job onto one
@@ -67,18 +64,14 @@ val force_strategy : Protocol.strategy -> t -> t
 val describe : t -> string
 (** One-line summary for failure reports. *)
 
-val vm_flush_placeholder : Protocol.strategy
-(** A [Vm_flush] naming no concrete page server (negative host id);
-    generators can request the discipline before a cluster exists and
-    {!run} substitutes the cluster's file server at launch time. *)
-
 val strategy_of_token : string -> Protocol.strategy
 (** The one CLI token table: each of {!Replay.strategy_tokens} to its
-    discipline, [vmflush] to {!vm_flush_placeholder}. Raises
+    discipline, [vmflush] to a [Vm_flush] placeholder naming no concrete
+    page server (negative host id). Raises
     [Invalid_argument] on any other token. *)
 
 val resolve_strategy : Cluster.t -> Protocol.strategy -> Protocol.strategy
-(** Substitute the cluster's file server into {!vm_flush_placeholder};
+(** Substitute the cluster's file server into the [Vm_flush] placeholder;
     every other strategy is returned as is. *)
 
 type outcome = {
@@ -157,15 +150,12 @@ val placement_token : Config.placement -> string
 (** Compact render for describe lines: ["flat"], ["pods/4"],
     ["predictive/4"]. *)
 
-val arbitrary_serve : ?seed:int -> Rng.t -> serve
-(** Draw a serve scenario: 4–12 workstations (possibly bridged),
-    0.5–3 req/s for 15–30 virtual seconds, in-flight cap and queue
-    limit both 2–8, balancer every 2–5 s, brownout shedding armed on
-    half the draws, a placement policy (half flat, half pod-based with
-    pods of 2–4 hosts), and 0–2 fault events. *)
-
 val serve_of_seed : int -> serve
-(** [arbitrary_serve ~seed (Rng.create seed)]. *)
+(** Draw a serve scenario from [seed]: 4–12 workstations (possibly
+    bridged), 0.5–3 req/s for 15–30 virtual seconds, in-flight cap and
+    queue limit both 2–8, balancer every 2–5 s, brownout shedding armed
+    on half the draws, a placement policy (half flat, half pod-based
+    with pods of 2–4 hosts), and 0–2 fault events. *)
 
 val describe_serve : serve -> string
 

@@ -30,7 +30,6 @@ let directory t = t.c_dir
 let tracer t = t.c_tracer
 let rng t = Rng.split t.c_rng
 let file_server t = t.c_fs
-let name_server t = t.c_ns
 let faults t = t.c_faults
 let health t = t.c_health
 let placement t = t.c_placement

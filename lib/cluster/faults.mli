@@ -41,10 +41,6 @@ type event =
 
 type plan = event list
 
-val kind_of_event : event -> string
-(** The clause keyword: ["crash"], ["reboot"], ["loss"], ["partition"],
-    ["slow"], ["flaky"] or ["crashrack"]. *)
-
 val all_kinds : string list
 (** Every clause keyword the parser knows, in a fixed order. *)
 
@@ -52,7 +48,6 @@ val declared_kinds : plan -> string list
 (** The distinct kinds a plan uses, sorted — coverage reports compare
     these against {!fired_counts}. *)
 
-val pp_event : Format.formatter -> event -> unit
 val pp_plan : Format.formatter -> plan -> unit
 (** Canonical rendering: exactly the [--faults] clause syntax, so
     [parse (Format.asprintf "%a" pp_plan plan) = Ok plan] for any valid

@@ -15,9 +15,7 @@ let make ?health ?placement ~kernel ~cfg ~self ~env () =
 
 let with_env t env = { t with env }
 let kernel t = t.kernel
-let cfg t = t.cfg
 let self t = t.self
 let env t = t.env
 let health t = t.health
 let placement t = t.placement
-let engine t = Kernel.engine t.kernel

@@ -46,8 +46,6 @@ val with_env : t -> Env.t -> t
 
 val kernel : t -> Kernel.t
 
-val cfg : t -> Config.t
-
 val self : t -> Ids.pid
 
 val env : t -> Env.t
@@ -59,7 +57,3 @@ val health : t -> Health.t option
 
 val placement : t -> Placement.t
 (** The placement policy host selection dispatches through. *)
-
-val engine : t -> Engine.t
-(** [Kernel.engine (kernel t)] — the simulation clock this client is
-    driven by. *)

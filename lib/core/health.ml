@@ -19,8 +19,6 @@ let state_name = function
   | Suspect -> "suspect"
   | Dead -> "dead"
 
-let pp_state ppf s = Format.pp_print_string ppf (state_name s)
-
 let probe_interval = Time.of_ms 500.
 let rtt_alpha = 0.25
 let timeout_multiplier = 4.0
@@ -45,10 +43,8 @@ type t = {
   h_kernel : Kernel.t;
   h_peers : (string, peer) Hashtbl.t;
   h_order : peer array;
-  mutable h_procs : Vproc.t list;
   mutable h_transitions : int;
   mutable h_false_suspicions : int;
-  mutable h_stopped : bool;
 }
 
 type Tracer.event +=
@@ -128,24 +124,22 @@ let prober t i vp =
   Proc.sleep eng
     (Time.scale probe_interval (float_of_int i /. float_of_int n));
   let rec loop () =
-    if not t.h_stopped then begin
-      let t0 = Engine.now eng in
-      let deadline = Time.add t0 (timeout_for p) in
-      p.p_probes <- p.p_probes + 1;
-      (match
-         Kernel.send ~deadline k ~src:self
-           ~dst:(Ids.kernel_server_of p.p_lh)
-           (Message.make Kernel.Ks_ping)
-       with
-      | Ok { Message.body = Kernel.Ks_pong; _ } ->
-          note_hit t p (Time.to_us (Time.sub (Engine.now eng) t0))
-      | Ok _ | Error _ -> note_miss t p);
-      (* Cadence is anchored to the probe's start so a slow or timed-out
-         probe does not stretch the interval. *)
-      let wait = Time.sub (Time.add t0 probe_interval) (Engine.now eng) in
-      if Time.(wait > Time.zero) then Proc.sleep eng wait;
-      loop ()
-    end
+    let t0 = Engine.now eng in
+    let deadline = Time.add t0 (timeout_for p) in
+    p.p_probes <- p.p_probes + 1;
+    (match
+       Kernel.send ~deadline k ~src:self
+         ~dst:(Ids.kernel_server_of p.p_lh)
+         (Message.make Kernel.Ks_ping)
+     with
+    | Ok { Message.body = Kernel.Ks_pong; _ } ->
+        note_hit t p (Time.to_us (Time.sub (Engine.now eng) t0))
+    | Ok _ | Error _ -> note_miss t p);
+    (* Cadence is anchored to the probe's start so a slow or timed-out
+       probe does not stretch the interval. *)
+    let wait = Time.sub (Time.add t0 probe_interval) (Engine.now eng) in
+    if Time.(wait > Time.zero) then Proc.sleep eng wait;
+    loop ()
   in
   loop ()
 
@@ -167,31 +161,20 @@ let start kernel ~peers =
       h_kernel = kernel;
       h_peers = Hashtbl.create (Array.length order);
       h_order = order;
-      h_procs = [];
       h_transitions = 0;
       h_false_suspicions = 0;
-      h_stopped = false;
     }
   in
   Array.iter (fun p -> Hashtbl.replace t.h_peers p.p_host p) order;
   let lh = Kernel.host_lh kernel in
   Array.iteri
     (fun i p ->
-      let vp =
-        Kernel.spawn_process kernel lh
-          ~name:(Printf.sprintf "health:%s" p.p_host)
-          (fun vp -> prober t i vp)
-      in
-      t.h_procs <- vp :: t.h_procs)
+      ignore
+        (Kernel.spawn_process kernel lh
+           ~name:(Printf.sprintf "health:%s" p.p_host)
+           (fun vp -> prober t i vp)))
     order;
   t
-
-let stop t =
-  if not t.h_stopped then begin
-    t.h_stopped <- true;
-    List.iter Vproc.kill t.h_procs;
-    t.h_procs <- []
-  end
 
 let state t host =
   match Hashtbl.find_opt t.h_peers host with

@@ -17,7 +17,6 @@
 type state = Alive | Suspect | Dead
 
 val state_name : state -> string
-val pp_state : Format.formatter -> state -> unit
 
 (** {1 Detector constants} *)
 
@@ -68,13 +67,7 @@ val start : Kernel.t -> peers:(string * Ids.lh_id) list -> t
     id. Probe start times are staggered deterministically across one
     interval. *)
 
-val stop : t -> unit
-(** Kill the probers. The last computed view remains readable. *)
-
 val observer : t -> string
-
-val state : t -> string -> state
-(** Current view of a host. Unwatched hosts are [Alive]. *)
 
 val is_alive : t -> string -> bool
 val is_dead : t -> string -> bool

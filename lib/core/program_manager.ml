@@ -23,7 +23,6 @@ type t = {
 }
 
 let pid t = t.pm_pid
-let kernel t = t.pm_kernel
 let table t = t.tbl
 let programs t = Progtable.programs t.tbl
 
@@ -32,9 +31,7 @@ let guest_programs t =
     (fun p -> Logical_host.priority p.Progtable.p_lh = Cpu.Background)
     (programs t)
 
-let accepting t = t.is_accepting
 let set_accepting t b = t.is_accepting <- b
-let health t = t.pm_health
 let set_health t h = t.pm_health <- h
 
 let eng t = Kernel.engine t.pm_kernel
@@ -91,11 +88,7 @@ let handle_create t d ~prog ~env ~priority ~explicit_host =
   match Programs.find prog with
   | exception Not_found -> fail ("unknown program: " ^ prog)
   | spec -> (
-      let image_bytes =
-        spec.Programs.image.File_server.code_bytes
-        + spec.Programs.image.File_server.data_bytes
-        + spec.Programs.image.File_server.active_bytes
-      in
+      let image_bytes = File_server.image_bytes spec.Programs.image in
       if Kernel.memory_free k < image_bytes then fail "insufficient memory"
       else if
         priority = Cpu.Background && (not explicit_host)
@@ -405,5 +398,3 @@ let join_pod t ~pod =
   | Some vp ->
       t.pm_pod <- Some pod;
       Kernel.join_group t.pm_kernel ~group:(Ids.pod_group pod) vp
-
-let pod t = t.pm_pod

@@ -38,21 +38,14 @@ val join_pod : t -> pod:int -> unit
     creation (and again after a reboot recreates the manager); a manager
     answers candidate queries identically on both its groups. *)
 
-val pod : t -> int option
-(** The pod joined via {!join_pod}, if any. *)
-
-val kernel : t -> Kernel.t
 val table : t -> Progtable.t
 val programs : t -> Progtable.program list
-val guest_programs : t -> Progtable.program list
 
-val accepting : t -> bool
 val set_accepting : t -> bool -> unit
 (** Flip the volunteering policy — wired to owner activity in the
     cluster layer: an owner at the keyboard stops new guests arriving
     (reclaiming residents is [migrateprog], not this switch). *)
 
-val health : t -> Health.t option
 val set_health : t -> Health.t option -> unit
 (** Attach (or detach) the cluster failure-detector view. When present,
     the migration manager spawned by [migrateprog] threads it through

@@ -37,10 +37,7 @@ type handle = {
 
 let image_bytes prog =
   match Programs.find prog with
-  | spec ->
-      spec.Programs.image.File_server.code_bytes
-      + spec.Programs.image.File_server.data_bytes
-      + spec.Programs.image.File_server.active_bytes
+  | spec -> File_server.image_bytes spec.Programs.image
   | exception Not_found -> 0
 
 let rec exec_with ~attempts (ctx : Context.t) ~prog ~target =

@@ -7,6 +7,5 @@ let of_int n =
 let to_int t = t
 let equal = Int.equal
 let compare = Int.compare
-let hash = Hashtbl.hash
 let pp ppf t = Format.fprintf ppf "station-%d" t
 let to_string t = Format.asprintf "%a" pp t

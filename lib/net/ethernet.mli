@@ -71,11 +71,7 @@ val config : 'p t -> config
 val set_loss : 'p t -> float -> unit
 (** Change the loss probability mid-run (failure injection). Applies to
     this segment {e and} every directly bridged peer segment, so a
-    cluster-wide loss window behaves uniformly; use {!set_loss_local} for
-    per-segment weather. *)
-
-val set_loss_local : 'p t -> float -> unit
-(** Change the loss probability of this segment only. *)
+    cluster-wide loss window behaves uniformly. *)
 
 val loss : 'p t -> float
 (** This segment's current loss probability. *)

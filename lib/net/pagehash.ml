@@ -45,5 +45,3 @@ let zero_page ~page_bytes = combine (combine (string "\000zero") 2) page_bytes
 
 let private_page ~space ~index ~version =
   combine (combine (combine (combine (string "\000priv") 3) space) index) version
-
-let pp ppf d = Format.fprintf ppf "%012x" d

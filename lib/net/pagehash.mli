@@ -22,9 +22,6 @@ val bits : int
 val string : string -> t
 (** Digest of an arbitrary key string. *)
 
-val combine : t -> int -> t
-(** Fold one more integer into a digest (order-sensitive). *)
-
 val image_chunk : image:string -> index:int -> t
 (** Digest of chunk [index] of program image [image]. Used both by the
     file server (image files are chunked at the page size) and for
@@ -39,5 +36,3 @@ val private_page : space:int -> index:int -> version:int -> t
 (** Digest of page [index] of address space [space] after its
     [version]'th write. Distinct from every image chunk and from every
     other (space, index, version) triple. *)
-
-val pp : Format.formatter -> t -> unit

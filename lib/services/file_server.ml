@@ -1,6 +1,7 @@
 type image = { code_bytes : int; data_bytes : int; active_bytes : int }
 
 let image_file_bytes img = img.code_bytes + img.data_bytes
+let image_bytes img = image_file_bytes img + img.active_bytes
 
 (* Images are chunked at the V page size, so chunk digests line up with
    the page digests of address spaces created from the image. *)

@@ -23,6 +23,10 @@ type image = {
 val image_file_bytes : image -> int
 (** Bytes read to load the image (code + initialized data). *)
 
+val image_bytes : image -> int
+(** Memory the loaded program occupies: the file bytes plus its active
+    data. *)
+
 val chunk_bytes : int
 (** Image chunking granularity for content-addressed loads: 1024, the V
     page size, so chunk digests ([Pagehash.image_chunk]) line up with

@@ -38,9 +38,6 @@ let counter = Domain.DLS.new_key (fun () -> ref 0)
 
 let reset_ids () = Domain.DLS.get counter := 0
 
-let id p = p.pid
-let name p = p.pname
-
 let alive p = match p.state with Done _ -> false | _ -> true
 
 let status p = match p.state with Done e -> Some e | _ -> None
@@ -164,8 +161,6 @@ let sleep engine span =
   suspend (fun wake ->
       Engine.post_after engine span wake;
       nop)
-
-let yield engine = sleep engine Time.zero
 
 let join p =
   match p.state with

@@ -26,15 +26,9 @@ val spawn : Engine.t -> name:string -> (unit -> unit) -> t
 (** [spawn engine ~name body] creates a process that starts running at the
     current virtual instant (after already-queued events). *)
 
-val id : t -> int
-(** Unique id, assigned in spawn order from a domain-local counter. *)
-
 val reset_ids : unit -> unit
 (** Reset this domain's pid counter. Called per cluster so replica runs
     see identical pid sequences whatever domain executes them. *)
-
-val name : t -> string
-(** The name given at spawn, for traces and error messages. *)
 
 val alive : t -> bool
 (** [true] until the process finishes or is killed. *)
@@ -70,9 +64,6 @@ val suspend : ((unit -> unit) -> (unit -> unit)) -> unit
 
 val sleep : Engine.t -> Time.span -> unit
 (** Block the calling process for a virtual duration. *)
-
-val yield : Engine.t -> unit
-(** Let every other event scheduled for the current instant run first. *)
 
 val join : t -> exit
 (** Block until the process terminates and return how. Returns immediately

@@ -92,8 +92,6 @@ module Gauge = struct
     settle t;
     t.level <- x
 
-  let value t = t.level
-
   let time_average t =
     settle t;
     let elapsed = Time.to_sec (Time.sub t.since t.origin) in

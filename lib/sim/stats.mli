@@ -38,9 +38,6 @@ module Gauge : sig
   val set : t -> float -> unit
   (** Record a new level starting at the current virtual instant. *)
 
-  val value : t -> float
-  (** Current level. *)
-
   val time_average : t -> float
   (** Level averaged over virtual time from creation to now. *)
 end

@@ -23,7 +23,6 @@ let scale d x =
   else if f >= float_of_int max_int then max_int
   else if f <= float_of_int min_int then min_int
   else int_of_float f
-let compare = Int.compare
 let equal = Int.equal
 let ( < ) (a : t) b = Stdlib.( < ) a b
 let ( <= ) (a : t) b = Stdlib.( <= ) a b

@@ -48,9 +48,6 @@ val scale : span -> float -> span
     exploding multiplier, e.g. an uncapped exponential backoff, yields
     a huge span rather than an undefined negative one. *)
 
-val compare : t -> t -> int
-(** Total order on instants. *)
-
 val equal : t -> t -> bool
 val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool

@@ -59,7 +59,6 @@ let create ?(page_bytes = 1024) ?(image = "") ~code_bytes ~data_bytes
     pending = [];
   }
 
-let id t = t.id
 let page_bytes t = t.page_bytes
 let pages t = t.code_pages + t.data_pages + t.active_pages
 let bytes t = pages t * t.page_bytes
@@ -96,8 +95,6 @@ let touch_random_in t rng seg ~first ~count =
     touch t (segment_first t seg + first + Rng.int rng count)
 
 let is_dirty t p = p >= 0 && p < pages t && Bytes.get t.dirty p = '\001'
-
-let image t = t.image
 
 (* Content digest of a page's current bytes. Never-written code and
    initialized-data pages of an image-backed space share digests with
@@ -165,8 +162,6 @@ let make_all_resident t =
   t.baseline <- None;
   t.absent_count <- 0;
   t.pending <- []
-
-let absent_count t = t.absent_count
 
 let take_pending_faults t =
   let ps = List.rev t.pending in

@@ -28,9 +28,6 @@ val create :
     anonymous) — it keys the content digests of never-written pages so
     they dedup against the file server's image chunks. *)
 
-val id : t -> int
-(** Unique per-run identifier. *)
-
 val page_bytes : t -> int
 val pages : t -> int
 (** Total pages across all segments. *)
@@ -51,9 +48,6 @@ val touch_random_in :
     page offsets within the segment. *)
 
 val is_dirty : t -> int -> bool
-
-val image : t -> string
-(** The backing image name given to {!create} ([""] if none). *)
 
 val page_digest : t -> int -> Pagehash.t
 (** Content digest of a page's current bytes: image-chunk digest for a
@@ -76,17 +70,12 @@ val dirty_count : t -> int
 
 val dirty_bytes : t -> int
 
-val fold_dirty : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Fold over the indices of dirty pages in ascending order, straight
-    off the bitmap — what migration's copy loops use, so a pre-copy
-    round allocates no intermediate page list. *)
-
 val iter_dirty : t -> (int -> unit) -> unit
 (** Iterate the dirty page indices in ascending order. *)
 
 val snapshot_dirty : t -> int list
-(** Indices of dirty pages, ascending ([fold_dirty] materialized; prefer
-    the fold/iter forms on hot paths). *)
+(** Indices of dirty pages, ascending (prefer {!iter_dirty} on hot
+    paths). *)
 
 val reset_ids : unit -> unit
 (** Reset this domain's address-space id counter. Ids are allocated from
@@ -118,9 +107,6 @@ val make_all_resident : t -> unit
 (** Drop residency tracking entirely (all pages local, no faults
     pending) — applied when a space is extracted for migration, since
     whatever copy discipline moves it next accounts for every page. *)
-
-val absent_count : t -> int
-(** Pages still on the source host (0 when residency is not tracked). *)
 
 val take_pending_faults : t -> int list
 (** Return the queued faulted page indices in touch order and clear the

@@ -49,8 +49,6 @@ let evict_to_budget t =
     drop t t.sentinel.prev
   done
 
-let mem t digest = Hashtbl.mem t.tbl digest
-
 let insert t ~digest ~bytes =
   if bytes > 0 && bytes <= t.budget then
     match Hashtbl.find_opt t.tbl digest with

@@ -27,9 +27,6 @@ val probe : t -> digest:int -> bytes:int -> bool
     refreshed), or [false] (miss — the content will now be shipped, so
     it is inserted, evicting LRU entries past the budget). *)
 
-val mem : t -> int -> bool
-(** Membership without touching recency. *)
-
 val insert : t -> digest:int -> bytes:int -> unit
 (** Record that the host now holds this content (refreshes recency if
     already present; evicts past the budget). An entry larger than the

@@ -49,8 +49,6 @@ let set_slowdown t f =
   if f < 1.0 then invalid_arg "Cpu.set_slowdown: factor must be >= 1";
   t.slow <- f
 
-let slowdown t = t.slow
-
 let queue_length t =
   Queue.length t.fg + Queue.length t.bg + if Option.is_some t.holder then 1 else 0
 

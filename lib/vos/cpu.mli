@@ -67,9 +67,6 @@ val set_slowdown : t -> float -> unit
     fault plans. [f = 1.0] restores nominal speed; [f < 1.0] raises
     [Invalid_argument]. Takes effect from the next scheduled slice. *)
 
-val slowdown : t -> float
-(** The current slowdown factor (1.0 when nominal). *)
-
 val wait_clear : t -> owner:int -> unit
 (** Block until no request tagged [owner] holds the CPU. Freezing a
     logical host drains its member currently on the CPU this way before

@@ -7,11 +7,3 @@ type t = {
   msg : Message.t;
   origin : origin;
 }
-
-let pp ppf d =
-  let pp_origin ppf = function
-    | Local -> Format.pp_print_string ppf "local"
-    | Remote a -> Addr.pp ppf a
-  in
-  Format.fprintf ppf "#%d %a->%a (%a)" d.txn Ids.pp_pid d.src Ids.pp_pid d.dst
-    pp_origin d.origin

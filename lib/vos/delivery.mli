@@ -19,5 +19,3 @@ type t = {
   msg : Message.t;
   origin : origin;
 }
-
-val pp : Format.formatter -> t -> unit

@@ -319,11 +319,9 @@ let fresh_txn () =
 
 let engine t = t.eng
 let params t = t.prm
-let tracer t = t.trc
 let host_name t = t.name
 let station t = t.self
 let cpu t = t.kcpu
-let rng t = t.krng
 let allocator t = t.alloc
 let host_lh t = t.the_host_lh
 let memory_bytes t = t.mem_bytes

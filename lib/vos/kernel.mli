@@ -180,7 +180,6 @@ val reboot : t -> unit
 
 val engine : t -> Engine.t
 val params : t -> Os_params.t
-val tracer : t -> Tracer.t
 
 val emit : t -> (unit -> Tracer.event) -> unit
 (** Emit the event the thunk builds on this kernel's tracer; when
@@ -189,7 +188,6 @@ val emit : t -> (unit -> Tracer.event) -> unit
 val host_name : t -> string
 val station : t -> Addr.t
 val cpu : t -> Cpu.t
-val rng : t -> Rng.t
 val allocator : t -> Ids.Lh_allocator.t
 val host_lh : t -> Logical_host.t
 (** The logical host holding this workstation's system processes; it is
@@ -319,7 +317,6 @@ val bulk_transfer : ?to_station:Addr.t -> t -> bytes:int -> unit
 
 val lookup_binding : t -> Ids.lh_id -> Addr.t option
 val set_binding : t -> Ids.lh_id -> Addr.t -> unit
-val invalidate_binding : t -> Ids.lh_id -> unit
 val announce_lh : t -> Ids.lh_id -> unit
 (** Broadcast this kernel's binding for a logical host ([Here_is]) — the
     optional eager rebind of Section 3.1.4. A no-op in the
@@ -356,7 +353,7 @@ val extract_lh : ?page_source:Ids.pid -> t -> Logical_host.t -> lh_state
 
     [page_source] (copy-on-reference only) names this kernel's own
     kernel server: the memory image stays behind, this kernel keeps
-    serving the departed host's page faults ({!serves_pages_for}), and
+    serving the departed host's page faults, and
     the installing kernel evicts every page and faults them back from
     that pid on first touch. *)
 
@@ -394,10 +391,6 @@ val forward_count : t -> int
     dependency persists until every page has been referenced — and a
     source crash strands the program ({!shutdown} drops retained
     pages). *)
-
-val serves_pages_for : t -> Ids.lh_id -> bool
-(** Does this kernel retain (and serve) the pages of a departed logical
-    host? *)
 
 val fault_source : t -> Ids.lh_id -> Ids.pid option
 (** Destination side: the old host's kernel server a resident

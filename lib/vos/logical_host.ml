@@ -56,7 +56,6 @@ let create ~id ~priority ~home =
 
 let id t = t.lh_id
 let priority t = t.prio
-let home t = t.home_host
 
 let new_process t =
   let index = t.next_index in
@@ -112,9 +111,3 @@ let take_deferred t =
   let ops = List.rev t.deferred in
   t.deferred <- [];
   ops
-
-let pp ppf t =
-  Format.fprintf ppf "%a(%d procs, %d KB%s)" Ids.pp_lh t.lh_id
-    (process_count t)
-    (total_bytes t / 1024)
-    (if t.is_frozen then ", frozen" else "")

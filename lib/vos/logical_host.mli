@@ -43,7 +43,6 @@ val create :
 
 val id : t -> Ids.lh_id
 val priority : t -> Cpu.priority
-val home : t -> string
 
 (** {1 Processes and address spaces} *)
 
@@ -99,5 +98,3 @@ val defer_op : t -> Delivery.t -> unit
 
 val take_deferred : t -> Delivery.t list
 (** Remove and return deferred operations, oldest first. *)
-
-val pp : Format.formatter -> t -> unit

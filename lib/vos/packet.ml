@@ -14,17 +14,3 @@ let bytes = function
   | Request { msg; _ } | Reply { msg; _ } | Group_request { msg; _ } ->
       header_bytes + msg.Message.bytes
   | Reply_pending _ | Where_is _ | Here_is _ -> header_bytes
-
-let pp ppf = function
-  | Request { txn; src; dst; _ } ->
-      Format.fprintf ppf "request#%d %a->%a" txn Ids.pp_pid src Ids.pp_pid dst
-  | Reply { txn; src; dst; _ } ->
-      Format.fprintf ppf "reply#%d %a->%a" txn Ids.pp_pid src Ids.pp_pid dst
-  | Reply_pending { txn; dst } ->
-      Format.fprintf ppf "reply-pending#%d for %a" txn Ids.pp_pid dst
-  | Group_request { txn; src; group; _ } ->
-      Format.fprintf ppf "group-request#%d %a->%a" txn Ids.pp_pid src Ids.pp_pid
-        group
-  | Where_is { lh } -> Format.fprintf ppf "where-is %a" Ids.pp_lh lh
-  | Here_is { lh; station } ->
-      Format.fprintf ppf "here-is %a@%a" Ids.pp_lh lh Addr.pp station

@@ -40,5 +40,3 @@ type t =
 
 val bytes : t -> int
 (** Simulated wire size: protocol header plus the carried message. *)
-
-val pp : Format.formatter -> t -> unit

@@ -17,12 +17,6 @@ let thread t = t.thread
 
 let inbox t = t.inbox
 
-let alive t = match t.thread with None -> true | Some p -> Proc.alive p
-
 let kill t = Option.iter Proc.kill t.thread
 let pause t = Option.iter Proc.pause t.thread
 let unpause t = Option.iter Proc.unpause t.thread
-
-let pp ppf t =
-  Format.fprintf ppf "%a%s" Ids.pp_pid t.pid
-    (match t.thread with None -> "(unstarted)" | Some _ -> "")

@@ -20,10 +20,6 @@ val thread : t -> Proc.t option
 val inbox : t -> Delivery.t Mailbox.t
 (** Requests delivered by the kernel, consumed by [Receive]. *)
 
-val alive : t -> bool
-(** True until the thread (if any) terminates. A thread-less process is
-    considered alive (it exists, awaiting start). *)
-
 val kill : t -> unit
 (** Terminate the thread, if attached. *)
 
@@ -31,5 +27,3 @@ val pause : t -> unit
 (** Freeze-support: stop the thread advancing (see {!Proc.pause}). *)
 
 val unpause : t -> unit
-
-val pp : Format.formatter -> t -> unit
