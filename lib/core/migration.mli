@@ -16,8 +16,10 @@
       broadcast announcement).
 
     Failure of the destination mid-transfer is detected by the acked
-    transfer steps; the logical host is then re-installed and unfrozen
-    locally, and the attempt abandoned or retried per
+    transfer steps. A failed attempt undoes what its stage did: before
+    the freeze it cancels the reservation; while frozen it unfreezes,
+    then cancels; after extract it re-installs the logical host locally,
+    then unfreezes. The attempt is then abandoned or retried per
     {!Config.migration_retries} (the paper gives up after one attempt).
     A retry re-runs host selection with every already-failed destination
     excluded, so a crashed host that is still being advertised by stale
@@ -25,9 +27,13 @@
 
     The copy discipline is pluggable ({!Protocol.strategy}): every strategy
     shares steps 1, 2, 4's freeze + kernel-state copy, and step 5's
-    extract/install/rebind, and differs only in what moves while the
-    program runs, what must move while it is frozen, and what is left
-    owing afterwards. [Pre_copy] is the paper's contribution;
+    extract/install/rebind. A strategy picks one of three freeze plans —
+    what the freeze window must move: the pages dirtied since the last
+    pre-copy round, the whole image, or nothing — and step 3 runs only
+    for the first; beyond that, only what is left owing afterwards
+    differs. Every copy, running or frozen, is one transfer step: a
+    content manifest when caching is on, then the bytes the destination
+    still needs. [Precopy] is the paper's contribution;
     [Freeze_and_copy] is the naive scheme it argues against (freeze for
     the entire copy); [Copy_on_reference] is the Accent/Demos-style
     scheme that moves only kernel state and faults pages from the source
@@ -106,7 +112,9 @@ val migrate :
     kernel-state time must fit), checked mid-residue, and enforced at
     the destination — an install arriving after the freeze deadline is
     refused, so [Mig_committed.freeze <= bg_freeze] is a
-    hard invariant. A budget abort reselects a destination once. The
+    hard invariant. A budget abort reselects a destination once; a send
+    that fails before its deadline is a transfer failure, not a budget
+    abort. The
     per-strategy profile: a 600 ms freeze bound for pre-copy,
     copy-on-reference and VM-flush, 30 s for freeze-and-copy, and a
     30 s transfer bound for all. *)
