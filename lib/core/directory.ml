@@ -1,10 +1,5 @@
 (* Logical-host ids are small sequential ints: hash them as themselves. *)
-module Lh_table = Hashtbl.Make (struct
-  type t = Ids.lh_id
-
-  let equal = Int.equal
-  let hash id = id
-end)
+module Lh_table = Int_table.Direct
 
 (* [resident] maps a logical host to the kernels it is resident on, each
    tagged with its registration rank and kept in rank order, so the head

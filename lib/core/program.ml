@@ -1,8 +1,12 @@
+(* File operations owed, in fractional operations. An all-float record
+   stores both unboxed; a float [ref] would box every update. *)
+type io_debt = { mutable reads : float; mutable writes : float }
+
 let run_spec ctx rng ~lh ~spec ~env ~model ~charge ~self =
   let lh_id = Logical_host.id lh in
   let io = spec.Programs.io in
   let gate = Logical_host.gate lh in
-  let read_debt = ref 0. and write_debt = ref 0. in
+  let debt = { reads = 0.; writes = 0. } in
   (* Every kernel entry re-passes the freeze gate and re-resolves the
      current kernel: issuing a call through a handle captured before a
      freeze would originate it from the old host after a migration — the
@@ -11,8 +15,8 @@ let run_spec ctx rng ~lh ~spec ~env ~model ~charge ~self =
      the common path clean; the IPC machinery still absorbs the residual
      race of a freeze landing inside an already-entered call. *)
   let do_io () =
-    while !read_debt >= 1. do
-      read_debt := !read_debt -. 1.;
+    while debt.reads >= 1. do
+      debt.reads <- debt.reads -. 1.;
       gate ();
       let k = Directory.current ctx lh_id in
       match
@@ -23,8 +27,8 @@ let run_spec ctx rng ~lh ~spec ~env ~model ~charge ~self =
       | Ok _ -> ()
       | Error e -> failwith (spec.Programs.prog_name ^ ": read failed: " ^ e)
     done;
-    while !write_debt >= 1. do
-      write_debt := !write_debt -. 1.;
+    while debt.writes >= 1. do
+      debt.writes <- debt.writes -. 1.;
       gate ();
       let k = Directory.current ctx lh_id in
       match
@@ -37,6 +41,12 @@ let run_spec ctx rng ~lh ~spec ~env ~model ~charge ~self =
     done
   in
   let total = Time.of_sec spec.Programs.cpu_seconds in
+  (* Built once per program, not once per quantum. *)
+  let must_release () = Logical_host.frozen lh in
+  let on_slice served =
+    Dirty_model.on_cpu model rng served;
+    charge served
+  in
   let rec run remaining =
     if Time.(remaining > Time.zero) then begin
       (* One chunk is one scheduler quantum; after a migration the next
@@ -49,17 +59,12 @@ let run_spec ctx rng ~lh ~spec ~env ~model ~charge ~self =
          slice below holds the CPU). *)
       Kernel.service_page_faults k ~self ~lh:lh_id;
       let chunk = Time.min Os_params.cpu_quantum remaining in
-      Cpu.compute_sliced ~owner:lh_id ~gate
-        ~must_release:(fun () -> Logical_host.frozen lh)
-        (Kernel.cpu k)
-        ~priority:(Logical_host.priority lh)
-        chunk
-        ~on_slice:(fun served ->
-          Dirty_model.on_cpu model rng served;
-          charge served);
-      let sec = Time.to_sec chunk in
-      read_debt := !read_debt +. (io.Programs.reads_per_cpu_sec *. sec);
-      write_debt := !write_debt +. (io.Programs.writes_per_cpu_sec *. sec);
+      Cpu.compute_sliced ~owner:lh_id ~gate ~must_release (Kernel.cpu k)
+        ~priority:(Logical_host.priority lh) chunk ~on_slice;
+      (* [Time.to_sec chunk], computed here so the float stays unboxed. *)
+      let sec = float_of_int (Time.to_us chunk) /. 1e6 in
+      debt.reads <- debt.reads +. (io.Programs.reads_per_cpu_sec *. sec);
+      debt.writes <- debt.writes +. (io.Programs.writes_per_cpu_sec *. sec);
       do_io ();
       run (Time.sub remaining chunk)
     end

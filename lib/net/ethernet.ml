@@ -70,11 +70,15 @@ let () =
           [ ("seg", Tracer.Int seg); ("addr", Str (Addr.to_string addr)) ]
     | _ -> None)
 
+(* Every table below is probed, or folded and then sorted, so none
+   needs the polymorphic table's iteration order. *)
+module Tbl = Int_table.Direct
+
 type 'p station = {
   net : 'p t;
   addr : Addr.t;
   rx : 'p Frame.t -> unit;
-  groups : (int, unit) Hashtbl.t;
+  groups : unit Tbl.t;
   mutable live : bool;
 }
 
@@ -84,12 +88,12 @@ and 'p t = {
   eng : Engine.t;
   rng : Rng.t;
   mutable cfg : config;
-  stations : (int, 'p station) Hashtbl.t;
+  stations : 'p station Tbl.t;
   mutable roster : 'p station array option;
       (* every attached station, sorted by address — the broadcast
          delivery set, rebuilt lazily after attach/detach instead of
          per frame *)
-  group_rosters : (int, 'p station array) Hashtbl.t;
+  group_rosters : 'p station array Tbl.t;
       (* group id -> members sorted by address, invalidated on
          subscribe/unsubscribe/detach *)
   mutable busy_until : Time.t;
@@ -110,9 +114,9 @@ let create ?(config = default_config) ?tracer ?(seg = 0) eng rng =
     eng;
     rng;
     cfg = config;
-    stations = Hashtbl.create 32;
+    stations = Tbl.create 32;
     roster = None;
-    group_rosters = Hashtbl.create 8;
+    group_rosters = Tbl.create 8;
     busy_until = Time.zero;
     peers = [];
     sent = 0;
@@ -145,10 +149,10 @@ let set_loss t p =
 
 let attach t addr rx =
   let key = Addr.to_int addr in
-  if Hashtbl.mem t.stations key then
+  if Tbl.mem t.stations key then
     invalid_arg (Printf.sprintf "Ethernet.attach: %s already attached" (Addr.to_string addr));
-  let s = { net = t; addr; rx; groups = Hashtbl.create 4; live = true } in
-  Hashtbl.replace t.stations key s;
+  let s = { net = t; addr; rx; groups = Tbl.create 4; live = true } in
+  Tbl.replace t.stations key s;
   t.roster <- None;
   ev t (fun () -> Station_attached { seg = t.seg; addr });
   s
@@ -156,28 +160,28 @@ let attach t addr rx =
 let detach s =
   s.live <- false;
   s.net.roster <- None;
-  Hashtbl.iter (fun g () -> Hashtbl.remove s.net.group_rosters g) s.groups;
-  Hashtbl.remove s.net.stations (Addr.to_int s.addr);
+  Tbl.iter (fun g () -> Tbl.remove s.net.group_rosters g) s.groups;
+  Tbl.remove s.net.stations (Addr.to_int s.addr);
   ev s.net (fun () -> Station_detached { seg = s.net.seg; addr = s.addr })
 
 let attached s = s.live
 
 let subscribe s g =
-  if not (Hashtbl.mem s.groups g) then begin
-    Hashtbl.replace s.groups g ();
-    Hashtbl.remove s.net.group_rosters g
+  if not (Tbl.mem s.groups g) then begin
+    Tbl.replace s.groups g ();
+    Tbl.remove s.net.group_rosters g
   end
 
 let unsubscribe s g =
-  if Hashtbl.mem s.groups g then begin
-    Hashtbl.remove s.groups g;
-    Hashtbl.remove s.net.group_rosters g
+  if Tbl.mem s.groups g then begin
+    Tbl.remove s.groups g;
+    Tbl.remove s.net.group_rosters g
   end
 
 (* Hashtbl order is unspecified; rosters are sorted by address so
    delivery order (and thus whole-cluster runs) stays deterministic. *)
 let sorted_station_array stations pred =
-  Hashtbl.fold (fun _ s acc -> if pred s then s :: acc else acc) stations []
+  Tbl.fold (fun _ s acc -> if pred s then s :: acc else acc) stations []
   |> List.sort (fun a b -> Addr.compare a.addr b.addr)
   |> Array.of_list
 
@@ -190,11 +194,11 @@ let roster t =
       r
 
 let group_roster t g =
-  match Hashtbl.find_opt t.group_rosters g with
+  match Tbl.find_opt t.group_rosters g with
   | Some r -> r
   | None ->
-      let r = sorted_station_array t.stations (fun s -> Hashtbl.mem s.groups g) in
-      Hashtbl.replace t.group_rosters g r;
+      let r = sorted_station_array t.stations (fun s -> Tbl.mem s.groups g) in
+      Tbl.replace t.group_rosters g r;
       r
 
 let wire_time t bytes =
@@ -232,7 +236,7 @@ let iter_recipients t (frame : 'p Frame.t) f =
   in
   match frame.dst with
   | Frame.Unicast a -> (
-      match Hashtbl.find_opt t.stations (Addr.to_int a) with
+      match Tbl.find_opt t.stations (Addr.to_int a) with
       | Some s -> each s
       | None -> ())
   | Frame.Broadcast -> Array.iter each (roster t)
@@ -253,11 +257,11 @@ let sever_bridge a b = set_link a b false
 let heal_bridge a b = set_link a b true
 
 let locate t addr =
-  if Hashtbl.mem t.stations (Addr.to_int addr) then `Local
+  if Tbl.mem t.stations (Addr.to_int addr) then `Local
   else
     match
       List.find_opt
-        (fun l -> l.lk_up && Hashtbl.mem l.lk_peer.stations (Addr.to_int addr))
+        (fun l -> l.lk_up && Tbl.mem l.lk_peer.stations (Addr.to_int addr))
         t.peers
     with
     | Some l -> `Peer (l.lk_peer, l.lk_delay)
@@ -269,8 +273,8 @@ let locate t addr =
 let crosses_to t peer (frame : 'p Frame.t) =
   match frame.Frame.dst with
   | Frame.Unicast a ->
-      (not (Hashtbl.mem t.stations (Addr.to_int a)))
-      && Hashtbl.mem peer.stations (Addr.to_int a)
+      (not (Tbl.mem t.stations (Addr.to_int a)))
+      && Tbl.mem peer.stations (Addr.to_int a)
   | Frame.Broadcast | Frame.Multicast _ -> true
 
 let rec send_on ?(forwarded = false) t (frame : 'p Frame.t) =

@@ -71,29 +71,38 @@ module Summary = struct
 end
 
 module Gauge = struct
+  (* The two floats live in an all-float record, stored unboxed: a mixed
+     record would box each new value, and a CPU gauge is set twice per
+     slice. *)
+  type acc = { mutable level : float; mutable integral : float }
+
   type t = {
     engine : Engine.t;
-    mutable level : float;
+    acc : acc; (* integral is level x seconds, up to [since] *)
     mutable since : Time.t; (* start of current level *)
     mutable origin : Time.t;
-    mutable integral : float; (* level x seconds, up to [since] *)
   }
 
   let create engine ~initial =
     let now = Engine.now engine in
-    { engine; level = initial; since = now; origin = now; integral = 0. }
+    { engine; acc = { level = initial; integral = 0. }; since = now; origin = now }
 
+  (* Seconds computed in place: [Time.to_sec] is not inlined across
+     modules, so its result would come back boxed. Same value. *)
   let settle t =
     let now = Engine.now t.engine in
-    t.integral <- t.integral +. (t.level *. Time.to_sec (Time.sub now t.since));
+    let a = t.acc in
+    a.integral <-
+      a.integral
+      +. (a.level *. (float_of_int (Time.to_us (Time.sub now t.since)) /. 1e6));
     t.since <- now
 
   let set t x =
     settle t;
-    t.level <- x
+    t.acc.level <- x
 
   let time_average t =
     settle t;
     let elapsed = Time.to_sec (Time.sub t.since t.origin) in
-    if elapsed <= 0. then t.level else t.integral /. elapsed
+    if elapsed <= 0. then t.acc.level else t.acc.integral /. elapsed
 end

@@ -15,19 +15,19 @@ type node = {
 
 type t = {
   budget : int;
-  tbl : (int, node) Hashtbl.t;
+  tbl : node Int_table.Direct.t;
   sentinel : node;
   mutable bytes : int;
 }
 
 let create ~budget =
   let rec s = { n_digest = min_int; n_bytes = 0; prev = s; next = s } in
-  { budget; tbl = Hashtbl.create 64; sentinel = s; bytes = 0 }
+  { budget; tbl = Int_table.Direct.create 64; sentinel = s; bytes = 0 }
 
 let budget t = t.budget
 let enabled t = t.budget > 0
 let bytes t = t.bytes
-let entries t = Hashtbl.length t.tbl
+let entries t = Int_table.Direct.length t.tbl
 
 let unlink n =
   n.prev.next <- n.next;
@@ -41,7 +41,7 @@ let push_front t n =
 
 let drop t n =
   unlink n;
-  Hashtbl.remove t.tbl n.n_digest;
+  Int_table.Direct.remove t.tbl n.n_digest;
   t.bytes <- t.bytes - n.n_bytes
 
 let evict_to_budget t =
@@ -51,7 +51,7 @@ let evict_to_budget t =
 
 let insert t ~digest ~bytes =
   if bytes > 0 && bytes <= t.budget then
-    match Hashtbl.find_opt t.tbl digest with
+    match Int_table.Direct.find_opt t.tbl digest with
     | Some n ->
         unlink n;
         push_front t n
@@ -59,13 +59,13 @@ let insert t ~digest ~bytes =
         let n =
           { n_digest = digest; n_bytes = bytes; prev = t.sentinel; next = t.sentinel }
         in
-        Hashtbl.replace t.tbl digest n;
+        Int_table.Direct.replace t.tbl digest n;
         push_front t n;
         t.bytes <- t.bytes + bytes;
         evict_to_budget t
 
 let probe t ~digest ~bytes =
-  match Hashtbl.find_opt t.tbl digest with
+  match Int_table.Direct.find_opt t.tbl digest with
   | Some n ->
       unlink n;
       push_front t n;
@@ -75,7 +75,7 @@ let probe t ~digest ~bytes =
       false
 
 let clear t =
-  Hashtbl.reset t.tbl;
+  Int_table.Direct.reset t.tbl;
   t.sentinel.next <- t.sentinel;
   t.sentinel.prev <- t.sentinel;
   t.bytes <- 0

@@ -47,9 +47,9 @@ val compute :
     begins. *)
 
 val compute_sliced :
-  ?owner:int ->
-  ?gate:(unit -> unit) ->
-  ?must_release:(unit -> bool) ->
+  owner:int ->
+  gate:(unit -> unit) ->
+  must_release:(unit -> bool) ->
   t ->
   priority:priority ->
   Time.span ->
@@ -58,7 +58,10 @@ val compute_sliced :
 (** Like {!compute} but invokes [on_slice served] at the end of each
     scheduled slice, before the CPU is released — the hook through which
     workloads dirty pages in proportion to CPU actually received, ordered
-    so that a freeze draining the CPU observes the dirtying. *)
+    so that a freeze draining the CPU observes the dirtying. Every
+    argument is required: a program calls this once per quantum, and
+    passing optional arguments would box each one per call. Apart from
+    the slice's sleep, a call allocates nothing. *)
 
 val set_slowdown : t -> float -> unit
 (** [set_slowdown t f] makes every subsequent quantum of work take [f]

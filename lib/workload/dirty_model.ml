@@ -15,14 +15,17 @@ let expected_unique_kb p seconds =
   in
   hot +. (p.cold_kb_per_sec *. seconds)
 
+(* Fractional page debt carried between slices. An all-float record
+   stores both unboxed; as mutable fields of [t] each update would box. *)
+type carry = { mutable hot : float; mutable cold : float } (* KB *)
+
 type t = {
   p : params;
   space : Address_space.t;
   hot_pages : int;
   cold_pages : int;
   mutable cold_next : int; (* next cold page offset, cycling *)
-  mutable hot_carry_kb : float;
-  mutable cold_carry_kb : float;
+  carry : carry;
 }
 
 let params t = t.p
@@ -42,24 +45,25 @@ let create p space =
     hot_pages;
     cold_pages = Stdlib.max 1 (active - hot_pages);
     cold_next = 0;
-    hot_carry_kb = 0.;
-    cold_carry_kb = 0.;
+    carry = { hot = 0.; cold = 0. };
   }
 
 let on_cpu t rng span =
-  let seconds = Time.to_sec span in
+  (* [Time.to_sec span], computed here so the float stays unboxed. *)
+  let seconds = float_of_int (Time.to_us span) /. 1e6 in
   let page_kb = float_of_int (Address_space.page_bytes t.space) /. 1024. in
+  let c = t.carry in
   (* Hot rewrites: each write lands uniformly in the hot window. *)
-  t.hot_carry_kb <- t.hot_carry_kb +. (t.p.hot_write_kb_per_sec *. seconds);
-  while t.hot_carry_kb >= page_kb do
-    t.hot_carry_kb <- t.hot_carry_kb -. page_kb;
+  c.hot <- c.hot +. (t.p.hot_write_kb_per_sec *. seconds);
+  while c.hot >= page_kb do
+    c.hot <- c.hot -. page_kb;
     Address_space.touch_random_in t.space rng Address_space.Active_data ~first:0
       ~count:t.hot_pages
   done;
   (* Cold first-touches: sequential through the rest of the segment. *)
-  t.cold_carry_kb <- t.cold_carry_kb +. (t.p.cold_kb_per_sec *. seconds);
-  while t.cold_carry_kb >= page_kb do
-    t.cold_carry_kb <- t.cold_carry_kb -. page_kb;
+  c.cold <- c.cold +. (t.p.cold_kb_per_sec *. seconds);
+  while c.cold >= page_kb do
+    c.cold <- c.cold -. page_kb;
     let offset = t.hot_pages + (t.cold_next mod t.cold_pages) in
     let active = Address_space.segment_pages t.space Address_space.Active_data in
     if offset < active then
