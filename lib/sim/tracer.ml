@@ -44,7 +44,7 @@ type t = {
   engine : Engine.t;
   mutable on : bool;
   capacity : int;
-  mutable b_at : Time.t array; (* rings; empty until first emit *)
+  mutable b_at : Time.t array; (* rings; grown on demand up to [capacity] *)
   mutable b_seq : int array;
   mutable b_ev : event array;
   mutable start : int; (* index of oldest retained record *)
@@ -80,22 +80,45 @@ let seq t = t.next_seq
 
 let on_event t f = t.subs <- Array.append t.subs [| f |]
 
+(* The rings start small and double whenever they fill, so a tracer
+   that records little never pays for [capacity] slots. Past
+   [last_doubling] they go straight to [capacity]: a tracer that has
+   recorded that much usually fills its ring (most of a monitored fuzz
+   run's do), and copying a large ring costs a write barrier per slot.
+   A full ring only wraps once it has reached [capacity]; until then
+   [start] stays 0. *)
+let initial_ring = 64
+let last_doubling = 4096
+
+let grow t =
+  let n = Array.length t.b_ev in
+  let size =
+    if n = 0 then Stdlib.min t.capacity initial_ring
+    else if n >= last_doubling then t.capacity
+    else Stdlib.min t.capacity (2 * n)
+  in
+  let grown a blank =
+    let b = Array.make size blank in
+    Array.blit a 0 b 0 t.len;
+    b
+  in
+  t.b_at <- grown t.b_at Time.zero;
+  t.b_seq <- grown t.b_seq 0;
+  t.b_ev <- grown t.b_ev Blank
+
 let push t ~at ~seq ev =
-  if Array.length t.b_ev = 0 then begin
-    t.b_at <- Array.make t.capacity Time.zero;
-    t.b_seq <- Array.make t.capacity 0;
-    t.b_ev <- Array.make t.capacity Blank
-  end;
+  if t.len = Array.length t.b_ev && t.len < t.capacity then grow t;
+  let size = Array.length t.b_ev in
   let i =
-    if t.len < t.capacity then begin
-      let i = (t.start + t.len) mod t.capacity in
+    if t.len < size then begin
+      let i = t.start + t.len in
       t.len <- t.len + 1;
       i
     end
     else begin
-      (* Full: overwrite the oldest slot. *)
+      (* Full at capacity: overwrite the oldest slot. *)
       let i = t.start in
-      t.start <- (t.start + 1) mod t.capacity;
+      t.start <- (t.start + 1) mod size;
       i
     end
   in
@@ -122,7 +145,7 @@ let emit t ev =
   end
 
 let nth_record t i =
-  let j = (t.start + i) mod t.capacity in
+  let j = (t.start + i) mod Array.length t.b_ev in
   { at = t.b_at.(j); seq = t.b_seq.(j); ev = t.b_ev.(j) }
 
 let fold_records t f acc =
@@ -138,7 +161,7 @@ let clear t =
   (* Retain the allocated rings — a cleared tracer is usually about to
      fill up again — but scrub the event slots so cleared events are not
      kept reachable. *)
-  if Array.length t.b_ev > 0 then Array.fill t.b_ev 0 t.capacity Blank;
+  Array.fill t.b_ev 0 (Array.length t.b_ev) Blank;
   t.start <- 0;
   t.len <- 0
 

@@ -56,7 +56,10 @@ type t
 
 val create : ?capacity:int -> Engine.t -> t
 (** A tracer stamping events with the engine's clock. [capacity] bounds
-    the ring buffer (default 65536 records). *)
+    the ring buffer (default 65536 records); once full, each new record
+    displaces the oldest. The ring is allocated on demand: it doubles
+    as it fills, from 64 slots up to 4096, and then grows to [capacity]
+    in one step. *)
 
 val enabled : t -> bool
 
