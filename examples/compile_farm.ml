@@ -20,7 +20,7 @@ let () =
      whose responsiveness we measure. *)
   let edit_latency = Stats.Summary.create () in
   ignore
-    (Proc.spawn eng ~name:"owner-editing" (fun () ->
+    (Proc.spawn eng (fun () ->
          let k = origin.Cluster.ws_kernel in
          for _ = 1 to 200 do
            let t0 = Engine.now eng in

@@ -30,7 +30,7 @@ let scenario ~use_origin_file_server =
     if use_origin_file_server then begin
       (* A file server running on the origin workstation itself. *)
       let local_fs =
-        File_server.create origin.Cluster.ws_kernel ~name:"ws0-local-fs"
+        File_server.create origin.Cluster.ws_kernel
       in
       Programs.publish_images local_fs;
       File_server.add_file local_fs ~path:"optimizer.in" ~bytes:(64 * 1024);

@@ -134,7 +134,6 @@ let start_gossip t =
     let self = Vproc.pid (Kernel.create_process fsk lh) in
     ignore
       (Proc.spawn eng
-         ~name:(Printf.sprintf "gossip-pod%d" pod)
          (fun () ->
            let rec loop () =
              Proc.sleep eng
@@ -210,8 +209,8 @@ let create ?(seed = 1985) ?(workstations = 6) ?(bridged = 0)
     boot_kernel ~station:0 ~host_name:"fileserver" ~memory:(16 * 1024 * 1024)
       ()
   in
-  let c_fs = File_server.create ?disk_us_per_kb fs_kernel ~name:"fileserver" in
-  let c_ns = Name_server.create fs_kernel ~name:"nameserver" in
+  let c_fs = File_server.create ?disk_us_per_kb fs_kernel in
+  let c_ns = Name_server.create fs_kernel in
   Programs.publish_images c_fs;
   List.iter
     (fun spec ->
@@ -283,10 +282,10 @@ let env_for t ws =
     ~origin_host:(Kernel.host_name ws.ws_kernel)
     ()
 
-let user t ~ws ~name body =
+let user t ~ws ~name:_ body =
   let w = t.stations.(ws) in
   let lh = Kernel.create_logical_host w.ws_kernel ~priority:Cpu.Foreground in
-  Kernel.spawn_process w.ws_kernel lh ~name (fun vp ->
+  Kernel.spawn_process w.ws_kernel lh (fun vp ->
       body w.ws_kernel (Vproc.pid vp))
 
 (* The failure detector observes from the file server: fault plans only

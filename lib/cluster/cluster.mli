@@ -106,7 +106,8 @@ val user :
     host) on a workstation — the "command interpreter" from which
     programs are launched. The body gets the workstation's kernel and
     its own pid. Prefer {!shell} when the body talks to the
-    {!Remote_exec} API. *)
+    {!Remote_exec} API. [name] only labels the call site: processes
+    carry no name. *)
 
 val context : t -> ws:int -> self:Ids.pid -> Context.t
 (** The execution context of a client process [self] running on

@@ -119,11 +119,10 @@ let migrate_program cl ?(ws = 0) ?strategy ?(run_for = Time.of_sec 3.)
          | Ok h -> (
              (match (find_program cl h, Cluster.find_workstation cl h.Remote_exec.h_host) with
              | Some p, Some host_ws ->
-                 for i = 1 to extra_processes do
+                 for _ = 1 to extra_processes do
                    ignore
                      (Kernel.spawn_process host_ws.Cluster.ws_kernel
                         p.Progtable.p_lh
-                        ~name:(Printf.sprintf "aux%d" i)
                         (fun _ -> Proc.sleep eng (Time.of_sec 86_400.)))
                  done
              | _ -> ());
@@ -264,7 +263,7 @@ let install_owner cl w ~preempted ~destroyed ~freeze_ms =
   in
   (* Editing load: duty-cycled foreground computation while active. *)
   ignore
-    (Proc.spawn eng ~name:(Kernel.host_name k ^ ":owner") (fun () ->
+    (Proc.spawn eng (fun () ->
         let rec loop () =
           if Arrivals.Owner.active owner then begin
             Cpu.compute (Kernel.cpu k) ~priority:Cpu.Foreground

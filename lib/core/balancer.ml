@@ -122,7 +122,7 @@ let start ?health ?placement ?(interval = Time.of_sec 5.) ?strategy
   in
   let t_cell = ref None in
   let daemon =
-    Proc.spawn eng ~name:"balancer" (fun () ->
+    Proc.spawn eng (fun () ->
         let rec loop () =
           Proc.sleep eng interval;
           (match !t_cell with

@@ -168,11 +168,7 @@ let start kernel ~peers =
   Array.iter (fun p -> Hashtbl.replace t.h_peers p.p_host p) order;
   let lh = Kernel.host_lh kernel in
   Array.iteri
-    (fun i p ->
-      ignore
-        (Kernel.spawn_process kernel lh
-           ~name:(Printf.sprintf "health:%s" p.p_host)
-           (fun vp -> prober t i vp)))
+    (fun i _ -> ignore (Kernel.spawn_process kernel lh (fun vp -> prober t i vp)))
     order;
   t
 

@@ -67,7 +67,7 @@ let answer_candidate t d =
    because exit hooks cannot block. *)
 let reap t program =
   ignore
-    (Proc.spawn (eng t) ~name:"reaper" (fun () ->
+    (Proc.spawn (eng t) (fun () ->
          let home = program.Progtable.p_home in
          let k = Progtable.kernel home in
          let failed =
@@ -176,7 +176,7 @@ let handle_create t d ~prog ~env ~priority ~explicit_host =
                 ~origin:env.Env.origin_host
             in
             let body_rng = Rng.split t.rng in
-            Kernel.start_process k root ~name:prog (fun vp ->
+            Kernel.start_process k root (fun vp ->
                 Program.body t.directory body_rng program vp);
             (match Vproc.thread root with
             | Some thread -> Proc.on_exit thread (fun _ -> reap t program)
@@ -258,7 +258,7 @@ let handle_destroy t d ~lh =
 let handle_migrate t d ~lh ~dest ~force_destroy ~strategy =
   let k = t.pm_kernel in
   ignore
-    (Proc.spawn (eng t) ~name:"migration-manager" (fun () ->
+    (Proc.spawn (eng t) (fun () ->
          let targets =
            match lh with
            | Some id -> (
@@ -379,7 +379,6 @@ let create k ~cfg ~directory ~rng =
   in
   let vp =
     Kernel.system_process k ~index:Ids.program_manager_index
-      ~name:(Kernel.host_name k ^ ":pm")
       (fun vp ->
         let rec loop () =
           serve t (Kernel.receive k vp);

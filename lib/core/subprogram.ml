@@ -41,7 +41,7 @@ let spawn ctx rng ~(parent : Progtable.program) ~prog =
           let model = Dirty_model.create spec.Programs.dirty space in
           let sub_rng = Rng.split rng in
           let vp =
-            Kernel.spawn_process k lh ~name:(prog ^ "(sub)") (fun vp ->
+            Kernel.spawn_process k lh (fun vp ->
                 Program.run_spec ctx sub_rng ~lh ~spec ~env ~model
                   ~charge:(Progtable.charge_cpu parent)
                   ~self:(Vproc.pid vp))

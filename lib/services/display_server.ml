@@ -26,7 +26,6 @@ let create kernel =
   let t = { kernel; server_pid = Ids.pid 0 0; rev_lines = [] } in
   let vp =
     Kernel.spawn_process kernel lh
-      ~name:(Kernel.host_name kernel ^ ":display")
       (fun vp ->
         let rec loop () =
           serve t (Kernel.receive kernel vp);

@@ -143,7 +143,7 @@ let serve t (d : Delivery.t) =
       | Some img -> load t d name img ~chunks:missing ~bytes)
   | _ -> Kernel.reply k d (Message.make (Fs_error "unknown request"))
 
-let create ?(disk_us_per_kb = 300) kernel ~name =
+let create ?(disk_us_per_kb = 300) kernel =
   let lh = Kernel.create_logical_host kernel ~priority:Cpu.Foreground in
   let t =
     {
@@ -156,7 +156,7 @@ let create ?(disk_us_per_kb = 300) kernel ~name =
     }
   in
   let vp =
-    Kernel.spawn_process kernel lh ~name (fun vp ->
+    Kernel.spawn_process kernel lh (fun vp ->
         let rec loop () =
           serve t (Kernel.receive kernel vp);
           loop ()

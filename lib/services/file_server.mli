@@ -49,9 +49,9 @@ type Tracer.event +=
 
 type t
 
-val create : ?disk_us_per_kb:int -> Kernel.t -> name:string -> t
-(** Start a file server process on the given workstation's kernel and
-    register [name] with it. [disk_us_per_kb] defaults to 300 — the extra
+val create : ?disk_us_per_kb:int -> Kernel.t -> t
+(** Start a file server process on the given workstation's kernel.
+    [disk_us_per_kb] defaults to 300 — the extra
     0.3 ms/KB that tops network loading up to the paper's rate. *)
 
 val pid : t -> Ids.pid

@@ -27,11 +27,11 @@ let serve t (d : Delivery.t) =
       | None -> Kernel.reply k d (Message.make (Ns_unknown name)))
   | _ -> Kernel.reply k d (Message.make (Ns_unknown "bad request"))
 
-let create kernel ~name =
+let create kernel =
   let lh = Kernel.create_logical_host kernel ~priority:Cpu.Foreground in
   let t = { kernel; server_pid = Ids.pid 0 0; table = Hashtbl.create 32 } in
   let vp =
-    Kernel.spawn_process kernel lh ~name (fun vp ->
+    Kernel.spawn_process kernel lh (fun vp ->
         let rec loop () =
           serve t (Kernel.receive kernel vp);
           loop ()

@@ -9,7 +9,7 @@
 
 type t
 
-val create : Kernel.t -> name:string -> t
+val create : Kernel.t -> t
 (** Start a name server process on the given workstation. *)
 
 val pid : t -> Ids.pid

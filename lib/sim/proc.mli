@@ -22,8 +22,8 @@ type exit =
 exception Killed_exn
 (** Raised inside a process being killed, so [Fun.protect] cleanup runs. *)
 
-val spawn : Engine.t -> name:string -> (unit -> unit) -> t
-(** [spawn engine ~name body] creates a process that starts running at the
+val spawn : Engine.t -> (unit -> unit) -> t
+(** [spawn engine body] creates a process that starts running at the
     current virtual instant (after already-queued events). *)
 
 val reset_ids : unit -> unit

@@ -219,8 +219,7 @@ val destroy_logical_host : t -> Logical_host.t -> unit
 (** Kill all processes and release the memory. Pending senders to the
     destroyed host eventually fail with [No_response]. *)
 
-val spawn_process :
-  t -> Logical_host.t -> name:string -> (Vproc.t -> unit) -> Vproc.t
+val spawn_process : t -> Logical_host.t -> (Vproc.t -> unit) -> Vproc.t
 (** Create a process and start its code immediately. *)
 
 val create_process : t -> Logical_host.t -> Vproc.t
@@ -228,11 +227,9 @@ val create_process : t -> Logical_host.t -> Vproc.t
     new process exists "awaiting reply from its creator" before the
     requester initializes and starts it. Pair with {!start_process}. *)
 
-val start_process :
-  t -> Vproc.t -> name:string -> (Vproc.t -> unit) -> unit
+val start_process : t -> Vproc.t -> (Vproc.t -> unit) -> unit
 
-val system_process :
-  t -> index:int -> name:string -> (Vproc.t -> unit) -> Vproc.t
+val system_process : t -> index:int -> (Vproc.t -> unit) -> Vproc.t
 (** Register a well-known service (reserved index) in the host logical
     host — the program manager layer uses index
     {!Ids.program_manager_index}. *)

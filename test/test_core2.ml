@@ -233,7 +233,7 @@ let test_strategy_names () =
 (* {1 Migration formula} *)
 
 let test_kernel_state_span_formula () =
-  let lh = Logical_host.create ~id:1 ~priority:Cpu.Foreground ~home:"x" in
+  let lh = Logical_host.create ~id:1 ~priority:Cpu.Foreground in
   ignore (Logical_host.new_process lh);
   ignore (Logical_host.new_process lh);
   Logical_host.add_space lh

@@ -299,7 +299,7 @@ let crash_dest_at_round ~round =
        answered (its reply is already on the wire, so the source sees
        the round acknowledged and starts the next step). *)
     ignore
-      (Proc.spawn eng ~name:"assassin" (fun () ->
+      (Proc.spawn eng (fun () ->
            while Kernel.count dest Kernel.Ks_pings < round do
              Proc.sleep eng (ms 5.)
            done;
@@ -561,7 +561,7 @@ let test_retry_reselects_excluding_failed () =
     (Cluster.workstations cl);
   let dest = (Cluster.workstation cl 2).Cluster.ws_kernel in
   ignore
-    (Proc.spawn eng ~name:"assassin" (fun () ->
+    (Proc.spawn eng (fun () ->
          while Kernel.count dest Kernel.Ks_pings < 1 do
            Proc.sleep eng (ms 5.)
          done;

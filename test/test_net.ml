@@ -219,7 +219,7 @@ let test_bulk_copy_matches_duration () =
   let _a = Ethernet.attach net (addr 1) (fun _ -> ()) in
   let finished = ref Time.zero in
   ignore
-    (Proc.spawn e ~name:"copier" (fun () ->
+    (Proc.spawn e (fun () ->
          Transfer.bulk_copy net ~bytes:(100 * 1024);
          finished := Engine.now e));
   Engine.run e;
@@ -238,7 +238,7 @@ let test_bulk_copy_with_loss_takes_longer () =
   let _a = Ethernet.attach net (addr 1) (fun _ -> ()) in
   let finished = ref Time.zero in
   ignore
-    (Proc.spawn e ~name:"copier" (fun () ->
+    (Proc.spawn e (fun () ->
          Transfer.bulk_copy net ~bytes:(50 * 1024);
          finished := Engine.now e));
   Engine.run e;
@@ -276,7 +276,7 @@ let paged_copy_completions ?(pages = 32) ~seed plan =
   let _sink = Ethernet.attach net (addr 1) (fun _ -> ()) in
   let completions = ref [] in
   ignore
-    (Proc.spawn e ~name:"copier" (fun () ->
+    (Proc.spawn e (fun () ->
          for page = 1 to pages do
            Transfer.bulk_copy net ~bytes:1024;
            completions := (page, Engine.now e) :: !completions
@@ -328,11 +328,11 @@ let test_concurrent_copies_contend () =
   let _a = Ethernet.attach net (addr 1) (fun _ -> ()) in
   let done1 = ref Time.zero and done2 = ref Time.zero in
   ignore
-    (Proc.spawn e ~name:"c1" (fun () ->
+    (Proc.spawn e (fun () ->
          Transfer.bulk_copy net ~bytes:(100 * 1024);
          done1 := Engine.now e));
   ignore
-    (Proc.spawn e ~name:"c2" (fun () ->
+    (Proc.spawn e (fun () ->
          Transfer.bulk_copy net ~bytes:(100 * 1024);
          done2 := Engine.now e));
   Engine.run e;
@@ -446,7 +446,7 @@ let test_bridge_bulk_copy_occupies_both () =
   let _s2 = Ethernet.attach b (addr 2) (fun _ -> ()) in
   let finished = ref Time.zero in
   ignore
-    (Proc.spawn e ~name:"copier" (fun () ->
+    (Proc.spawn e (fun () ->
          Transfer.bulk_copy ~dst:(addr 2) a ~bytes:(50 * 1024);
          finished := Engine.now e));
   Engine.run e;

@@ -26,14 +26,14 @@ let setup ?(hosts = 2) () =
           ~allocator:alloc
           ~memory_bytes:(8 * 1024 * 1024))
   in
-  let fs = File_server.create kernels.(0) ~name:"fs" in
+  let fs = File_server.create kernels.(0) in
   { eng; kernels; fs }
 
 (* Run [body] as a client process on host 1 and drive the simulation. *)
 let as_client fx body =
   let k = fx.kernels.(1) in
   let lh = Kernel.create_logical_host k ~priority:Cpu.Foreground in
-  ignore (Kernel.spawn_process k lh ~name:"client" (fun vp -> body k (Vproc.pid vp)));
+  ignore (Kernel.spawn_process k lh (fun vp -> body k (Vproc.pid vp)));
   Engine.run fx.eng ~until:(sec 60.)
 
 (* {1 File server} *)
@@ -151,7 +151,7 @@ let test_fs_small_read_fast_large_read_slow () =
 
 let test_ns_register_lookup () =
   let fx = setup () in
-  let ns = Name_server.create fx.kernels.(0) ~name:"ns" in
+  let ns = Name_server.create fx.kernels.(0) in
   let found = ref None in
   as_client fx (fun k self ->
       (match
@@ -172,7 +172,7 @@ let test_ns_register_lookup () =
 
 let test_ns_unknown_name () =
   let fx = setup () in
-  let ns = Name_server.create fx.kernels.(0) ~name:"ns" in
+  let ns = Name_server.create fx.kernels.(0) in
   let err = ref None in
   as_client fx (fun k self ->
       match
@@ -184,7 +184,7 @@ let test_ns_unknown_name () =
 
 let test_ns_direct_registration () =
   let fx = setup () in
-  let ns = Name_server.create fx.kernels.(0) ~name:"ns" in
+  let ns = Name_server.create fx.kernels.(0) in
   let pid = Ids.pid 99 17 in
   Name_server.register_direct ns ~name:"x" pid;
   Alcotest.(check bool) "direct" true

@@ -31,7 +31,7 @@ let setup ?(hosts = 3) ?(params = Os_params.default) () =
 (* {1 Logical host bookkeeping} *)
 
 let test_lh_process_indices () =
-  let lh = Logical_host.create ~id:7 ~priority:Cpu.Foreground ~home:"x" in
+  let lh = Logical_host.create ~id:7 ~priority:Cpu.Foreground in
   let a = Logical_host.new_process lh in
   let b = Logical_host.new_process lh in
   Alcotest.(check int) "first index" Ids.first_user_index (Vproc.pid a).Ids.index;
@@ -43,7 +43,7 @@ let test_lh_process_indices () =
   Alcotest.(check bool) "missing" true (Logical_host.find_process lh 99 = None)
 
 let test_lh_memory_accounting () =
-  let lh = Logical_host.create ~id:8 ~priority:Cpu.Background ~home:"x" in
+  let lh = Logical_host.create ~id:8 ~priority:Cpu.Background in
   let sp1 = Address_space.create ~code_bytes:10_240 ~data_bytes:0 ~active_bytes:10_240 () in
   let sp2 = Address_space.create ~code_bytes:0 ~data_bytes:0 ~active_bytes:5_120 () in
   Logical_host.add_space lh sp1;
@@ -57,11 +57,11 @@ let test_lh_memory_accounting () =
 
 let test_lh_gate_blocks_while_frozen () =
   let eng = Engine.create () in
-  let lh = Logical_host.create ~id:9 ~priority:Cpu.Foreground ~home:"x" in
+  let lh = Logical_host.create ~id:9 ~priority:Cpu.Foreground in
   Logical_host.set_frozen lh true;
   let passed_at = ref Time.zero in
   ignore
-    (Proc.spawn eng ~name:"gated" (fun () ->
+    (Proc.spawn eng (fun () ->
          Logical_host.gate lh ();
          passed_at := Engine.now eng));
   ignore
@@ -72,7 +72,7 @@ let test_lh_gate_blocks_while_frozen () =
   Alcotest.(check int) "released at thaw" 50_000 (Time.to_us !passed_at)
 
 let test_lh_deferred_op_order () =
-  let lh = Logical_host.create ~id:10 ~priority:Cpu.Foreground ~home:"x" in
+  let lh = Logical_host.create ~id:10 ~priority:Cpu.Foreground in
   let d i =
     {
       Delivery.src = Ids.pid 1 16;
@@ -101,7 +101,7 @@ let test_create_then_start_process () =
   let client_done = ref false in
   let clh = Kernel.create_logical_host k ~priority:Cpu.Foreground in
   ignore
-    (Kernel.spawn_process k clh ~name:"client" (fun cvp ->
+    (Kernel.spawn_process k clh (fun cvp ->
          match
            Kernel.send k ~src:(Vproc.pid cvp) ~dst:(Vproc.pid vp)
              (Message.make Message.Ping)
@@ -111,7 +111,7 @@ let test_create_then_start_process () =
   (* Start the body 100 ms later; it answers the queued request. *)
   ignore
     (Engine.schedule fx.eng ~at:(ms 100.) (fun () ->
-         Kernel.start_process k vp ~name:"late-server" (fun vp ->
+         Kernel.start_process k vp (fun vp ->
              let d = Kernel.receive k vp in
              Kernel.reply k d (Message.make Message.Pong))));
   Engine.run fx.eng ~until:(sec 5.);
@@ -129,7 +129,7 @@ let test_group_lookup_surcharge () =
   let ks_group = Ids.kernel_server_of (Logical_host.id (Kernel.host_lh k)) in
   let spans = ref [] in
   ignore
-    (Kernel.spawn_process k lh ~name:"prober" (fun vp ->
+    (Kernel.spawn_process k lh (fun vp ->
          let self = Vproc.pid vp in
          let time_one dst =
            let t0 = Engine.now fx.eng in
@@ -166,7 +166,7 @@ let test_zero_overhead_params () =
   let lh = Kernel.create_logical_host k ~priority:Cpu.Foreground in
   let span = ref 0 in
   ignore
-    (Kernel.spawn_process k lh ~name:"prober" (fun vp ->
+    (Kernel.spawn_process k lh (fun vp ->
          let self = Vproc.pid vp in
          let ks = Ids.kernel_server_of (Logical_host.id (Kernel.host_lh k)) in
          let t0 = Engine.now fx.eng in
@@ -183,7 +183,7 @@ let echo_server fx k =
   let lh = Kernel.create_logical_host k ~priority:Cpu.Foreground in
   let served = ref 0 in
   let vp =
-    Kernel.spawn_process k lh ~name:"echo" (fun vp ->
+    Kernel.spawn_process k lh (fun vp ->
         let rec loop () =
           let cur =
             (* Receive via whichever kernel hosts us now. *)
@@ -219,14 +219,14 @@ let test_multi_hop_migration_chain () =
            ~at:(ms (float_of_int ((i + 1) * 700)))
            (fun () ->
              ignore
-               (Proc.spawn fx.eng ~name:"migrator" (fun () ->
+               (Proc.spawn fx.eng (fun () ->
                     migrate_lh ~from_k:fx.kernels.(a) ~to_k:fx.kernels.(b)
                       server_lh)))))
     hops;
   let ok = ref 0 in
   let clh = Kernel.create_logical_host fx.kernels.(0) ~priority:Cpu.Foreground in
   ignore
-    (Kernel.spawn_process fx.kernels.(0) clh ~name:"client" (fun vp ->
+    (Kernel.spawn_process fx.kernels.(0) clh (fun vp ->
          for _ = 1 to 15 do
            (match
               Kernel.send fx.kernels.(0) ~src:(Vproc.pid vp) ~dst:pid
@@ -251,15 +251,15 @@ let test_simultaneous_swap () =
   ignore
     (Engine.schedule fx.eng ~at:(ms 100.) (fun () ->
          ignore
-           (Proc.spawn fx.eng ~name:"m1" (fun () ->
+           (Proc.spawn fx.eng (fun () ->
                 migrate_lh ~from_k:fx.kernels.(0) ~to_k:fx.kernels.(1) lh_a));
          ignore
-           (Proc.spawn fx.eng ~name:"m2" (fun () ->
+           (Proc.spawn fx.eng (fun () ->
                 migrate_lh ~from_k:fx.kernels.(1) ~to_k:fx.kernels.(0) lh_b))));
   let ok = ref 0 in
   let clh = Kernel.create_logical_host fx.kernels.(0) ~priority:Cpu.Foreground in
   ignore
-    (Kernel.spawn_process fx.kernels.(0) clh ~name:"client" (fun vp ->
+    (Kernel.spawn_process fx.kernels.(0) clh (fun vp ->
          Proc.sleep fx.eng (ms 500.);
          (match
             Kernel.send fx.kernels.(0) ~src:(Vproc.pid vp) ~dst:pid_a
@@ -288,7 +288,7 @@ let test_binding_stats_after_migration () =
   let k0 = fx.kernels.(0) in
   let clh = Kernel.create_logical_host k0 ~priority:Cpu.Foreground in
   ignore
-    (Kernel.spawn_process k0 clh ~name:"client" (fun vp ->
+    (Kernel.spawn_process k0 clh (fun vp ->
          ignore (Kernel.send k0 ~src:(Vproc.pid vp) ~dst:pid (Message.make Message.Ping));
          (* Binding cached; migration announces the new binding. *)
          Proc.sleep fx.eng (ms 100.);
@@ -341,7 +341,7 @@ let test_leave_group_stops_delivery () =
   let hits = ref 0 in
   let lh = Kernel.create_logical_host k1 ~priority:Cpu.Foreground in
   let member =
-    Kernel.spawn_process k1 lh ~name:"member" (fun vp ->
+    Kernel.spawn_process k1 lh (fun vp ->
         let rec loop () =
           let d = Kernel.receive k1 vp in
           incr hits;
@@ -353,7 +353,7 @@ let test_leave_group_stops_delivery () =
   Kernel.join_group k1 ~group member;
   let clh = Kernel.create_logical_host k0 ~priority:Cpu.Foreground in
   ignore
-    (Kernel.spawn_process k0 clh ~name:"querier" (fun vp ->
+    (Kernel.spawn_process k0 clh (fun vp ->
          let c =
            Kernel.send_group k0 ~src:(Vproc.pid vp) ~group (Message.make Message.Ping)
          in
@@ -374,7 +374,7 @@ let test_late_group_reply_harmless () =
   let group = Ids.pid 0x7FFF0006 1 in
   let lh = Kernel.create_logical_host k1 ~priority:Cpu.Foreground in
   let member =
-    Kernel.spawn_process k1 lh ~name:"slow-member" (fun vp ->
+    Kernel.spawn_process k1 lh (fun vp ->
         let d = Kernel.receive k1 vp in
         Proc.sleep fx.eng (sec 1.);
         Kernel.reply ~from:(Vproc.pid vp) k1 d (Message.make Message.Pong))
@@ -383,7 +383,7 @@ let test_late_group_reply_harmless () =
   let got = ref (Some ()) in
   let clh = Kernel.create_logical_host k0 ~priority:Cpu.Foreground in
   ignore
-    (Kernel.spawn_process k0 clh ~name:"querier" (fun vp ->
+    (Kernel.spawn_process k0 clh (fun vp ->
          let c =
            Kernel.send_group k0 ~src:(Vproc.pid vp) ~group (Message.make Message.Ping)
          in
@@ -399,12 +399,12 @@ let test_destroy_frozen_logical_host () =
   let lh = Kernel.create_logical_host k ~priority:Cpu.Background in
   let ran_after = ref false in
   ignore
-    (Kernel.spawn_process k lh ~name:"victim" (fun _ ->
+    (Kernel.spawn_process k lh (fun _ ->
          Proc.sleep fx.eng (ms 10.);
          Proc.sleep fx.eng (sec 100.);
          ran_after := true));
   ignore
-    (Proc.spawn fx.eng ~name:"driver" (fun () ->
+    (Proc.spawn fx.eng (fun () ->
          Proc.sleep fx.eng (ms 50.);
          Kernel.freeze_lh k lh;
          Kernel.destroy_logical_host k lh));
@@ -438,7 +438,7 @@ let test_counter_registry () =
   let k0 = fx.kernels.(0) in
   let clh = Kernel.create_logical_host k0 ~priority:Cpu.Foreground in
   ignore
-    (Kernel.spawn_process k0 clh ~name:"client" (fun vp ->
+    (Kernel.spawn_process k0 clh (fun vp ->
          for _ = 1 to 3 do
            ignore
              (Kernel.send k0 ~src:(Vproc.pid vp) ~dst:pid
@@ -476,7 +476,7 @@ let test_self_kill_at_next_suspension () =
   let after = ref false in
   let p = ref None in
   let proc =
-    Proc.spawn e ~name:"suicidal" (fun () ->
+    Proc.spawn e (fun () ->
         (match !p with Some me -> Proc.kill me | None -> ());
         (* Still running: death lands at the next suspension point. *)
         Proc.sleep e (ms 1.);

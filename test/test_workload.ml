@@ -56,7 +56,7 @@ let simulate_unique_kb params seconds =
   (* Feed CPU in 10 ms slices, as the scheduler does. *)
   let slices = int_of_float (seconds /. 0.010) in
   ignore
-    (Proc.spawn eng ~name:"driver" (fun () ->
+    (Proc.spawn eng (fun () ->
          for _ = 1 to slices do
            Dirty_model.on_cpu m rng (Time.of_ms 10.)
          done));
@@ -91,7 +91,7 @@ let test_dirty_model_never_touches_code () =
   let rng = Rng.create 4 in
   let eng = Engine.create () in
   ignore
-    (Proc.spawn eng ~name:"driver" (fun () ->
+    (Proc.spawn eng (fun () ->
          for _ = 1 to 200 do
            Dirty_model.on_cpu m rng (Time.of_ms 10.)
          done));
@@ -127,7 +127,7 @@ let drive_random_config (seed, hot_kb, rate_kb, cold_kb, active_kb, centi_s) =
   let rng = Rng.create seed in
   let eng = Engine.create () in
   ignore
-    (Proc.spawn eng ~name:"driver" (fun () ->
+    (Proc.spawn eng (fun () ->
          for _ = 1 to 1 + centi_s do
            Dirty_model.on_cpu m rng (Time.of_ms 10.)
          done));
