@@ -1,11 +1,20 @@
 #!/bin/sh
-# Profile the simulator hot paths on a box with no profiler.
+# Profile the simulator hot paths on a box with no system profiler.
 #
 # The usual tools are unavailable here: no perf, no valgrind/callgrind,
 # no gdb, and OCaml 5 dropped gprof support ("Profiling with gprof is
 # only supported up to OCaml 4.08.0"), so ocamlopt -p is out too. What
 # works everywhere:
 #
+#   0. `bench --sample CELL...` — a sampling profiler built into the
+#      bench program. A SIGPROF timer fires every millisecond of CPU time
+#      and its handler records Printexc.get_callstack; after each named
+#      cell it prints the top self and inclusive frames. It runs at -j 1
+#      (other domains are not sampled). C primitives such as caml_hash
+#      and compare, and the minor GC, have no OCaml frame: their time is
+#      charged to the OCaml function that called them. A simulated
+#      process runs on its own effect stack, so its samples stop at the
+#      process body and do not include the engine frames below it.
 #   1. `bench layers`  — wall-clock ns/event per stack layer (raw engine
 #      dispatch, effect/suspension machinery, CPU slice loop, kernel IPC
 #      ping loop). Attribute a regression to a layer before reading code.
@@ -44,6 +53,10 @@ echo "=== content-addressed transfer (dedup on vs off, byte counts) ==="
 # Virtual-time/byte-count cell, so the numbers are exact, not noisy:
 # watch the wire-byte reduction and the cached return-migration cost.
 ./_build/default/bench/main.exe dedup -j 1 | grep -E "bytes on wire|return"
+
+echo
+echo "=== sampled hot frames of the 1024-workstation serve-pods cell ==="
+./_build/default/bench/main.exe --sample --quick serve-pods | sed -n '/--- sample/,$p'
 
 echo
 echo "=== GC totals for the pinned --quick profile ==="
