@@ -61,8 +61,7 @@ let run_spec ctx rng ~lh ~spec ~env ~model ~charge ~self =
       let chunk = Time.min Os_params.cpu_quantum remaining in
       Cpu.compute_sliced ~owner:lh_id ~gate ~must_release (Kernel.cpu k)
         ~priority:(Logical_host.priority lh) chunk ~on_slice;
-      (* [Time.to_sec chunk], computed here so the float stays unboxed. *)
-      let sec = float_of_int (Time.to_us chunk) /. 1e6 in
+      let sec = Time.to_sec chunk in
       debt.reads <- debt.reads +. (io.Programs.reads_per_cpu_sec *. sec);
       debt.writes <- debt.writes +. (io.Programs.writes_per_cpu_sec *. sec);
       do_io ();

@@ -87,14 +87,11 @@ module Gauge = struct
     let now = Engine.now engine in
     { engine; acc = { level = initial; integral = 0. }; since = now; origin = now }
 
-  (* Seconds computed in place: [Time.to_sec] is not inlined across
-     modules, so its result would come back boxed. Same value. *)
   let settle t =
     let now = Engine.now t.engine in
     let a = t.acc in
     a.integral <-
-      a.integral
-      +. (a.level *. (float_of_int (Time.to_us (Time.sub now t.since)) /. 1e6));
+      a.integral +. (a.level *. Time.to_sec (Time.sub now t.since));
     t.since <- now
 
   let set t x =

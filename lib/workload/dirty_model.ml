@@ -49,8 +49,7 @@ let create p space =
   }
 
 let on_cpu t rng span =
-  (* [Time.to_sec span], computed here so the float stays unboxed. *)
-  let seconds = float_of_int (Time.to_us span) /. 1e6 in
+  let seconds = Time.to_sec span in
   let page_kb = float_of_int (Address_space.page_bytes t.space) /. 1024. in
   let c = t.carry in
   (* Hot rewrites: each write lands uniformly in the hot window. *)
