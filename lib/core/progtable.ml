@@ -19,12 +19,12 @@ type program = {
   mutable p_cpu_used : Time.span;
 }
 
-and t = { tbl_kernel : Kernel.t; tbl : (Ids.lh_id, program) Hashtbl.t }
+and t = { tbl_kernel : Kernel.t; tbl : program Int_table.Direct.t }
 
 type Message.body +=
   | Pm_exited of { wall : Time.span; cpu : Time.span; ok : bool }
 
-let create tbl_kernel = { tbl_kernel; tbl = Hashtbl.create 16 }
+let create tbl_kernel = { tbl_kernel; tbl = Int_table.Direct.create 16 }
 
 let kernel t = t.tbl_kernel
 
@@ -45,23 +45,23 @@ let add t ~lh ~spec ~env ~root ~space ~model ~origin =
       p_cpu_used = Time.zero;
     }
   in
-  Hashtbl.replace t.tbl (Logical_host.id lh) p;
+  Int_table.Direct.replace t.tbl (Logical_host.id lh) p;
   p
 
-let find t lh_id = Hashtbl.find_opt t.tbl lh_id
+let find t lh_id = Int_table.Direct.find_opt t.tbl lh_id
 
 let programs t =
-  Hashtbl.fold (fun _ p acc -> p :: acc) t.tbl []
+  Int_table.Direct.fold (fun _ p acc -> p :: acc) t.tbl []
   |> List.sort (fun a b ->
          Int.compare (Logical_host.id a.p_lh) (Logical_host.id b.p_lh))
 
-let count t = Hashtbl.length t.tbl
+let count t = Int_table.Direct.length t.tbl
 
-let remove t p = Hashtbl.remove t.tbl (Logical_host.id p.p_lh)
+let remove t p = Int_table.Direct.remove t.tbl (Logical_host.id p.p_lh)
 
 let adopt t p =
   p.p_home <- t;
-  Hashtbl.replace t.tbl (Logical_host.id p.p_lh) p
+  Int_table.Direct.replace t.tbl (Logical_host.id p.p_lh) p
 
 let add_waiter p d = p.p_waiters <- d :: p.p_waiters
 

@@ -676,8 +676,11 @@ let prop_tracer_growth_matches_fixed_ring =
 
    [Int_table.Ordered] must visit entries in exactly the order of the
    polymorphic [Hashtbl]: the kernel's iteration order reaches the
-   simulation. A script mixes replace, remove, reset and copy over a
-   key range wide enough to force several resizes. *)
+   simulation. A script mixes replace, remove, reset, filter_map_inplace
+   and copy over a key range wide enough to force several resizes. *)
+
+(* Drops about a third of the entries and rewrites the rest. *)
+let int_table_filter k v = if (k + v) mod 3 = 0 then None else Some (v + 1)
 let prop_int_table_ordered_matches_hashtbl =
   QCheck.Test.make ~name:"Int_table.Ordered iterates like Hashtbl" ~count:300
     QCheck.(
@@ -695,23 +698,79 @@ let prop_int_table_ordered_matches_hashtbl =
       in
       List.for_all
         (fun (op, k) ->
-          (if op < 70 then begin
+          (if op < 68 then begin
              Hashtbl.replace !poly k op;
              Int_table.Ordered.replace !mono k op
            end
-           else if op < 95 then begin
+           else if op < 93 then begin
              Hashtbl.remove !poly k;
              Int_table.Ordered.remove !mono k
            end
-           else if op < 97 then begin
+           else if op < 95 then begin
              Hashtbl.reset !poly;
              Int_table.Ordered.reset !mono
+           end
+           else if op < 97 then begin
+             Hashtbl.filter_map_inplace int_table_filter !poly;
+             Int_table.Ordered.filter_map_inplace int_table_filter !mono
            end
            else begin
              poly := Hashtbl.copy !poly;
              mono := Int_table.Ordered.copy !mono
            end);
           same ())
+        script)
+
+(* [Int_table.Direct] buckets differently, so only its contents are
+   compared with the model: after every step each key the model holds is
+   found with its value by [find], [find_opt] and [mem], the step's key
+   agrees on all three, and the lengths match. A copy is checked after
+   its source is rewritten. *)
+let prop_int_table_direct_matches_hashtbl =
+  QCheck.Test.make ~name:"Int_table.Direct holds what Hashtbl holds"
+    ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 0 600)
+        (pair (int_bound 99) (oneof [ int_bound 400; int ])))
+    (fun script ->
+      let model = ref (Hashtbl.create 8)
+      and tbl = ref (Int_table.Direct.create 8) in
+      let agrees k =
+        let expect = Hashtbl.find_opt !model k in
+        Int_table.Direct.find_opt !tbl k = expect
+        && Int_table.Direct.mem !tbl k = Option.is_some expect
+        && (match Int_table.Direct.find !tbl k with
+           | v -> expect = Some v
+           | exception Not_found -> expect = None)
+      in
+      List.for_all
+        (fun (op, k) ->
+          (if op < 68 then begin
+             Hashtbl.replace !model k op;
+             Int_table.Direct.replace !tbl k op
+           end
+           else if op < 93 then begin
+             Hashtbl.remove !model k;
+             Int_table.Direct.remove !tbl k
+           end
+           else if op < 95 then begin
+             Hashtbl.reset !model;
+             Int_table.Direct.reset !tbl
+           end
+           else if op < 97 then begin
+             Hashtbl.filter_map_inplace int_table_filter !model;
+             Int_table.Direct.filter_map_inplace int_table_filter !tbl
+           end
+           else begin
+             model := Hashtbl.copy !model;
+             let source = !tbl in
+             tbl := Int_table.Direct.copy source;
+             (* The copy shares no cell with its source. *)
+             Int_table.Direct.filter_map_inplace (fun _ _ -> Some (-1)) source
+           end);
+          agrees k
+          && Int_table.Direct.length !tbl = Hashtbl.length !model
+          && Hashtbl.fold (fun k _ ok -> ok && agrees k) !model true)
         script)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
@@ -800,7 +859,12 @@ let () =
             test_tracer_filter_clear;
         ]
         @ qcheck [ prop_tracer_growth_matches_fixed_ring ] );
-      ("int-table", qcheck [ prop_int_table_ordered_matches_hashtbl ]);
+      ( "int-table",
+        qcheck
+          [
+            prop_int_table_ordered_matches_hashtbl;
+            prop_int_table_direct_matches_hashtbl;
+          ] );
       ( "more-properties",
         Alcotest.test_case "nested spawn/join" `Quick test_proc_nested_spawn
         :: Alcotest.test_case "ivar peek states" `Quick test_ivar_peek_states
