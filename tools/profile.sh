@@ -12,9 +12,13 @@
 #      cell it prints the top self and inclusive frames. It runs at -j 1
 #      (other domains are not sampled). C primitives such as caml_hash
 #      and compare, and the minor GC, have no OCaml frame: their time is
-#      charged to the OCaml function that called them. A simulated
-#      process runs on its own effect stack, so its samples stop at the
-#      process body and do not include the engine frames below it.
+#      charged to the OCaml function that called them. The tree builds
+#      in dune's release profile (dune-workspace), without -opaque, so a
+#      function that ocamlopt inlined across modules (Time.to_sec,
+#      Engine.now, a table's bucket index) has no frame either: its
+#      samples land on the caller. A simulated process runs on its own
+#      effect stack, so its samples stop at the process body and do not
+#      include the engine frames below it.
 #   1. `bench layers`  — wall-clock ns/event per stack layer (raw engine
 #      dispatch, effect/suspension machinery, CPU slice loop, kernel IPC
 #      ping loop). Attribute a regression to a layer before reading code.
