@@ -61,11 +61,12 @@ type trial = {
   dropped : int;
   events : int;
   stuck : int;
+  orphans : int;
   shed : int;
   coverage : Coverage.t;
 }
 
-let failed t = t.violations <> [] || t.stuck <> 0
+let failed t = t.violations <> [] || t.stuck <> 0 || t.orphans <> 0
 
 let cache_line k =
   if k.content_cache > 0 then
@@ -93,7 +94,9 @@ let plain_trial r entry seed k =
   let sc =
     match k.strategy with None -> sc | Some s -> Scenario.force_strategy s sc
   in
-  let o = Scenario.run ~rebind:k.rebind ~content_cache:k.content_cache sc in
+  let o, cl =
+    Scenario.run_cluster ~rebind:k.rebind ~content_cache:k.content_cache sc
+  in
   let features =
     match entry with Some e -> Scenario.Library.check_plain e o | None -> []
   in
@@ -113,6 +116,7 @@ let plain_trial r entry seed k =
     dropped = o.Scenario.o_violations_dropped;
     events = o.Scenario.o_events;
     stuck = 0;
+    orphans = List.length (Cluster.orphan_guests cl);
     shed = 0;
     coverage = Coverage.with_features features o.Scenario.o_coverage;
   }
@@ -137,8 +141,8 @@ let serve_trial r entry seed k =
     | Some e -> Scenario.Library.serve e ~seed
   in
   let placement = Option.bind k.placement (fuzz_placement sv) in
-  let o =
-    Scenario.run_serve ~rebind:k.rebind ~content_cache:k.content_cache
+  let o, cl =
+    Scenario.run_serve_cluster ~rebind:k.rebind ~content_cache:k.content_cache
       ?strategy:k.strategy ?placement sv
   in
   let features =
@@ -174,6 +178,7 @@ let serve_trial r entry seed k =
     dropped = o.Scenario.so_violations_dropped;
     events = o.Scenario.so_events;
     stuck = o.Scenario.so_stuck;
+    orphans = List.length (Cluster.orphan_guests cl);
     shed = o.Scenario.so_shed;
     coverage = Coverage.with_features features o.Scenario.so_coverage;
   }
@@ -232,6 +237,14 @@ let name = function Plain -> "fuzz" | Serve -> "fuzz --serve"
 
 let stuck_line n = Printf.sprintf "%d request(s) stuck in no terminal state" n
 
+let orphan_line n =
+  Printf.sprintf "%d orphaned guest logical host(s) resident at the end" n
+
+(* The run's failure lines beyond its monitor violations. *)
+let leak_lines t =
+  (if t.stuck <> 0 then [ stuck_line t.stuck ] else [])
+  @ if t.orphans <> 0 then [ orphan_line t.orphans ] else []
+
 let render_verbose t =
   if not (failed t) then (t.details @ [ "all invariants held" ], true)
   else
@@ -240,7 +253,7 @@ let render_verbose t =
       @ (if t.dropped > 0 then
            [ Printf.sprintf "(%d further violations not retained)" t.dropped ]
          else [])
-      @ (if t.stuck <> 0 then [ stuck_line t.stuck ] else []),
+      @ leak_lines t,
       false )
 
 let fail_block t =
@@ -251,7 +264,7 @@ let fail_block t =
            (Time.to_string v.Monitors.vi_at)
            v.Monitors.vi_seq v.Monitors.vi_detail)
        t.violations
-  @ (if t.stuck <> 0 then [ "  " ^ stuck_line t.stuck ] else [])
+  @ List.map (fun l -> "  " ^ l) (leak_lines t)
   @ [ "  REPLAY: " ^ t.replay ]
 
 let render ~require_coverage rep =

@@ -25,6 +25,9 @@ type trial = {
   dropped : int;  (** Violations beyond the retained ones. *)
   events : int;
   stuck : int;  (** Serve requests in no terminal state; 0 in plain. *)
+  orphans : int;
+      (** {!Cluster.orphan_guests} at the end of the run; nonzero fails
+          it. *)
   shed : int;  (** Serve submissions shed by brownout; 0 in plain. *)
   coverage : Coverage.t;  (** This run's coverage alone. *)
 }

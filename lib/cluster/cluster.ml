@@ -12,6 +12,7 @@ type t = {
   c_far : Packet.t Ethernet.t; (* == c_net when unbridged *)
   c_cfg : Config.t;
   c_dir : Directory.t;
+  c_programs : Progtable.registry;
   c_tracer : Tracer.t;
   c_rng : Rng.t;
   c_fs : File_server.t;
@@ -39,6 +40,28 @@ let workstations t = Array.to_list t.stations
 
 let sum_stat t c =
   Array.fold_left (fun acc ws -> acc + Kernel.count ws.ws_kernel c) 0 t.stations
+
+(* The audit rule of the benchmark's leak count: a guest logical host
+   resident on a running kernel whose program manager owns no live record
+   for it is memory nobody will release. *)
+let orphan_guests t =
+  List.concat_map
+    (fun ws ->
+      let k = ws.ws_kernel in
+      let live lh =
+        match
+          Progtable.find (Program_manager.table ws.ws_pm) (Logical_host.id lh)
+        with
+        | Some { Progtable.p_status = Running | Migrating | Suspended; _ } ->
+            true
+        | Some { Progtable.p_status = Done _; _ } | None -> false
+      in
+      if not (Kernel.running k) then []
+      else
+        List.filter
+          (fun lh -> Logical_host.priority lh = Cpu.Background && not (live lh))
+          (Kernel.logical_hosts k))
+    (workstations t)
 
 let find_workstation t name =
   List.find_opt
@@ -89,7 +112,7 @@ let install_faults t plan =
                pids. *)
             ws.ws_pm <-
               Program_manager.create k ~cfg:t.c_cfg ~directory:t.c_dir
-                ~rng:(Rng.split t.c_rng);
+                ~programs:t.c_programs ~rng:(Rng.split t.c_rng);
             Program_manager.set_health ws.ws_pm t.c_health;
             (* A rebooted manager must rejoin its pod's scheduling
                group — group membership died with the old process. *)
@@ -194,6 +217,7 @@ let create ?(seed = 1985) ?(workstations = 6) ?(bridged = 0)
   in
   let alloc = Ids.Lh_allocator.create () in
   let c_dir = Directory.of_kernels () in
+  let c_programs = Progtable.registry () in
   let boot_kernel ?(net = c_net) ~station ~host_name ~memory () =
     let k =
       Kernel.create ~engine:eng ~rng:(Rng.split c_rng) ~tracer:c_tracer
@@ -227,7 +251,8 @@ let create ?(seed = 1985) ?(workstations = 6) ?(bridged = 0)
           boot_kernel ~net ~station:(i + 1) ~host_name ~memory:memory_bytes ()
         in
         let pm =
-          Program_manager.create k ~cfg ~directory:c_dir ~rng:(Rng.split c_rng)
+          Program_manager.create k ~cfg ~directory:c_dir ~programs:c_programs
+            ~rng:(Rng.split c_rng)
         in
         let d = Display_server.create k in
         Name_server.register_direct c_ns ~name:(host_name ^ ":display")
@@ -252,6 +277,7 @@ let create ?(seed = 1985) ?(workstations = 6) ?(bridged = 0)
       c_far = far_net;
       c_cfg = cfg;
       c_dir;
+      c_programs;
       c_tracer;
       c_rng;
       c_fs;

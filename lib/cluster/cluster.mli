@@ -92,6 +92,12 @@ val workstation : t -> int -> workstation
 val workstations : t -> workstation list
 val find_workstation : t -> string -> workstation option
 
+val orphan_guests : t -> Logical_host.t list
+(** Guest (background) logical hosts resident on a running workstation
+    whose program manager owns no live record for them: memory nobody
+    will release. Empty after every run, unless the post-migration
+    cleanup (Section 3.3) leaks. *)
+
 val sum_stat : t -> Kernel.counter -> int
 (** A kernel counter summed over the workstations, not the file server. *)
 

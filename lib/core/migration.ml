@@ -33,7 +33,6 @@ type Tracer.event +=
       freeze : Time.span;
     }
   | Mig_aborted of { lh : Ids.lh_id; reason : string }
-  | Mig_unmanaged of { lh : Ids.lh_id; dest : string }
 
 let () =
   Tracer.register_view (function
@@ -77,9 +76,6 @@ let () =
     | Mig_aborted { lh; reason } ->
         Tracer.view_as "migrate" "aborted"
           [ ("lh", Tracer.Int lh); ("reason", Str reason) ]
-    | Mig_unmanaged { lh; dest } ->
-        Tracer.view_as "migrate" "unmanaged"
-          [ ("lh", Tracer.Int lh); ("dest", Str dest) ]
     | _ -> None)
 
 let kernel_state_span lh =
@@ -327,8 +323,7 @@ let ack_slack = Time.of_ms 50.
 (* One pass of the five-step protocol. Besides the outcome, report which
    destination was tried (None if failure struck before selection), so a
    retry can exclude it when re-running host selection. *)
-let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
-    () =
+let attempt ?health ~kernel ~cfg ~self ~program ?dest ~exclude ~strategy () =
   let plan = freeze_plan strategy in
   let eng = Kernel.engine kernel in
   let lh = program.Progtable.p_lh in
@@ -409,7 +404,8 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
   (* The cleanup each later stage owes on failure: the reservation
      before the freeze; the freeze, then the reservation, while frozen;
      after extract, the old copy — "we assume that the new host failed
-     and that the logical host has not been transferred". *)
+     and that the logical host has not been transferred" — unless this
+     host crashed meanwhile, taking the old copy with it. *)
   let abort_reserved e =
     cancel_reservation_best_effort kernel ~self ~pm:dest.Scheduler.s_pm
       ~temp_lh;
@@ -420,8 +416,10 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
     abort_reserved e
   in
   let abort_extracted state e =
-    ignore (Kernel.install_lh kernel state);
-    Kernel.unfreeze_lh kernel lh;
+    if Kernel.running kernel then begin
+      ignore (Kernel.install_lh kernel state);
+      Kernel.unfreeze_lh kernel lh
+    end;
     fail e
   in
   match reserved with
@@ -533,16 +531,14 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
       | Some station -> Kernel.set_forward kernel lh_id station
       | None -> ())
   | Os_params.Broadcast_query -> ());
-  (* Program-manager state follows the program. *)
-  Progtable.remove table program;
-  (match
-     Kernel.send kernel ~src:self ~dst:dest.Scheduler.s_pm
-       (Message.make (Protocol.Pm_adopt program))
-   with
-  | Ok _ -> ()
-  | Error _ ->
-      Kernel.emit kernel (fun () ->
-          Mig_unmanaged { lh = lh_id; dest = dest.Scheduler.s_host }));
+  (* The install made the destination's manager the record's owner. A
+     record finished in flight leaves the installed copy nobody's. *)
+  (match program.Progtable.p_status with
+  | Progtable.Done _ ->
+      ignore
+        (Kernel.send kernel ~src:self ~dst:(Ids.kernel_server_of lh_id)
+           (Message.make (Kernel.Ks_destroy_lh lh_id)))
+  | Progtable.Running | Progtable.Migrating | Progtable.Suspended -> ());
   (* Bytes expected to cross the wire again after the program resumes:
      the whole image under copy-on-reference; under VM-flush the
      rewritten hot set plus the frozen residue, faulted back in from the
@@ -571,7 +567,7 @@ let attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude ~strategy
          m_faultin_bytes = faultin_bytes;
        })
 
-let migrate ?health ~kernel ~cfg ~table ~self ~program ?dest ~strategy () =
+let migrate ?health ~kernel ~cfg ~self ~program ?dest ~strategy () =
   if program.Progtable.p_status <> Progtable.Running then
     (* A suspended program stays where its owner parked it: migration
        would unfreeze it at the destination. Mid-migration and finished
@@ -588,7 +584,7 @@ let migrate ?health ~kernel ~cfg ~table ~self ~program ?dest ~strategy () =
   let rec loop n m failed =
     let exclude_tried tried = match tried with Some h -> h :: failed | None -> failed in
     match
-      attempt ?health ~kernel ~cfg ~table ~self ~program ?dest ~exclude:failed
+      attempt ?health ~kernel ~cfg ~self ~program ?dest ~exclude:failed
         ~strategy ()
     with
     | Error ((Transfer_failed _ as e), tried) ->

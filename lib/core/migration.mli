@@ -19,7 +19,8 @@
     transfer steps. A failed attempt undoes what its stage did: before
     the freeze it cancels the reservation; while frozen it unfreezes,
     then cancels; after extract it re-installs the logical host locally,
-    then unfreezes. The attempt is then abandoned or retried per
+    then unfreezes — unless the source crashed meanwhile, taking that
+    copy with it. The attempt is then abandoned or retried per
     {!Config.migration_retries} (the paper gives up after one attempt).
     A retry re-runs host selection with every already-failed destination
     excluded, so a crashed host that is still being advertised by stale
@@ -79,16 +80,11 @@ type Tracer.event +=
       freeze : Time.span;
     }
   | Mig_aborted of { lh : Ids.lh_id; reason : string }
-  | Mig_unmanaged of { lh : Ids.lh_id; dest : string }
-      (** Emitted just before [Mig_committed] when [dest]'s program
-          manager never acknowledged adopting the program: it runs
-          there, but unmanaged. *)
 
 val migrate :
   ?health:Health.t ->
   kernel:Kernel.t ->
   cfg:Config.t ->
-  table:Progtable.t ->
   self:Ids.pid ->
   program:Progtable.program ->
   ?dest:Scheduler.selection ->
@@ -98,9 +94,11 @@ val migrate :
 (** Run the full protocol from the program's current host. Must be
     called from a simulated process on that host (the program manager
     spawns a migration manager per request). On success the program runs
-    at the destination, its program-manager record has moved, and the
-    source retains nothing — no forwarding state. On failure the program
-    is running on the source exactly as before.
+    at the destination, whose program manager owns its record from the
+    install on, and the source retains nothing — no forwarding state. A
+    program whose root exited while its host was in flight has its
+    installed copy destroyed. On failure the program is running on the
+    source exactly as before, unless the source itself crashed.
 
     [health] feeds destination selection
     ({!Scheduler.Spine.select_in_group}).

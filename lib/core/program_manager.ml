@@ -26,10 +26,8 @@ let pid t = t.pm_pid
 let table t = t.tbl
 let programs t = Progtable.programs t.tbl
 
-let guest_programs t =
-  List.filter
-    (fun p -> Logical_host.priority p.Progtable.p_lh = Cpu.Background)
-    (programs t)
+let is_guest p = Logical_host.priority p.Progtable.p_lh = Cpu.Background
+let guest_programs t = List.filter is_guest (programs t)
 
 let set_accepting t b = t.is_accepting <- b
 let set_health t h = t.pm_health <- h
@@ -64,23 +62,32 @@ let answer_candidate t d =
 
 (* Cleanup when a program's root process terminates: tear down the
    environment and answer completion waiters. Runs as its own process
-   because exit hooks cannot block. *)
+   because exit hooks cannot block. The host is located after the
+   teardown delay, as a migration may have moved it; if it is in flight,
+   the kernel the root died on answers and the migration destroys the
+   copy it installs. *)
 let reap t program =
+  let id = Logical_host.id program.Progtable.p_lh in
+  let died_on =
+    Option.value (Directory.locate t.directory id) ~default:t.pm_kernel
+  in
   ignore
     (Proc.spawn (eng t) (fun () ->
-         let home = program.Progtable.p_home in
-         let k = Progtable.kernel home in
          let failed =
            match Vproc.thread program.Progtable.p_root with
            | Some thread -> Proc.status thread <> Some Proc.Normal
            | None -> true
          in
-         Proc.sleep (Kernel.engine k) Config.env_destroy;
-         (match Kernel.find_lh k (Logical_host.id program.Progtable.p_lh) with
+         Proc.sleep (eng t) Config.env_destroy;
+         let k =
+           Option.value (Directory.locate t.directory id) ~default:died_on
+         in
+         (match Kernel.find_lh k id with
          | Some lh -> Kernel.destroy_logical_host k lh
          | None -> ());
-         Progtable.remove home program;
-         Progtable.finish program ~cpu_used:program.Progtable.p_cpu_used ~failed))
+         Progtable.remove t.tbl program;
+         Progtable.finish k program ~cpu_used:program.Progtable.p_cpu_used
+           ~failed))
 
 let handle_create t d ~prog ~env ~priority ~explicit_host =
   let k = t.pm_kernel in
@@ -190,23 +197,13 @@ let handle_create t d ~prog ~env ~priority ~explicit_host =
                     { root = Vproc.pid root; lh = Logical_host.id lh; setup; load }))
       end)
 
+(* Records found are live: the reaper drops one before finishing it. *)
 let handle_wait t d ~lh =
-  let k = t.pm_kernel in
   match Progtable.find t.tbl lh with
-  | None -> Kernel.reply k d (Message.make (Protocol.Pm_no_such_program lh))
-  | Some p -> (
-      match p.Progtable.p_status with
-      | Progtable.Done { at; cpu_used; failed } ->
-          Kernel.reply k d
-            (Message.make
-               (Progtable.Pm_exited
-                  {
-                    wall = Time.sub at p.Progtable.p_started;
-                    cpu = cpu_used;
-                    ok = not failed;
-                  }))
-      | Progtable.Running | Progtable.Migrating | Progtable.Suspended ->
-          Progtable.add_waiter p d)
+  | None ->
+      Kernel.reply t.pm_kernel d
+        (Message.make (Protocol.Pm_no_such_program lh))
+  | Some p -> Progtable.add_waiter p d
 
 let status_string = function
   | Progtable.Running -> "running"
@@ -218,38 +215,36 @@ let status_string = function
    works for local and remote programs because it is addressed like
    everything else (Section 2: "facilities for terminating, suspending
    and debugging programs work independent of whether the program is
-   executing locally or remotely"). *)
+   executing locally or remotely"). A record this manager owns has its
+   logical host resident here. *)
 let handle_suspend t d ~lh =
   let k = t.pm_kernel in
-  match (Progtable.find t.tbl lh, Kernel.find_lh k lh) with
-  | Some p, Some lhost when p.Progtable.p_status = Progtable.Running ->
-      Kernel.freeze_lh k lhost;
+  match Progtable.find t.tbl lh with
+  | Some p when p.Progtable.p_status = Progtable.Running ->
+      Kernel.freeze_lh k p.Progtable.p_lh;
       p.Progtable.p_status <- Progtable.Suspended;
       Kernel.reply k d (Message.make Protocol.Pm_ok)
-  | Some _, _ -> Kernel.reply k d (Message.make (Protocol.Pm_refused "not running"))
-  | None, _ -> Kernel.reply k d (Message.make (Protocol.Pm_no_such_program lh))
+  | Some _ -> Kernel.reply k d (Message.make (Protocol.Pm_refused "not running"))
+  | None -> Kernel.reply k d (Message.make (Protocol.Pm_no_such_program lh))
 
 let handle_resume t d ~lh =
   let k = t.pm_kernel in
-  match (Progtable.find t.tbl lh, Kernel.find_lh k lh) with
-  | Some p, Some lhost when p.Progtable.p_status = Progtable.Suspended ->
+  match Progtable.find t.tbl lh with
+  | Some p when p.Progtable.p_status = Progtable.Suspended ->
       p.Progtable.p_status <- Progtable.Running;
-      Kernel.unfreeze_lh k lhost;
+      Kernel.unfreeze_lh k p.Progtable.p_lh;
       Kernel.reply k d (Message.make Protocol.Pm_ok)
-  | Some _, _ -> Kernel.reply k d (Message.make (Protocol.Pm_refused "not suspended"))
-  | None, _ -> Kernel.reply k d (Message.make (Protocol.Pm_no_such_program lh))
+  | Some _ -> Kernel.reply k d (Message.make (Protocol.Pm_refused "not suspended"))
+  | None -> Kernel.reply k d (Message.make (Protocol.Pm_no_such_program lh))
 
 let handle_destroy t d ~lh =
   let k = t.pm_kernel in
   match Progtable.find t.tbl lh with
   | None -> Kernel.reply k d (Message.make (Protocol.Pm_no_such_program lh))
-  | Some _ ->
-      (match Kernel.find_lh k lh with
-      | Some lhost ->
-          (* Killing the root process triggers the normal reaper, which
-             destroys the environment and answers waiters. *)
-          List.iter Vproc.kill (Logical_host.processes lhost)
-      | None -> ());
+  | Some p ->
+      (* Killing the root process triggers the normal reaper, which
+         destroys the environment and answers waiters. *)
+      List.iter Vproc.kill (Logical_host.processes p.Progtable.p_lh);
       Kernel.reply k d (Message.make Protocol.Pm_ok)
 
 (* migrateprog: remove one program (or every guest) from this
@@ -285,7 +280,7 @@ let handle_migrate t d ~lh ~dest ~force_destroy ~strategy =
                (fun (oks, errs) p ->
                  match
                    Migration.migrate ?health:t.pm_health ~kernel:k ~cfg:t.cfg
-                     ~table:t.tbl ~self:t.pm_pid ~program:p
+                     ~self:t.pm_pid ~program:p
                      ?dest:dest_sel ~strategy ()
                  with
                  | Ok o -> (o :: oks, errs)
@@ -332,19 +327,18 @@ let serve t d =
   | Protocol.Pm_cancel_reserve { temp_lh } ->
       Kernel.cancel_reservation k ~temp_lh;
       Kernel.reply k d (Message.make Protocol.Pm_ok)
-  | Protocol.Pm_adopt program ->
-      Progtable.adopt t.tbl program;
-      Kernel.reply k d (Message.make Protocol.Pm_adopted)
   | Protocol.Pm_migrate { lh; dest; force_destroy; strategy } ->
       handle_migrate t d ~lh ~dest ~force_destroy ~strategy
   | Protocol.Pm_list_programs ->
+      (* Every survey asks: derive both lists from one ownership scan. *)
+      let owned = programs t in
       let listing =
         List.map
           (fun p ->
             ( p.Progtable.p_spec.Programs.prog_name,
               Logical_host.id p.Progtable.p_lh,
               status_string p.Progtable.p_status ))
-          (programs t)
+          owned
       in
       Kernel.reply ~from:t.pm_pid k d
         (Message.make
@@ -355,21 +349,21 @@ let serve t d =
                 guests =
                   List.filter_map
                     (fun p ->
-                      if p.Progtable.p_status = Progtable.Running then
-                        Some (Logical_host.id p.Progtable.p_lh)
+                      if is_guest p && p.Progtable.p_status = Progtable.Running
+                      then Some (Logical_host.id p.Progtable.p_lh)
                       else None)
-                    (guest_programs t);
+                    owned;
               }))
   | _ -> Kernel.reply k d (Message.make (Protocol.Pm_refused "unknown request"))
 
-let create k ~cfg ~directory ~rng =
+let create k ~cfg ~directory ~programs ~rng =
   let t =
     {
       pm_kernel = k;
       cfg;
       directory;
       rng;
-      tbl = Progtable.create k;
+      tbl = Progtable.view programs ~directory k;
       pm_pid = Ids.pid 0 0;
       is_accepting = true;
       pm_health = None;

@@ -7,8 +7,8 @@
     group, and it implements both sides of every protocol in this
     library: candidate queries, program creation (environment setup,
     image load from the file server, start), completion waits,
-    migration-destination reservations and adoptions, and the
-    [migrateprog] entry point that spawns a migration manager. *)
+    migration-destination reservations, and the [migrateprog] entry
+    point that spawns a migration manager. *)
 
 (** One event per program this manager creates, emitted once the
     program's environment is set up, its image loaded and its root
@@ -22,11 +22,13 @@ val create :
   Kernel.t ->
   cfg:Config.t ->
   directory:Directory.t ->
+  programs:Progtable.registry ->
   rng:Rng.t ->
   t
-(** Start the program manager on a workstation. It starts out
-    accepting guest work; {!set_accepting} is the owner's policy
-    switch. *)
+(** Start the program manager on a workstation. Its records live in the
+    cluster's one [programs] registry; it owns those whose logical host
+    [directory] places on this kernel. It starts out accepting guest
+    work; {!set_accepting} is the owner's policy switch. *)
 
 val pid : t -> Ids.pid
 (** The manager's process id — also reachable location-independently as

@@ -13,20 +13,22 @@ type program = {
   p_model : Dirty_model.t;
   p_started : Time.t;
   p_origin : string;
-  mutable p_home : t;
   mutable p_status : status;
   mutable p_waiters : Delivery.t list;
   mutable p_cpu_used : Time.span;
 }
 
-and t = { tbl_kernel : Kernel.t; tbl : program Int_table.Direct.t }
+type registry = program Int_table.Direct.t
+
+(* Ownership is derived, never stored: a view answers only for records
+   whose logical host the directory places on its kernel. *)
+type t = { reg : registry; dir : Directory.t; owner : Kernel.t }
 
 type Message.body +=
   | Pm_exited of { wall : Time.span; cpu : Time.span; ok : bool }
 
-let create tbl_kernel = { tbl_kernel; tbl = Int_table.Direct.create 16 }
-
-let kernel t = t.tbl_kernel
+let registry () = Int_table.Direct.create 16
+let view reg ~directory owner = { reg; dir = directory; owner }
 
 let add t ~lh ~spec ~env ~root ~space ~model ~origin =
   let p =
@@ -37,36 +39,35 @@ let add t ~lh ~spec ~env ~root ~space ~model ~origin =
       p_root = root;
       p_space = space;
       p_model = model;
-      p_started = Engine.now (Kernel.engine t.tbl_kernel);
+      p_started = Engine.now (Kernel.engine t.owner);
       p_origin = origin;
-      p_home = t;
       p_status = Running;
       p_waiters = [];
       p_cpu_used = Time.zero;
     }
   in
-  Int_table.Direct.replace t.tbl (Logical_host.id lh) p;
+  Int_table.Direct.replace t.reg (Logical_host.id lh) p;
   p
 
-let find t lh_id = Int_table.Direct.find_opt t.tbl lh_id
+let owns t lh_id =
+  match Directory.locate t.dir lh_id with Some k -> k == t.owner | None -> false
 
+let find t lh_id =
+  match Int_table.Direct.find_opt t.reg lh_id with
+  | Some _ as p when owns t lh_id -> p
+  | Some _ | None -> None
+
+(* [Kernel.logical_hosts] is in id order already. *)
 let programs t =
-  Int_table.Direct.fold (fun _ p acc -> p :: acc) t.tbl []
-  |> List.sort (fun a b ->
-         Int.compare (Logical_host.id a.p_lh) (Logical_host.id b.p_lh))
+  List.filter_map
+    (fun lh -> find t (Logical_host.id lh))
+    (Kernel.logical_hosts t.owner)
 
-let count t = Int_table.Direct.length t.tbl
-
-let remove t p = Int_table.Direct.remove t.tbl (Logical_host.id p.p_lh)
-
-let adopt t p =
-  p.p_home <- t;
-  Int_table.Direct.replace t.tbl (Logical_host.id p.p_lh) p
+let remove t p = Int_table.Direct.remove t.reg (Logical_host.id p.p_lh)
 
 let add_waiter p d = p.p_waiters <- d :: p.p_waiters
 
-let finish p ~cpu_used ~failed =
-  let k = kernel p.p_home in
+let finish k p ~cpu_used ~failed =
   let now = Engine.now (Kernel.engine k) in
   p.p_status <- Done { at = now; cpu_used; failed };
   let waiters = List.rev p.p_waiters in

@@ -5,10 +5,11 @@
     Its per-program state — who is waiting for completion, what was
     loaded, when it started — is precisely the state that must be handed
     to the destination program manager when the program migrates
-    (Sections 3.1.3/4.1 count it in the kernel-state copy). A record is
-    an ordinary OCaml value, so adoption by the new manager is a pointer
-    move, mirroring the state copy whose {e time} the migration protocol
-    charges explicitly. *)
+    (Sections 3.1.3/4.1 count it in the kernel-state copy). Records live
+    in one {!registry} per cluster, and ownership follows residency: a
+    manager owns those whose logical host {!Directory.locate} places on
+    its kernel, so the install that makes a migrated host resident is
+    the handoff. The migration protocol charges the state copy's time. *)
 
 type status =
   | Running
@@ -28,17 +29,19 @@ type program = {
   p_model : Dirty_model.t;
   p_started : Time.t;
   p_origin : string;  (** Host that created it (owner's workstation). *)
-  mutable p_home : t;  (** Table of the program manager currently responsible. *)
   mutable p_status : status;
   mutable p_waiters : Delivery.t list;  (** Blocked [Pm_wait] requests. *)
   mutable p_cpu_used : Time.span;
 }
 
-and t
-(** One program manager's table. *)
+type registry
+(** Every live program record in a cluster. *)
 
-val create : Kernel.t -> t
-val kernel : t -> Kernel.t
+type t
+(** One program manager's view: the records it owns. *)
+
+val registry : unit -> registry
+val view : registry -> directory:Directory.t -> Kernel.t -> t
 
 val add :
   t ->
@@ -52,15 +55,15 @@ val add :
   program
 
 val find : t -> Ids.lh_id -> program option
+(** The record, if owned here: one manager owns it even when a lost
+    install acknowledgement leaves two resident copies. *)
+
 val programs : t -> program list
-val count : t -> int
+(** The owned records, in logical-host id order. *)
 
 val remove : t -> program -> unit
-(** Drop the record without touching the logical host (migration's
-    source-side step; destruction goes through {!finish}). *)
-
-val adopt : t -> program -> unit
-(** Take responsibility for a record extracted from another manager. *)
+(** Drop the record, whoever owns it, without touching the logical host
+    (destruction goes through {!finish}'s caller, the reaper). *)
 
 val add_waiter : program -> Delivery.t -> unit
 
@@ -68,11 +71,10 @@ type Message.body +=
   | Pm_exited of { wall : Time.span; cpu : Time.span; ok : bool }
         (** Reply to a completion waiter. *)
 
-val finish : program -> cpu_used:Time.span -> failed:bool -> unit
+val finish : Kernel.t -> program -> cpu_used:Time.span -> failed:bool -> unit
 (** Mark the program done and answer every waiter with {!Pm_exited}
-    (from whichever kernel currently owns the record — correct even if
-    the program completed after migrating). Must be called from a
-    simulated process. *)
+    from the kernel it ended on. Must be called from a simulated
+    process. *)
 
 val charge_cpu : program -> Time.span -> unit
 (** Accumulate scheduled CPU (for reporting). *)

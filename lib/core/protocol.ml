@@ -61,8 +61,6 @@ type Message.body +=
   | Pm_reserved
   | Pm_refused of string
   | Pm_cancel_reserve of { temp_lh : Ids.lh_id }
-  | Pm_adopt of Progtable.program
-  | Pm_adopted
   | Pm_migrate of {
       lh : Ids.lh_id option;
       dest : string option;

@@ -2,8 +2,9 @@
 
     The request/reply pairs between workstations' program managers: host
     selection queries (Section 2.1), program creation, completion waits,
-    and the destination-side steps of migration — reservation
-    (Section 3.1.1) and program-manager state adoption (Section 3.1.3).
+    and the destination-side reservation step of migration
+    (Section 3.1.1). Program-manager state needs no message of its own:
+    ownership of a record follows its logical host ({!Progtable}).
     Migration results are summarized in a {!migration_outcome}, the
     record every migration bench reads its numbers from. *)
 
@@ -100,9 +101,6 @@ type Message.body +=
   | Pm_reserved
   | Pm_refused of string
   | Pm_cancel_reserve of { temp_lh : Ids.lh_id }
-  | Pm_adopt of Progtable.program
-      (** Hand over the program-manager state of a migrating program. *)
-  | Pm_adopted
   | Pm_migrate of {
       lh : Ids.lh_id option;  (** [None]: all guest programs. *)
       dest : string option;  (** [None]: pick via the scheduler. *)

@@ -296,22 +296,6 @@ let test_every_traced_event_is_typed () =
             crash ~after:(Time.of_ms 100.) cl from_host
         | _ -> ())
   in
-  (* Pre-copy whose destination dies after acknowledging the install,
-     while the adoption request is on the wire. *)
-  let adopt =
-    let source = ref "" and dest = ref "" in
-    kinds_of ~seed:1985 (migrate Protocol.Precopy) ~react:(fun cl r ->
-        match r.Tracer.ev with
-        | Migration.Mig_start { from_host; _ } -> source := from_host
-        | Logical_host.Lh_installed { host; _ } when host <> !source ->
-            dest := host
-        | Kernel.Ipc_send { host; dst; _ }
-          when host = !source && !dest <> ""
-               && dst = Program_manager.pid (ws cl !dest).Cluster.ws_pm ->
-            crash cl !dest;
-            dest := ""
-        | _ -> ())
-  in
   (* ws1 crashes under a program whose caller re-executes it. Three
      guests pinned on ws2 with nobody volunteering make the balancer
      pick one to move, and the move fails for want of a host. *)
@@ -346,7 +330,7 @@ let test_every_traced_event_is_typed () =
     List.map fst o.Scenario.o_coverage.Coverage.events
   in
   let runs =
-    [ ("cor", cor); ("adopt", adopt); ("churn", churn); ("crowd", crowd) ]
+    [ ("cor", cor); ("churn", churn); ("crowd", crowd) ]
   in
   List.iter
     (fun (name, kinds) ->
@@ -361,7 +345,6 @@ let test_every_traced_event_is_typed () =
       ("crowd", "pm/created");
       ("crowd", "fs/load");
       ("cor", "migrate/page-source-lost");
-      ("adopt", "migrate/unmanaged");
       ("churn", "exec/reexec");
       ("churn", "balance/move");
       ("churn", "balance/skip");

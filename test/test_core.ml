@@ -781,7 +781,7 @@ let test_survives_origin_reboot_after_migration () =
                      prog_ref := Some p;
                      (* Origin reboots. *)
                      Kernel.shutdown (Cluster.workstation cl 0).Cluster.ws_kernel
-                 | None -> Alcotest.fail "record not adopted")
+                 | None -> Alcotest.fail "record not owned at the destination")
              | Error _ -> Alcotest.fail "migration failed")));
   Cluster.run cl ~until:(sec 120.);
   match !prog_ref with

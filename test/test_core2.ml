@@ -244,10 +244,22 @@ let test_kernel_state_span_formula () =
 
 (* {1 Progtable} *)
 
+(* Two managers' views of one registry, over a directory that knows
+   both kernels (alpha registered first). *)
+let two_views () =
+  let _, ka, kb = mini_kernels () in
+  let dir = Directory.of_kernels () in
+  Directory.register dir ka;
+  Directory.register dir kb;
+  let reg = Progtable.registry () in
+  ( ka,
+    kb,
+    Progtable.view reg ~directory:dir ka,
+    Progtable.view reg ~directory:dir kb )
+
 let with_table f =
-  let eng, ka, _ = mini_kernels () in
-  let tbl = Progtable.create ka in
-  f eng ka tbl
+  let ka, _, tbl, _ = two_views () in
+  f ka tbl
 
 let make_program ka tbl =
   let lh = Kernel.create_logical_host ka ~priority:Cpu.Background in
@@ -261,10 +273,10 @@ let make_program ka tbl =
     ~root ~space ~model ~origin:"x"
 
 let test_progtable_add_find_remove () =
-  with_table (fun _ ka tbl ->
+  with_table (fun ka tbl ->
       let p = make_program ka tbl in
       let id = Logical_host.id p.Progtable.p_lh in
-      Alcotest.(check int) "count" 1 (Progtable.count tbl);
+      Alcotest.(check int) "listed" 1 (List.length (Progtable.programs tbl));
       (* Physical equality: records hold closures. *)
       Alcotest.(check bool) "find" true
         (match Progtable.find tbl id with Some q -> q == p | None -> false);
@@ -272,19 +284,45 @@ let test_progtable_add_find_remove () =
       Alcotest.(check bool) "removed" true
         (Option.is_none (Progtable.find tbl id)))
 
-let test_progtable_adopt_moves_home () =
-  let eng = Engine.create () in
-  ignore eng;
-  let _, ka, kb = mini_kernels () in
-  let ta = Progtable.create ka and tb = Progtable.create kb in
+(* A record belongs to the manager whose kernel the directory places its
+   logical host on: the source before the move, nobody while the host
+   is extracted, the destination once installed — and exactly one
+   manager when a lost install acknowledgement leaves two copies. *)
+let test_progtable_ownership_follows_residency () =
+  let ka, kb, ta, tb = two_views () in
   let p = make_program ka ta in
-  Progtable.remove ta p;
-  Progtable.adopt tb p;
-  Alcotest.(check bool) "home switched" true (p.Progtable.p_home == tb);
-  Alcotest.(check int) "listed at new home" 1 (Progtable.count tb)
+  let lh = p.Progtable.p_lh in
+  let id = Logical_host.id lh in
+  let owners () =
+    List.filter_map
+      (fun (name, t) ->
+        match Progtable.find t id with
+        | Some q ->
+            Alcotest.(check bool) (name ^ ": same record") true (q == p);
+            Some name
+        | None -> None)
+      [ ("alpha", ta); ("beta", tb) ]
+  in
+  let listed t =
+    List.map (fun q -> Logical_host.id q.Progtable.p_lh) (Progtable.programs t)
+  in
+  Alcotest.(check (list string)) "at the source" [ "alpha" ] (owners ());
+  Kernel.freeze_lh ka lh;
+  let state = Kernel.extract_lh ka lh in
+  Alcotest.(check (list string)) "while extracted" [] (owners ());
+  Alcotest.(check int) "listed nowhere" 0
+    (List.length (listed ta) + List.length (listed tb));
+  ignore (Kernel.install_lh kb state);
+  Alcotest.(check (list string)) "at the destination" [ "beta" ] (owners ());
+  Alcotest.(check (list int)) "listed at the destination" [ id ] (listed tb);
+  ignore (Kernel.install_lh ka state);
+  Alcotest.(check (list string)) "two copies, one owner" [ "alpha" ]
+    (owners ());
+  Alcotest.(check int) "listed once" 1
+    (List.length (listed ta) + List.length (listed tb))
 
 let test_progtable_charge_accumulates () =
-  with_table (fun _ ka tbl ->
+  with_table (fun ka tbl ->
       let p = make_program ka tbl in
       Progtable.charge_cpu p (Time.of_ms 10.);
       Progtable.charge_cpu p (Time.of_ms 5.);
@@ -297,7 +335,7 @@ let test_residual_lists_name_cache_bindings () =
   let dir = Directory.of_kernels () in
   Directory.register dir ka;
   Directory.register dir kb;
-  let tbl = Progtable.create ka in
+  let tbl = Progtable.view (Progtable.registry ()) ~directory:dir ka in
   let service_lh = Kernel.create_logical_host kb ~priority:Cpu.Foreground in
   let service_pid = Ids.pid (Logical_host.id service_lh) 16 in
   let lh = Kernel.create_logical_host ka ~priority:Cpu.Background in
@@ -455,7 +493,8 @@ let () =
       ( "progtable",
         [
           Alcotest.test_case "add/find/remove" `Quick test_progtable_add_find_remove;
-          Alcotest.test_case "adopt" `Quick test_progtable_adopt_moves_home;
+          Alcotest.test_case "ownership follows residency" `Quick
+            test_progtable_ownership_follows_residency;
           Alcotest.test_case "charge" `Quick test_progtable_charge_accumulates;
         ] );
       ( "residual",

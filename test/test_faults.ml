@@ -547,6 +547,143 @@ let test_budget_abort_after_extract () =
     (Kernel.count ws3 Kernel.Reservations_expired);
   Alcotest.(check int) "never installed at ws3" 0 (Kernel.guest_count ws3)
 
+(* {1 The root exits mid-migration}
+
+   After a migration the old host holds nothing the program needs
+   (Section 3.3), and that must hold when the program ends while its
+   host is moving, too. tex runs on ws1 with ws2 the only volunteer and
+   a waiter blocked on its completion; the root process is killed at one
+   protocol point of the migration — the first pre-copy round's
+   acknowledgement, the freeze, the extract (so the reaper wakes after
+   the install), or the install at the destination. Once the run
+   settles, no guest logical host is resident anywhere, the waiter got
+   the program's exit, and the record is finished and owned by no
+   manager. *)
+
+type exit_point = First_round | Frozen | Extracted | Installed
+
+let test_root_exits_mid_migration strategy point () =
+  let cl = Cluster.create ~seed:31 ~workstations:4 ~trace:true () in
+  let eng = Cluster.engine cl in
+  let pm_of host =
+    (Option.get (Cluster.find_workstation cl host)).Cluster.ws_pm
+  in
+  let accepting_only j =
+    List.iteri
+      (fun i w -> Program_manager.set_accepting w.Cluster.ws_pm (i = j))
+      (Cluster.workstations cl)
+  in
+  accepting_only 1;
+  let program = ref None and source = ref "" and killed = ref false in
+  let kill () =
+    if not !killed then begin
+      killed := true;
+      Engine.post_after eng Time.zero (fun () ->
+          Option.iter (fun p -> Vproc.kill p.Progtable.p_root) !program)
+    end
+  in
+  Tracer.on_event (Cluster.tracer cl) (fun r ->
+      match (r.Tracer.ev, point) with
+      | Migration.Mig_start { lh; from_host; _ }, _ ->
+          source := from_host;
+          program := Progtable.find (Program_manager.table (pm_of from_host)) lh
+      | Migration.Mig_round { round = 1; _ }, First_round
+      | Logical_host.Lh_frozen _, Frozen
+      | Logical_host.Lh_extracted _, Extracted ->
+          kill ()
+      | Logical_host.Lh_installed { host; _ }, Installed when host <> !source ->
+          kill ()
+      | _ -> ());
+  let waited = ref (Error "did not wait") in
+  ignore
+    (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
+         match
+           Remote_exec.exec ctx ~prog:"tex" ~target:(Remote_exec.Named "ws1")
+         with
+         | Error e -> Alcotest.failf "exec: %s" e
+         | Ok h ->
+             accepting_only 2;
+             ignore
+               (Cluster.shell cl ~ws:0 ~name:"waiter" (fun ctx ->
+                    waited := Remote_exec.wait ctx h));
+             Proc.sleep eng (sec 3.);
+             ignore
+               (Remote_exec.migrate_program ~strategy ~pm:h.Remote_exec.h_pm
+                  ctx h)));
+  Cluster.run cl ~until:(sec 60.);
+  Alcotest.(check bool) "root killed" true !killed;
+  let p = Option.get !program in
+  let id = Logical_host.id p.Progtable.p_lh in
+  List.iter
+    (fun w ->
+      let k = w.Cluster.ws_kernel in
+      List.iter
+        (fun lh ->
+          if Logical_host.priority lh = Cpu.Background then
+            Alcotest.failf "guest lh-%d still resident on %s"
+              (Logical_host.id lh) (Kernel.host_name k))
+        (Kernel.logical_hosts k);
+      if Progtable.find (Program_manager.table w.Cluster.ws_pm) id <> None then
+        Alcotest.failf "%s still owns the record" (Kernel.host_name k))
+    (Cluster.workstations cl);
+  (match !waited with
+  | Error "program failed" -> ()
+  | Ok _ -> Alcotest.fail "the waiter saw a clean exit"
+  | Error e -> Alcotest.failf "the waiter got no exit: %s" e);
+  Alcotest.(check bool) "record finished" true
+    (match p.Progtable.p_status with Progtable.Done _ -> true | _ -> false)
+
+(* The source crashes the instant ws2 installs the migrating host, so
+   the install's acknowledgement never comes back; under a budget the
+   source stops waiting at the freeze deadline. The abort path must not
+   re-install the host on the dead kernel: the directory prefers ws1 to
+   ws2, so that copy would capture the program, which must instead
+   finish at ws2. *)
+let test_source_crash_before_install_ack () =
+  let cfg = Config.with_default_budgets Config.default in
+  let cl = Cluster.create ~seed:31 ~workstations:4 ~trace:true ~cfg () in
+  let eng = Cluster.engine cl in
+  let k1 = (Cluster.workstation cl 1).Cluster.ws_kernel in
+  let accepting_only j =
+    List.iteri
+      (fun i w -> Program_manager.set_accepting w.Cluster.ws_pm (i = j))
+      (Cluster.workstations cl)
+  in
+  accepting_only 1;
+  let program = ref None in
+  Tracer.on_event (Cluster.tracer cl) (fun r ->
+      match r.Tracer.ev with
+      | Migration.Mig_start { lh; _ } ->
+          program :=
+            Progtable.find
+              (Program_manager.table (Cluster.workstation cl 1).Cluster.ws_pm)
+              lh
+      | Logical_host.Lh_installed { host = "ws2"; _ } ->
+          Engine.post_after eng Time.zero (fun () -> Kernel.shutdown k1)
+      | _ -> ());
+  ignore
+    (Cluster.shell cl ~ws:0 ~name:"shell" (fun ctx ->
+         match
+           Remote_exec.exec ctx ~prog:"tex" ~target:(Remote_exec.Named "ws1")
+         with
+         | Error e -> Alcotest.failf "exec: %s" e
+         | Ok h ->
+             accepting_only 2;
+             Proc.sleep eng (sec 3.);
+             ignore
+               (Remote_exec.migrate_program ~pm:h.Remote_exec.h_pm ctx h)));
+  Cluster.run cl ~until:(sec 90.);
+  Alcotest.(check bool) "source crashed" false (Kernel.running k1);
+  Alcotest.(check (list int)) "no copy on the dead source" []
+    (List.map Logical_host.id
+       (List.filter
+          (fun lh -> Logical_host.priority lh = Cpu.Background)
+          (Kernel.logical_hosts k1)));
+  match !program with
+  | Some { Progtable.p_status = Progtable.Done { failed = false; _ }; _ } -> ()
+  | Some _ -> Alcotest.fail "the program did not finish at ws2"
+  | None -> Alcotest.fail "no migration started"
+
 (* {1 Retry with reselection} *)
 
 let test_retry_reselects_excluding_failed () =
@@ -1053,11 +1190,37 @@ let () =
           Alcotest.test_case "after extract" `Quick
             test_budget_abort_after_extract;
         ] );
+      ( "root-exit",
+        List.concat_map
+          (fun (name, strategy, points) ->
+            List.map
+              (fun (pname, point) ->
+                Alcotest.test_case
+                  (Printf.sprintf "%s, %s" name pname)
+                  `Quick
+                  (test_root_exits_mid_migration strategy point))
+              points)
+          [
+            ( "pre-copy",
+              Protocol.Precopy,
+              [ ("first round", First_round); ("frozen", Frozen);
+                ("extracted", Extracted); ("installed", Installed) ] );
+            ( "freeze-and-copy",
+              Protocol.Freeze_and_copy,
+              [ ("frozen", Frozen); ("extracted", Extracted);
+                ("installed", Installed) ] );
+            ( "copy-on-reference",
+              Protocol.Copy_on_reference,
+              [ ("frozen", Frozen); ("extracted", Extracted);
+                ("installed", Installed) ] );
+          ] );
       ( "recovery",
         [
           Alcotest.test_case "reexec on crash" `Quick test_reexec_on_host_crash;
           Alcotest.test_case "partition heals" `Quick
             test_partition_window_heals;
+          Alcotest.test_case "source crash before the install ack" `Quick
+            test_source_crash_before_install_ack;
           Alcotest.test_case "crash/reboot cycle" `Quick
             test_crash_reboot_cycle;
           Alcotest.test_case "slow host" `Quick test_slow_host_stretches_run;
