@@ -1338,7 +1338,18 @@ let alloc () =
          for _ = 1 to frames do
            Ethernet.send net (Frame.broadcast ~src:(Addr.of_int 1) ~bytes:64 ())
          done;
-         Engine.run e))
+         Engine.run e));
+  (* Content-addressed transfer at steady state: a full cache where
+     every probe misses, inserts and evicts the LRU entry. *)
+  let cache = Content_cache.create ~budget:(64 * 1024) in
+  report "content cache probe miss+evict (per op)"
+    (words_per ~events:n (fun () ->
+         for i = 1 to n do
+           ignore
+             (Content_cache.probe cache
+                ~digest:(Pagehash.private_page ~space:1 ~index:i ~version:0)
+                ~bytes:1024)
+         done))
 
 (* {1 E-layers: per-layer ns/event breakdown (diagnostic)} *)
 
@@ -1739,84 +1750,6 @@ let run_cell c =
     r_par = !used_par;
   }
 
-(* {2 Sampling profiler}
-
-   [--sample]: a SIGPROF timer fires every millisecond of process CPU
-   time, and the handler records [Printexc.get_callstack]. The handler
-   runs at the interrupted code's next poll point, so its stack is that
-   code's stack, under the handler's own frame. C primitives
-   ([caml_hash], [compare]) and the minor GC have no OCaml frame: they
-   are charged to the OCaml function that called them. A simulated
-   process runs on its own effect stack, so its samples stop at the
-   process body. Domains other than the main one are not sampled, hence
-   [-j 1]. *)
-let sample_period_s = 0.001
-let sample_depth = 64
-
-let frames_of bt =
-  let rec names slot acc =
-    let acc =
-      match Printexc.Slot.name (Printexc.convert_raw_backtrace_slot slot) with
-      | Some n -> n :: acc
-      | None -> acc
-    in
-    match Printexc.get_raw_backtrace_next_slot slot with
-    | Some inlined -> names inlined acc
-    | None -> acc
-  in
-  let acc = ref [] in
-  for i = Printexc.raw_backtrace_length bt - 1 downto 0 do
-    acc := List.rev_append (names (Printexc.get_raw_backtrace_slot bt i) []) !acc
-  done;
-  (* Innermost first; the first frame is the handler itself. *)
-  match !acc with _handler :: frames -> frames | [] -> []
-
-let sampled run =
-  let stacks = ref [] in
-  let timer v = { Unix.it_interval = v; it_value = v } in
-  let prev =
-    Sys.signal Sys.sigprof
-      (Sys.Signal_handle
-         (fun _ -> stacks := Printexc.get_callstack sample_depth :: !stacks))
-  in
-  ignore (Unix.setitimer Unix.ITIMER_PROF (timer sample_period_s));
-  let r =
-    Fun.protect run ~finally:(fun () ->
-        ignore (Unix.setitimer Unix.ITIMER_PROF (timer 0.));
-        Sys.set_signal Sys.sigprof prev)
-  in
-  (r, List.rev_map frames_of !stacks)
-
-let print_profile name stacks =
-  let n = List.length stacks in
-  let self = Hashtbl.create 64 and incl = Hashtbl.create 64 in
-  let bump tbl k =
-    Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
-  in
-  List.iter
-    (fun frames ->
-      (match frames with top :: _ -> bump self top | [] -> ());
-      List.iter (bump incl) (List.sort_uniq String.compare frames))
-    stacks;
-  let top label tbl =
-    Printf.printf "  %s:\n" label;
-    Hashtbl.fold (fun k c acc -> (c, k) :: acc) tbl []
-    |> List.sort (fun (c1, k1) (c2, k2) ->
-           if c1 <> c2 then Int.compare c2 c1 else String.compare k1 k2)
-    |> List.iteri (fun i (c, k) ->
-           if i < 25 then
-             Printf.printf "    %5.1f%%  %s\n"
-               (100. *. float_of_int c /. float_of_int n)
-               k)
-  in
-  Printf.printf "\n--- sample: %s, %d samples at %.0f ms ---\n" name n
-    (sample_period_s *. 1000.);
-  if n > 0 then begin
-    top "self" self;
-    top "inclusive" incl
-  end;
-  flush stdout
-
 let events_per_sec r =
   if r.r_wall > 0. then float_of_int r.r_events /. r.r_wall else 0.
 
@@ -2043,8 +1976,8 @@ let () =
   let floors = Option.map (fun dir -> (dir, committed_floors dir)) !gate_dir in
   let run c =
     if !sample then begin
-      let r, stacks = sampled (fun () -> run_cell c) in
-      print_profile c.name stacks;
+      let r, stacks = Sampler.sampled (fun () -> run_cell c) in
+      Sampler.print_profile c.name stacks;
       r
     end
     else run_cell c

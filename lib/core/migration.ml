@@ -108,12 +108,15 @@ let plan_bytes plan lh =
 (* {2 Content-addressed manifests}
 
    With content caching on (Os_params.content_cache_bytes > 0), every
-   copy step names its chunks first — a (digest, bytes) manifest of the
-   pages it is about to move — and ships only what the destination's
-   cache is missing (DESIGN.md §4k). The manifest must be read before
-   the step clears the dirty bits; it is empty when caching is off. *)
+   copy step names its chunks first — a manifest of the pages it is
+   about to move, as two flat arrays (each page's digest and its bytes)
+   — and ships only what the destination's cache is missing (DESIGN.md
+   §4k). The manifest must be read before the step clears the dirty
+   bits; it is empty when caching is off. *)
+let no_manifest = ([||], [||])
+
 let manifest kernel plan lh =
-  if not (Kernel.content_caching kernel) then [||]
+  if not (Kernel.content_caching kernel) then no_manifest
   else
     let spaces = Logical_host.spaces lh in
     let pages sp =
@@ -123,13 +126,14 @@ let manifest kernel plan lh =
       | Nothing -> 0
     in
     let n = List.fold_left (fun a sp -> a + pages sp) 0 spaces in
-    let m = Array.make n (0, 0) in
+    let digests = Array.make n 0 and chunk_bytes = Array.make n 0 in
     let i = ref 0 in
     List.iter
       (fun sp ->
         let pb = Address_space.page_bytes sp in
         let add p =
-          m.(!i) <- (Address_space.page_digest sp p, pb);
+          digests.(!i) <- Address_space.page_digest sp p;
+          chunk_bytes.(!i) <- pb;
           incr i
         in
         match plan with
@@ -137,7 +141,7 @@ let manifest kernel plan lh =
         | Whole -> for p = 0 to pages sp - 1 do add p done
         | Nothing -> ())
       spaces;
-    m
+    (digests, chunk_bytes)
 
 (* 8 wire bytes per manifest entry (a 48-bit digest plus framing). The
    manifest rides the request message up to the 1 KB segment limit;
@@ -178,18 +182,19 @@ let send_failed e =
    every chunk it offered — it holds that content, so a later
    migrate-back (or any transfer of shared content toward this host) can
    skip the bytes. *)
-let ship kernel ~deadline ~self ~temp_lh ~lh_id ~label m ~bytes =
+let ship kernel ~deadline ~self ~temp_lh ~lh_id ~label (digests, chunk_bytes)
+    ~bytes =
+  let n = Array.length digests in
   let need =
-    if Array.length m = 0 then Ok bytes
+    if n = 0 then Ok bytes
     else begin
       let cache = Kernel.content_cache kernel in
       let total = ref 0 in
-      Array.iter
-        (fun (dg, b) ->
-          total := !total + b;
-          Content_cache.insert cache ~digest:dg ~bytes:b)
-        m;
-      let wire = manifest_entry_bytes * Array.length m in
+      for i = 0 to n - 1 do
+        total := !total + chunk_bytes.(i);
+        Content_cache.insert cache ~digest:digests.(i) ~bytes:chunk_bytes.(i)
+      done;
+      let wire = manifest_entry_bytes * n in
       let msg_bytes = min Message.max_bytes (Message.short_bytes + wire) in
       let overflow = wire - (msg_bytes - Message.short_bytes) in
       Kernel.add kernel Kernel.Xfer_manifest_bytes (Message.short_bytes + wire);
@@ -202,7 +207,8 @@ let ship kernel ~deadline ~self ~temp_lh ~lh_id ~label m ~bytes =
             Kernel.send ?deadline kernel ~src:self
               ~dst:(Ids.kernel_server_of temp_lh)
               (Message.make ~bytes:msg_bytes
-                 (Kernel.Ks_xfer_manifest { lh = lh_id; label; digests = m }))
+                 (Kernel.Ks_xfer_manifest
+                    { lh = lh_id; label; digests; chunk_bytes }))
           with
           | Ok { Message.body = Kernel.Ks_xfer_need { missing = _; bytes }; _ }
             ->

@@ -125,12 +125,13 @@ let handle_create t d ~prog ~env ~priority ~explicit_host =
             let cache = Kernel.content_cache k in
             let chunks = File_server.image_chunks spec.Programs.image in
             let cb = File_server.chunk_bytes in
+            let key = Pagehash.image_key prog in
             let missing = ref 0 in
             for i = 0 to chunks - 1 do
               if
                 not
                   (Content_cache.probe cache
-                     ~digest:(Pagehash.image_chunk ~image:prog ~index:i)
+                     ~digest:(Pagehash.image_chunk_of_key key ~index:i)
                      ~bytes:cb)
               then incr missing
             done;

@@ -25,7 +25,9 @@ let mask = (1 lsl bits) - 1
    is deterministic — exactly what we need across domains. *)
 let fnv1a s =
   let h = ref 0x811c9dc5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193) s;
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193
+  done;
   !h
 
 let avalanche x =
@@ -39,9 +41,18 @@ let combine h x = avalanche ((h * 0x100000001B3) lxor x)
 
 let string s = avalanche (fnv1a s)
 
-let image_chunk ~image ~index = combine (combine (string image) 1) index
+(* Each family's constant prefix is hashed once: a page digest is then
+   two or three [combine] rounds, with no string walked. *)
+type image_key = int
 
-let zero_page ~page_bytes = combine (combine (string "\000zero") 2) page_bytes
+let image_key image = combine (string image) 1
+let image_chunk_of_key key ~index = combine key index
+let image_chunk ~image ~index = image_chunk_of_key (image_key image) ~index
+
+let zero_base = combine (string "\000zero") 2
+let zero_page ~page_bytes = combine zero_base page_bytes
+
+let private_base = combine (string "\000priv") 3
 
 let private_page ~space ~index ~version =
-  combine (combine (combine (combine (string "\000priv") 3) space) index) version
+  combine (combine (combine private_base space) index) version

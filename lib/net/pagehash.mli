@@ -27,10 +27,25 @@ val image_chunk : image:string -> index:int -> t
     file server (image files are chunked at the page size) and for
     never-written code/data pages of a space created from that image —
     the alignment is what lets an image-cache entry satisfy a later
-    migration manifest. *)
+    migration manifest. Equal to
+    [image_chunk_of_key (image_key image) ~index]. *)
+
+type image_key [@@immediate]
+(** The hashed image name: what every chunk digest of one image shares. *)
+
+val image_key : string -> image_key
+(** Hash the image name once; a caller digesting many chunks of one
+    image (an address space, a cache probe loop, an announcement)
+    keeps the key and calls {!image_chunk_of_key} per chunk, which
+    walks no string. *)
+
+val image_chunk_of_key : image_key -> index:int -> t
 
 val zero_page : page_bytes:int -> t
-(** Digest of an all-zero page — every untouched active-data page. *)
+(** Digest of an all-zero page — every untouched active-data page. The
+    constant prefixes of the zero-page and private-page families are
+    hashed once, at module initialisation, so neither function walks a
+    string. *)
 
 val private_page : space:int -> index:int -> version:int -> t
 (** Digest of page [index] of address space [space] after its

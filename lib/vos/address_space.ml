@@ -2,7 +2,8 @@ type segment = Code | Initialized_data | Active_data
 
 type t = {
   id : int;
-  image : string; (* backing image name; "" when anonymous *)
+  image_key : Pagehash.image_key option;
+      (* hashed backing image name; [None] when anonymous *)
   page_bytes : int;
   code_pages : int;
   data_pages : int;
@@ -45,7 +46,7 @@ let create ?(page_bytes = 1024) ?(image = "") ~code_bytes ~data_bytes
   let total = code_pages + data_pages + active_pages in
   {
     id = !next_id;
-    image;
+    image_key = (if image = "" then None else Some (Pagehash.image_key image));
     page_bytes;
     code_pages;
     data_pages;
@@ -105,8 +106,9 @@ let is_dirty t p = p >= 0 && p < pages t && Bytes.get t.dirty p = '\001'
 let digest_at t p v =
   if v > 0 then Pagehash.private_page ~space:t.id ~index:p ~version:v
   else if p < t.code_pages + t.data_pages then
-    if t.image <> "" then Pagehash.image_chunk ~image:t.image ~index:p
-    else Pagehash.private_page ~space:t.id ~index:p ~version:0
+    match t.image_key with
+    | Some key -> Pagehash.image_chunk_of_key key ~index:p
+    | None -> Pagehash.private_page ~space:t.id ~index:p ~version:0
   else Pagehash.zero_page ~page_bytes:t.page_bytes
 
 let check_page t p who =
@@ -163,7 +165,17 @@ let make_all_resident t =
   t.absent_count <- 0;
   t.pending <- []
 
-let take_pending_faults t =
-  let ps = List.rev t.pending in
+let pending_faults t = List.length t.pending
+
+let take_pending_faults t f =
+  (* [pending] is most recent first: recurse before applying [f] so the
+     pages come out in touch order without a reversed copy. *)
+  let rec in_touch_order = function
+    | [] -> ()
+    | p :: older ->
+        in_touch_order older;
+        f p
+  in
+  let ps = t.pending in
   t.pending <- [];
-  ps
+  in_touch_order ps

@@ -108,6 +108,10 @@ val make_all_resident : t -> unit
     pending) — applied when a space is extracted for migration, since
     whatever copy discipline moves it next accounts for every page. *)
 
-val take_pending_faults : t -> int list
-(** Return the queued faulted page indices in touch order and clear the
-    queue. The caller owes the source host one page transfer each. *)
+val pending_faults : t -> int
+(** Number of queued faulted pages. *)
+
+val take_pending_faults : t -> (int -> unit) -> unit
+(** Apply the function to each queued faulted page index in touch order
+    and clear the queue. The caller owes the source host one page
+    transfer each. *)

@@ -6,9 +6,16 @@
     budget bounds their sum — the simulator's stand-in for pinning real
     cache memory. All operations are O(1) except {!digests}/{!clear}.
 
+    Entries live in a slab of parallel [int] arrays (digest, bytes and
+    the recency links) indexed by slot, found through an
+    open-addressing digest index. Once the slab has grown to the
+    budget's working set, {!probe}, {!insert} and their evictions
+    allocate nothing; the slab and the index double when full.
+
     A budget of 0 (the {!Os_params} default) disables the cache: every
     probe misses and nothing is ever stored, so default-configured runs
-    ship exactly the bytes they always did. *)
+    ship exactly the bytes they always did. A disabled cache allocates
+    no slab. *)
 
 type t
 

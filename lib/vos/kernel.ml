@@ -137,7 +137,8 @@ type Message.body +=
   | Ks_xfer_manifest of {
       lh : Ids.lh_id;  (* the logical host whose pages are moving *)
       label : string;  (* which transfer: "full" / "round" / "residue" *)
-      digests : (int * int) array;  (* (content digest, chunk bytes) *)
+      digests : int array;  (* content digest of each chunk *)
+      chunk_bytes : int array;  (* its size, index for index *)
     }
       (* Manifest-first bulk copy: before shipping chunks, the source
          names them; the destination's kernel server probes its content
@@ -1108,6 +1109,7 @@ let reserve_lh t ~temp_lh ~bytes =
 let cancel_reservation t ~temp_lh = Int_table.Direct.remove t.reservations temp_lh
 
 let install_lh t state =
+  if t.stn = None then invalid_arg "Kernel.install_lh: kernel is down";
   let lh = state.st_lh in
   let id = Logical_host.id lh in
   make_resident t id lh;
@@ -1140,25 +1142,25 @@ let announce_lh t lh =
    after the first — already dedup. Emits the manifest/hit/miss event
    triple consecutively (the dedup monitor pairs on that) and returns
    the missing (chunks, bytes) the source must still ship. *)
-let scan_manifest t ~lh ~label ~wire_bytes digests =
+let scan_manifest t ~lh ~label ~wire_bytes digests chunk_bytes =
   let hit_chunks = ref 0 and hit_bytes = ref 0 and hit_sum = ref 0 in
   let miss_chunks = ref 0 and miss_bytes = ref 0 and miss_sum = ref 0 in
   let total_bytes = ref 0 and total_sum = ref 0 in
-  Array.iter
-    (fun (dg, b) ->
-      total_bytes := !total_bytes + b;
-      total_sum := !total_sum + dg;
-      if Content_cache.probe t.cache ~digest:dg ~bytes:b then begin
-        incr hit_chunks;
-        hit_bytes := !hit_bytes + b;
-        hit_sum := !hit_sum + dg
-      end
-      else begin
-        incr miss_chunks;
-        miss_bytes := !miss_bytes + b;
-        miss_sum := !miss_sum + dg
-      end)
-    digests;
+  for i = 0 to Array.length digests - 1 do
+    let dg = digests.(i) and b = chunk_bytes.(i) in
+    total_bytes := !total_bytes + b;
+    total_sum := !total_sum + dg;
+    if Content_cache.probe t.cache ~digest:dg ~bytes:b then begin
+      incr hit_chunks;
+      hit_bytes := !hit_bytes + b;
+      hit_sum := !hit_sum + dg
+    end
+    else begin
+      incr miss_chunks;
+      miss_bytes := !miss_bytes + b;
+      miss_sum := !miss_sum + dg
+    end
+  done;
   add t Xfer_chunks_hit !hit_chunks;
   add t Xfer_chunks_miss !miss_chunks;
   add t Xfer_bytes_deduped !hit_bytes;
@@ -1224,25 +1226,33 @@ let service_page_faults t ~self ~lh:lh_id =
                    before) need no round trip to the old host. Only the
                    misses go in the pull request. The probe runs locally,
                    so the manifest costs nothing on the wire. *)
-                let faulted =
-                  List.concat_map
-                    (fun sp ->
-                      List.map
-                        (fun p ->
-                          ( Address_space.source_page_digest sp p,
-                            Address_space.page_bytes sp ))
-                        (Address_space.take_pending_faults sp))
-                    (Logical_host.spaces lh)
+                let spaces = Logical_host.spaces lh in
+                let n =
+                  List.fold_left
+                    (fun n sp -> n + Address_space.pending_faults sp)
+                    0 spaces
                 in
-                if faulted = [] then (0, 0)
-                else
+                if n = 0 then (0, 0)
+                else begin
+                  let digests = Array.make n 0 and chunk_bytes = Array.make n 0 in
+                  let i = ref 0 in
+                  List.iter
+                    (fun sp ->
+                      let pb = Address_space.page_bytes sp in
+                      Address_space.take_pending_faults sp (fun p ->
+                          digests.(!i) <- Address_space.source_page_digest sp p;
+                          chunk_bytes.(!i) <- pb;
+                          incr i))
+                    spaces;
                   scan_manifest t ~lh:lh_id ~label:"fault" ~wire_bytes:0
-                    (Array.of_list faulted)
+                    digests chunk_bytes
+                end
               end
               else
                 List.fold_left
                   (fun (p, b) sp ->
-                    let n = List.length (Address_space.take_pending_faults sp) in
+                    let n = Address_space.pending_faults sp in
+                    Address_space.take_pending_faults sp ignore;
                     (p + n, b + (n * Address_space.page_bytes sp)))
                   (0, 0) (Logical_host.spaces lh)
             in
@@ -1344,13 +1354,13 @@ let ks_body t vp =
               reply t d (Message.make Ks_ok)
             end
             else reply t d (Message.make (Ks_refused "no retained pages"))
-        | Ks_xfer_manifest { lh = mlh; label; digests } ->
+        | Ks_xfer_manifest { lh = mlh; label; digests; chunk_bytes } ->
             (* Manifest-first copy, destination side: answer with what
                is still missing. The probe inserts misses, so the bytes
                about to arrive are counted as held from here on. *)
             let wire_bytes = Message.short_bytes + (8 * Array.length digests) in
             let missing, bytes =
-              scan_manifest t ~lh:mlh ~label ~wire_bytes digests
+              scan_manifest t ~lh:mlh ~label ~wire_bytes digests chunk_bytes
             in
             reply t d (Message.make (Ks_xfer_need { missing; bytes }))
         | Ks_content_announce { image; first; count; chunk_bytes } ->
@@ -1358,9 +1368,10 @@ let ks_body t vp =
                shared wire; count them as held. Group sends expect no
                reply. *)
             if Content_cache.enabled t.cache then begin
+              let key = Pagehash.image_key image in
               for i = first to first + count - 1 do
                 Content_cache.insert t.cache
-                  ~digest:(Pagehash.image_chunk ~image ~index:i)
+                  ~digest:(Pagehash.image_chunk_of_key key ~index:i)
                   ~bytes:chunk_bytes
               done;
               add t Img_announced_chunks count
@@ -1465,6 +1476,9 @@ let reboot t =
      valid), but every logical host that lived here and all volatile
      kernel state are gone — correspondents must rebind via the paper's
      query protocol. The caller recreates the machine's services. *)
+  (* [install_lh] refuses a down kernel, and the crash evicted every
+     guest, so none can have survived to the reboot. *)
+  assert (guest_count t = 0);
   make_resident t (Logical_host.id t.the_host_lh) t.the_host_lh;
   t.stn <-
     Some (Ethernet.attach t.net t.self (fun frame -> handle_frame t frame));

@@ -356,7 +356,9 @@ val extract_lh : ?page_source:Ids.pid -> t -> Logical_host.t -> lh_state
 
 val install_lh : t -> lh_state -> Logical_host.t
 (** Adopt an extracted logical host (still frozen) and bind it here.
-    Consumes a matching reservation if one exists. *)
+    Consumes a matching reservation if one exists. Raises
+    [Invalid_argument] if the kernel is down: a shut-down machine holds
+    no guests, so {!reboot} starts from the host logical host alone. *)
 
 val reserve_lh : t -> temp_lh:Ids.lh_id -> bytes:int -> bool
 (** Destination-side step 2 of migration (Section 3.1.1): set aside
@@ -430,11 +432,14 @@ type Message.body +=
   | Ks_xfer_manifest of {
       lh : Ids.lh_id;
       label : string;
-      digests : (int * int) array;
+      digests : int array;
+      chunk_bytes : int array;
     }
       (** Manifest-first bulk copy (content caching on): before a bulk
-          transfer for [lh], the source names each chunk as a
-          (digest, bytes) pair. The destination's kernel server probes
+          transfer for [lh], the source names each chunk by its digest,
+          with [chunk_bytes.(i)] the size of chunk [digests.(i)] (two
+          flat arrays of equal length, so a manifest is two blocks
+          however many pages it names). The destination's kernel server probes
           its content cache, emits the {!Xfer_manifest} event triple,
           and replies {!Ks_xfer_need}; the source then ships only the
           missing bytes. Misses are inserted as they are scanned, so

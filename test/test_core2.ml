@@ -147,16 +147,18 @@ let prop_directory_matches_scan =
       for step = 0 to 39 do
         if step = 20 then Directory.register dir ks.(2);
         let k = ks.(Rng.int rng 3) and k' = ks.(Rng.int rng 3) in
+        (* A down kernel holds no guests: nothing is created on it or
+           installed into it. *)
         (match (Rng.int rng 6, guests k) with
-        | 0, _ ->
+        | 0, _ when Kernel.running k ->
             let lh = Kernel.create_logical_host k ~priority:Cpu.Background in
             ids := Logical_host.id lh :: !ids
         | 1, (_ :: _ as g) -> Kernel.destroy_logical_host k (pick g)
-        | 2, (_ :: _ as g) ->
+        | 2, (_ :: _ as g) when Kernel.running k' ->
             let lh = pick g in
             Kernel.freeze_lh k lh;
             ignore (Kernel.install_lh k' (Kernel.extract_lh k lh))
-        | 3, (_ :: _ as g) ->
+        | 3, (_ :: _ as g) when Kernel.running k' ->
             (* Lost acknowledgement: both copies resident. *)
             let lh = pick g in
             Kernel.freeze_lh k lh;

@@ -297,8 +297,9 @@ let prop_digest_deterministic =
 (* Reference LRU model: (digest, bytes) pairs in most- to
    least-recently-used order, mirroring [Content_cache]'s documented
    semantics — insert refreshes recency but keeps the original size,
-   oversized entries are not stored, eviction drops from the LRU end
-   until the sum fits, a probe miss inserts. *)
+   an insert whose size could not be stored (0, or over the budget)
+   changes nothing, eviction drops from the LRU end until the sum fits,
+   a probe miss inserts. *)
 module Model = struct
   let sum m = List.fold_left (fun a (_, b) -> a + b) 0 m
 
@@ -313,12 +314,11 @@ module Model = struct
     go m
 
   let insert budget m ~digest ~bytes =
-    match List.assoc_opt digest m with
-    | Some b -> (digest, b) :: List.remove_assoc digest m
-    | None ->
-        if bytes > 0 && bytes <= budget then
-          evict budget ((digest, bytes) :: m)
-        else m
+    if bytes <= 0 || bytes > budget then m
+    else
+      match List.assoc_opt digest m with
+      | Some b -> (digest, b) :: List.remove_assoc digest m
+      | None -> evict budget ((digest, bytes) :: m)
 
   let probe budget m ~digest ~bytes =
     match List.assoc_opt digest m with
@@ -330,39 +330,91 @@ end
    digest names fixed content, content has one size). *)
 let bytes_of_digest d = 512 + (256 * (d mod 3))
 
+type cache_op = Probe of int * int | Insert of int * int | Clear
+
+let pp_cache_op = function
+  | Probe (d, b) -> Printf.sprintf "probe %d/%d" d b
+  | Insert (d, b) -> Printf.sprintf "insert %d/%d" d b
+  | Clear -> "clear"
+
+(* Budgets up to 128 KB hold a few hundred entries, so the slab grows
+   past its first 64 slots and the index is rebuilt (a clear step comes
+   about once in 380, so most runs fill the cache between clears). Digests come from
+   three ranges: a small one (hits and refreshes), a wide one (growth
+   and steady eviction), and multiples of 4096, which share their low
+   12 bits and so one home cell in every index size the property
+   reaches (long probe chains, backward-shift deletes). Sizes are
+   mostly the digest's own, sometimes 0 or over the budget (never
+   stored). *)
 let cache_ops_gen =
-  QCheck.(
-    pair (int_range 1 8) (small_list (pair (int_bound 31) bool)))
+  let open QCheck.Gen in
+  int_range 1 128 >>= fun kb ->
+  let budget = kb * 1024 in
+  let digest =
+    frequency
+      [
+        (3, int_bound 31);
+        (4, int_bound 4095);
+        (3, map (fun d -> d lsl 12) (int_bound 63));
+      ]
+  in
+  let sized d =
+    frequency
+      [
+        (18, return (bytes_of_digest d));
+        (1, return 0);
+        (1, return (budget + 1 + (d land 1023)));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (240, digest >>= fun d -> map (fun b -> Probe (d, b)) (sized d));
+        (140, digest >>= fun d -> map (fun b -> Insert (d, b)) (sized d));
+        (1, return Clear);
+      ]
+  in
+  map (fun ops -> (budget, ops)) (list_size (int_range 0 800) op)
 
 let prop_cache_matches_model =
   QCheck.Test.make
     ~name:"LRU cache: budget bound, hit sizes, eviction order" ~count:300
-    cache_ops_gen
-    (fun (kb, ops) ->
-      let budget = kb * 1024 in
+    (QCheck.make
+       ~shrink:(fun (budget, ops) ->
+         QCheck.Iter.map (fun ops -> (budget, ops)) (QCheck.Shrink.list ops))
+       ~print:(fun (budget, ops) ->
+         Printf.sprintf "budget %d: %s" budget
+           (String.concat "; " (List.map pp_cache_op ops)))
+       cache_ops_gen)
+    (fun (budget, ops) ->
       let c = Content_cache.create ~budget in
       let model = ref [] in
       List.for_all
-        (fun (d, do_probe) ->
-          let bytes = bytes_of_digest d in
+        (fun op ->
           let step_ok =
-            if do_probe then begin
-              let hit = Content_cache.probe c ~digest:d ~bytes in
-              let mhit, mbytes, m' = Model.probe budget !model ~digest:d ~bytes in
-              model := m';
-              (* A hit may only be served by an entry recorded with the
-                 source's exact byte count. *)
-              hit = mhit && ((not hit) || mbytes = bytes)
-            end
-            else begin
-              Content_cache.insert c ~digest:d ~bytes;
-              model := Model.insert budget !model ~digest:d ~bytes;
-              true
-            end
+            match op with
+            | Probe (d, bytes) ->
+                let hit = Content_cache.probe c ~digest:d ~bytes in
+                let mhit, mbytes, m' = Model.probe budget !model ~digest:d ~bytes in
+                model := m';
+                (* A hit may only be served by an entry recorded with the
+                   content's own byte count. *)
+                hit = mhit && ((not hit) || mbytes = bytes_of_digest d)
+            | Insert (d, bytes) ->
+                Content_cache.insert c ~digest:d ~bytes;
+                model := Model.insert budget !model ~digest:d ~bytes;
+                true
+            | Clear ->
+                Content_cache.clear c;
+                model := [];
+                Content_cache.bytes c = 0
+                && Content_cache.entries c = 0
+                && Content_cache.digests c = []
           in
           step_ok
           && Content_cache.bytes c <= max 0 (Content_cache.budget c)
           && Content_cache.bytes c = Model.sum !model
+          && Content_cache.entries c = List.length !model
           && Content_cache.digests c = List.map fst !model)
         ops)
 
@@ -377,6 +429,48 @@ let prop_disabled_cache_never_stores =
           (not hit) && Content_cache.bytes c = 0 && Content_cache.entries c = 0)
         ds)
 
+(* {1 Allocation pins} *)
+
+(* A warm cache at steady eviction — every probe a miss that evicts,
+   every insert a refresh or a miss that evicts — allocates nothing:
+   entries live in the slab, and the index is rebuilt only while the
+   slab grows. The first pass grows the slab to the budget's working
+   set; the second is measured. The count includes words allocated
+   directly on the major heap, where a grown slab's arrays go, so a
+   slab that leaks slots fails here as well. ([Gc.allocated_bytes]
+   reads the minor count only as of the last minor collection.) *)
+let words_allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let test_cache_steady_state_allocation () =
+  let c = Content_cache.create ~budget:(256 * 1024) in
+  let ops = 100_000 in
+  let pass () =
+    for i = 1 to ops do
+      let d = Pagehash.private_page ~space:1 ~index:(i land 8191) ~version:0 in
+      ignore (Content_cache.probe c ~digest:d ~bytes:1024);
+      Content_cache.insert c ~digest:(d lxor 1) ~bytes:1024
+    done
+  in
+  pass ();
+  let before = words_allocated () in
+  pass ();
+  let per_op = (words_allocated () -. before) /. float_of_int (2 * ops) in
+  Alcotest.(check int) "cache full" 256 (Content_cache.entries c);
+  if per_op >= 0.01 then
+    Alcotest.failf "%.4f words allocated per probe/insert (bound 0.01)" per_op
+
+(* A disabled cache (the default: every pods-scale kernel has one) is
+   its record alone — no slab, no index. *)
+let test_disabled_cache_allocation () =
+  let before = Gc.minor_words () in
+  let c = Sys.opaque_identity (Content_cache.create ~budget:0) in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "disabled" false (Content_cache.enabled c);
+  if words > 24. then
+    Alcotest.failf "create ~budget:0 allocated %.0f minor words (bound 24)" words
+
 let () =
   let case name = Alcotest.test_case name `Slow in
   let per_combo f = List.map (fun (key, _, _) -> case key (f key)) combos in
@@ -388,6 +482,13 @@ let () =
       ("cache off is inert", per_combo test_cache_off_is_inert);
       ("accounting", per_combo test_accounting);
       ("monitors", per_combo test_monitors);
+      ( "allocation",
+        [
+          Alcotest.test_case "warm cache at steady eviction" `Quick
+            test_cache_steady_state_allocation;
+          Alcotest.test_case "disabled cache" `Quick
+            test_disabled_cache_allocation;
+        ] );
       ( "properties",
         qcheck
           [

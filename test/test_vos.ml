@@ -640,6 +640,24 @@ let test_shutdown_makes_sends_fail () =
   | Some (Error Kernel.No_response) -> ()
   | _ -> Alcotest.fail "send to crashed host must fail"
 
+(* A down kernel holds no guests: installing into it raises, and the
+   reboot comes back with the host logical host alone. *)
+let test_down_kernel_refuses_install () =
+  let fx = setup () in
+  let k0 = fx.kernels.(0) and k1 = fx.kernels.(1) in
+  let guest = Kernel.create_logical_host k0 ~priority:Cpu.Background in
+  Kernel.freeze_lh k0 guest;
+  let state = Kernel.extract_lh k0 guest in
+  Kernel.shutdown k1;
+  (match Kernel.install_lh k1 state with
+  | _ -> Alcotest.fail "install into a down kernel succeeded"
+  | exception Invalid_argument _ -> ());
+  Kernel.reboot k1;
+  Alcotest.(check (list int))
+    "only the host logical host is resident"
+    [ Logical_host.id (Kernel.host_lh k1) ]
+    (List.map Logical_host.id (Kernel.logical_hosts k1))
+
 (* {1 CPU scheduling} *)
 
 let test_cpu_foreground_priority () =
@@ -844,6 +862,8 @@ let () =
             test_destroy_fails_local_senders;
           Alcotest.test_case "crash fails senders" `Quick
             test_shutdown_makes_sends_fail;
+          Alcotest.test_case "down kernel refuses install" `Quick
+            test_down_kernel_refuses_install;
         ] );
       ( "cpu",
         [

@@ -6,11 +6,15 @@
 # only supported up to OCaml 4.08.0"), so ocamlopt -p is out too. What
 # works everywhere:
 #
-#   0. `bench --sample CELL...` — a sampling profiler built into the
-#      bench program. A SIGPROF timer fires every millisecond of CPU time
-#      and its handler records Printexc.get_callstack; after each named
-#      cell it prints the top self and inclusive frames. It runs at -j 1
-#      (other domains are not sampled). C primitives such as caml_hash
+#   0. `bench --sample CELL...` — a sampling profiler (tools/sampler.ml)
+#      linked into the bench program. A SIGPROF timer fires every
+#      millisecond of CPU time and its handler records
+#      Printexc.get_callstack; after each named cell it prints the top
+#      self and inclusive frames and the self time summed by module. It
+#      runs at -j 1 (other domains are not sampled).
+#      `tools/sample_workload.exe WORKLOAD [PARTS]` runs the same sampler
+#      around a benchmark workload's parts, built from benchmark/'s own
+#      source, so a workload is profiled without editing the benchmark. C primitives such as caml_hash
 #      and compare, and the minor GC, have no OCaml frame: their time is
 #      charged to the OCaml function that called them. The tree builds
 #      in dune's release profile (dune-workspace), without -opaque, so a
@@ -36,7 +40,7 @@
 set -e
 cd "$(dirname "$0")/.."
 
-dune build bench/main.exe 2>/dev/null
+dune build bench/main.exe tools/sample_workload.exe 2>/dev/null
 
 echo "=== per-layer cost (run 3x, compare minima) ==="
 for i in 1 2 3; do
@@ -61,6 +65,10 @@ echo "=== content-addressed transfer (dedup on vs off, byte counts) ==="
 echo
 echo "=== sampled hot frames of the 1024-workstation serve-pods cell ==="
 ./_build/default/bench/main.exe --sample --quick serve-pods | sed -n '/--- sample/,$p'
+
+echo
+echo "=== sampled hot frames and modules of the migrate-churn benchmark workload ==="
+./_build/default/tools/sample_workload.exe migrate-churn 3
 
 echo
 echo "=== GC totals for the pinned --quick profile ==="
