@@ -1351,84 +1351,6 @@ let alloc () =
                 ~bytes:1024)
          done))
 
-(* {1 E-layers: per-layer ns/event breakdown (diagnostic)} *)
-
-(* Times each layer of the stack in isolation so a throughput regression
-   can be attributed: raw engine dispatch, the effect/suspension
-   machinery ([Proc.sleep] loops), the CPU scheduler's slice loop,
-   multicast delivery, a kernel IPC ping loop on a long-lived cluster
-   (no per-iteration boot), and one whole tex migration from cluster
-   boot. Run explicitly as [bench layers]; not part of the default
-   profile. *)
-let layers () =
-  banner "E-layers: per-layer cost breakdown (ns per engine event)";
-  let time_events label f =
-    let t0 = Unix.gettimeofday () in
-    let events = f () in
-    let wall = Unix.gettimeofday () -. t0 in
-    row "  %-44s %8.1f ns/event (%d events)" label
-      (wall *. 1e9 /. float_of_int events)
-      events;
-    metric ("ns_per_event:" ^ label) (wall *. 1e9 /. float_of_int events)
-  in
-  let nop () = () in
-  time_events "engine post+fire" (fun () ->
-      let e = Engine.create () in
-      let n = 500_000 in
-      for i = 1 to n do
-        Engine.post_after e (Time.of_us i) nop
-      done;
-      Engine.run e;
-      Engine.events_fired e);
-  time_events "proc sleep loop (effects + suspension)" (fun () ->
-      let e = Engine.create () in
-      ignore
-        (Proc.spawn e (fun () ->
-             for _ = 1 to 200_000 do
-               Proc.sleep e (Time.of_us 1)
-             done));
-      Engine.run e;
-      Engine.events_fired e);
-  time_events "cpu slice loop (1ms quantum)" (fun () ->
-      let e = Engine.create () in
-      let cpu = Cpu.create e ~quantum:(Time.of_ms 1.) in
-      ignore
-        (Proc.spawn e (fun () ->
-             Cpu.compute cpu ~priority:Cpu.Foreground (Time.of_sec 100.)));
-      Engine.run e;
-      Engine.events_fired e);
-  (* Multicast fan-out through the cached recipient rosters: no
-     per-frame rebuild or sort of the station list. *)
-  time_events "ethernet multicast (16/32 subscribed)" (fun () ->
-      let e = Engine.create () in
-      let net : unit Ethernet.t = Ethernet.create e (Rng.create 7) in
-      for i = 0 to 31 do
-        let s = Ethernet.attach net (Addr.of_int (i + 1)) (fun _ -> ()) in
-        if i land 1 = 0 then Ethernet.subscribe s 9
-      done;
-      for _ = 1 to 5_000 do
-        Ethernet.send net
-          (Frame.multicast ~src:(Addr.of_int 1) ~group:9 ~bytes:64 ())
-      done;
-      Engine.run e;
-      Engine.events_fired e);
-  time_events "kernel IPC ping loop (resident cluster)" (fun () ->
-      let cl = Cluster.create ~seed:11 ~workstations:2 () in
-      ignore
-        (Cluster.user cl ~ws:0 ~name:"pinger" (fun k self ->
-             let ks =
-               Ids.kernel_server_of (Logical_host.id (Kernel.host_lh k))
-             in
-             for _ = 1 to 20_000 do
-               ignore (Kernel.send k ~src:self ~dst:ks (Message.make Kernel.Ks_ping))
-             done));
-      Cluster.run cl ~until:(Time.of_sec 1000.);
-      Engine.events_fired (Cluster.engine cl));
-  time_events "full tex migration (cluster boot included)" (fun () ->
-      let cl = Cluster.create ~seed:4 ~workstations:4 () in
-      ignore (ok "migrate" (Experiment.migrate_program cl ~prog:"tex" ()));
-      Engine.events_fired (Cluster.engine cl))
-
 (* {1 E-engine-core: raw dispatch throughput}
 
    The tentpole number: how fast the pooled, flat-representation engine
@@ -1657,10 +1579,9 @@ let dedup () =
 (* {1 Driver} *)
 
 (* A cell's profile decides when it runs: the bare run (and the pinned
-   [--quick] profile) is every [Default] cell, [Stress] cells are the
-   scenario-library family, and [Diagnostic] cells run only by name.
-   The gate runs every [Default] and [Stress] cell. *)
-type profile = Default | Diagnostic | Stress
+   [--quick] profile) is every [Default] cell, and [Stress] cells are
+   the scenario-library family. The gate runs every cell. *)
+type profile = Default | Stress
 
 type cell = { name : string; run : unit -> unit; profile : profile }
 
@@ -1692,7 +1613,6 @@ let cells =
       ("internet", internet);
       ("alloc", alloc);
     ]
-  @ [ { name = "layers"; run = layers; profile = Diagnostic } ]
   @ List.map
       (fun e ->
         {
@@ -1704,7 +1624,6 @@ let cells =
 
 let profile_name = function
   | Default -> "default"
-  | Diagnostic -> "diagnostic"
   | Stress -> "stress"
 
 (* A name selects its cell, or every cell of the family [NAME:*]. *)
@@ -1822,15 +1741,14 @@ let parse_report ~src contents =
 
 (* {2 Regression gate}
 
-   [--gate DIR] is the whole runtest check. It runs every [Default] and
-   [Stress] cell once in the pinned profile ([--quick -j 1]), re-runs
-   at [-j 2] each cell that called [par] and requires byte-identical
-   output, round-trips the fresh report through [parse_report], and
-   compares each cell's events/s against the one committed
-   DIR/BENCH_*.json file that names it, failing on a drop of more than
-   [tolerance_pct]. Cells under [min_gate_events] on either side are
-   reported but never gated, so wall-clock noise on sub-100ms cells
-   cannot flake the build. *)
+   [--gate DIR] is the whole runtest check. It runs every cell once in
+   the pinned profile ([--quick -j 1]), re-runs at [-j 2] each cell
+   that called [par] and requires byte-identical output, round-trips
+   the fresh report through [parse_report], and compares each cell's
+   events/s against the one committed DIR/BENCH_*.json file that names
+   it, failing on a drop of more than [tolerance_pct]. Cells under
+   [min_gate_events] on either side are reported but never gated, so
+   wall-clock noise on sub-100ms cells cannot flake the build. *)
 let tolerance_pct = 25.
 let min_gate_events = 100_000.
 
@@ -1961,7 +1879,7 @@ let () =
     | Some _, [] ->
         quick := true;
         jobs := 1;
-        List.filter (fun c -> c.profile <> Diagnostic) cells
+        cells
     | Some _, _ :: _ -> usage_and_exit 2
     | None, [] ->
         Printf.printf

@@ -21,6 +21,10 @@ module Session = struct
   let alpha = 0.3
   let smooth x prev = (alpha *. x) +. ((1. -. alpha) *. prev)
 
+  (* The queue-wait service-level objective: brownout shedding and the
+     per-pod credit windows act at [slo_shed_multiple] times it. *)
+  let slo_target_ms = 1000.
+
   type params = {
     arrivals : arrivals;
     duration : Time.span;
@@ -32,7 +36,6 @@ module Session = struct
     snapshot_every : Time.span option;
     reexec_attempts : int;
     reexec_budget : int option;
-    slo_target_ms : float;
     slo_shed_multiple : float option;
     drain_grace : Time.span;
     autoscale : autoscale option;
@@ -50,7 +53,6 @@ module Session = struct
       snapshot_every = Some (Time.of_sec 10.);
       reexec_attempts = 1;
       reexec_budget = None;
-      slo_target_ms = 1000.;
       slo_shed_multiple = None;
       drain_grace = Time.of_sec 60.;
       autoscale = None;
@@ -273,14 +275,14 @@ module Session = struct
           t.credits_last_adjust <- at;
           Placement.note_queue_pressure
             (Cluster.placement t.s_cluster)
-            ~over:(t.qw_ewma_ms > mult *. t.s_params.slo_target_ms)
+            ~over:(t.qw_ewma_ms > mult *. slo_target_ms)
         end
 
   let sheds_now t =
     match t.s_params.slo_shed_multiple with
     | None -> false
     | Some mult ->
-        let threshold = mult *. t.s_params.slo_target_ms in
+        let threshold = mult *. slo_target_ms in
         let est =
           match head_age_ms t with
           | Some age -> Float.max t.qw_ewma_ms age

@@ -74,13 +74,10 @@ module Session : sig
             session ([None] = unlimited): a correlated crash orphans
             many requests at once, and without a shared budget each
             would independently re-execute onto the survivors. *)
-    slo_target_ms : float;
-        (** The queue-wait service-level objective (default 1 s). Only
-            consulted when [slo_shed_multiple] is set. *)
     slo_shed_multiple : float option;
         (** Brownout threshold: shed new submissions while the
-            estimated queue wait exceeds this multiple of
-            [slo_target_ms]. [None] (default) disables shedding —
+            estimated queue wait exceeds this multiple of the 1 s
+            queue-wait objective. [None] (default) disables shedding —
             behavior is then identical to a session without brownout. *)
     drain_grace : Time.span;
         (** How long past [duration] {!drain} lets stragglers finish. *)

@@ -180,8 +180,7 @@ let test_accounting_identity_under_crash () =
           snapshot_every = None;
           reexec_attempts = 2;
           reexec_budget = Some 8;
-          slo_target_ms = 500.;
-          slo_shed_multiple = Some 2.;
+          slo_shed_multiple = Some 1.;
           drain_grace = sec 300.;
         }
       in

@@ -16,8 +16,11 @@
 # the change wins at least 9 of every 10 pairs and its median beats the
 # base median by more than the base's interquartile range. It also
 # prints each side's failed-operation total and checks that both sides
-# print the same sim_digest. Raw result lines go to OUT_DIR (environment,
-# default a fresh mktemp directory).
+# print the same sim_digest. A run that exits non-zero or prints no
+# result line is named on stderr with its pair, side, exit code and
+# .err file, kept out of the results (so its pair wins nothing), and
+# counted in a "runs failed" line. Raw result lines go to OUT_DIR
+# (environment, default a fresh mktemp directory).
 set -euo pipefail
 
 if [ $# -lt 4 ] || [ $# -gt 5 ]; then
@@ -34,14 +37,24 @@ out=${OUT_DIR:-$(mktemp -d)}
 mkdir -p "$out"
 
 run() { # DIR SIDE PAIR
-  local log="$out/$2.$3.out"
+  local log="$out/$2.$3.out" err="$out/$2.$3.err" code=0
   (cd "$1" && bash benchmark/run.sh --workload "$workload" --seed "$seed" \
-    --seconds "$seconds" --trace 0) >"$log" 2>"$out/$2.$3.err" || true
+    --seconds "$seconds" --trace 0) >"$log" 2>"$err" || code=$?
+  if [ "$code" -ne 0 ] || ! tail -n 1 "$log" | grep -q '^{.*"metrics"'; then
+    local why="exit $code"
+    [ "$code" -eq 0 ] && why="exit 0 but no result line"
+    echo "pair $3 $2: run failed ($why), kept out of the results; see $err" >&2
+    echo "$3" >>"$out/$2.failed"
+    return
+  fi
   grep '^sim_digest' "$log" >>"$out/$2.digest" || true
-  tail -n 1 "$log" >>"$out/$2.results"
+  printf '%s %s\n' "$3" "$(tail -n 1 "$log")" >>"$out/$2.results"
 }
 
 rm -f "$out"/base.* "$out"/change.*
+for side in base change; do
+  : >"$out/$side.digest"; : >"$out/$side.results"; : >"$out/$side.failed"
+done
 for i in $(seq 1 "$pairs"); do
   if [ $((i % 2)) -eq 1 ]; then
     run "$base" base "$i"
@@ -66,15 +79,16 @@ metrics=$(grep -o '"name": "[^"]*", "unit": "[^"]*", "better": "[a-z]*", "bound"
 # One "side pair metric value" line per reading.
 values() { # SIDE
   awk -v side="$1" '{
+    pair = $1
     line = $0
     while (match(line, /"[a-z0-9_]+": \{"value": [^,}]+/)) {
       m = substr(line, RSTART, RLENGTH)
       line = substr(line, RSTART + RLENGTH)
       split(m, kv, /": \{"value": /)
       name = substr(kv[1], 2)
-      print side, NR, name, kv[2]
+      print side, pair, name, kv[2]
     }
-    if (match($0, /"failed": [0-9]+/)) print side, NR, "failed", substr($0, RSTART + 10, RLENGTH - 10)
+    if (match($0, /"failed": [0-9]+/)) print side, pair, "failed", substr($0, RSTART + 10, RLENGTH - 10)
   }' "$out/$1.results"
 }
 
@@ -82,7 +96,9 @@ values() { # SIDE
   values base
   values change
   echo "$metrics" | awk '{ print "metric", $1, $2 }'
-} | awk -v pairs="$pairs" -v workload="$workload" -v seed="$seed" '
+} | awk -v pairs="$pairs" -v workload="$workload" -v seed="$seed" \
+  -v base_failed="$(wc -l <"$out/base.failed")" \
+  -v change_failed="$(wc -l <"$out/change.failed")" '
   function q(arr, n, p,   pos, lo) {
     pos = p * (n - 1); lo = int(pos)
     return lo + 1 < n ? arr[lo] + (pos - lo) * (arr[lo + 1] - arr[lo]) : arr[lo]
@@ -121,5 +137,6 @@ values() { # SIDE
     fb = 0; fc = 0
     for (i = 1; i <= pairs; i++) { fb += v["base", i, "failed"]; fc += v["change", i, "failed"] }
     printf "failed operations: base %d, change %d\n", fb, fc
+    printf "runs failed: base %d, change %d\n", base_failed, change_failed
   }'
 echo "raw results: $out"

@@ -10,22 +10,23 @@
 #      linked into the bench program. A SIGPROF timer fires every
 #      millisecond of CPU time and its handler records
 #      Printexc.get_callstack; after each named cell it prints the top
-#      self and inclusive frames and the self time summed by module. It
-#      runs at -j 1 (other domains are not sampled).
-#      `tools/sample_workload.exe WORKLOAD [PARTS]` runs the same sampler
+#      self and inclusive frames and the self time summed by module and
+#      by layer. It runs at -j 1 (other domains are not sampled).
+#      C primitives such as caml_hash and compare, and the minor GC,
+#      have no OCaml frame: their time is charged to the OCaml function
+#      that called them. The tree builds in dune's release profile
+#      (dune-workspace), without -opaque, so a function that ocamlopt
+#      inlined across modules (Time.to_sec, Engine.now, a table's bucket
+#      index) has no frame either: its samples land on the caller. A
+#      simulated process runs on its own effect stack, so its samples
+#      stop at the process body and do not include the engine frames
+#      below it.
+#   1. `tools/sample_workload.exe WORKLOAD [PARTS]` runs the same sampler
 #      around a benchmark workload's parts, built from benchmark/'s own
-#      source, so a workload is profiled without editing the benchmark. C primitives such as caml_hash
-#      and compare, and the minor GC, have no OCaml frame: their time is
-#      charged to the OCaml function that called them. The tree builds
-#      in dune's release profile (dune-workspace), without -opaque, so a
-#      function that ocamlopt inlined across modules (Time.to_sec,
-#      Engine.now, a table's bucket index) has no frame either: its
-#      samples land on the caller. A simulated process runs on its own
-#      effect stack, so its samples stop at the process body and do not
-#      include the engine frames below it.
-#   1. `bench layers`  — wall-clock ns/event per stack layer (raw engine
-#      dispatch, effect/suspension machinery, CPU slice loop, kernel IPC
-#      ping loop). Attribute a regression to a layer before reading code.
+#      source. Its "self by layer" rows (engine, proc, cpu, kernel, net,
+#      services, placement, programs, serve, check, cluster, other) say
+#      where a real run's wall-clock goes: attribute a regression to a
+#      layer before reading code.
 #   2. `bench alloc`   — minor words allocated per event on each fast
 #      path. A fast path that starts allocating shows up here long
 #      before wall-clock noise would convict it.
@@ -42,13 +43,12 @@ cd "$(dirname "$0")/.."
 
 dune build bench/main.exe tools/sample_workload.exe 2>/dev/null
 
-echo "=== per-layer cost (run 3x, compare minima) ==="
-for i in 1 2 3; do
-  ./_build/default/bench/main.exe layers | grep ns/event
-  echo "---"
+for w in paper-pool pods-scale migrate-churn fuzz-monitored; do
+  echo "=== sampled layers, modules and frames of the $w benchmark workload ==="
+  ./_build/default/tools/sample_workload.exe "$w" 3
+  echo
 done
 
-echo
 echo "=== allocation per event ==="
 ./_build/default/bench/main.exe alloc | grep words/event
 
@@ -65,10 +65,6 @@ echo "=== content-addressed transfer (dedup on vs off, byte counts) ==="
 echo
 echo "=== sampled hot frames of the 1024-workstation serve-pods cell ==="
 ./_build/default/bench/main.exe --sample --quick serve-pods | sed -n '/--- sample/,$p'
-
-echo
-echo "=== sampled hot frames and modules of the migrate-churn benchmark workload ==="
-./_build/default/tools/sample_workload.exe migrate-churn 3
 
 echo
 echo "=== GC totals for the pinned --quick profile ==="

@@ -6,8 +6,8 @@
    WORKLOAD at the benchmark's default seed, untraced, exactly as
    benchmark/main.exe builds them (tally.ml and workloads.ml are copied
    from benchmark/). Only the runs are sampled, not the set-ups. Prints
-   the top self and inclusive frames and the self time summed by
-   module. *)
+   the top self and inclusive frames and the self time summed by module
+   and by layer. *)
 
 let seed = 1985
 

@@ -52,39 +52,74 @@ let module_of_frame frame =
     String.sub m n (String.length m - n)
   else m
 
-let print_profile name stacks =
-  let n = List.length stacks in
-  let self = Hashtbl.create 64
-  and incl = Hashtbl.create 64
-  and by_module = Hashtbl.create 32 in
-  let bump tbl k =
+(* Every lib/ module is in one layer or in [charged_to_caller];
+   test/test_layers.ml checks both lists against the sources. *)
+let layers =
+  [
+    ("engine", [ "Engine" ]);
+    ("proc", [ "Proc"; "Ivar"; "Mailbox" ]);
+    ("cpu", [ "Cpu" ]);
+    ( "kernel",
+      [ "Kernel"; "Logical_host"; "Address_space"; "Content_cache"; "Delivery";
+        "Packet"; "Vproc"; "Message" ] );
+    ("net", [ "Ethernet"; "Frame"; "Transfer"; "Pagehash" ]);
+    ("services", [ "File_server"; "Name_server"; "Display_server" ]);
+    ("placement", [ "Placement"; "Scheduler"; "Balancer"; "Health" ]);
+    ( "programs",
+      [ "Program"; "Program_manager"; "Progtable"; "Migration"; "Remote_exec";
+        "Env"; "Directory"; "Residual"; "Subprogram" ] );
+    ("serve", [ "Serve" ]);
+    ("check", [ "Monitors"; "Coverage"; "Fuzz"; "Replay"; "Scenario"; "Tracer" ]);
+    ("cluster", [ "Cluster"; "Experiment"; "Faults" ]);
+  ]
+
+let charged_to_caller =
+  [ "Int_table"; "Stats"; "Rng"; "Time"; "Json_min"; "Ids"; "Addr"; "Config";
+    "Os_params"; "Context"; "Protocol"; "Parrun"; "Arrivals"; "Calibrate";
+    "Dirty_model"; "Programs" ]
+
+let layer_of_module =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun (l, ms) -> List.iter (fun m -> Hashtbl.replace tbl m l) ms) layers;
+  Hashtbl.find_opt tbl
+
+let layer_of_stack frames =
+  Option.value ~default:"other"
+    (List.find_map (fun f -> layer_of_module (module_of_frame f)) frames)
+
+(* How many stacks name each key, most first; [keys frames] lists the
+   keys one stack counts towards. *)
+let tally keys stacks =
+  let tbl = Hashtbl.create 64 in
+  let bump k =
     Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
   in
-  List.iter
-    (fun frames ->
-      (match frames with
-      | top :: _ ->
-          bump self top;
-          bump by_module (module_of_frame top)
-      | [] -> ());
-      List.iter (bump incl) (List.sort_uniq String.compare frames))
-    stacks;
-  let top label tbl =
+  List.iter (fun frames -> List.iter bump (keys frames)) stacks;
+  Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl []
+  |> List.sort (fun (k1, c1) (k2, c2) ->
+         if c1 <> c2 then Int.compare c2 c1 else String.compare k1 k2)
+
+let by_layer stacks = tally (fun frames -> [ layer_of_stack frames ]) stacks
+
+let print_profile name stacks =
+  let n = List.length stacks in
+  let innermost f = function top :: _ -> [ f top ] | [] -> [] in
+  let top label rows =
     Printf.printf "  %s:\n" label;
-    Hashtbl.fold (fun k c acc -> (c, k) :: acc) tbl []
-    |> List.sort (fun (c1, k1) (c2, k2) ->
-           if c1 <> c2 then Int.compare c2 c1 else String.compare k1 k2)
-    |> List.iteri (fun i (c, k) ->
-           if i < 25 then
-             Printf.printf "    %5.1f%%  %s\n"
-               (100. *. float_of_int c /. float_of_int n)
-               k)
+    List.iteri
+      (fun i (k, c) ->
+        if i < 25 then
+          Printf.printf "    %5.1f%%  %s\n"
+            (100. *. float_of_int c /. float_of_int n)
+            k)
+      rows
   in
   Printf.printf "\n--- sample: %s, %d samples at %.0f ms ---\n" name n
     (period_s *. 1000.);
   if n > 0 then begin
-    top "self" self;
-    top "inclusive" incl;
-    top "self by module" by_module
+    top "self" (tally (innermost Fun.id) stacks);
+    top "inclusive" (tally (List.sort_uniq String.compare) stacks);
+    top "self by module" (tally (innermost module_of_frame) stacks);
+    top "self by layer" (by_layer stacks)
   end;
   flush stdout

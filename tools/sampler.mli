@@ -21,7 +21,25 @@ val module_of_frame : string -> string
     [Kernel], ["Stdlib__Hashtbl.find"] is [Stdlib__Hashtbl], and an
     executable's own ["Dune__exe__Workloads.run"] is [Workloads]. *)
 
+val layers : (string * string list) list
+(** Each layer of the simulator and the [lib/] modules it owns: engine,
+    proc, cpu, kernel, net, services, placement, programs (managers,
+    migration, remote execution), serve, check and cluster. *)
+
+val charged_to_caller : string list
+(** The shared [lib/] utilities ([Int_table], [Time], [Rng], ...) that
+    belong to no layer: their time is charged to their caller's. *)
+
+val layer_of_stack : string list -> string
+(** The layer of the innermost frame whose module has one; ["other"]
+    when no frame does. Utilities, [Stdlib], [Camlinternal] and an
+    executable's own frames are thereby skipped. *)
+
+val by_layer : string list list -> (string * int) list
+(** Samples per {!layer_of_stack}, most first. The counts sum to the
+    number of stacks. *)
+
 val print_profile : string -> string list list -> unit
 (** [print_profile name stacks] prints the top self and inclusive
-    frames and the self time summed by module, each as a share of all
-    samples. *)
+    frames and the self time summed by module and by layer, each as a
+    share of all samples. *)
