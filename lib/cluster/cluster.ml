@@ -31,6 +31,7 @@ let directory t = t.c_dir
 let tracer t = t.c_tracer
 let rng t = Rng.split t.c_rng
 let file_server t = t.c_fs
+let name_server t = t.c_ns
 let faults t = t.c_faults
 let health t = t.c_health
 let placement t = t.c_placement
@@ -62,6 +63,24 @@ let orphan_guests t =
           (fun lh -> Logical_host.priority lh = Cpu.Background && not (live lh))
           (Kernel.logical_hosts k))
     (workstations t)
+
+(* A workstation's machine services, brought up on [k] at creation and
+   again on a reboot: a program manager (on the next split of [rng]) with
+   the cluster's [health] view, joined to its pod's scheduling group, and
+   a display server registered under "wsN:display". *)
+let start_services ~cfg ~directory ~programs ~rng ~placement ~ns ~health k =
+  let host = Kernel.host_name k in
+  let pm =
+    Program_manager.create k ~cfg ~directory ~programs ~rng:(Rng.split rng)
+  in
+  Program_manager.set_health pm health;
+  (match Placement.pod_of placement ~host with
+  | Some pod -> Program_manager.join_pod pm ~pod
+  | None -> ());
+  let d = Display_server.create k in
+  Name_server.register_direct ns ~name:(host ^ ":display")
+    (Display_server.pid d);
+  (pm, d)
 
 let find_workstation t name =
   List.find_opt
@@ -107,22 +126,16 @@ let install_faults t plan =
           let k = ws.ws_kernel in
           if not (Kernel.running k) then begin
             Kernel.reboot k;
-            (* The machine services died with the crash; a cold boot
-               brings fresh ones up under the preserved well-known
-               pids. *)
-            ws.ws_pm <-
-              Program_manager.create k ~cfg:t.c_cfg ~directory:t.c_dir
-                ~programs:t.c_programs ~rng:(Rng.split t.c_rng);
-            Program_manager.set_health ws.ws_pm t.c_health;
-            (* A rebooted manager must rejoin its pod's scheduling
-               group — group membership died with the old process. *)
-            (match Placement.pod_of t.c_placement ~host with
-            | Some pod -> Program_manager.join_pod ws.ws_pm ~pod
-            | None -> ());
-            ws.ws_display <- Display_server.create k;
-            Name_server.register_direct t.c_ns
-              ~name:(host ^ ":display")
-              (Display_server.pid ws.ws_display)
+            (* The machine services and their group memberships died
+               with the crash; a cold boot brings fresh ones up under
+               the preserved well-known pids. *)
+            let pm, d =
+              start_services ~cfg:t.c_cfg ~directory:t.c_dir
+                ~programs:t.c_programs ~rng:t.c_rng ~placement:t.c_placement
+                ~ns:t.c_ns ~health:t.c_health k
+            in
+            ws.ws_pm <- pm;
+            ws.ws_display <- d
           end);
       h_loss = (fun p -> Ethernet.set_loss t.c_net p);
       h_base_loss = (fun () -> base_loss);
@@ -242,6 +255,8 @@ let create ?(seed = 1985) ?(workstations = 6) ?(bridged = 0)
         ~path:(spec.Programs.prog_name ^ ".in")
         ~bytes:(64 * 1024))
     Programs.all;
+  let c_placement = Placement.of_config cfg in
+  let pod_size = Placement.pod_size c_placement in
   let stations =
     Array.init workstations (fun i ->
         let host_name = Printf.sprintf "ws%d" i in
@@ -250,26 +265,14 @@ let create ?(seed = 1985) ?(workstations = 6) ?(bridged = 0)
         let k =
           boot_kernel ~net ~station:(i + 1) ~host_name ~memory:memory_bytes ()
         in
-        let pm =
-          Program_manager.create k ~cfg ~directory:c_dir ~programs:c_programs
-            ~rng:(Rng.split c_rng)
+        if pod_size > 0 then
+          Placement.register_host c_placement ~host:host_name ~pod:(i / pod_size);
+        let pm, d =
+          start_services ~cfg ~directory:c_dir ~programs:c_programs ~rng:c_rng
+            ~placement:c_placement ~ns:c_ns ~health:None k
         in
-        let d = Display_server.create k in
-        Name_server.register_direct c_ns ~name:(host_name ^ ":display")
-          (Display_server.pid d);
         { ws_index = i; ws_segment = segment; ws_kernel = k; ws_pm = pm; ws_display = d })
   in
-  let c_placement = Placement.of_config cfg in
-  let pod_size = Placement.pod_size c_placement in
-  if pod_size > 0 then
-    Array.iter
-      (fun ws ->
-        let pod = ws.ws_index / pod_size in
-        Program_manager.join_pod ws.ws_pm ~pod;
-        Placement.register_host c_placement
-          ~host:(Kernel.host_name ws.ws_kernel)
-          ~pod)
-      stations;
   let t =
     {
       eng;

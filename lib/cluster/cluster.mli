@@ -65,6 +65,7 @@ val rng : t -> Rng.t
 (** A fresh independent stream per call. *)
 
 val file_server : t -> File_server.t
+val name_server : t -> Name_server.t
 
 val faults : t -> Faults.t option
 (** The installed fault plan, if the cluster was created with one. *)

@@ -210,7 +210,7 @@ let ship kernel ~deadline ~self ~temp_lh ~lh_id ~label (digests, chunk_bytes)
                  (Kernel.Ks_xfer_manifest
                     { lh = lh_id; label; digests; chunk_bytes }))
           with
-          | Ok { Message.body = Kernel.Ks_xfer_need { missing = _; bytes }; _ }
+          | Ok { Message.body = Kernel.Ks_xfer_need { bytes }; _ }
             ->
               Kernel.add kernel Kernel.Xfer_bytes_shipped bytes;
               Kernel.add kernel Kernel.Xfer_bytes_saved (!total - bytes);
@@ -400,7 +400,7 @@ let attempt ?health ~kernel ~cfg ~self ~program ?dest ~exclude ~strategy () =
       Kernel.send kernel ~src:self ~dst:dest.Scheduler.s_pm
         (Message.make
            (Protocol.Pm_reserve
-              { temp_lh; lh = lh_id; bytes = Logical_host.total_bytes lh }))
+              { temp_lh; bytes = Logical_host.total_bytes lh }))
     with
     | Ok { Message.body = Protocol.Pm_reserved; _ } -> Ok ()
     | Ok { Message.body = Protocol.Pm_refused m; _ } -> Error (Refused m)

@@ -31,6 +31,7 @@ let guest_programs t = List.filter is_guest (programs t)
 
 let set_accepting t b = t.is_accepting <- b
 let set_health t h = t.pm_health <- h
+let health t = t.pm_health
 
 let eng t = Kernel.engine t.pm_kernel
 
@@ -53,12 +54,7 @@ let answer_candidate t d =
   Proc.sleep (eng t) (Time.add t.cfg.Config.candidacy_delay jitter);
   Kernel.reply ~from:t.pm_pid t.pm_kernel d
     (Message.make
-       (Protocol.Pm_candidate
-          {
-            host = Kernel.host_name t.pm_kernel;
-            free_memory = Kernel.memory_free t.pm_kernel;
-            guests = Kernel.guest_count t.pm_kernel;
-          }))
+       (Protocol.Pm_candidate { host = Kernel.host_name t.pm_kernel }))
 
 (* Cleanup when a program's root process terminates: tear down the
    environment and answer completion waiters. Runs as its own process
@@ -321,7 +317,7 @@ let serve t d =
   | Protocol.Pm_suspend { lh } -> handle_suspend t d ~lh
   | Protocol.Pm_resume { lh } -> handle_resume t d ~lh
   | Protocol.Pm_destroy { lh } -> handle_destroy t d ~lh
-  | Protocol.Pm_reserve { temp_lh; lh = _; bytes } ->
+  | Protocol.Pm_reserve { temp_lh; bytes } ->
       if willing t ~bytes && Kernel.reserve_lh k ~temp_lh ~bytes then
         Kernel.reply k d (Message.make Protocol.Pm_reserved)
       else Kernel.reply k d (Message.make (Protocol.Pm_refused "not willing"))

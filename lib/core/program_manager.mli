@@ -52,3 +52,5 @@ val set_health : t -> Health.t option -> unit
 (** Attach (or detach) the cluster failure-detector view. When present,
     the migration manager spawned by [migrateprog] threads it through
     destination selection and the migration budget/retry loop. *)
+
+val health : t -> Health.t option

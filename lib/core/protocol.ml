@@ -41,7 +41,7 @@ let strategy_name = function
 type Message.body +=
   | Pm_query_candidates of { bytes : int; exclude : string list }
   | Pm_query_host of { host : string }
-  | Pm_candidate of { host : string; free_memory : int; guests : int }
+  | Pm_candidate of { host : string }
   | Pm_create_program of {
       prog : string;
       env : Env.t;
@@ -57,7 +57,7 @@ type Message.body +=
   | Pm_create_failed of string
   | Pm_wait of { lh : Ids.lh_id }
   | Pm_no_such_program of Ids.lh_id
-  | Pm_reserve of { temp_lh : Ids.lh_id; lh : Ids.lh_id; bytes : int }
+  | Pm_reserve of { temp_lh : Ids.lh_id; bytes : int }
   | Pm_reserved
   | Pm_refused of string
   | Pm_cancel_reserve of { temp_lh : Ids.lh_id }

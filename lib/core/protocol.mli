@@ -72,7 +72,11 @@ type Message.body +=
           re-runs selection. *)
   | Pm_query_host of { host : string }
       (** "[prog @ machine]": only the named host answers. *)
-  | Pm_candidate of { host : string; free_memory : int; guests : int }
+  | Pm_candidate of { host : string }
+      (** A bid: the answering manager is willing, and [host] is its
+          workstation. It carries no load figures, because selection
+          takes the first bidder (Section 2.1); the manager weighed its
+          own load when it decided to answer. *)
   | Pm_create_program of {
       prog : string;
       env : Env.t;
@@ -95,9 +99,9 @@ type Message.body +=
       (** Block until the program exits; answered with
           {!Progtable.Pm_exited}. *)
   | Pm_no_such_program of Ids.lh_id
-  | Pm_reserve of { temp_lh : Ids.lh_id; lh : Ids.lh_id; bytes : int }
-      (** Migration step 2: set aside memory and the temporary
-          logical-host id at the destination. *)
+  | Pm_reserve of { temp_lh : Ids.lh_id; bytes : int }
+      (** Migration step 2: set aside [bytes] of memory and the
+          temporary logical-host id at the destination. *)
   | Pm_reserved
   | Pm_refused of string
   | Pm_cancel_reserve of { temp_lh : Ids.lh_id }

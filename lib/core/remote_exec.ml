@@ -50,37 +50,30 @@ let rec exec_with ~attempts (ctx : Context.t) ~prog ~target =
     match target with
     | Local ->
         Ok
-          ( Ids.program_manager_of (Logical_host.id (Kernel.host_lh k)),
-            Kernel.host_name k,
-            None,
-            Cpu.Foreground )
+          {
+            Scheduler.s_pm =
+              Ids.program_manager_of (Logical_host.id (Kernel.host_lh k));
+            s_host = Kernel.host_name k;
+            s_responded_in = Time.zero;
+          }
     | Named host ->
-        Result.map
-          (fun s ->
-            ( s.Scheduler.s_pm,
-              s.Scheduler.s_host,
-              Some s.Scheduler.s_responded_in,
-              Cpu.Background ))
-          (Placement.select_host ?health:ctx.Context.health
-             ctx.Context.placement k ~self ~host)
+        Placement.select_host ?health:ctx.Context.health ctx.Context.placement
+          k ~self ~host
     | Any ->
-        Result.map
-          (fun s ->
-            ( s.Scheduler.s_pm,
-              s.Scheduler.s_host,
-              Some s.Scheduler.s_responded_in,
-              Cpu.Background ))
-          (Placement.select_any ?health:ctx.Context.health
-             ctx.Context.placement k ~self ~bytes:(image_bytes prog))
+        Placement.select_any ?health:ctx.Context.health ctx.Context.placement
+          k ~self ~bytes:(image_bytes prog)
   in
   match selection with
   | Error e -> Error e
-  | Ok (pm, host, t_select, priority) -> (
+  | Ok { Scheduler.s_pm = pm; s_host = host; s_responded_in } -> (
+      let local = target = Local in
+      let t_select = if local then None else Some s_responded_in in
+      let priority = if local then Cpu.Foreground else Cpu.Background in
       let explicit_host = target <> Any in
       (* A selection that does not stick must give its pod in-flight
          credit back; Placement.note_result owns that. *)
       let placement_failed () =
-        if target <> Local then
+        if not local then
           Placement.note_result ctx.Context.placement ~host ~ok:false
       in
       match

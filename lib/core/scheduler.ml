@@ -1,10 +1,4 @@
-type selection = {
-  s_pm : Ids.pid;
-  s_host : string;
-  s_free_memory : int;
-  s_guests : int;
-  s_responded_in : Time.span;
-}
+type selection = { s_pm : Ids.pid; s_host : string; s_responded_in : Time.span }
 
 (* Typed trace events: one [Sched_query] per multicast offer, one
    [Sched_bid] per volunteer heard, one [Sched_select] when a
@@ -13,13 +7,7 @@ type selection = {
    host. *)
 type Tracer.event +=
   | Sched_query of { host : string; bytes : int }
-  | Sched_bid of {
-      host : string;
-      bidder : string;
-      free_memory : int;
-      guests : int;
-      responded_in : Time.span;
-    }
+  | Sched_bid of { host : string; bidder : string; responded_in : Time.span }
   | Sched_select of { host : string; dest : string }
   | Sched_timeout of { host : string; target : string }
 
@@ -28,13 +16,11 @@ let () =
     | Sched_query { host; bytes } ->
         Tracer.view_as "sched" "query"
           [ ("host", Tracer.Str host); ("bytes", Int bytes) ]
-    | Sched_bid { host; bidder; free_memory; guests; responded_in } ->
+    | Sched_bid { host; bidder; responded_in } ->
         Tracer.view_as "sched" "bid"
           [
             ("host", Tracer.Str host);
             ("bidder", Str bidder);
-            ("free_memory", Int free_memory);
-            ("guests", Int guests);
             ("responded_in", Span responded_in);
           ]
     | Sched_select { host; dest } ->
@@ -45,38 +31,25 @@ let () =
           [ ("host", Tracer.Str host); ("target", Str target) ]
     | _ -> None)
 
-let selection_of_reply ~asked_at k (pm, (m : Message.t)) =
+(* The bidder's host, if the reply is a bid. *)
+let bid_host (_, (m : Message.t)) =
   match m.Message.body with
-  | Protocol.Pm_candidate { host; free_memory; guests } ->
+  | Protocol.Pm_candidate { host } -> Some host
+  | _ -> None
+
+let selection_of_reply ~asked_at k ((pm, _) as reply) =
+  Option.map
+    (fun host ->
       let responded_in = Time.sub (Engine.now (Kernel.engine k)) asked_at in
       Kernel.emit k (fun () ->
-          Sched_bid
-            {
-              host = Kernel.host_name k;
-              bidder = host;
-              free_memory;
-              guests;
-              responded_in;
-            });
-      Some
-        {
-          s_pm = pm;
-          s_host = host;
-          s_free_memory = free_memory;
-          s_guests = guests;
-          s_responded_in = responded_in;
-        }
-  | _ -> None
+          Sched_bid { host = Kernel.host_name k; bidder = host; responded_in });
+      { s_pm = pm; s_host = host; s_responded_in = responded_in })
+    (bid_host reply)
 
 (* With a health view, known-dead hosts are excluded from the query
    outright and a merely-Suspect bidder is deprioritized: its bid is kept
    as a fallback while we wait (briefly) for an Alive one, instead of
    either trusting it blindly or eating the full select timeout. *)
-let bid_host (_, (m : Message.t)) =
-  match m.Message.body with
-  | Protocol.Pm_candidate { host; _ } -> Some host
-  | _ -> None
-
 let grace = Time.scale Config.select_timeout 0.1
 
 module Spine = struct

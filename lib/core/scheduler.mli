@@ -20,27 +20,21 @@
     [Sched_select] when a destination is committed to, and one
     [Sched_timeout] when a query's window closes without a usable bid —
     distinguishing "no idle host volunteered" from silence caused by
-    lost frames. [host] is the querying host; [Sched_query.bytes] is 0
+    lost frames. [host] is the querying host; [Sched_bid.bidder] is the
+    answering one (a bid names only its bidder, as selection takes the
+    first to answer); [Sched_query.bytes] is 0
     for named-host queries; [Sched_timeout.target] is ["*"] for
     group-wide offers, a pod label for pod tiers, or the host name for
     named-host queries. *)
 type Tracer.event +=
   | Sched_query of { host : string; bytes : int }
-  | Sched_bid of {
-      host : string;
-      bidder : string;
-      free_memory : int;
-      guests : int;
-      responded_in : Time.span;
-    }
+  | Sched_bid of { host : string; bidder : string; responded_in : Time.span }
   | Sched_select of { host : string; dest : string }
   | Sched_timeout of { host : string; target : string }
 
 type selection = {
   s_pm : Ids.pid;  (** Program manager to send the creation request to. *)
-  s_host : string;
-  s_free_memory : int;
-  s_guests : int;
+  s_host : string;  (** The bidder's workstation. *)
   s_responded_in : Time.span;
       (** Query-to-answer latency — the paper's measured 23 ms. *)
 }

@@ -1,4 +1,4 @@
-type Message.body += Ds_write of string | Ds_clear | Ds_ok
+type Message.body += Ds_write of string | Ds_ok
 
 type t = {
   kernel : Kernel.t;
@@ -15,9 +15,6 @@ let serve t (d : Delivery.t) =
   match d.Delivery.msg.Message.body with
   | Ds_write line ->
       t.rev_lines <- line :: t.rev_lines;
-      Kernel.reply k d (Message.make Ds_ok)
-  | Ds_clear ->
-      t.rev_lines <- [];
       Kernel.reply k d (Message.make Ds_ok)
   | _ -> Kernel.reply k d (Message.make Ds_ok)
 

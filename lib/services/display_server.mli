@@ -22,7 +22,6 @@ val line_count : t -> int
 
 type Message.body +=
   | Ds_write of string
-  | Ds_clear
   | Ds_ok
 
 module Client : sig

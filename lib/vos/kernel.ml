@@ -128,8 +128,6 @@ type t = {
 type Message.body +=
   | Ks_ping
   | Ks_pong
-  | Ks_query_load
-  | Ks_load of { cpu_busy : float; memory_free : int; guests : int }
   | Ks_install of { state : lh_state; deadline : Time.t option }
   | Ks_installed of { resumed_at : Time.t }
   | Ks_destroy_lh of Ids.lh_id
@@ -144,7 +142,7 @@ type Message.body +=
          names them; the destination's kernel server probes its content
          cache and replies [Ks_xfer_need] so only missing bytes cross
          the wire. *)
-  | Ks_xfer_need of { missing : int; bytes : int }
+  | Ks_xfer_need of { bytes : int }
   | Ks_content_announce of {
       image : string;
       first : int;
@@ -385,7 +383,7 @@ let on_residency t f =
   t.on_residency <- f;
   Int_table.Ordered.iter (fun id _ -> f id ~resident:true) t.lh_table
 
-(* Answered on every load query: count without building a list. *)
+(* Read by every willingness check: count without building a list. *)
 let guest_count t =
   Int_table.Ordered.fold
     (fun _ lh n -> if Logical_host.priority lh = Cpu.Background then n + 1 else n)
@@ -776,12 +774,12 @@ let handle_request t ~(frame_src : Addr.t) ~txn ~src ~dst ~msg =
   | Delivered ->
       if target_frozen t dst then begin
         bump t Reply_pending;
-        transmit t ~dst:frame_src (Packet.Reply_pending { txn; dst })
+        transmit t ~dst:frame_src (Packet.Reply_pending { txn })
       end
   | Pending ->
       bump t Duplicates;
       bump t Reply_pending;
-      transmit t ~dst:frame_src (Packet.Reply_pending { txn; dst })
+      transmit t ~dst:frame_src (Packet.Reply_pending { txn })
   | Already_replied m ->
       bump t Duplicates;
       transmit t ~dst:frame_src (Packet.Reply { txn; src = dst; dst = src; msg = m })
@@ -850,7 +848,7 @@ let handle_frame t (frame : Packet.t Frame.t) =
       update_binding_from t src frame_src;
       handle_reply t ~txn ~dst:src ~msg |> ignore;
       ignore dst
-  | Packet.Reply_pending { txn; dst = _ } -> (
+  | Packet.Reply_pending { txn } -> (
       match Int_table.Ordered.find_opt t.outstanding txn with
       | Some os ->
           os.os_last_heard <- Engine.now t.eng;
@@ -1292,15 +1290,6 @@ let ks_body t vp =
         | Ks_ping ->
             bump t Ks_pings;
             reply t d (Message.make Ks_pong)
-        | Ks_query_load ->
-            reply t d
-              (Message.make
-                 (Ks_load
-                    {
-                      cpu_busy = Cpu.busy_fraction t.kcpu;
-                      memory_free = memory_free t;
-                      guests = guest_count t;
-                    }))
         | Ks_install { state; deadline } ->
             let temp = d.Delivery.dst.Ids.lh in
             cancel_reservation t ~temp_lh:temp;
@@ -1359,10 +1348,10 @@ let ks_body t vp =
                is still missing. The probe inserts misses, so the bytes
                about to arrive are counted as held from here on. *)
             let wire_bytes = Message.short_bytes + (8 * Array.length digests) in
-            let missing, bytes =
+            let _, bytes =
               scan_manifest t ~lh:mlh ~label ~wire_bytes digests chunk_bytes
             in
-            reply t d (Message.make (Ks_xfer_need { missing; bytes }))
+            reply t d (Message.make (Ks_xfer_need { bytes }))
         | Ks_content_announce { image; first; count; chunk_bytes } ->
             (* Multicast fan-out: the named chunks just crossed the
                shared wire; count them as held. Group sends expect no

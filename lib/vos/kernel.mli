@@ -4,8 +4,8 @@
     functionally identical copy of the kernel resides on each host"
     (Section 2.1). It provides address spaces grouped into logical hosts,
     processes, and network-transparent IPC, and hosts the kernel-server
-    process that services remote kernel operations (load queries, state
-    installation during migration, remote destroy).
+    process that services remote kernel operations (state installation
+    during migration, remote destroy, page pulls and transfer manifests).
 
     {2 IPC protocol}
 
@@ -413,8 +413,6 @@ val service_page_faults : t -> self:Ids.pid -> lh:Ids.lh_id -> unit
 type Message.body +=
   | Ks_ping
   | Ks_pong
-  | Ks_query_load
-  | Ks_load of { cpu_busy : float; memory_free : int; guests : int }
   | Ks_install of { state : lh_state; deadline : Time.t option }
       (** Final migration step: install the state, unfreeze, announce the
           new binding, reply {!Ks_installed}. A [deadline] is the source's
@@ -445,9 +443,10 @@ type Message.body +=
           missing bytes. Misses are inserted as they are scanned, so
           repeats within one manifest (every zero page after the first)
           already dedup. *)
-  | Ks_xfer_need of { missing : int; bytes : int }
-      (** Reply to {!Ks_xfer_manifest}: [missing] chunks totalling
-          [bytes] bytes are not cached and must cross the wire. *)
+  | Ks_xfer_need of { bytes : int }
+      (** Reply to {!Ks_xfer_manifest}: [bytes] bytes of the named chunks
+          are not cached and must cross the wire (the miss count goes to
+          {!Xfer_chunks_miss} and the {!Xfer_manifest} events). *)
   | Ks_content_announce of {
       image : string;
       first : int;

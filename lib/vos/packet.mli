@@ -18,7 +18,7 @@ type t =
   | Reply of { txn : txn; src : Ids.pid; dst : Ids.pid; msg : Message.t }
       (** The matching reply, re-sent from the replier's cache when a
           duplicate [Request] indicates the first copy was lost. *)
-  | Reply_pending of { txn : txn; dst : Ids.pid }
+  | Reply_pending of { txn : txn }
       (** "Still working on it" — resets the sender's abandonment clock
           without completing the send. *)
   | Group_request of {

@@ -55,6 +55,50 @@ let test_memory_budget () =
   Alcotest.(check int) "configured RAM" (512 * 1024)
     (Kernel.memory_bytes w.Cluster.ws_kernel)
 
+(* A rebooted workstation brings its machine services back: a new
+   manager that bids in its pod's scheduling group and holds the
+   cluster's health view, and a new display server under "ws3:display". *)
+let test_reboot_restores_services () =
+  let cfg =
+    { Config.default with Config.placement = Config.Pod_sharded { pod_size = 2 } }
+  in
+  let cl =
+    Cluster.create ~seed:7 ~workstations:4 ~cfg
+      ~faults:
+        [
+          Faults.Crash_host { host = "ws3"; at = sec 1. };
+          Faults.Reboot_host { host = "ws3"; at = sec 2. };
+        ]
+      ()
+  in
+  let health = Cluster.enable_health cl in
+  let ws3 = Cluster.workstation cl 3 in
+  let old_pm = ws3.Cluster.ws_pm
+  and old_display = Display_server.pid ws3.Cluster.ws_display in
+  let bidders = ref [] in
+  ignore
+    (Cluster.shell cl ~ws:2 ~name:"shell" (fun ctx ->
+         Proc.sleep (Cluster.engine cl) (sec 3.);
+         bidders :=
+           List.map
+             (fun s -> s.Scheduler.s_host)
+             (Scheduler.Spine.candidates (Context.kernel ctx)
+                ~self:(Context.self ctx) ~group:(Ids.pod_group 1)
+                ~bytes:(64 * 1024) ~window:(sec 0.5))));
+  Cluster.run cl ~until:(sec 4.);
+  let pm = ws3.Cluster.ws_pm and display = Display_server.pid ws3.Cluster.ws_display in
+  Alcotest.(check bool) "a new manager" true (pm != old_pm);
+  Alcotest.(check bool) "the new manager bids in its pod" true
+    (List.mem "ws3" !bidders);
+  Alcotest.(check bool) "a new display server" false
+    (Ids.pid_equal display old_display);
+  Alcotest.(check bool) "its name is bound to the new display" true
+    (match Name_server.lookup_direct (Cluster.name_server cl) ~name:"ws3:display" with
+    | Some pid -> Ids.pid_equal pid display
+    | None -> false);
+  Alcotest.(check bool) "the manager has the health view" true
+    (match Program_manager.health pm with Some h -> h == health | None -> false)
+
 (* {1 Determinism} *)
 
 let test_identical_seeds_identical_runs () =
@@ -279,6 +323,8 @@ let () =
           Alcotest.test_case "environment bindings" `Quick test_env_for_bindings;
           Alcotest.test_case "images published" `Quick test_images_published;
           Alcotest.test_case "memory budget" `Quick test_memory_budget;
+          Alcotest.test_case "reboot restores services" `Quick
+            test_reboot_restores_services;
         ] );
       ( "determinism",
         [

@@ -152,8 +152,7 @@ let test_topology () =
    traced event streams must both be byte-identical. *)
 
 let selection_sig (s : Scheduler.selection) =
-  Printf.sprintf "%s free=%d guests=%d in=%s" s.Scheduler.s_host
-    s.Scheduler.s_free_memory s.Scheduler.s_guests
+  Printf.sprintf "%s in=%s" s.Scheduler.s_host
     (Time.to_string s.Scheduler.s_responded_in)
 
 let spine_scenario ~via =
