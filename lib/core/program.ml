@@ -40,15 +40,44 @@ let run_spec ctx rng ~lh ~spec ~env ~model ~charge ~self =
       | Error e -> failwith (spec.Programs.prog_name ^ ": write failed: " ^ e)
     done
   in
-  let total = Time.of_sec spec.Programs.cpu_seconds in
+  let left = ref (Time.of_sec spec.Programs.cpu_seconds) in
   (* Built once per program, not once per quantum. *)
   let must_release () = Logical_host.frozen lh in
   let on_slice served =
     Dirty_model.on_cpu model rng served;
     charge served
   in
-  let rec run remaining =
-    if Time.(remaining > Time.zero) then begin
+  (* Account a served chunk: the file operations it makes owed and the
+     CPU left. *)
+  let commit served =
+    let sec = Time.to_sec served in
+    debt.reads <- debt.reads +. (io.Programs.reads_per_cpu_sec *. sec);
+    debt.writes <- debt.writes +. (io.Programs.writes_per_cpu_sec *. sec);
+    left := Time.sub !left served
+  in
+  (* The step between two quanta, taken by the CPU's slice timer while
+     this program holds [k]'s CPU alone: commit the chunk [served] and
+     ask for the next one — but only when the loop below would not
+     block before asking for it: more CPU is owed, no read or write
+     falls due (the very sums [commit] stores), the host is not frozen,
+     it still resolves to [k], and no page faults wait to be pulled. *)
+  let next k served =
+    let sec = Time.to_sec served in
+    if
+      Time.(!left > served)
+      && debt.reads +. (io.Programs.reads_per_cpu_sec *. sec) < 1.
+      && debt.writes +. (io.Programs.writes_per_cpu_sec *. sec) < 1.
+      && (not (Logical_host.frozen lh))
+      && (try Directory.current ctx lh_id == k with Failure _ -> false)
+      && not (Kernel.faults_pending k lh_id)
+    then begin
+      commit served;
+      Time.min Os_params.cpu_quantum !left
+    end
+    else Time.zero
+  in
+  let rec run () =
+    if Time.(!left > Time.zero) then begin
       (* One chunk is one scheduler quantum; after a migration the next
          chunk lands on the new workstation's CPU. *)
       gate ();
@@ -58,17 +87,17 @@ let run_spec ctx rng ~lh ~spec ~env ~model ~charge ~self =
          scheduling boundary, where blocking IPC is safe (the compute
          slice below holds the CPU). *)
       Kernel.service_page_faults k ~self ~lh:lh_id;
-      let chunk = Time.min Os_params.cpu_quantum remaining in
       Cpu.compute_sliced ~owner:lh_id ~gate ~must_release (Kernel.cpu k)
-        ~priority:(Logical_host.priority lh) chunk ~on_slice;
-      let sec = Time.to_sec chunk in
-      debt.reads <- debt.reads +. (io.Programs.reads_per_cpu_sec *. sec);
-      debt.writes <- debt.writes +. (io.Programs.writes_per_cpu_sec *. sec);
+        ~priority:(Logical_host.priority lh)
+        (Time.min Os_params.cpu_quantum !left)
+        ~on_slice ~next:(next k);
+      (* The CPU returns after the chunk [next] did not commit. *)
+      commit (Time.min Os_params.cpu_quantum !left);
       do_io ();
-      run (Time.sub remaining chunk)
+      run ()
     end
   in
-  run total;
+  run ();
   (* Terminal output goes through the display server co-resident with the
      originating workstation's frame buffer (Section 2.1). *)
   gate ();

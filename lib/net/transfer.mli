@@ -35,4 +35,14 @@ val bulk_copy :
     blocking it until the last frame (and retransmissions of any lost
     frames) has cleared the wire. When [dst] lives on a bridged segment,
     each frame also occupies the far wire after the bridge delay. A
-    zero-byte copy returns immediately. *)
+    zero-byte copy returns immediately, without suspending.
+
+    The process sends the first frame and suspends once for the whole
+    copy: each frame's pacing timer sends the next frame itself, and
+    the last pace resumes the process, which then waits for the tail.
+    Killing the process stops the frames. The timer does not know the
+    process, so the caller must be one that is never paused
+    ({!Proc.pause}). The callers of [Kernel.bulk_transfer] — the kernel
+    server, the file server, migration in a program manager and the
+    copy-rate experiment's shell — run in logical hosts that are never
+    frozen. *)

@@ -54,14 +54,34 @@ val compute_sliced :
   priority:priority ->
   Time.span ->
   on_slice:(Time.span -> unit) ->
+  next:(Time.span -> Time.span) ->
   unit
 (** Like {!compute} but invokes [on_slice served] at the end of each
     scheduled slice, before the CPU is released — the hook through which
     workloads dirty pages in proportion to CPU actually received, ordered
-    so that a freeze draining the CPU observes the dirtying. Every
-    argument is required: a program calls this once per quantum, and
-    passing optional arguments would box each one per call. Apart from
-    the slice's sleep, a call allocates nothing. *)
+    so that a freeze draining the CPU observes the dirtying.
+
+    A quantum is a timer event, not a process switch. The caller
+    acquires the CPU and suspends; while it keeps the CPU, the slice
+    timer accounts each slice and starts the next itself, and the
+    caller is resumed only to release the CPU. When the demand is
+    served and nothing is queued for the CPU, no drain waits and
+    [must_release ()] is false, the timer calls [next served] — the
+    caller's between-quanta step. A positive result is a further
+    demand; returning it, the step has done what the caller would do
+    between two calls, and it must not block. The CPU serves that demand
+    as if the caller had released and re-acquired it. [Time.zero] ends
+    the call. The hooks run inside the timer, and an exception they
+    raise is re-raised in the caller. [must_release] is polled at each
+    slice end before [on_slice]; a request that must release has its
+    slice accounted in its own process, so a process paused by a freeze
+    accounts it only once thawed. A process holding the CPU must not be
+    paused while its [must_release ()] is false.
+
+    Every argument is required: a program calls this once per hold of
+    the CPU, and passing optional arguments would box each one per
+    call. A call allocates its run record and three closures; a slice
+    chained by the timer allocates nothing. *)
 
 val set_slowdown : t -> float -> unit
 (** [set_slowdown t f] makes every subsequent quantum of work take [f]

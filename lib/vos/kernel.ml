@@ -730,8 +730,7 @@ let reply ?from t (d : Delivery.t) msg =
     match station with
     | Some s ->
         transmit t ~dst:s
-          (Packet.Reply
-             { txn = d.Delivery.txn; src = reply_src; dst = d.Delivery.src; msg })
+          (Packet.Reply { txn = d.Delivery.txn; src = reply_src; msg })
     | None -> () (* unroutable; a duplicate request will re-elicit it *)
   in
   if is_group_pid d.Delivery.dst then
@@ -782,7 +781,7 @@ let handle_request t ~(frame_src : Addr.t) ~txn ~src ~dst ~msg =
       transmit t ~dst:frame_src (Packet.Reply_pending { txn })
   | Already_replied m ->
       bump t Duplicates;
-      transmit t ~dst:frame_src (Packet.Reply { txn; src = dst; dst = src; msg = m })
+      transmit t ~dst:frame_src (Packet.Reply { txn; src = dst; msg = m })
   | No_target -> (
       (* Not ours (any more). In the paper's design the sender rebinds
          via Where_is; in the Demos/MP ablation we relay off a forwarding
@@ -844,10 +843,9 @@ let handle_frame t (frame : Packet.t Frame.t) =
   | Packet.Request { txn; src; dst; msg } ->
       update_binding_from t src frame_src;
       handle_request t ~frame_src ~txn ~src ~dst ~msg
-  | Packet.Reply { txn; src; dst; msg } ->
+  | Packet.Reply { txn; src; msg } ->
       update_binding_from t src frame_src;
-      handle_reply t ~txn ~dst:src ~msg |> ignore;
-      ignore dst
+      handle_reply t ~txn ~dst:src ~msg |> ignore
   | Packet.Reply_pending { txn } -> (
       match Int_table.Ordered.find_opt t.outstanding txn with
       | Some os ->
@@ -1199,6 +1197,17 @@ let scan_manifest t ~lh ~label ~wire_bytes digests chunk_bytes =
 
 let serves_pages_for t lh = Int_table.Direct.mem t.page_sources lh
 let fault_source t lh = Int_table.Direct.find_opt t.fault_sources lh
+
+let faults_pending t lh_id =
+  Int_table.Direct.length t.fault_sources > 0
+  && Int_table.Direct.mem t.fault_sources lh_id
+  &&
+  match Int_table.Ordered.find_opt t.lh_table lh_id with
+  | None -> false
+  | Some lh ->
+      List.exists
+        (fun sp -> Address_space.pending_faults sp > 0)
+        (Logical_host.spaces lh)
 
 (* Runs in the faulting process' own context at a scheduling boundary
    (never while it holds the CPU): drain the first-touch queues of the

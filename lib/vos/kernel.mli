@@ -396,6 +396,11 @@ val fault_source : t -> Ids.lh_id -> Ids.pid option
     copy-on-reference logical host still faults its pages from, if any
     pages may remain there. *)
 
+val faults_pending : t -> Ids.lh_id -> bool
+(** Whether {!service_page_faults} would pull anything for [lh] now: it
+    has a fault source and one of its spaces has first-touch faults
+    queued. Without side effects. *)
+
 val service_page_faults : t -> self:Ids.pid -> lh:Ids.lh_id -> unit
 (** Drain the first-touch fault queues of [lh]'s spaces and pull the
     faulted pages from the registered source in one batched

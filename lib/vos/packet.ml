@@ -2,7 +2,7 @@ type txn = int
 
 type t =
   | Request of { txn : txn; src : Ids.pid; dst : Ids.pid; msg : Message.t }
-  | Reply of { txn : txn; src : Ids.pid; dst : Ids.pid; msg : Message.t }
+  | Reply of { txn : txn; src : Ids.pid; msg : Message.t }
   | Reply_pending of { txn : txn }
   | Group_request of { txn : txn; src : Ids.pid; group : Ids.pid; msg : Message.t }
   | Where_is of { lh : Ids.lh_id }

@@ -15,7 +15,7 @@ type t =
   | Request of { txn : txn; src : Ids.pid; dst : Ids.pid; msg : Message.t }
       (** Carries one Send. Retransmitted by the source kernel until a
           [Reply] or abandonment. *)
-  | Reply of { txn : txn; src : Ids.pid; dst : Ids.pid; msg : Message.t }
+  | Reply of { txn : txn; src : Ids.pid; msg : Message.t }
       (** The matching reply, re-sent from the replier's cache when a
           duplicate [Request] indicates the first copy was lost. *)
   | Reply_pending of { txn : txn }

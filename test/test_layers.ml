@@ -252,6 +252,24 @@ let test_every_message_sent () =
   Alcotest.(check (list string)) "message constructors nothing sends" []
     unsent
 
+(* A sample taken inside a simulated process ends at the process body;
+   one taken in the engine's own code runs down to the sampler. *)
+let test_fiber_cut () =
+  let in_process =
+    [ "Cpu.compute_sliced"; "Program.run_spec.run"; "Proc.spawn.(fun)" ]
+  and in_engine =
+    [ "Cpu.tick"; "Engine.fire_top"; "Engine.run"; "Stdlib__Fun.protect";
+      "Sampler.sampled"; "Dune__exe__Main.run" ]
+  in
+  let share what expected stacks =
+    Alcotest.(check (float 1e-12)) what expected (Sampler.fiber_cut_share stacks)
+  in
+  share "process sample is cut" 1. [ in_process ];
+  share "engine sample reaches the sampler" 0. [ in_engine ];
+  share "empty stack is cut" 1. [ [] ];
+  share "share" 0.5 [ in_process; in_engine; in_engine; [] ];
+  share "no samples" 0. []
+
 let () =
   Alcotest.run "layers"
     [
@@ -260,6 +278,7 @@ let () =
           Alcotest.test_case "every lib module placed" `Quick
             test_every_module_placed;
           Alcotest.test_case "innermost mapped frame" `Quick test_charging;
+          Alcotest.test_case "samples cut at a fiber" `Quick test_fiber_cut;
         ] );
       ( "messages",
         [

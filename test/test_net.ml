@@ -249,6 +249,43 @@ let test_bulk_copy_with_loss_takes_longer () =
   if Time.(!finished <= lossless) then
     Alcotest.fail "retransmissions must stretch the copy"
 
+(* A copy's frames are sent by its pacing timer, not by its process:
+   killing the process stops them, and until then every lost frame is
+   re-sent, so an uncut copy carries each of its frames exactly once
+   more than it loses. *)
+let test_bulk_copy_killed_mid_copy () =
+  let config = { Ethernet.default_config with loss_probability = 0.2 } in
+  let copy ~kill_at =
+    let e, net = make_net ~config ~seed:3 () in
+    let _a = Ethernet.attach net (addr 1) (fun _ -> ()) in
+    let finished = ref false in
+    let p =
+      Proc.spawn e (fun () ->
+          Transfer.bulk_copy net ~bytes:(100 * 1024);
+          finished := true)
+    in
+    let at_kill = ref 0 in
+    Option.iter
+      (fun at ->
+        ignore
+          (Engine.schedule e ~at (fun () ->
+               Proc.kill p;
+               at_kill := Ethernet.frames_sent net)))
+      kill_at;
+    Engine.run e;
+    (net, !finished, !at_kill)
+  in
+  let net, finished, _ = copy ~kill_at:None in
+  Alcotest.(check bool) "uncut copy finishes" true finished;
+  if Ethernet.frames_dropped net = 0 then Alcotest.fail "expected lost frames";
+  Alcotest.(check int) "sent = frames + lost" 100
+    (Ethernet.frames_sent net - Ethernet.frames_dropped net);
+  let net, finished, at_kill = copy ~kill_at:(Some (ms 150.)) in
+  Alcotest.(check bool) "killed copy never finishes" false finished;
+  if at_kill < 40 then Alcotest.failf "only %d frames before the kill" at_kill;
+  Alcotest.(check int) "no frame after the kill" at_kill
+    (Ethernet.frames_sent net)
+
 (* {2 Page-sequenced copies under an injected loss window}
 
    Migration moves an address space as a sequence of page transfers; a
@@ -513,6 +550,8 @@ let () =
             test_bulk_copy_matches_duration;
           Alcotest.test_case "loss stretches copy" `Quick
             test_bulk_copy_with_loss_takes_longer;
+          Alcotest.test_case "bulk copy killed mid-copy" `Quick
+            test_bulk_copy_killed_mid_copy;
           Alcotest.test_case "concurrent copies contend" `Quick
             test_concurrent_copies_contend;
           Alcotest.test_case "loss window: copies terminate" `Quick

@@ -9,6 +9,7 @@ type fixture = {
   eng : Engine.t;
   net : Packet.t Ethernet.t;
   kernels : Kernel.t array;
+  tracer : Tracer.t; (* shared by the kernels; disabled *)
 }
 
 let setup ?(hosts = 2) ?(loss = 0.) ?(params = Os_params.default) () =
@@ -27,7 +28,7 @@ let setup ?(hosts = 2) ?(loss = 0.) ?(params = Os_params.default) () =
           ~allocator:alloc
           ~memory_bytes:(2 * 1024 * 1024))
   in
-  { eng; net; kernels }
+  { eng; net; kernels; tracer }
 
 (* A one-process server that answers [Ping] with [Pong] and counts the
    requests it actually received (for exactly-once checks). *)
@@ -698,13 +699,43 @@ let test_cpu_busy_fraction () =
   let f = Cpu.busy_fraction cpu in
   if f < 0.45 || f > 0.55 then Alcotest.failf "busy fraction %.3f, expected ~0.5" f
 
-(* Allocation pin: one quantum of a lone program, in the shape of
-   [Program.run_spec]'s loop (hooks built once, one [compute_sliced] per
-   quantum, page dirtying per slice). What remains, 21.0 words, is the
-   slice's sleep: its register closure, the effect, the continuation,
-   the wake-up closure and the suspension record. Boxed options,
-   per-call closures, float refs or a boxed generator state on this path
-   each cost several words more per slice. *)
+(* A lone program in [Program.run_spec]'s shape: one quantum per call,
+   hooks built once, and a between-quanta step that commits the next
+   quantum while [quanta] remain. Returns the slice count and the
+   program's process. *)
+let lone_program ?(on_slice = ignore) k lh ~quanta =
+  let owner = Logical_host.id lh and gate = Logical_host.gate lh in
+  let must_release () = Logical_host.frozen lh in
+  let left = ref quanta and slices = ref 0 in
+  let on_slice served =
+    on_slice served;
+    incr slices
+  in
+  let next _ =
+    if !left > 1 && not (Logical_host.frozen lh) then begin
+      decr left;
+      Os_params.cpu_quantum
+    end
+    else Time.zero
+  in
+  let vp =
+    Kernel.spawn_process k lh (fun _ ->
+        while !left > 0 do
+          gate ();
+          Cpu.compute_sliced ~owner ~gate ~must_release (Kernel.cpu k)
+            ~priority:(Logical_host.priority lh) Os_params.cpu_quantum
+            ~on_slice ~next;
+          decr left
+        done)
+  in
+  (slices, vp)
+
+(* Allocation pin: a lone program's quanta, page dirtying per slice.
+   The slice timer chains them without resuming the process, so a
+   quantum allocates nothing; a process switch per quantum (its
+   suspension, continuation and wake-up closures) costs ~21 words, and
+   boxed options, per-slice closures, float refs or a boxed generator
+   state several words each. *)
 let test_cpu_quantum_allocation () =
   let fx = setup ~hosts:1 () in
   let k = fx.kernels.(0) in
@@ -718,30 +749,106 @@ let test_cpu_quantum_allocation () =
       space
   in
   let rng = Rng.create 7 in
-  let owner = Logical_host.id lh and gate = Logical_host.gate lh in
-  let must_release () = Logical_host.frozen lh in
-  let slices = ref 0 in
-  let on_slice served =
-    Dirty_model.on_cpu model rng served;
-    incr slices
-  in
   let quanta = 3_000 and warm = 500 in
-  ignore
-    (Kernel.spawn_process k lh (fun _ ->
-         for _ = 1 to quanta do
-           gate ();
-           Cpu.compute_sliced ~owner ~gate ~must_release (Kernel.cpu k)
-             ~priority:Cpu.Background Os_params.cpu_quantum ~on_slice
-         done));
+  let slices, _ =
+    lone_program k lh ~quanta ~on_slice:(fun served ->
+        Dirty_model.on_cpu model rng served)
+  in
   Engine.run fx.eng ~until:(Time.mul Os_params.cpu_quantum warm);
   let before = Gc.minor_words () and s0 = !slices in
-  Engine.run fx.eng;
+  Engine.run fx.eng ~until:(Time.mul Os_params.cpu_quantum (quanta - 10));
   let per_slice =
     (Gc.minor_words () -. before) /. float_of_int (!slices - s0)
   in
+  Engine.run fx.eng;
   Alcotest.(check int) "every quantum ran" quanta !slices;
-  if per_slice > 23. then
-    Alcotest.failf "%.2f minor words per slice (bound 23)" per_slice
+  if per_slice > 1. then
+    Alcotest.failf "%.2f minor words per slice (bound 1)" per_slice
+
+(* Killing a lone program mid-quantum frees the CPU at that instant;
+   its in-flight slice timer fires later as a no-op. *)
+let test_cpu_kill_lone_program () =
+  let fx = setup ~hosts:1 () in
+  let k = fx.kernels.(0) in
+  let cpu = Kernel.cpu k in
+  let lh = Kernel.create_logical_host k ~priority:Cpu.Background in
+  let slices, vp = lone_program k lh ~quanta:100 in
+  let at_kill = ref (-1) and other_done = ref Time.zero in
+  ignore
+    (Proc.spawn fx.eng (fun () ->
+         Proc.sleep fx.eng (ms 55.);
+         Vproc.kill vp;
+         at_kill := Cpu.queue_length cpu;
+         Cpu.compute cpu ~priority:Cpu.Background (ms 10.);
+         other_done := Engine.now fx.eng));
+  Engine.run fx.eng;
+  Alcotest.(check int) "queue empty at the kill" 0 !at_kill;
+  Alcotest.(check int) "slices before the kill" 5 !slices;
+  Alcotest.(check int) "CPU free at once: other work done at 65 ms" 65_000
+    (Time.to_us !other_done)
+
+(* A waiter arriving while a lone program chains its quanta gets the
+   CPU at the next quantum boundary, whether it preempts (foreground)
+   or round-robins (equal priority). *)
+let test_cpu_waiter_mid_run priority () =
+  let fx = setup ~hosts:1 () in
+  let k = fx.kernels.(0) in
+  let cpu = Kernel.cpu k in
+  let lh = Kernel.create_logical_host k ~priority:Cpu.Background in
+  let slices, _ = lone_program k lh ~quanta:20 in
+  let started = ref (-1) and finished = ref Time.zero in
+  ignore
+    (Proc.spawn fx.eng (fun () ->
+         Proc.sleep fx.eng (ms 25.);
+         Cpu.compute cpu ~priority (ms 10.) ~owner:99
+           ~gate:(fun () -> started := !slices);
+         finished := Engine.now fx.eng));
+  Engine.run fx.eng;
+  Alcotest.(check int) "program slices before the waiter ran" 3 !started;
+  Alcotest.(check int) "waiter done one quantum after the boundary" 40_000
+    (Time.to_us !finished);
+  Alcotest.(check int) "every program quantum ran" 20 !slices;
+  Alcotest.(check int) "busy throughout" 210_000
+    (Time.to_us (Engine.now fx.eng))
+
+(* Freezing a lone program mid-quantum: its in-flight quantum ends, and
+   that quantum's [Slice] is traced before [Lh_frozen]; no slice is
+   traced while frozen. *)
+let test_cpu_freeze_mid_run () =
+  let fx = setup ~hosts:1 () in
+  let k = fx.kernels.(0) in
+  let tracer = fx.tracer in
+  Tracer.set_enabled tracer true;
+  let lh = Kernel.create_logical_host k ~priority:Cpu.Background in
+  let id = Logical_host.id lh in
+  let _slices, _ = lone_program k lh ~quanta:10 in
+  let events = ref [] in
+  Tracer.on_event tracer (fun r ->
+      match r.Tracer.ev with
+      | Cpu.Slice { owner; _ } when owner = id ->
+          events := (Time.to_us r.Tracer.at, "slice") :: !events
+      | Logical_host.Lh_frozen { lh; _ } when lh = id ->
+          events := (Time.to_us r.Tracer.at, "frozen") :: !events
+      | Logical_host.Lh_unfrozen { lh; _ } when lh = id ->
+          events := (Time.to_us r.Tracer.at, "unfrozen") :: !events
+      | _ -> ());
+  ignore
+    (Proc.spawn fx.eng (fun () ->
+         Proc.sleep fx.eng (ms 25.);
+         Kernel.freeze_lh k lh;
+         Proc.sleep fx.eng (ms 100.);
+         Kernel.unfreeze_lh k lh));
+  Engine.run fx.eng;
+  let events = List.rev !events in
+  Alcotest.(check (list (pair int string)))
+    "slice, then frozen, then nothing until the thaw"
+    [
+      (10_000, "slice"); (20_000, "slice"); (30_000, "slice");
+      (30_000, "frozen"); (130_000, "unfrozen"); (140_000, "slice");
+    ]
+    (List.filteri (fun i _ -> i < 6) events);
+  Alcotest.(check int) "all ten slices" 10
+    (List.length (List.filter (fun (_, e) -> e = "slice") events))
 
 (* {1 Address spaces} *)
 
@@ -865,6 +972,13 @@ let () =
           Alcotest.test_case "busy fraction" `Quick test_cpu_busy_fraction;
           Alcotest.test_case "quantum allocation" `Quick
             test_cpu_quantum_allocation;
+          Alcotest.test_case "kill a lone program" `Quick
+            test_cpu_kill_lone_program;
+          Alcotest.test_case "foreground waiter mid-run" `Quick
+            (test_cpu_waiter_mid_run Cpu.Foreground);
+          Alcotest.test_case "equal-priority waiter mid-run" `Quick
+            (test_cpu_waiter_mid_run Cpu.Background);
+          Alcotest.test_case "freeze mid-run" `Quick test_cpu_freeze_mid_run;
         ] );
       ( "address-space",
         Alcotest.test_case "geometry" `Quick test_space_geometry

@@ -39,6 +39,13 @@ let sampled run =
   in
   (r, List.rev_map frames_of !stacks)
 
+let fiber_cut_share = function
+  | [] -> 0.
+  | stacks ->
+      let cut frames = not (List.mem "Sampler.sampled" frames) in
+      float_of_int (List.length (List.filter cut stacks))
+      /. float_of_int (List.length stacks)
+
 let exe_prefix = "Dune__exe__"
 
 let module_of_frame frame =
@@ -117,6 +124,10 @@ let print_profile name stacks =
   Printf.printf "\n--- sample: %s, %d samples at %.0f ms ---\n" name n
     (period_s *. 1000.);
   if n > 0 then begin
+    Printf.printf
+      "  %.1f%% of samples end at a simulated process's fiber: inclusive \
+       shares miss them for every frame outside the process\n"
+      (100. *. fiber_cut_share stacks);
     top "self" (tally (innermost Fun.id) stacks);
     top "inclusive" (tally (List.sort_uniq String.compare) stacks);
     top "self by module" (tally (innermost module_of_frame) stacks);

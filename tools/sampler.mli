@@ -16,6 +16,14 @@ val sampled : (unit -> 'a) -> 'a * string list list
 (** [sampled run] runs [run] under the timer and returns its result and
     one stack per sample, innermost frame first. *)
 
+val fiber_cut_share : string list list -> float
+(** The fraction of stacks that stop short of {!sampled}'s own frame, 0
+    for no stacks. [Printexc.get_callstack] stops at a fiber boundary,
+    so a sample taken inside a simulated process ends at the process
+    body, and {!print_profile}'s inclusive shares do not count it for
+    the frames that resumed the process (the engine's event loop, the
+    timer or wake-up that ran it). *)
+
 val module_of_frame : string -> string
 (** The module a frame name belongs to: ["Kernel.scan_manifest"] is
     [Kernel], ["Stdlib__Hashtbl.find"] is [Stdlib__Hashtbl], and an
@@ -40,6 +48,6 @@ val by_layer : string list list -> (string * int) list
     number of stacks. *)
 
 val print_profile : string -> string list list -> unit
-(** [print_profile name stacks] prints the top self and inclusive
-    frames and the self time summed by module and by layer, each as a
-    share of all samples. *)
+(** [print_profile name stacks] prints the {!fiber_cut_share}, the top
+    self and inclusive frames and the self time summed by module and by
+    layer, each as a share of all samples. *)
