@@ -8,9 +8,14 @@
 type t
 (** One simulation run's clock and event queue. Events are stored in a
     pooled, flat representation: slots recycled through a free list,
-    with generation counters guarding stale handles, and a monomorphic
-    (time, sequence) int heap — see the implementation notes in
-    [engine.ml]. *)
+    with generation counters guarding stale handles. An event posted
+    with a delay ([at - now]) that owns one of a few fixed-delay lanes
+    is appended to that lane's FIFO ring; any other event goes to a
+    monomorphic (time, sequence) int heap. Lanes are claimed at run time
+    by the delays posted while they are empty. Each lane is sorted
+    because the clock never goes back, so merging the lane heads with
+    the heap top fires events in exactly (time, scheduling order) —
+    see the implementation notes in [engine.ml]. *)
 
 type handle
 (** A scheduled event, usable to cancel it before it fires. Handles
@@ -57,3 +62,7 @@ val run : ?until:Time.t -> ?max_steps:int -> t -> unit
 
 val events_fired : t -> int
 (** Total events fired so far — exposed for throughput benchmarks. *)
+
+val lane_fired : t -> int
+(** Events fired so far from a fixed-delay lane, never having entered
+    the heap; at most {!events_fired}. *)

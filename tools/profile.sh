@@ -23,7 +23,9 @@
 #      below it.
 #   1. `tools/sample_workload.exe WORKLOAD [PARTS]` runs the same sampler
 #      around a benchmark workload's parts, built from benchmark/'s own
-#      source. Its "self by layer" rows (engine, proc, cpu, kernel, net,
+#      source. It first prints the events fired and the share that went
+#      through the engine's fixed-delay lanes instead of its heap. Its
+#      "self by layer" rows (engine, proc, cpu, kernel, net,
 #      services, placement, programs, serve, check, cluster, other) say
 #      where a real run's wall-clock goes: attribute a regression to a
 #      layer before reading code.
