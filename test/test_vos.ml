@@ -789,7 +789,8 @@ let test_cpu_kill_lone_program () =
 
 (* A waiter arriving while a lone program chains its quanta gets the
    CPU at the next quantum boundary, whether it preempts (foreground)
-   or round-robins (equal priority). *)
+   or round-robins (equal priority): it finishes one quantum after that
+   boundary, with no program slice in between. *)
 let test_cpu_waiter_mid_run priority () =
   let fx = setup ~hosts:1 () in
   let k = fx.kernels.(0) in
@@ -800,11 +801,11 @@ let test_cpu_waiter_mid_run priority () =
   ignore
     (Proc.spawn fx.eng (fun () ->
          Proc.sleep fx.eng (ms 25.);
-         Cpu.compute cpu ~priority (ms 10.) ~owner:99
-           ~gate:(fun () -> started := !slices);
+         Cpu.compute cpu ~priority (ms 10.) ~owner:99;
+         started := !slices;
          finished := Engine.now fx.eng));
   Engine.run fx.eng;
-  Alcotest.(check int) "program slices before the waiter ran" 3 !started;
+  Alcotest.(check int) "program slices when the waiter finished" 3 !started;
   Alcotest.(check int) "waiter done one quantum after the boundary" 40_000
     (Time.to_us !finished);
   Alcotest.(check int) "every program quantum ran" 20 !slices;
@@ -849,6 +850,144 @@ let test_cpu_freeze_mid_run () =
     (List.filteri (fun i _ -> i < 6) events);
   Alcotest.(check int) "all ten slices" 10
     (List.length (List.filter (fun (_, e) -> e = "slice") events))
+
+(* Every traced slice on the fixture's CPUs, as (end time in us, owner),
+   in the order they end. *)
+let slice_log fx =
+  Tracer.set_enabled fx.tracer true;
+  let log = ref [] in
+  Tracer.on_event fx.tracer (fun r ->
+      match r.Tracer.ev with
+      | Cpu.Slice { owner; _ } -> log := (Time.to_us r.Tracer.at, owner) :: !log
+      | _ -> ());
+  fun () -> List.rev !log
+
+(* A guest request for [span] of CPU from its own logical host, asked
+   [at] into the run, with the freeze hooks a program passes. *)
+let guest_request fx k ~at span =
+  let lh = Kernel.create_logical_host k ~priority:Cpu.Background in
+  ignore
+    (Kernel.spawn_process k lh (fun _ ->
+         Proc.sleep fx.eng at;
+         Cpu.compute ~owner:(Logical_host.id lh) ~gate:(Logical_host.gate lh)
+           ~must_release:(fun () -> Logical_host.frozen lh)
+           (Kernel.cpu k) ~priority:Cpu.Background span));
+  lh
+
+(* A grant to a queued request whose host is frozen is lost: the
+   request's paused process takes the wake-up, and the CPU stays idle
+   until the thaw, though another request waits behind it. *)
+let test_cpu_grant_to_frozen_host () =
+  let fx = setup ~hosts:1 () in
+  let k = fx.kernels.(0) in
+  let slices = slice_log fx in
+  let a = guest_request fx k ~at:Time.zero (ms 10.) in
+  let b = guest_request fx k ~at:(ms 1.) (ms 20.) in
+  let c = guest_request fx k ~at:(ms 2.) (ms 20.) in
+  ignore
+    (Proc.spawn fx.eng (fun () ->
+         Proc.sleep fx.eng (ms 5.);
+         Kernel.freeze_lh k b;
+         Proc.sleep fx.eng (ms 495.);
+         Kernel.unfreeze_lh k b));
+  Engine.run fx.eng;
+  let id = Logical_host.id in
+  Alcotest.(check (list (pair int int)))
+    "C waits on an idle CPU until B's thaw"
+    [
+      (10_000, id a); (510_000, id b); (520_000, id c); (530_000, id b);
+      (540_000, id c);
+    ]
+    (slices ());
+  Alcotest.(check (float 0.0005)) "busy fraction" 0.093
+    (Cpu.busy_fraction (Kernel.cpu k))
+
+(* A request frozen while queued (not holding the CPU) gets no slice
+   until it is thawed; the other requests are served meanwhile. *)
+let test_cpu_freeze_queued () =
+  let fx = setup ~hosts:1 () in
+  let k = fx.kernels.(0) in
+  let slices = slice_log fx in
+  let a = guest_request fx k ~at:Time.zero (ms 40.) in
+  let b = guest_request fx k ~at:(ms 1.) (ms 20.) in
+  let c = guest_request fx k ~at:(ms 2.) (ms 20.) in
+  ignore
+    (Proc.spawn fx.eng (fun () ->
+         Proc.sleep fx.eng (ms 5.);
+         Kernel.freeze_lh k b;
+         Proc.sleep fx.eng (ms 40.);
+         Kernel.unfreeze_lh k b));
+  Engine.run fx.eng;
+  let a = Logical_host.id a and b = Logical_host.id b and c = Logical_host.id c in
+  Alcotest.(check (list (pair int int)))
+    "B runs only after its thaw at 45 ms"
+    [
+      (10_000, a); (20_000, a); (30_000, c); (40_000, a); (50_000, c);
+      (60_000, a); (70_000, b); (80_000, b);
+    ]
+    (slices ())
+
+(* A program killed while re-queued behind a preemption is skipped when
+   it reaches the front: the CPU passes straight to the next request.
+   Until then its dead request still counts in [queue_length]. *)
+let test_cpu_kill_requeued () =
+  let fx = setup ~hosts:1 () in
+  let k = fx.kernels.(0) in
+  let cpu = Kernel.cpu k in
+  let slices = slice_log fx in
+  let program () =
+    let lh = Kernel.create_logical_host k ~priority:Cpu.Background in
+    let _, vp = lone_program k lh ~quanta:6 in
+    (Logical_host.id lh, vp)
+  in
+  let p, vp = program () in
+  let q, _ = program () in
+  let r, _ = program () in
+  let lengths = ref [] in
+  let sample () = lengths := Cpu.queue_length cpu :: !lengths in
+  ignore
+    (Proc.spawn fx.eng (fun () ->
+         Proc.sleep fx.eng (ms 45.);
+         sample ();
+         Vproc.kill vp;
+         sample ();
+         Proc.sleep fx.eng (ms 10.);
+         sample ();
+         Proc.sleep fx.eng (ms 10.);
+         sample ()));
+  Engine.run fx.eng;
+  Alcotest.(check (list int)) "queue length: before, after, 55 ms, 65 ms"
+    [ 3; 3; 3; 2 ] (List.rev !lengths);
+  Alcotest.(check (list (pair int int)))
+    "P's last slice ends at 40 ms; Q follows R with no gap"
+    [
+      (10_000, p); (20_000, q); (30_000, r); (40_000, p); (50_000, q);
+      (60_000, r); (70_000, q); (80_000, r);
+    ]
+    (List.filteri (fun i _ -> i < 8) (slices ()));
+  Alcotest.(check int) "Q and R run every quantum" 12
+    (List.length (List.filter (fun (_, o) -> o = q || o = r) (slices ())));
+  Alcotest.(check int) "done at 140 ms" 140_000 (Time.to_us (Engine.now fx.eng))
+
+(* Three equal-priority programs share the CPU in strict rotation. *)
+let test_cpu_round_robin_order () =
+  let fx = setup ~hosts:1 () in
+  let k = fx.kernels.(0) in
+  let slices = slice_log fx in
+  let ids =
+    List.init 3 (fun _ ->
+        let lh = Kernel.create_logical_host k ~priority:Cpu.Background in
+        ignore (lone_program k lh ~quanta:4);
+        Logical_host.id lh)
+  in
+  Alcotest.(check (list (pair int int)))
+    "P Q R, four times over"
+    (List.concat_map
+       (fun round ->
+         List.mapi (fun i id -> (((3 * round) + i + 1) * 10_000, id)) ids)
+       [ 0; 1; 2; 3 ])
+    (Engine.run fx.eng;
+     slices ())
 
 (* {1 Address spaces} *)
 
@@ -979,6 +1118,12 @@ let () =
           Alcotest.test_case "equal-priority waiter mid-run" `Quick
             (test_cpu_waiter_mid_run Cpu.Background);
           Alcotest.test_case "freeze mid-run" `Quick test_cpu_freeze_mid_run;
+          Alcotest.test_case "grant to a frozen host" `Quick
+            test_cpu_grant_to_frozen_host;
+          Alcotest.test_case "freeze while queued" `Quick test_cpu_freeze_queued;
+          Alcotest.test_case "kill while re-queued" `Quick test_cpu_kill_requeued;
+          Alcotest.test_case "round-robin order" `Quick
+            test_cpu_round_robin_order;
         ] );
       ( "address-space",
         Alcotest.test_case "geometry" `Quick test_space_geometry
