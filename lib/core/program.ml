@@ -55,12 +55,15 @@ let run_spec ctx rng ~lh ~spec ~env ~model ~charge ~self =
     debt.writes <- debt.writes +. (io.Programs.writes_per_cpu_sec *. sec);
     left := Time.sub !left served
   in
-  (* The step between two quanta, taken by the CPU's slice timer while
-     this program holds [k]'s CPU alone: commit the chunk [served] and
-     ask for the next one — but only when the loop below would not
-     block before asking for it: more CPU is owed, no read or write
-     falls due (the very sums [commit] stores), the host is not frozen,
-     it still resolves to [k], and no page faults wait to be pulled. *)
+  (* The step between two quanta, taken by the CPU's slice timer at the
+     end of each chunk this program runs on [k]'s CPU, whether or not
+     another request waits: commit the chunk [served] and ask for the
+     next one — but only when the loop below would not block before
+     asking for it: more CPU is owed, no read or write falls due (the
+     very sums [commit] stores), the host is not frozen, it still
+     resolves to [k], and no page faults wait to be pulled. The CPU then
+     keeps the program on it or re-queues it, as a return and a new
+     call would. *)
   let next k served =
     let sec = Time.to_sec served in
     if

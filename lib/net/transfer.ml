@@ -31,7 +31,7 @@ let seconds_per_megabyte ~config ~pacing =
 (* One copy in flight, shared by its process and its pacing timer. *)
 type copy = {
   mutable frames_left : int;
-  mutable last_arrival : Time.t;
+  mutable done_at : Time.t; (* the tail landed at the far side, processed *)
   mutable pace_at : Time.t;
   mutable wake : unit -> unit;
   mutable stale : bool; (* the process was killed: its timer is a no-op *)
@@ -47,7 +47,7 @@ let bulk_copy ?(pacing = v_pacing) ?dst net ~bytes =
     let c =
       {
         frames_left = total;
-        last_arrival = Time.zero;
+        done_at = Time.zero;
         pace_at = Time.zero;
         wake = ignore;
         stale = false;
@@ -55,8 +55,7 @@ let bulk_copy ?(pacing = v_pacing) ?dst net ~bytes =
     in
     (* Pacing is governed by the local wire and the hosts' per-frame CPU;
        a store-and-forward bridge pipelines, so the far wire adds latency
-       (tracked via the last frame's arrival) rather than halving the
-       rate. *)
+       (tracked via [done_at]) rather than halving the rate. *)
     let send_frame () =
       let clear, lost = Ethernet.occupy net ~bytes:pacing.data_frame_bytes in
       let local_arrival = Time.add clear Ethernet.propagation in
@@ -70,29 +69,28 @@ let bulk_copy ?(pacing = v_pacing) ?dst net ~bytes =
             in
             (Time.add clear2 Ethernet.propagation, lost || lost2)
       in
-      c.last_arrival <- Time.max c.last_arrival arrival;
+      c.done_at <- Time.max c.done_at (Time.add arrival pacing.per_frame_cpu);
       c.pace_at <- Time.add local_arrival pacing.per_frame_cpu;
       (* A lost frame is retransmitted; the remaining count doesn't drop. *)
       if not lost then c.frames_left <- c.frames_left - 1
     in
     (* Each frame's pace ends in a timer event that sends the next frame
-       itself: the process is resumed once, after the last pace. *)
+       itself. The last pace resumes the process once the tail of the
+       copy has landed: at once, or by one more timer. *)
     let rec pace () =
       if not c.stale then
         if c.frames_left > 0 then begin
           send_frame ();
           Engine.post_after eng (Time.sub c.pace_at (Engine.now eng)) pace
         end
-        else c.wake ()
+        else
+          let tail = Time.sub c.done_at (Engine.now eng) in
+          if Time.(tail > Time.zero) then Engine.post_after eng tail c.wake
+          else c.wake ()
     in
     send_frame ();
     Proc.suspend (fun wake ->
         c.wake <- wake;
         Engine.post_after eng (Time.sub c.pace_at (Engine.now eng)) pace;
-        fun () -> c.stale <- true);
-    (* Block until the tail of the copy has actually landed at the far
-       side (plus its processing). *)
-    let done_at = Time.add c.last_arrival pacing.per_frame_cpu in
-    if Time.(done_at > Engine.now eng) then
-      Proc.sleep eng (Time.sub done_at (Engine.now eng))
+        fun () -> c.stale <- true)
   end

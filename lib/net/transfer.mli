@@ -39,8 +39,9 @@ val bulk_copy :
 
     The process sends the first frame and suspends once for the whole
     copy: each frame's pacing timer sends the next frame itself, and
-    the last pace resumes the process, which then waits for the tail.
-    Killing the process stops the frames. The timer does not know the
+    the last pace resumes the process when the tail has landed — at
+    once, or by one more timer when a bridge still carries it. Killing
+    the process stops the frames. The timer does not know the
     process, so the caller must be one that is never paused
     ({!Proc.pause}). The callers of [Kernel.bulk_transfer] — the kernel
     server, the file server, migration in a program manager and the

@@ -18,16 +18,36 @@ let () =
           ]
     | _ -> None)
 
-type entry = { wake : unit -> unit; mutable abandoned : bool }
+(* One request's hold on the CPU, and its place in the run queue while
+   it waits. A quantum is a timer event, not a process switch: the slice
+   timer accounts each slice, and passes the CPU on at a preemption or a
+   handoff by re-queueing the run itself; the process, suspended once
+   per call, resumes only when the request must block. *)
+type run = {
+  cpu : t;
+  owner : int;
+  priority : priority;
+  must_release : unit -> bool;
+  on_slice : Time.span -> unit;
+  next : Time.span -> Time.span;
+  mutable remaining : Time.span; (* demand not yet accounted *)
+  mutable slice : Time.span; (* in flight; zero once accounted *)
+  mutable holds : bool; (* the run holds the CPU *)
+  mutable wake : unit -> unit;
+  mutable stale : bool; (* the process was killed: skip it, ignore its timer *)
+  mutable failed : exn option; (* raised by a hook inside the timer *)
+  mutable tick : unit -> unit; (* the slice timer, one closure per run *)
+}
 
-type t = {
+and t = {
   eng : Engine.t;
   quantum : Time.span;
   trc : Tracer.t option;
-  fg : entry Queue.t;
-  bg : entry Queue.t;
+  fg : run Queue.t;
+  bg : run Queue.t;
   mutable holder : int; (* owner tag of the running request; -1 when idle *)
-  mutable drain_waiters : (int * (unit -> unit)) list;
+  mutable drain_waiters : (unit -> unit) list;
+      (* all drain the holder's owner: [wait_clear] waits only on it *)
   mutable slow : float; (* wall time per unit of work; 1.0 = nominal *)
   busy : Stats.Gauge.t;
 }
@@ -54,79 +74,12 @@ let set_slowdown t f =
 let queue_length t =
   Queue.length t.fg + Queue.length t.bg + if t.holder <> idle then 1 else 0
 
-(* Wake the next waiter: all foreground work goes before any background
-   work; within a class, FIFO (round-robin, since a preempted request
-   re-enqueues at the tail). *)
-let grant_next t =
-  let rec pop q =
-    match Queue.take_opt q with
-    | None -> None
-    | Some e when e.abandoned -> pop q
-    | Some e -> Some e
-  in
-  match pop t.fg with
-  | Some e -> e.wake ()
-  | None -> ( match pop t.bg with Some e -> e.wake () | None -> ())
-
 let queue_of t = function Foreground -> t.fg | Background -> t.bg
 
 let must_wait t priority =
   t.holder <> idle || (priority = Background && not (Queue.is_empty t.fg))
 
-let wait_once t priority =
-  let entry = ref None in
-  Proc.suspend (fun wake ->
-      let e = { wake; abandoned = false } in
-      entry := Some e;
-      Queue.push e (queue_of t priority);
-      fun () -> e.abandoned <- true);
-  (* Mark consumed so a stale grant can't target this entry again. *)
-  match !entry with Some e -> e.abandoned <- true | None -> ()
-
-(* Alternate gate and CPU wait until both pass at once: the gate blocks
-   while the caller's logical host is frozen, and a freeze can begin
-   while we are queued for the CPU. *)
-let rec acquire t gate priority =
-  gate ();
-  if must_wait t priority then begin
-    wait_once t priority;
-    acquire t gate priority
-  end
-
-let release t =
-  t.holder <- idle;
-  Stats.Gauge.set t.busy 0.;
-  let drains = t.drain_waiters in
-  t.drain_waiters <- [];
-  List.iter (fun (_, wake) -> wake ()) drains;
-  grant_next t
-
-let rec drain_requested owner = function
-  | [] -> false
-  | (o, _) :: rest -> o = owner || drain_requested owner rest
-
-let has_live_waiter q = Queue.fold (fun acc e -> acc || not e.abandoned) false q
-
-(* One request's hold on the CPU, shared by its process and its slice
-   timer. A quantum is a timer event, not a process switch: while the
-   request keeps the CPU, the timer accounts each slice and posts the
-   next one itself; the process, suspended once, is resumed only when
-   the request lets go of the CPU. *)
-type run = {
-  cpu : t;
-  owner : int;
-  priority : priority;
-  must_release : unit -> bool;
-  on_slice : Time.span -> unit;
-  next : Time.span -> Time.span;
-  mutable remaining : Time.span; (* demand not yet accounted *)
-  mutable slice : Time.span; (* in flight; zero once accounted *)
-  mutable wake : unit -> unit;
-  mutable stale : bool; (* the process was killed: its timer is a no-op *)
-  mutable failed : exn option; (* raised by a hook inside the timer *)
-  mutable tick : unit -> unit; (* the slice timer, one closure per run *)
-}
-
+(* The one place a slice timer is posted. *)
 let start_slice r =
   let t = r.cpu in
   let slice = Time.min t.quantum r.remaining in
@@ -136,6 +89,42 @@ let start_slice r =
   Engine.post_after t.eng
     (if t.slow = 1.0 then slice else Time.scale slice t.slow)
     r.tick
+
+let take r =
+  let t = r.cpu in
+  t.holder <- r.owner;
+  r.holds <- true;
+  Stats.Gauge.set t.busy 1.
+
+let hold r =
+  take r;
+  start_slice r
+
+(* Grant the CPU to the first live run of [q]; false if there is none.
+   A killed run is skipped here. A run whose host froze while it waited
+   is not started: its process is woken to pass its gate, and the grant
+   is lost — the CPU stays idle until something else asks for it. *)
+let rec grant_from q =
+  (not (Queue.is_empty q))
+  &&
+  let r = Queue.take q in
+  if r.stale then grant_from q
+  else begin
+    if r.must_release () then r.wake () else hold r;
+    true
+  end
+
+(* All foreground work goes before any background work; within a class,
+   FIFO (round-robin, since a preempted run re-queues at the tail). *)
+let release r =
+  let t = r.cpu in
+  r.holds <- false;
+  t.holder <- idle;
+  Stats.Gauge.set t.busy 0.;
+  let drains = t.drain_waiters in
+  t.drain_waiters <- [];
+  List.iter (fun wake -> wake ()) drains;
+  if not (grant_from t.fg) then ignore (grant_from t.bg)
 
 (* Account the slice's effects (page dirtying) before any release, so a
    freeze draining the CPU cannot snapshot between the two. *)
@@ -150,34 +139,43 @@ let account r =
   | _ -> ());
   r.on_slice slice
 
-(* Whether the request keeps the CPU past the slice [served], just
-   accounted. Inside its demand it yields only to a waiter of equal or
+let has_live_waiter q = Queue.fold (fun acc r -> acc || not r.stale) false q
+
+(* What the slice timer does once a slice is accounted: the run keeps
+   the CPU for another slice; it passes the CPU on, releasing it and
+   re-queueing at the tail; or its process resumes, to release the CPU
+   itself and block. *)
+type step = Keep | Pass | Block
+
+(* A drain of the owner blocks the run, so its process meets the gate.
+   Inside its demand the run passes the CPU only to a waiter of equal or
    higher priority (strict foreground-over-background, round-robin
-   within a class) or to a drain of its owner. At the end of the demand
-   it keeps the CPU only where a release followed by the caller's next
-   acquire would change nothing: nothing is queued (abandoned entries
-   included, which a release would pop) and no drain waits; then
-   [next] may commit to a further demand. *)
-let keeps_cpu r served =
+   within a class). At the end of its demand the caller's [next] step
+   runs here, where the caller would run it between two calls: a
+   further demand is served exactly as a release followed by the next
+   call's acquire would serve it — kept when nothing is queued
+   (killed runs included, which a release would pop), else passed on. *)
+let step r served =
   let t = r.cpu in
-  if Time.(r.remaining > Time.zero) then
-    not
-      (has_live_waiter t.fg
-      || (r.priority = Background && has_live_waiter t.bg)
-      || drain_requested r.owner t.drain_waiters)
-  else
-    Queue.is_empty t.fg && Queue.is_empty t.bg
-    && (match t.drain_waiters with [] -> true | _ :: _ -> false)
-    &&
-    let demand = r.next served in
-    Time.(demand > Time.zero)
-    && begin
-         (* The busy level stays 1; settling it here splits the busy
-            integral exactly where the release and re-acquire would. *)
-         Stats.Gauge.set t.busy 1.;
-         r.remaining <- demand;
-         true
-       end
+  match t.drain_waiters with
+  | _ :: _ -> Block
+  | [] when Time.(r.remaining > Time.zero) ->
+      if has_live_waiter t.fg || (r.priority = Background && has_live_waiter t.bg)
+      then Pass
+      else Keep
+  | [] ->
+      let demand = r.next served in
+      if Time.(demand <= Time.zero) then Block
+      else begin
+        r.remaining <- demand;
+        if Queue.is_empty t.fg && Queue.is_empty t.bg then begin
+          (* The busy level stays 1; settling it here splits the busy
+             integral exactly where the release and re-acquire would. *)
+          Stats.Gauge.set t.busy 1.;
+          Keep
+        end
+        else Pass
+      end
 
 (* A slice ends. [must_release] is polled first: a request that must
    let go has its slice accounted by its own process, which a freeze
@@ -186,22 +184,30 @@ let keeps_cpu r served =
 let tick r =
   if not r.stale then
     match
-      (not (r.must_release ()))
-      &&
-      let served = r.slice in
-      account r;
-      keeps_cpu r served
+      if r.must_release () then Block
+      else begin
+        let served = r.slice in
+        account r;
+        step r served
+      end
     with
-    | true -> start_slice r
-    | false -> r.wake ()
+    | Keep -> start_slice r
+    | Pass ->
+        release r;
+        if must_wait r.cpu r.priority then Queue.push r (queue_of r.cpu r.priority)
+        else hold r
+    | Block -> r.wake ()
     | exception e ->
         r.failed <- Some e;
         r.wake ()
 
-(* The process acquires the CPU and suspends once per hold; the timer
-   resumes it to release the CPU (and re-acquire it while demand
-   remains). A normal return has always released the CPU; the handler
-   releases it when the request is killed or a hook raises. *)
+(* The process passes its gate and suspends once per call; the CPU
+   holds or queues the run from there. It resumes to release the CPU
+   (and, while demand remains, to pass the gate again), or without the
+   CPU when a grant found its host frozen. A normal return has always
+   released the CPU; the handler releases it when the request is killed
+   or a hook raises. The CPU is taken before the suspension, so a
+   process killed while running releases it as it dies. *)
 let compute_sliced ~owner ~gate ~must_release t ~priority span ~on_slice ~next =
   if Time.(span > Time.zero) then begin
     let r =
@@ -214,6 +220,7 @@ let compute_sliced ~owner ~gate ~must_release t ~priority span ~on_slice ~next =
         next;
         remaining = span;
         slice = Time.zero;
+        holds = false;
         wake = ignore;
         stale = false;
         failed = None;
@@ -224,24 +231,22 @@ let compute_sliced ~owner ~gate ~must_release t ~priority span ~on_slice ~next =
     let cleanup () = r.stale <- true in
     let register wake =
       r.wake <- wake;
-      start_slice r;
+      if r.holds then start_slice r else Queue.push r (queue_of t priority);
       cleanup
     in
-    let holding = ref false in
     try
       while Time.(r.remaining > Time.zero) do
-        acquire t gate priority;
-        t.holder <- owner;
-        holding := true;
-        Stats.Gauge.set t.busy 1.;
+        gate ();
+        if not (must_wait t priority) then take r;
         Proc.suspend register;
-        if Time.(r.slice > Time.zero) then account r;
-        Option.iter raise r.failed;
-        holding := false;
-        release t
+        if r.holds then begin
+          if Time.(r.slice > Time.zero) then account r;
+          Option.iter raise r.failed;
+          release r
+        end
       done
     with e ->
-      if !holding then release t;
+      if r.holds then release r;
       raise e
   end
 
@@ -255,10 +260,8 @@ let compute ?(owner = 0) ?(gate = ignore) ?(must_release = fun () -> false) t
 let wait_clear t ~owner =
   while t.holder = owner do
     Proc.suspend (fun wake ->
-        t.drain_waiters <- (owner, wake) :: t.drain_waiters;
-        fun () ->
-          t.drain_waiters <-
-            List.filter (fun (_, w) -> w != wake) t.drain_waiters)
+        t.drain_waiters <- wake :: t.drain_waiters;
+        fun () -> t.drain_waiters <- List.filter (fun w -> w != wake) t.drain_waiters)
   done
 
 let busy_fraction t = Stats.Gauge.time_average t.busy

@@ -61,27 +61,36 @@ val compute_sliced :
     workloads dirty pages in proportion to CPU actually received, ordered
     so that a freeze draining the CPU observes the dirtying.
 
-    A quantum is a timer event, not a process switch. The caller
-    acquires the CPU and suspends; while it keeps the CPU, the slice
-    timer accounts each slice and starts the next itself, and the
-    caller is resumed only to release the CPU. When the demand is
-    served and nothing is queued for the CPU, no drain waits and
-    [must_release ()] is false, the timer calls [next served] — the
-    caller's between-quanta step. A positive result is a further
-    demand; returning it, the step has done what the caller would do
-    between two calls, and it must not block. The CPU serves that demand
-    as if the caller had released and re-acquired it. [Time.zero] ends
-    the call. The hooks run inside the timer, and an exception they
-    raise is re-raised in the caller. [must_release] is polled at each
-    slice end before [on_slice]; a request that must release has its
-    slice accounted in its own process, so a process paused by a freeze
-    accounts it only once thawed. A process holding the CPU must not be
-    paused while its [must_release ()] is false.
+    A quantum is a timer event, not a process switch, and the caller
+    resumes only to block. It passes [gate] and suspends once; from
+    there the slice timer accounts each slice and passes the CPU on
+    itself: it starts the next slice while the request keeps the CPU,
+    and at a preemption it releases the CPU and re-queues the request
+    at the tail of its class, to be started by the grant that reaches
+    it. When the demand is served and [must_release ()] is false, the
+    timer calls [next served] — the caller's between-quanta step. A
+    positive result is a further demand; returning it, the step has
+    done what the caller would do between two calls, and it must not
+    block. The CPU serves that demand as if the caller had released and
+    re-acquired it: kept when nothing is queued, else re-queued at the
+    tail. [Time.zero] ends the call. The hooks run inside the timer,
+    and an exception they raise is re-raised in the caller.
+
+    The caller is resumed when [must_release ()] fires at a slice end
+    (its slice is then accounted in its own process, so a process
+    paused by a freeze accounts it only once thawed), when a drain
+    waits for its owner ({!wait_clear}), when [next] returns
+    [Time.zero], when a hook raises, and when a grant reaches it while
+    [must_release ()] holds: the grant is then lost, and the caller
+    passes [gate] again before re-queueing. So [must_release ()] must
+    hold whenever [gate] would block, and a process holding the CPU
+    must not be paused while its [must_release ()] is false.
 
     Every argument is required: a program calls this once per hold of
     the CPU, and passing optional arguments would box each one per
-    call. A call allocates its run record and three closures; a slice
-    chained by the timer allocates nothing. *)
+    call. A call allocates its run record and three closures. A slice
+    the timer keeps allocates nothing; a handoff allocates one run
+    queue cell (3 words) for the request that re-queues. *)
 
 val set_slowdown : t -> float -> unit
 (** [set_slowdown t f] makes every subsequent quantum of work take [f]

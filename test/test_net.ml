@@ -253,6 +253,14 @@ let test_bulk_copy_with_loss_takes_longer () =
    killing the process stops them, and until then every lost frame is
    re-sent, so an uncut copy carries each of its frames exactly once
    more than it loses. *)
+let make_bridged ?(delay = Time.of_ms 2.) () =
+  let e = Engine.create () in
+  let rng = Rng.create 8 in
+  let a : payload Ethernet.t = Ethernet.create e (Rng.split rng) in
+  let b : payload Ethernet.t = Ethernet.create e (Rng.split rng) in
+  Ethernet.bridge a b ~forward_delay:delay;
+  (e, a, b)
+
 let test_bulk_copy_killed_mid_copy () =
   let config = { Ethernet.default_config with loss_probability = 0.2 } in
   let copy ~kill_at =
@@ -284,7 +292,42 @@ let test_bulk_copy_killed_mid_copy () =
   Alcotest.(check bool) "killed copy never finishes" false finished;
   if at_kill < 40 then Alcotest.failf "only %d frames before the kill" at_kill;
   Alcotest.(check int) "no frame after the kill" at_kill
-    (Ethernet.frames_sent net)
+    (Ethernet.frames_sent net);
+  (* A kill while the tail crosses a bridge: every frame is sent and
+     paced, and the copy waits only for the far side to land it. *)
+  let bridged ~kill_at =
+    let e, a, b = make_bridged () in
+    let _s1 = Ethernet.attach a (addr 1) (fun _ -> ()) in
+    let _s2 = Ethernet.attach b (addr 2) (fun _ -> ()) in
+    let finished = ref None in
+    let p =
+      Proc.spawn e (fun () ->
+          Transfer.bulk_copy ~dst:(addr 2) a ~bytes:(4 * 1024);
+          finished := Some (Engine.now e))
+    in
+    Option.iter
+      (fun at -> ignore (Engine.schedule e ~at (fun () -> Proc.kill p)))
+      kill_at;
+    Engine.run e;
+    (!finished, Ethernet.frames_sent a, Engine.now e)
+  in
+  let last_pace =
+    Transfer.duration ~config:Ethernet.default_config ~pacing:Transfer.v_pacing
+      ~bytes:(4 * 1024)
+  in
+  match bridged ~kill_at:None with
+  | None, _, _ -> Alcotest.fail "uncut bridged copy never finished"
+  | Some done_at, sent, _ ->
+      let kill_at = Time.sub done_at (ms 1.) in
+      if Time.(kill_at <= last_pace) then
+        Alcotest.failf "tail window closes at %s, last pace at %s"
+          (Time.to_string done_at) (Time.to_string last_pace);
+      let finished, sent', ended = bridged ~kill_at:(Some kill_at) in
+      Alcotest.(check bool) "killed in the tail: never finishes" true
+        (finished = None);
+      Alcotest.(check int) "every frame sent before the kill" sent sent';
+      Alcotest.(check int) "the tail's timer still fires, as a no-op"
+        (Time.to_us done_at) (Time.to_us ended)
 
 (* {2 Page-sequenced copies under an injected loss window}
 
@@ -393,14 +436,6 @@ let test_stats_counters () =
   Alcotest.(check int) "bytes" 100 (Ethernet.bytes_carried net)
 
 (* {1 Bridged segments} *)
-
-let make_bridged ?(delay = Time.of_ms 2.) () =
-  let e = Engine.create () in
-  let rng = Rng.create 8 in
-  let a : payload Ethernet.t = Ethernet.create e (Rng.split rng) in
-  let b : payload Ethernet.t = Ethernet.create e (Rng.split rng) in
-  Ethernet.bridge a b ~forward_delay:delay;
-  (e, a, b)
 
 let test_bridge_unicast_crosses () =
   let e, a, b = make_bridged () in

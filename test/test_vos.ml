@@ -765,6 +765,33 @@ let test_cpu_quantum_allocation () =
   if per_slice > 1. then
     Alcotest.failf "%.2f minor words per slice (bound 1)" per_slice
 
+(* Allocation pin for a handoff: two equal-priority programs alternate
+   every quantum. The slice timer passes the CPU on without resuming
+   either process, so a quantum allocates only the run queue's cell
+   (3 words); resuming the holder to release and re-queue, and the
+   grantee to post its timer, costs ~80. *)
+let test_cpu_handoff_allocation () =
+  let fx = setup ~hosts:1 () in
+  let k = fx.kernels.(0) in
+  let quanta = 2_000 and warm = 500 in
+  let programs =
+    List.init 2 (fun _ ->
+        fst
+          (lone_program k
+             (Kernel.create_logical_host k ~priority:Cpu.Background)
+             ~quanta))
+  in
+  let slices () = List.fold_left (fun n s -> n + !s) 0 programs in
+  Engine.run fx.eng ~until:(Time.mul Os_params.cpu_quantum warm);
+  let before = Gc.minor_words () and s0 = slices () in
+  Engine.run fx.eng ~until:(Time.mul Os_params.cpu_quantum ((2 * quanta) - 10));
+  let words = Gc.minor_words () -. before and n = float_of_int (slices () - s0) in
+  Engine.run fx.eng;
+  Alcotest.(check int) "every quantum ran" (2 * quanta) (slices ());
+  (* 16 words of slack for the reading itself (its boxed floats). *)
+  if words > (3. *. n) +. 16. then
+    Alcotest.failf "%.2f minor words per handoff (bound 3)" (words /. n)
+
 (* Killing a lone program mid-quantum frees the CPU at that instant;
    its in-flight slice timer fires later as a no-op. *)
 let test_cpu_kill_lone_program () =
@@ -1111,6 +1138,8 @@ let () =
           Alcotest.test_case "busy fraction" `Quick test_cpu_busy_fraction;
           Alcotest.test_case "quantum allocation" `Quick
             test_cpu_quantum_allocation;
+          Alcotest.test_case "handoff allocation" `Quick
+            test_cpu_handoff_allocation;
           Alcotest.test_case "kill a lone program" `Quick
             test_cpu_kill_lone_program;
           Alcotest.test_case "foreground waiter mid-run" `Quick

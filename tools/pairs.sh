@@ -14,7 +14,13 @@
 # median and the quartiles on each side, and how many pairs the change
 # won, lost or tied in the metric's better direction. A gain holds when
 # the change wins at least 9 of every 10 pairs and its median beats the
-# base median by more than the base's interquartile range. It also
+# base median by more than the base's interquartile range. The verdict
+# column applies the metric's no-regression bound from BENCHMARK.json
+# (a fraction of the base median): WORSE when the change median is
+# worse than the base median by more than the bound; otherwise
+# unresolved when the base interquartile range exceeds the bound, so
+# the runs spread too widely to tell, unless every change run beats
+# every base run; otherwise ok. It also
 # prints each side's failed-operation total and checks that both sides
 # print the same sim_digest. A run that exits non-zero or prints no
 # result line is named on stderr with its pair, side, exit code and
@@ -72,9 +78,10 @@ else
   echo "sim_digest: DIFFERENT (see $out/*.digest)"
 fi
 
-# name better, one line per end-to-end metric of the manifest.
-metrics=$(grep -o '"name": "[^"]*", "unit": "[^"]*", "better": "[a-z]*", "bound"' \
-  "$change/BENCHMARK.json" | sed 's/"name": "\([^"]*\)".*"better": "\([a-z]*\)".*/\1 \2/')
+# name better bound, one line per end-to-end metric of the manifest.
+metrics=$(grep -o '"name": "[^"]*", "unit": "[^"]*", "better": "[a-z]*", "bound": [0-9.eE+-]*' \
+  "$change/BENCHMARK.json" |
+  sed 's/"name": "\([^"]*\)".*"better": "\([a-z]*\)", "bound": \(.*\)/\1 \2 \3/')
 
 # One "side pair metric value" line per reading.
 values() { # SIDE
@@ -95,7 +102,7 @@ values() { # SIDE
 {
   values base
   values change
-  echo "$metrics" | awk '{ print "metric", $1, $2 }'
+  echo "$metrics" | awk '{ print "metric", $1, $2, $3 }'
 } | awk -v pairs="$pairs" -v workload="$workload" -v seed="$seed" \
   -v base_failed="$(wc -l <"$out/base.failed")" \
   -v change_failed="$(wc -l <"$out/change.failed")" '
@@ -111,12 +118,13 @@ values() { # SIDE
     }
     return n
   }
-  $1 == "metric" { order[++nm] = $2; better[$2] = $3; next }
+  $1 == "metric" { order[++nm] = $2; better[$2] = $3; bound[$2] = $4 + 0; next }
   { v[$1, $2, $3] = $4 + 0 }
   END {
     printf "%s seed %d, %d pairs (base -> change)\n", workload, seed, pairs
-    printf "%-16s %12s %12s %26s %26s %6s %6s %6s  %s\n", "metric", "base med",
-      "change med", "base q1..q3", "change q1..q3", "wins", "losses", "ties", "gain holds"
+    printf "%-16s %12s %12s %26s %26s %6s %6s %6s  %-10s  %s\n", "metric", "base med",
+      "change med", "base q1..q3", "change q1..q3", "wins", "losses", "ties", "gain holds",
+      "verdict"
     for (k = 1; k <= nm; k++) {
       m = order[k]
       nb = sorted("base", m, b); nc = sorted("change", m, c)
@@ -130,9 +138,15 @@ values() { # SIDE
       }
       mb = q(b, nb, 0.5); mc = q(c, nc, 0.5)
       gap = better[m] == "higher" ? mc - mb : mb - mc
-      holds = (wins * 10 >= 9 * pairs && gap > q(b, nb, 0.75) - q(b, nb, 0.25)) ? "yes" : "no"
-      printf "%-16s %12.6g %12.6g %12.6g..%-12.6g %12.6g..%-12.6g %6d %6d %6d  %s\n", m, mb, mc,
-        q(b, nb, 0.25), q(b, nb, 0.75), q(c, nc, 0.25), q(c, nc, 0.75), wins, losses, ties, holds
+      iqr = q(b, nb, 0.75) - q(b, nb, 0.25)
+      holds = (wins * 10 >= 9 * pairs && gap > iqr) ? "yes" : "no"
+      # b and c are sorted ascending; "beats" follows the better direction.
+      dominates = better[m] == "higher" ? c[0] > b[nb - 1] : c[nc - 1] < b[0]
+      limit = bound[m] * (mb < 0 ? -mb : mb)
+      verdict = -gap > limit ? "WORSE" : (iqr > limit && !dominates) ? "unresolved" : "ok"
+      printf "%-16s %12.6g %12.6g %12.6g..%-12.6g %12.6g..%-12.6g %6d %6d %6d  %-10s  %s\n", m, mb, mc,
+        q(b, nb, 0.25), q(b, nb, 0.75), q(c, nc, 0.25), q(c, nc, 0.75), wins, losses, ties, holds,
+        verdict
     }
     fb = 0; fc = 0
     for (i = 1; i <= pairs; i++) { fb += v["base", i, "failed"]; fc += v["change", i, "failed"] }
