@@ -67,8 +67,8 @@ val compute_sliced :
     itself: it starts the next slice while the request keeps the CPU,
     and at a preemption it releases the CPU and re-queues the request
     at the tail of its class, to be started by the grant that reaches
-    it. When the demand is served and [must_release ()] is false, the
-    timer calls [next served] — the caller's between-quanta step. A
+    it. When the demand is served, [must_release ()] is false and no
+    drain waits, the timer calls [next served] — the caller's between-quanta step. A
     positive result is a further demand; returning it, the step has
     done what the caller would do between two calls, and it must not
     block. The CPU serves that demand as if the caller had released and
@@ -86,9 +86,9 @@ val compute_sliced :
     hold whenever [gate] would block, and a process holding the CPU
     must not be paused while its [must_release ()] is false.
 
-    Every argument is required: a program calls this once per hold of
-    the CPU, and passing optional arguments would box each one per
-    call. A call allocates its run record and three closures. A slice
+    Every argument is required: a program calls this once per stretch
+    of quanta between two blocking points, and passing optional
+    arguments would box each one per call. A call allocates its run record and three closures. A slice
     the timer keeps allocates nothing; a handoff allocates one run
     queue cell (3 words) for the request that re-queues. *)
 

@@ -824,15 +824,16 @@ let test_cpu_waiter_mid_run priority () =
   let cpu = Kernel.cpu k in
   let lh = Kernel.create_logical_host k ~priority:Cpu.Background in
   let slices, _ = lone_program k lh ~quanta:20 in
-  let started = ref (-1) and finished = ref Time.zero in
+  let slices_at_finish = ref (-1) and finished = ref Time.zero in
   ignore
     (Proc.spawn fx.eng (fun () ->
          Proc.sleep fx.eng (ms 25.);
          Cpu.compute cpu ~priority (ms 10.) ~owner:99;
-         started := !slices;
+         slices_at_finish := !slices;
          finished := Engine.now fx.eng));
   Engine.run fx.eng;
-  Alcotest.(check int) "program slices when the waiter finished" 3 !started;
+  Alcotest.(check int) "program slices when the waiter finished" 3
+    !slices_at_finish;
   Alcotest.(check int) "waiter done one quantum after the boundary" 40_000
     (Time.to_us !finished);
   Alcotest.(check int) "every program quantum ran" 20 !slices;
