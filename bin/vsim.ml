@@ -64,10 +64,15 @@ let make_cluster ?faults ~seed ~workstations ~bridged ~trace () =
   (* Plan-vs-topology errors (unknown host, partition without a bridge)
      only surface when the plan is compiled onto the cluster — report
      them like any other usage error, not as an uncaught exception. *)
-  try Cluster.create ~seed ~workstations ~bridged ~trace ?faults ()
-  with Invalid_argument msg ->
-    Printf.eprintf "vsim: fault plan: %s\n" msg;
-    exit 124
+  let cl =
+    try Cluster.create ~seed ~workstations ~bridged ~trace ?faults ()
+    with Invalid_argument msg ->
+      Printf.eprintf "vsim: fault plan: %s\n" msg;
+      exit 124
+  in
+  (* [--trace] dumps the whole run afterwards. *)
+  if trace then Tracer.keep (Cluster.tracer cl);
+  cl
 
 let dump_trace cl =
   Format.printf "@.trace:@.";

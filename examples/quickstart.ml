@@ -8,9 +8,11 @@
 
 let () =
   (* A cluster is a file-server machine plus workstations ws0..wsN-1 on
-     one simulated 10 Mbit Ethernet. [trace:true] records every typed
-     trace event. *)
+     one simulated 10 Mbit Ethernet. [trace:true] stamps every typed
+     trace event, and keeping the tracer retains them for reading
+     afterwards. *)
   let cl = Cluster.create ~seed:42 ~workstations:4 ~trace:true () in
+  Tracer.keep (Cluster.tracer cl);
   let origin = Cluster.workstation cl 0 in
 
   (* The "command interpreter": a user process on ws0 typing

@@ -370,6 +370,10 @@ let handle t (r : Tracer.record) =
   | _ -> ()
 
 let attach trc =
+  (* The catch-up below must see every event before the live feed
+     starts, or it would shrink silently. *)
+  if not (Tracer.keeping trc) then
+    invalid_arg "Monitors.attach: the engine has fired and the tracer is not kept";
   let t =
     {
       window = [||];

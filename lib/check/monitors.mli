@@ -69,7 +69,9 @@ val attach : Tracer.t -> t
 (** Subscribe the monitor bundle. Records already retained in the ring
     are replayed first (so attaching right after cluster creation sees
     the boot-time attach events); attach before any frames have been
-    evicted. *)
+    evicted. Raises [Invalid_argument] when the tracer is no longer
+    {!Tracer.keeping} (its engine has fired and it is not kept): the
+    replay would miss the events since the first fire. *)
 
 val violations : t -> violation list
 (** In detection order. At most 16 are retained; see {!dropped}. *)

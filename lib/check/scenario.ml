@@ -298,8 +298,7 @@ let monitored_cluster ~rebind ~content_cache ?placement ~seed ~workstations
   let mon = Monitors.attach (Cluster.tracer cl) in
   (cl, mon, Coverage.attach cl mon)
 
-let run_cluster ?(rebind = Os_params.Broadcast_query) ?(content_cache = 0) sc
-    =
+let start ?(rebind = Os_params.Broadcast_query) ?(content_cache = 0) sc =
   let cl, mon, cov =
     monitored_cluster ~rebind ~content_cache ~seed:sc.sc_seed
       ~workstations:sc.sc_workstations ~bridged:sc.sc_bridged sc.sc_faults
@@ -310,11 +309,12 @@ let run_cluster ?(rebind = Os_params.Broadcast_query) ?(content_cache = 0) sc
     (fun j ->
       Engine.post eng ~at:j.j_at (fun () -> launch cl j ~completed ~failed))
     sc.sc_jobs;
-  Cluster.run cl ~until:sc.sc_horizon;
-  let residual_seen, violations =
-    split_residual ~expect:sc.sc_expect_residual (Monitors.violations mon)
-  in
-  ( {
+  let finish () =
+    Cluster.run cl ~until:sc.sc_horizon;
+    let residual_seen, violations =
+      split_residual ~expect:sc.sc_expect_residual (Monitors.violations mon)
+    in
+    {
       o_scenario = sc;
       o_violations = violations;
       o_violations_dropped = Monitors.dropped mon;
@@ -325,8 +325,14 @@ let run_cluster ?(rebind = Os_params.Broadcast_query) ?(content_cache = 0) sc
       o_coverage =
         Coverage.of_run cov ~scenario:sc.sc_label ~plan:sc.sc_faults
           ~placement:None;
-    },
-    cl )
+    }
+  in
+  (cl, finish)
+
+let run_cluster ?rebind ?content_cache sc =
+  let cl, finish = start ?rebind ?content_cache sc in
+  let o = finish () in
+  (o, cl)
 
 let run ?rebind ?content_cache sc = fst (run_cluster ?rebind ?content_cache sc)
 

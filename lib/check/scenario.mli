@@ -103,7 +103,17 @@ val run_cluster :
   ?rebind:Os_params.rebind_mode -> ?content_cache:int -> t ->
   outcome * Cluster.t
 (** Like {!run} but also returns the (stopped) cluster, so callers can
-    export its trace — the golden-trace harness and [bench stress]. *)
+    read its counters and guests. Its tracer is not kept
+    ({!Tracer.keep}): only the boot log is retained. *)
+
+val start :
+  ?rebind:Os_params.rebind_mode -> ?content_cache:int -> t ->
+  Cluster.t * (unit -> outcome)
+(** {!run_cluster} in two steps: the monitored cluster with the
+    scenario's jobs posted and its engine not yet fired, and the
+    function that runs it to the horizon and returns the outcome. In
+    between, a caller that reads the trace afterwards keeps it with
+    {!Tracer.keep} (the golden-trace harness). *)
 
 val replay_hint :
   ?forwarding:bool -> ?strategy:string -> ?content_cache:int -> t -> string

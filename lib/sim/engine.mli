@@ -61,7 +61,8 @@ val run : ?until:Time.t -> ?max_steps:int -> t -> unit
     [until] (convenient for sampling at a fixed horizon). *)
 
 val events_fired : t -> int
-(** Total events fired so far — exposed for throughput benchmarks. *)
+(** Total events fired so far — exposed for throughput benchmarks, and
+    read by {!Tracer} to tell a cluster's boot from its run. *)
 
 val lane_fired : t -> int
 (** Events fired so far from a fixed-delay lane, never having entered

@@ -6,7 +6,10 @@
     a quantity must be integrated over virtual time). *)
 
 (** Scalar sample sets: mean/stddev/min/max and exact percentiles.
-    Stores all samples; experiments record at most a few thousand. *)
+    Stores every sample, flat: about one word per sample (8 bytes) plus
+    a fixed ~20 words per summary, and a sorted copy of one more word
+    per sample once a percentile is read. A [migrate-churn] benchmark
+    part pools about 20,000 samples into one summary. *)
 module Summary : sig
   type t
 

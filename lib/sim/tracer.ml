@@ -39,17 +39,24 @@ type record = { at : Time.t; seq : int; ev : event }
 
 (* The ring is struct-of-arrays so [emit] writes two slots instead of
    allocating a [record] per event; records are materialized only when
-   the ring is read back (or handed to a subscriber). Every emit takes
-   the next sequence number and pushes, so the ring holds the last [len]
-   sequence numbers in order and stores none of them. *)
+   the ring is read back (or handed to a subscriber). Every push takes
+   the next sequence number, so the ring holds the [len] sequence
+   numbers before [ring_end] in order and stores none of them.
+
+   Once the engine has fired, only a kept tracer pushes: its readers
+   read after the run, while a run's monitors subscribe and need no
+   history beyond the boot log. A ring that is written only at boot is
+   never promoted event by event and never grows to [capacity]. *)
 type t = {
   engine : Engine.t;
   mutable on : bool;
+  mutable kept : bool;
   capacity : int;
   mutable b_at : Time.t array; (* rings; grown on demand up to [capacity] *)
   mutable b_ev : event array;
   mutable start : int; (* index of oldest retained record *)
   mutable len : int;
+  mutable ring_end : int; (* sequence number after the newest retained *)
   mutable next_seq : int;
   mutable subs : (record -> unit) array; (* registration order *)
 }
@@ -65,11 +72,13 @@ let create ?(capacity = default_capacity) engine =
   {
     engine;
     on = true;
+    kept = false;
     capacity;
     b_at = [||];
     b_ev = [||];
     start = 0;
     len = 0;
+    ring_end = 0;
     next_seq = 0;
     subs = [||];
   }
@@ -77,15 +86,21 @@ let create ?(capacity = default_capacity) engine =
 let enabled t = t.on
 let set_enabled t on = t.on <- on
 let seq t = t.next_seq
+let keeping t = t.kept || Engine.events_fired t.engine = 0
+
+let keep t =
+  if not (keeping t) then
+    invalid_arg "Tracer.keep: the engine has fired, so the history is partial";
+  t.kept <- true
 
 let on_event t f = t.subs <- Array.append t.subs [| f |]
 
 (* The rings start small and double whenever they fill, so a tracer
    that records little never pays for [capacity] slots. Past
-   [last_doubling] they go straight to [capacity]: a tracer that has
-   recorded that much usually goes on to record tens of thousands (the
-   median tracer of a monitored fuzz run records about 40k), and copying
-   a large ring costs a write barrier per slot.
+   [last_doubling] they go straight to [capacity]: a kept tracer that
+   has recorded that much usually goes on to record tens of thousands
+   (a traced cluster emits 10k-80k events in a monitored fuzz run), and
+   copying a large ring costs a write barrier per slot.
    A full ring only wraps once it has reached [capacity]; until then
    [start] stays 0. *)
 let initial_ring = 64
@@ -106,7 +121,7 @@ let grow t =
   t.b_at <- grown t.b_at Time.zero;
   t.b_ev <- grown t.b_ev Blank
 
-let push t ~at ev =
+let push t ~at ~seq ev =
   if t.len = Array.length t.b_ev && t.len < t.capacity then grow t;
   let size = Array.length t.b_ev in
   let i =
@@ -123,14 +138,15 @@ let push t ~at ev =
     end
   in
   t.b_at.(i) <- at;
-  t.b_ev.(i) <- ev
+  t.b_ev.(i) <- ev;
+  t.ring_end <- seq + 1
 
 let emit t ev =
   if t.on then begin
     let at = Engine.now t.engine in
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
-    push t ~at ev;
+    if keeping t then push t ~at ~seq ev;
     (* Subscribers are rare; the record is boxed only when at least one
        is attached, so the common emit allocates nothing. *)
     let subs = t.subs in
@@ -145,7 +161,7 @@ let emit t ev =
 
 let nth_record t i =
   let j = (t.start + i) mod Array.length t.b_ev in
-  { at = t.b_at.(j); seq = t.next_seq - t.len + i; ev = t.b_ev.(j) }
+  { at = t.b_at.(j); seq = t.ring_end - t.len + i; ev = t.b_ev.(j) }
 
 let fold_records t f acc =
   let acc = ref acc in

@@ -13,9 +13,17 @@
     flat field list. The tracer itself stays at the bottom of the
     dependency stack and never learns about kernels or frames.
 
-    Events land in a bounded ring buffer (oldest evicted first) and are
-    forwarded synchronously to any registered subscribers, so monitors
-    observe every event even ones later evicted from the ring. *)
+    Every event is stamped and forwarded synchronously to any registered
+    subscribers, so monitors observe every event. A bounded ring buffer
+    (oldest evicted first) holds the history {!records} reads back, and
+    which events it takes depends on whether anyone asked for it:
+    - the events stamped before the engine fires its first event (the
+      boot log: cluster creation, stations attaching) always;
+    - the events stamped after that only if the tracer is kept
+      ({!keep}, called before the run by a reader that reads the trace
+      afterwards, such as [vsim exec --trace] or a golden trace).
+    A monitored run that only subscribes thus keeps no history beyond
+    its boot log. *)
 
 type event = ..
 (** The extensible event type. Layers add variants; anything without a
@@ -55,11 +63,26 @@ type record = { at : Time.t; seq : int; ev : event }
 type t
 
 val create : ?capacity:int -> Engine.t -> t
-(** A tracer stamping events with the engine's clock. [capacity] bounds
-    the ring buffer (default 65536 records); once full, each new record
-    displaces the oldest. The ring is allocated on demand: it doubles
-    as it fills, from 64 slots up to 4096, and then grows to [capacity]
-    in one step. *)
+(** A tracer stamping events with the engine's clock, not kept: its ring
+    takes only the events stamped before the engine fires its first
+    event, so a tracer whose engine never runs keeps everything.
+    [capacity] bounds the ring buffer (default 65536 records); once
+    full, each new record displaces the oldest. The ring is allocated on
+    demand: it doubles as it fills, from 64 slots up to 4096, and then
+    grows to [capacity] in one step. *)
+
+val keep : t -> unit
+(** Keep the history: the ring goes on taking every event after the
+    engine fires, so {!records} reads the whole run (up to [capacity]).
+    Call it before the run. Raises [Invalid_argument] once {!keeping}
+    is false: the events since the first fire are lost, so the history
+    would be partial. *)
+
+val keeping : t -> bool
+(** Whether the ring still takes every event emitted: until the engine
+    fires its first event, and for ever on a kept tracer. A reader that
+    catches up on {!records} and then subscribes (the monitors) sees
+    every event only while this holds. *)
 
 val enabled : t -> bool
 
@@ -77,7 +100,9 @@ val on_event : t -> (record -> unit) -> unit
     {!emit} and must not emit events themselves. *)
 
 val records : t -> record list
-(** Retained records, oldest first. Older events may have been evicted
+(** Retained records, oldest first: on a kept tracer every event up to
+    [capacity], on one that is not kept only those stamped before its
+    engine fired its first event. Older events may have been evicted
     from the ring. *)
 
 val seq : t -> int

@@ -15,6 +15,7 @@
 
 let strategy_case ~cfg ~categories ~prog strategy_of =
   let cl = Cluster.create ~seed:1985 ~workstations:4 ~trace:true ~cfg () in
+  Tracer.keep (Cluster.tracer cl);
   match
     Experiment.migrate_program cl ~strategy:(strategy_of cl)
       ~run_for:(Time.of_sec 3.) ~prog ()
@@ -44,7 +45,9 @@ let flashcrowd_case () =
         exit 1
   in
   let sc = Scenario.Library.plain entry ~seed:77 in
-  let o, cl = Scenario.run_cluster sc in
+  let cl, finish = Scenario.start sc in
+  Tracer.keep (Cluster.tracer cl);
+  let o = finish () in
   if o.Scenario.o_violations <> [] then begin
     prerr_endline "golden_trace: flash-crowd seed 77 tripped a monitor";
     exit 1
@@ -63,6 +66,7 @@ let flashcrowd_case () =
 let dedup_case () =
   let cfg = with_caches Config.default in
   let cl = Cluster.create ~seed:1985 ~workstations:4 ~trace:true ~cfg () in
+  Tracer.keep (Cluster.tracer cl);
   let mon = Monitors.attach (Cluster.tracer cl) in
   let eng = Cluster.engine cl in
   let failed = ref None in

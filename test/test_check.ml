@@ -625,6 +625,39 @@ let test_monitor_allocation () =
   if per_record > 4.5 then
     Alcotest.failf "%.2f minor words per record (bound 4.5)" per_record
 
+(* Attaching after the engine has fired, to a tracer that is not kept,
+   would catch up on the boot log only and miss everything since. *)
+let test_attach_after_start_raises () =
+  let e = Engine.create () in
+  let trc = Tracer.create e in
+  Tracer.emit trc (attached 1);
+  Engine.post e ~at:(Time.of_us 1) (fun () -> Tracer.emit trc (sent 0));
+  Engine.run e;
+  match Monitors.attach trc with
+  | _ -> Alcotest.fail "attach after the first event did not raise"
+  | exception Invalid_argument _ -> ()
+
+(* A second monitor bundle on a library scenario, attached between
+   cluster creation and the run: it catches up on the boot log (the
+   stations' attach events) and then goes live, so its per-monitor
+   inspection counts are those of the whole run. The counts are pinned
+   from the list-ring tracer that kept every event; losing the boot log
+   moves conservation's. *)
+let test_library_monitor_coverage () =
+  let entry = Option.get (Scenario.Library.find "flash-crowd") in
+  let cl, finish = Scenario.start (Scenario.Library.plain entry ~seed:77) in
+  let mon = Monitors.attach (Cluster.tracer cl) in
+  let o = finish () in
+  Alcotest.(check (list string)) "clean" []
+    (List.map (fun v -> v.Monitors.vi_detail) o.Scenario.o_violations);
+  Alcotest.(check (list (pair string int)))
+    "per-monitor coverage"
+    [
+      ("clock", 15782); ("conservation", 6007); ("convergence", 2);
+      ("freeze", 7381); ("residual", 739); ("budget", 3); ("dedup", 0);
+    ]
+    (Monitors.coverage mon)
+
 let () =
   Alcotest.run "check"
     [
@@ -659,6 +692,10 @@ let () =
             test_synthetic_clean;
           Alcotest.test_case "common path allocates no monitor state" `Quick
             test_monitor_allocation;
+          Alcotest.test_case "attach after the first event raises" `Quick
+            test_attach_after_start_raises;
+          Alcotest.test_case "library scenario coverage pinned" `Quick
+            test_library_monitor_coverage;
         ]
         @ List.map
             (fun ((name, _, _, _) as c) ->

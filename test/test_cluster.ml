@@ -305,9 +305,13 @@ let test_usage_determinism () =
 
 let test_trace_flag () =
   let cl = Cluster.create ~seed:2 ~workstations:2 ~trace:true () in
+  let tr = Cluster.tracer cl in
+  Tracer.keep tr;
   ignore (Experiment.remote_exec cl ~prog:"make" ());
-  Alcotest.(check bool) "trace captured" true
-    (List.length (Tracer.records (Cluster.tracer cl)) > 0);
+  Alcotest.(check bool) "trace captured" true (Tracer.seq tr > 0);
+  (* Kept, so the trace runs to the last event, not only the boot log. *)
+  Alcotest.(check int) "trace reaches the last event" (Tracer.seq tr - 1)
+    (match List.rev (Tracer.records tr) with r :: _ -> r.Tracer.seq | [] -> -1);
   let cl2 = Cluster.create ~seed:2 ~workstations:2 () in
   ignore (Experiment.remote_exec cl2 ~prog:"make" ());
   Alcotest.(check int) "trace off by default" 0

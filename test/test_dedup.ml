@@ -104,6 +104,7 @@ let run_one ~cache ~strategy ~placement =
     Cluster.create ~seed:1985 ~workstations:4 ~trace:true
       ~cfg:(cfg ~placement ~cache) ()
   in
+  Tracer.keep (Cluster.tracer cl);
   let mon = Monitors.attach (Cluster.tracer cl) in
   let eng = Cluster.engine cl in
   let outcome = ref None in
@@ -134,6 +135,9 @@ let run_one ~cache ~strategy ~placement =
     | None -> Alcotest.fail "scenario never migrated"
   in
   let tr = Cluster.tracer cl in
+  (* Kept, so the trace runs to the last event, not only the boot log. *)
+  Alcotest.(check int) "trace reaches the last event" (Tracer.seq tr - 1)
+    (match List.rev (Tracer.records tr) with r :: _ -> r.Tracer.seq | [] -> -1);
   {
     r_outcome = outcome;
     r_completions = !completions;

@@ -351,6 +351,7 @@ let test_dest_crash_while_frozen () =
   let arm cl =
     let eng = Cluster.engine cl in
     let dest = ref None and armed = ref true in
+    Tracer.keep (Cluster.tracer cl);
     Tracer.on_event (Cluster.tracer cl) (fun r ->
         match r.Tracer.ev with
         | Migration.Mig_dest { dest = d; _ } -> dest := Some d
@@ -817,6 +818,7 @@ let test_retransmit_schedule_to_crashed_host () =
       ~faults:[ Faults.Crash_host { host = "ws1"; at = sec 1. } ]
       ()
   in
+  Tracer.keep (Cluster.tracer cl);
   let eng = Cluster.engine cl in
   let k0 = (Cluster.workstation cl 0).Cluster.ws_kernel
   and k1 = (Cluster.workstation cl 1).Cluster.ws_kernel in
@@ -899,6 +901,7 @@ let test_health_crash_reboot_transitions () =
         ]
       ()
   in
+  Tracer.keep (Cluster.tracer cl);
   let h = Cluster.enable_health cl in
   Cluster.run cl ~until:(sec 25.);
   let moves =

@@ -46,6 +46,7 @@ let run_one ?(seed = 1985) placement =
       ~faults:[ Faults.Crash_host { host = "ws7"; at = sec 1. } ]
       ()
   in
+  Tracer.keep (Cluster.tracer cl);
   let health = Cluster.enable_health cl in
   let eng = Cluster.engine cl in
   let hosts = ref [] in
@@ -75,6 +76,10 @@ let run_one ?(seed = 1985) placement =
                  incr completions)))
     [ 0; 1; 2; 3; 4; 5; 6; 7 ];
   Cluster.run cl ~until:(sec 120.);
+  let tr = Cluster.tracer cl in
+  (* Kept, so the trace runs to the last event, not only the boot log. *)
+  Alcotest.(check int) "trace reaches the last event" (Tracer.seq tr - 1)
+    (match List.rev (Tracer.records tr) with r :: _ -> r.Tracer.seq | [] -> -1);
   let p = Cluster.placement cl in
   let inflight_after =
     List.fold_left
@@ -94,7 +99,7 @@ let run_one ?(seed = 1985) placement =
     r_selections = Placement.selections p;
     r_pod_count = Placement.pod_count p;
     r_inflight_after = inflight_after;
-    r_trace = Tracer.to_jsonl (Cluster.tracer cl);
+    r_trace = Tracer.to_jsonl tr;
   }
 
 (* Each policy is run twice (for the determinism check); everything is
@@ -157,6 +162,7 @@ let selection_sig (s : Scheduler.selection) =
 
 let spine_scenario ~via =
   let cl = Cluster.create ~seed:4242 ~workstations:4 ~trace:true () in
+  Tracer.keep (Cluster.tracer cl);
   let eng = Cluster.engine cl in
   let picks = ref [] in
   ignore
@@ -186,7 +192,11 @@ let spine_scenario ~via =
                | Error e -> "error: " ^ e)
              [ any; named ]));
   Cluster.run cl ~until:(sec 10.);
-  (!picks, Tracer.to_jsonl (Cluster.tracer cl))
+  let tr = Cluster.tracer cl in
+  (* Kept, so the trace runs to the last event, not only the boot log. *)
+  Alcotest.(check int) "trace reaches the last event" (Tracer.seq tr - 1)
+    (match List.rev (Tracer.records tr) with r :: _ -> r.Tracer.seq | [] -> -1);
+  (!picks, Tracer.to_jsonl tr)
 
 let test_flat_matches_spine () =
   let spine_picks, spine_trace = spine_scenario ~via:`Spine in

@@ -400,6 +400,111 @@ let test_percentile_edge_cases () =
   Alcotest.(check (float 1e-9)) "p>100 clamps to max" 9.
     (Stats.Summary.percentile s 150.)
 
+(* The list-backed summary that [Stats.Summary] replaced, kept as the
+   reference its flat storage must match bit for bit. *)
+module Ref_summary = struct
+  type t = {
+    mutable rev_samples : float list;
+    mutable n : int;
+    mutable sum : float;
+    mutable sum_sq : float;
+    mutable lo : float;
+    mutable hi : float;
+  }
+
+  let create () =
+    { rev_samples = []; n = 0; sum = 0.; sum_sq = 0.; lo = infinity; hi = neg_infinity }
+
+  let record t x =
+    t.rev_samples <- x :: t.rev_samples;
+    t.n <- t.n + 1;
+    t.sum <- t.sum +. x;
+    t.sum_sq <- t.sum_sq +. (x *. x);
+    if x < t.lo then t.lo <- x;
+    if x > t.hi then t.hi <- x
+
+  let mean t = if t.n = 0 then nan else t.sum /. float_of_int t.n
+
+  let stddev t =
+    if t.n < 2 then nan
+    else
+      let m = mean t in
+      sqrt (Float.max 0. ((t.sum_sq /. float_of_int t.n) -. (m *. m)))
+
+  let min t = if t.n = 0 then nan else t.lo
+  let max t = if t.n = 0 then nan else t.hi
+
+  let percentile t p =
+    if t.n = 0 then nan
+    else if t.n = 1 || p <= 0. then t.lo
+    else if p >= 100. then t.hi
+    else begin
+      let a = Array.of_list t.rev_samples in
+      Array.sort Float.compare a;
+      let rank = int_of_float (Float.round (p /. 100. *. float_of_int (t.n - 1))) in
+      a.(Stdlib.min (t.n - 1) (Stdlib.max 0 rank))
+    end
+
+  let samples t = List.rev t.rev_samples
+end
+
+(* Samples mix signed zeros (which sort as equal, so the order the sort
+   meets them decides which one a percentile returns), infinities, NaN
+   and repeats with ordinary values; sizes cross several chunks. *)
+let gen_samples =
+  QCheck.Gen.(
+    list_size
+      (oneof [ int_range 0 40; int_range 1000 5000 ])
+      (frequency
+         [
+           (6, float_range (-1e3) 1e3);
+           (2, map float_of_int (int_range (-3) 3));
+           (1, oneofl [ 0.; -0.; infinity; neg_infinity; nan ]);
+         ]))
+
+let prop_summary_matches_list_model =
+  QCheck.Test.make ~name:"Summary matches the list model bit for bit" ~count:200
+    (QCheck.make
+       ~print:(fun xs -> Printf.sprintf "%d samples" (List.length xs))
+       gen_samples)
+    (fun xs ->
+      let s = Stats.Summary.create () and m = Ref_summary.create () in
+      List.iter
+        (fun x ->
+          Stats.Summary.record s x;
+          Ref_summary.record m x)
+        xs;
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      Stats.Summary.count s = List.length xs
+      && same (Stats.Summary.mean s) (Ref_summary.mean m)
+      && same (Stats.Summary.stddev s) (Ref_summary.stddev m)
+      && same (Stats.Summary.min s) (Ref_summary.min m)
+      && same (Stats.Summary.max s) (Ref_summary.max m)
+      && List.for_all
+           (fun p -> same (Stats.Summary.percentile s p) (Ref_summary.percentile m p))
+           [ 0.; 1.; 50.; 99.; 100.; 120. ]
+      && List.equal same (Stats.Summary.samples s) (Ref_summary.samples m))
+
+(* Allocation pin: a sample is stored flat, about one word; a cons cell
+   plus boxed sums cost seven. Words allocated are counted in the minor
+   heap and directly in the major heap (large chunks go there). The
+   samples are boxed before the measurement, so passing one allocates
+   nothing. *)
+let words_allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let test_summary_allocation () =
+  let n = 10_000 in
+  let xs = List.init n (fun i -> float_of_int (i mod 97) /. 7.) in
+  let s = Stats.Summary.create () in
+  let before = words_allocated () in
+  List.iter (Stats.Summary.record s) xs;
+  let per_sample = (words_allocated () -. before) /. float_of_int n in
+  Alcotest.(check int) "count" n (Stats.Summary.count s);
+  if per_sample > 2.5 then
+    Alcotest.failf "%.2f words per recorded sample (bound 2.5)" per_sample
+
 let test_gauge_time_average () =
   let e = Engine.create () in
   let g = Stats.Gauge.create e ~initial:0. in
@@ -423,6 +528,7 @@ let probe tr cat msg = Tracer.emit tr (Probe { cat; msg })
 let test_tracer_records () =
   let e = Engine.create () in
   let tr = Tracer.create e in
+  Tracer.keep tr;
   ignore (Engine.schedule e ~at:(ms 3.) (fun () -> probe tr "x" "hello"));
   Engine.run e;
   match Tracer.records tr with
@@ -439,6 +545,44 @@ let test_tracer_disabled () =
   Tracer.set_enabled tr false;
   probe tr "x" "dropped";
   Alcotest.(check int) "no records" 0 (List.length (Tracer.records tr))
+
+(* Once its engine fires, a tracer that is not kept takes no more
+   events into its ring: it holds its boot log, while stamping and its
+   subscribers go on seeing every event. *)
+let test_tracer_boot_log_only () =
+  let e = Engine.create () in
+  let tr = Tracer.create e in
+  let seen = ref [] in
+  Tracer.on_event tr (fun r -> seen := r.Tracer.seq :: !seen);
+  probe tr "boot" "a";
+  probe tr "boot" "b";
+  Engine.post e ~at:(ms 1.) (fun () ->
+      probe tr "run" "c";
+      probe tr "run" "d");
+  Alcotest.(check bool) "keeping at boot" true (Tracer.keeping tr);
+  Engine.run e;
+  probe tr "after" "e";
+  Alcotest.(check bool) "not keeping once fired" false (Tracer.keeping tr);
+  Alcotest.(check (list string))
+    "records are the boot log"
+    [
+      "#0      [       0us] boot: probe msg=a";
+      "#1      [       0us] boot: probe msg=b";
+    ]
+    (List.map (Format.asprintf "%a" Tracer.pp_record) (Tracer.records tr));
+  Alcotest.(check int) "seq counts every event" 5 (Tracer.seq tr);
+  Alcotest.(check (list int)) "subscribers see every event" [ 0; 1; 2; 3; 4 ]
+    (List.rev !seen)
+
+let test_tracer_keep_after_start () =
+  let e = Engine.create () in
+  let tr = Tracer.create e in
+  probe tr "boot" "a";
+  Engine.post e ~at:(ms 1.) ignore;
+  Engine.run e;
+  match Tracer.keep tr with
+  | () -> Alcotest.fail "keep after the first event did not raise"
+  | exception Invalid_argument _ -> ()
 
 (* {1 More properties} *)
 
@@ -886,13 +1030,17 @@ let prop_tracer_growth_matches_fixed_ring =
   QCheck.Test.make ~name:"growing ring retains what a full-size ring does"
     ~count:150
     QCheck.(
-      pair
+      quad
         (oneof [ int_range 1 300; int_range 4097 5000 ])
+        bool
+        (small_list (int_bound 1500))
         (small_list (int_bound 1500)))
-    (fun (capacity, script) ->
-      let tr = Tracer.create ~capacity (Engine.create ()) in
-      let model = ref [] (* emitted since the last clear, newest first *) in
-      let next = ref 0 in
+    (fun (capacity, kept, boot, script) ->
+      let e = Engine.create () in
+      let tr = Tracer.create ~capacity e in
+      if kept then Tracer.keep tr;
+      let model = ref [] (* retained since the last clear, newest first *) in
+      let next = ref 0 and running = ref false in
       let held () =
         List.map
           (fun (r : Tracer.record) ->
@@ -902,20 +1050,30 @@ let prop_tracer_growth_matches_fixed_ring =
       let expected () =
         List.rev (List.filteri (fun i _ -> i < capacity) !model)
       in
-      List.for_all
-        (fun op ->
-          if op = 0 then begin
-            Tracer.clear tr;
-            model := []
-          end
-          else
-            for _ = 1 to op do
-              probe tr "x" (string_of_int !next);
-              model := !next :: !model;
-              incr next
-            done;
-          held () = expected ())
-        script)
+      let apply op =
+        if op = 0 then begin
+          Tracer.clear tr;
+          model := []
+        end
+        else
+          for _ = 1 to op do
+            probe tr "x" (string_of_int !next);
+            if kept || not !running then model := !next :: !model;
+            incr next
+          done;
+        held () = expected ()
+      in
+      (* The boot ops run before the engine fires, the script's inside
+         its events. *)
+      let ok = ref (List.for_all apply boot) in
+      List.iteri
+        (fun i op ->
+          Engine.post e ~at:(us (i + 1)) (fun () ->
+              running := true;
+              if not (apply op) then ok := false))
+        script;
+      Engine.run e;
+      !ok && Tracer.seq tr = !next)
 
 (* {1 Int tables}
 
@@ -1104,13 +1262,19 @@ let () =
             test_percentile_edge_cases;
           Alcotest.test_case "gauge time average" `Quick
             test_gauge_time_average;
-        ] );
+          Alcotest.test_case "summary allocation" `Quick test_summary_allocation;
+        ]
+        @ qcheck [ prop_summary_matches_list_model ] );
       ( "tracer",
         [
           Alcotest.test_case "records" `Quick test_tracer_records;
           Alcotest.test_case "disabled" `Quick test_tracer_disabled;
           Alcotest.test_case "by category / clear" `Quick
             test_tracer_filter_clear;
+          Alcotest.test_case "boot log only unless kept" `Quick
+            test_tracer_boot_log_only;
+          Alcotest.test_case "keep after the first event raises" `Quick
+            test_tracer_keep_after_start;
         ]
         @ qcheck [ prop_tracer_growth_matches_fixed_ring ] );
       ( "int-table",

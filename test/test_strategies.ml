@@ -46,6 +46,7 @@ type run = {
    a stale binding cache would fail it. *)
 let run_one ?(seed = 1985) strategy =
   let cl = Cluster.create ~seed ~workstations:4 ~trace:true () in
+  Tracer.keep (Cluster.tracer cl);
   let mon = Monitors.attach (Cluster.tracer cl) in
   let eng = Cluster.engine cl in
   let outcome = ref None in
@@ -88,6 +89,10 @@ let run_one ?(seed = 1985) strategy =
   let src_holds, dest_holds =
     match !holds with Some p -> p | None -> (false, false)
   in
+  let tr = Cluster.tracer cl in
+  (* Kept, so the trace runs to the last event, not only the boot log. *)
+  Alcotest.(check int) "trace reaches the last event" (Tracer.seq tr - 1)
+    (match List.rev (Tracer.records tr) with r :: _ -> r.Tracer.seq | [] -> -1);
   {
     r_outcome = outcome;
     r_completions = !completions;
@@ -96,7 +101,7 @@ let run_one ?(seed = 1985) strategy =
     r_dest_holds_lh = dest_holds;
     r_lines =
       Display_server.output (Cluster.workstation cl 0).Cluster.ws_display;
-    r_trace = Tracer.to_jsonl (Cluster.tracer cl);
+    r_trace = Tracer.to_jsonl tr;
     r_violations = Monitors.violations mon;
     r_fault_serves = Cluster.sum_stat cl Kernel.Page_fault_serves;
   }

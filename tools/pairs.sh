@@ -6,7 +6,10 @@
 # Each pair runs `bash benchmark/run.sh` once in BASE_DIR and once in
 # CHANGE_DIR (run.sh builds each tree from its own source first), with
 # --workload WORKLOAD --seed SEED (default 1985) --seconds RUN_SECONDS
-# (environment, default 5) --trace 0. Odd pairs run the base first, even
+# --trace 0. RUN_SECONDS (environment) defaults to the run_seconds of
+# CHANGE_DIR/BENCHMARK.json, the length the benchmark is judged at: a
+# peak heap that grows with the parts a run completes reads differently
+# in a shorter run. Odd pairs run the base first, even
 # pairs the change, so a slow spell of a shared host or a warm cache does
 # not land on one side only.
 #
@@ -38,7 +41,13 @@ change=$(cd "$2" && pwd)
 workload=$3
 pairs=$4
 seed=${5:-1985}
-seconds=${RUN_SECONDS:-5}
+manifest_seconds=$(grep -o '"run_seconds": *[0-9.]*' "$change/BENCHMARK.json" |
+  grep -o '[0-9.]*$' || true)
+seconds=${RUN_SECONDS:-$manifest_seconds}
+if [ -z "$seconds" ]; then
+  echo "$0: no run_seconds in $change/BENCHMARK.json; set RUN_SECONDS" >&2
+  exit 2
+fi
 out=${OUT_DIR:-$(mktemp -d)}
 mkdir -p "$out"
 
@@ -103,7 +112,7 @@ values() { # SIDE
   values base
   values change
   echo "$metrics" | awk '{ print "metric", $1, $2, $3 }'
-} | awk -v pairs="$pairs" -v workload="$workload" -v seed="$seed" \
+} | awk -v pairs="$pairs" -v workload="$workload" -v seed="$seed" -v seconds="$seconds" \
   -v base_failed="$(wc -l <"$out/base.failed")" \
   -v change_failed="$(wc -l <"$out/change.failed")" '
   function q(arr, n, p,   pos, lo) {
@@ -121,7 +130,7 @@ values() { # SIDE
   $1 == "metric" { order[++nm] = $2; better[$2] = $3; bound[$2] = $4 + 0; next }
   { v[$1, $2, $3] = $4 + 0 }
   END {
-    printf "%s seed %d, %d pairs (base -> change)\n", workload, seed, pairs
+    printf "%s seed %d, %d pairs of %s s runs (base -> change)\n", workload, seed, pairs, seconds
     printf "%-16s %12s %12s %26s %26s %6s %6s %6s  %-10s  %s\n", "metric", "base med",
       "change med", "base q1..q3", "change q1..q3", "wins", "losses", "ties", "gain holds",
       "verdict"

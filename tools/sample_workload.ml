@@ -7,7 +7,11 @@
    benchmark/main.exe builds them (tally.ml and workloads.ml are copied
    from benchmark/). Only the runs are sampled, not the set-ups. Prints
    the events fired and the share of them that fired from a fixed-delay
-   lane of the engine, then the top self and inclusive frames and the
+   lane of the engine; the minor words, promoted words and major
+   collections of the runs per event (the sampler charges GC work to
+   whichever frame allocates, so these show where allocation savings
+   land; the sampler's own stack captures are included, a few hundred
+   words per sample); then the top self and inclusive frames and the
    self time summed by module and by layer. *)
 
 let seed = 1985
@@ -45,19 +49,33 @@ let () =
         count_last ();
         last := Some (Cluster.engine cl)
       in
+      let minor = ref 0. and promoted = ref 0. and majors = ref 0 in
       let stacks =
         List.concat_map
           (fun part ->
             let inst =
               w.Workloads.setup ~seed ~part ~smoke:false ~trace:false ~on_cluster
             in
+            let m0 = Gc.minor_words () and g0 = Gc.quick_stat () in
             let stacks = snd (Sampler.sampled inst.Workloads.run) in
+            let g1 = Gc.quick_stat () in
+            minor := !minor +. Gc.minor_words () -. m0;
+            promoted := !promoted +. g1.Gc.promoted_words -. g0.Gc.promoted_words;
+            majors := !majors + g1.Gc.major_collections - g0.Gc.major_collections;
             count_last ();
             stacks)
           (List.init parts Fun.id)
       in
+      let per_event x = x /. float_of_int (max 1 !fired) in
       Printf.printf "events fired: %d, %.1f%% from fixed-delay lanes\n" !fired
-        (100. *. float_of_int !lane_fired /. float_of_int (max 1 !fired));
+        (100. *. per_event (float_of_int !lane_fired));
+      Printf.printf
+        "GC per event: %.1f minor words, %.2f promoted words, %.2f major \
+         collections per million events (%.0fM minor words, %.1fM promoted, %d \
+         major collections)\n"
+        (per_event !minor) (per_event !promoted)
+        (1e6 *. per_event (float_of_int !majors))
+        (!minor /. 1e6) (!promoted /. 1e6) !majors;
       Sampler.print_profile
         (Printf.sprintf "%s, seed %d, %d part(s)" w.Workloads.name seed parts)
         stacks
