@@ -57,11 +57,12 @@ let find t lh_id =
   | Some _ as p when owns t lh_id -> p
   | Some _ | None -> None
 
-(* [Kernel.logical_hosts] is in id order already. *)
+(* [Kernel.fold_resident] goes highest id first, so this conses an
+   ascending list without building or sorting one of hosts. *)
 let programs t =
-  List.filter_map
-    (fun lh -> find t (Logical_host.id lh))
-    (Kernel.logical_hosts t.owner)
+  Kernel.fold_resident
+    (fun id acc -> match find t id with Some p -> p :: acc | None -> acc)
+    t.owner []
 
 let remove t p = Int_table.Direct.remove t.reg (Logical_host.id p.p_lh)
 

@@ -99,6 +99,15 @@ type t = {
   mem_bytes : int;
   kcpu : Cpu.t;
   lh_table : Logical_host.t Int_table.Ordered.t;
+      (* Hash order is the kill order at shutdown and the [on_residency]
+         replay order; every by-id membership test reads [res_ids]. *)
+  mutable res_ids : Ids.lh_id array;
+  mutable res_lhs : Logical_host.t array;
+      (* The hosts of [lh_table] in ascending id order, index for index
+         with [res_ids]; the first [res_len] slots are live, the rest
+         hold [the_host_lh]. *)
+  mutable res_len : int;
+  mutable res_guests : int;  (* residents at [Cpu.Background] *)
   mutable on_residency : Ids.lh_id -> resident:bool -> unit;
       (* Called on every change to [lh_table]. *)
   the_host_lh : Logical_host.t;
@@ -349,45 +358,100 @@ let stat t name =
    keeping the IPC fast path allocation-free under disabled tracing. *)
 let emit t mk = if Tracer.enabled t.trc then Tracer.emit t.trc (mk ())
 
+(* The first slot of [ids] in [lo, hi) not below [id], or [hi]. A
+   top-level function, so a probe builds no closure. *)
+let rec lower_bound (ids : int array) id lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if Array.unsafe_get ids mid < id then lower_bound ids id (mid + 1) hi
+    else lower_bound ids id lo mid
+
+let res_index t id = lower_bound t.res_ids id 0 t.res_len
+
+let is_resident t id =
+  let i = res_index t id in
+  i < t.res_len && Array.unsafe_get t.res_ids i = id
+
+let guest_weight lh = if Logical_host.priority lh = Cpu.Background then 1 else 0
+
 let memory_free t =
-  let resident =
-    Int_table.Ordered.fold
-      (fun _ lh acc -> acc + Logical_host.total_bytes lh)
-      t.lh_table 0
-  in
+  let resident = ref 0 in
+  for i = 0 to t.res_len - 1 do
+    resident := !resident + Logical_host.total_bytes (Array.unsafe_get t.res_lhs i)
+  done;
   let reserved =
-    Int_table.Direct.fold (fun _ r acc -> acc + r.r_bytes) t.reservations 0
+    if Int_table.Direct.length t.reservations = 0 then 0
+    else Int_table.Direct.fold (fun _ r acc -> acc + r.r_bytes) t.reservations 0
   in
-  t.mem_bytes - resident - reserved
+  t.mem_bytes - !resident - reserved
 
 let reservation_count t = Int_table.Direct.length t.reservations
 let forward_count t = Int_table.Direct.length t.forwards
 
 let logical_hosts t =
-  Int_table.Ordered.fold (fun _ lh acc -> lh :: acc) t.lh_table []
-  |> List.sort (fun a b -> Int.compare (Logical_host.id a) (Logical_host.id b))
+  let acc = ref [] in
+  for i = t.res_len - 1 downto 0 do
+    acc := t.res_lhs.(i) :: !acc
+  done;
+  !acc
+
+let fold_resident f t init =
+  let acc = ref init in
+  for i = t.res_len - 1 downto 0 do
+    acc := f t.res_ids.(i) !acc
+  done;
+  !acc
 
 let find_lh t id = Int_table.Ordered.find_opt t.lh_table id
 
 (* Every residency change goes through these two, so [on_residency]
-   sees the table's exact history. *)
+   sees the table's exact history and the id-sorted arrays mirror the
+   table. Each allocates only when the arrays double. *)
 let make_resident t id lh =
   Int_table.Ordered.replace t.lh_table id lh;
+  let i = res_index t id in
+  if i < t.res_len && t.res_ids.(i) = id then begin
+    t.res_guests <- t.res_guests - guest_weight t.res_lhs.(i) + guest_weight lh;
+    t.res_lhs.(i) <- lh
+  end
+  else begin
+    let cap = Array.length t.res_ids in
+    if t.res_len = cap then begin
+      let ids = Array.make (2 * cap) 0 and lhs = Array.make (2 * cap) t.the_host_lh in
+      Array.blit t.res_ids 0 ids 0 cap;
+      Array.blit t.res_lhs 0 lhs 0 cap;
+      t.res_ids <- ids;
+      t.res_lhs <- lhs
+    end;
+    let tail = t.res_len - i in
+    Array.blit t.res_ids i t.res_ids (i + 1) tail;
+    Array.blit t.res_lhs i t.res_lhs (i + 1) tail;
+    t.res_ids.(i) <- id;
+    t.res_lhs.(i) <- lh;
+    t.res_len <- t.res_len + 1;
+    t.res_guests <- t.res_guests + guest_weight lh
+  end;
   t.on_residency id ~resident:true
 
 let evict_resident t id =
   Int_table.Ordered.remove t.lh_table id;
+  let i = res_index t id in
+  if i < t.res_len && t.res_ids.(i) = id then begin
+    t.res_guests <- t.res_guests - guest_weight t.res_lhs.(i);
+    let last = t.res_len - 1 in
+    Array.blit t.res_ids (i + 1) t.res_ids i (last - i);
+    Array.blit t.res_lhs (i + 1) t.res_lhs i (last - i);
+    t.res_lhs.(last) <- t.the_host_lh;
+    t.res_len <- last
+  end;
   t.on_residency id ~resident:false
 
 let on_residency t f =
   t.on_residency <- f;
   Int_table.Ordered.iter (fun id _ -> f id ~resident:true) t.lh_table
 
-(* Read by every willingness check: count without building a list. *)
-let guest_count t =
-  Int_table.Ordered.fold
-    (fun _ lh n -> if Logical_host.priority lh = Cpu.Background then n + 1 else n)
-    t.lh_table 0
+let guest_count t = t.res_guests
 
 let lookup_binding t lh = Int_table.Direct.find_opt t.bindings lh
 
@@ -411,8 +475,7 @@ let set_forward t lh addr = Int_table.Direct.replace t.forwards lh addr
    incoming requests"). Resident hosts are authoritative, never cached. *)
 let update_binding_from t (pid : Ids.pid) src_station =
   if
-    pid.Ids.lh < 0x7FFF0000
-    && not (Int_table.Ordered.mem t.lh_table pid.Ids.lh)
+    pid.Ids.lh < 0x7FFF0000 && not (is_resident t pid.Ids.lh)
   then
     set_binding t pid.Ids.lh src_station
 
@@ -446,7 +509,7 @@ let transmit_multicast t ~group pkt =
 let is_group_pid (p : Ids.pid) = p.Ids.lh >= 0x7FFF0000
 
 let lh_hosting_or_reserved t id =
-  Int_table.Ordered.mem t.lh_table id || Int_table.Direct.mem t.reservations id
+  is_resident t id || Int_table.Direct.mem t.reservations id
 
 (* The logical host whose transaction table tracks a request addressed to
    [dst]. Requests to reserved-but-uninstalled hosts (migration's state
@@ -530,7 +593,7 @@ let rec osend_attempt t os =
     let dst = os.os_dst in
     let locally_resolvable =
       (dst.Ids.index < Ids.first_user_index && lh_hosting_or_reserved t dst.Ids.lh)
-      || Int_table.Ordered.mem t.lh_table dst.Ids.lh
+      || is_resident t dst.Ids.lh
     in
     if locally_resolvable then begin
       if not os.os_local_delivered then
@@ -736,7 +799,7 @@ let reply ?from t (d : Delivery.t) msg =
   if is_group_pid d.Delivery.dst then
     (* Group replies are best-effort and not retained. *)
     match Int_table.Direct.find_opt t.group_outstanding d.Delivery.txn with
-    | Some mailbox when Int_table.Ordered.mem t.lh_table d.Delivery.src.Ids.lh ->
+    | Some mailbox when is_resident t d.Delivery.src.Ids.lh ->
         Mailbox.send mailbox (reply_src, msg)
     | Some _ | None -> route_remote ()
   else begin
@@ -859,7 +922,7 @@ let handle_frame t (frame : Packet.t Frame.t) =
       if lh_hosting_or_reserved t lh then
         transmit t ~dst:frame_src (Packet.Here_is { lh; station = t.self })
   | Packet.Here_is { lh; station } ->
-      if not (Int_table.Ordered.mem t.lh_table lh) then begin
+      if not (is_resident t lh) then begin
         set_binding t lh station;
         (* Kick every send blocked querying for this logical host. *)
         Int_table.Ordered.iter
@@ -1399,6 +1462,10 @@ let create ~engine:eng ~rng:krng ~tracer:trc ~params:prm ~net ~station:self
       mem_bytes;
       kcpu = Cpu.create ~tracer:trc eng ~quantum:Os_params.cpu_quantum;
       lh_table = Int_table.Ordered.create 16;
+      res_ids = Array.make 4 0;
+      res_lhs = Array.make 4 the_host_lh;
+      res_len = 0;
+      res_guests = 0;
       on_residency = (fun _ ~resident:_ -> ());
       the_host_lh;
       sys_procs = Int_table.Ordered.create 8;

@@ -195,12 +195,22 @@ val host_lh : t -> Logical_host.t
 
 val memory_bytes : t -> int
 val memory_free : t -> int
-(** RAM minus resident logical hosts and outstanding reservations. *)
+(** RAM minus resident logical hosts and outstanding reservations. Each
+    call walks the resident hosts and sums their address spaces. *)
 
 val logical_hosts : t -> Logical_host.t list
+(** The resident logical hosts in ascending id order. The kernel keeps
+    them sorted as residency changes, so this only builds the list. *)
+
+val fold_resident : (Ids.lh_id -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_resident f k init] folds [f] over the ids of the logical hosts
+    resident on [k], highest id first, so consing onto [init] builds an
+    ascending list. It allocates nothing itself. *)
+
 val find_lh : t -> Ids.lh_id -> Logical_host.t option
 val guest_count : t -> int
-(** Resident logical hosts running at background (guest) priority. *)
+(** Resident logical hosts running at background (guest) priority: a
+    count the residency changes keep, read without a walk. *)
 
 val on_residency : t -> (Ids.lh_id -> resident:bool -> unit) -> unit
 (** [on_residency k f] calls [f id ~resident:true] for every logical host

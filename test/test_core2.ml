@@ -121,9 +121,38 @@ let test_directory_lost_ack_copies () =
     && Option.is_some
          (Directory.locate dir (Logical_host.id (Kernel.host_lh kb))))
 
+(* What a kernel's id-sorted residency arrays must agree with after
+   every step: [logical_hosts] lists, strictly ascending, exactly the
+   ever-created ids that [find_lh] (which reads the hash table) resolves;
+   [guest_count] counts its Background hosts; and [memory_free] is RAM
+   less every resident host's spaces and the bytes still reserved. *)
+let residency_consistent ids ~reserved k =
+  let lhs = Kernel.logical_hosts k in
+  let listed = List.map Logical_host.id lhs in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a < b && ascending rest
+    | _ -> true
+  in
+  let found =
+    List.sort Int.compare (List.filter (fun id -> Kernel.find_lh k id <> None) ids)
+  in
+  let guests =
+    List.length
+      (List.filter (fun lh -> Logical_host.priority lh = Cpu.Background) lhs)
+  in
+  let resident_bytes =
+    List.fold_left (fun acc lh -> acc + Logical_host.total_bytes lh) 0 lhs
+  in
+  ascending listed && listed = found
+  && Kernel.guest_count k = guests
+  && Kernel.memory_free k
+     = Kernel.memory_bytes k - resident_bytes
+       - List.fold_left (fun acc (_, b) -> acc + b) 0 reserved
+
 (* Random residency histories over three kernels, the third registered
    halfway through: after every step the index must name exactly the
-   kernel the scan names, for every logical host ever created. *)
+   kernel the scan names, for every logical host ever created, and every
+   kernel's residency arrays must pass [residency_consistent]. *)
 let prop_directory_matches_scan =
   QCheck.Test.make ~count:300 ~name:"index = registration-order scan"
     QCheck.(int_bound 1_000_000)
@@ -137,6 +166,8 @@ let prop_directory_matches_scan =
       let ids =
         ref (Array.to_list (Array.map (fun k -> Logical_host.id (Kernel.host_lh k)) ks))
       in
+      (* Per kernel, the (temporary id, bytes) reservations it holds. *)
+      let reserved = Array.make 3 [] in
       let pick l = List.nth l (Rng.int rng (List.length l)) in
       let guests k =
         List.filter
@@ -146,12 +177,17 @@ let prop_directory_matches_scan =
       let ok = ref true in
       for step = 0 to 39 do
         if step = 20 then Directory.register dir ks.(2);
-        let k = ks.(Rng.int rng 3) and k' = ks.(Rng.int rng 3) in
+        let i = Rng.int rng 3 and i' = Rng.int rng 3 in
+        let k = ks.(i) and k' = ks.(i') in
         (* A down kernel holds no guests: nothing is created on it or
            installed into it. *)
-        (match (Rng.int rng 6, guests k) with
+        (match (Rng.int rng 9, guests k) with
         | 0, _ when Kernel.running k ->
             let lh = Kernel.create_logical_host k ~priority:Cpu.Background in
+            Logical_host.add_space lh
+              (Address_space.create ~code_bytes:0
+                 ~data_bytes:(1024 * Rng.int rng 64)
+                 ~active_bytes:0 ());
             ids := Logical_host.id lh :: !ids
         | 1, (_ :: _ as g) -> Kernel.destroy_logical_host k (pick g)
         | 2, (_ :: _ as g) when Kernel.running k' ->
@@ -165,10 +201,36 @@ let prop_directory_matches_scan =
             let state = Kernel.extract_lh k lh in
             ignore (Kernel.install_lh k' state);
             ignore (Kernel.install_lh k state)
-        | 4, _ -> if Kernel.running k then Kernel.shutdown k
+        | 4, _ ->
+            if Kernel.running k then begin
+              Kernel.shutdown k;
+              reserved.(i) <- []
+            end
         | 5, _ -> if not (Kernel.running k) then Kernel.reboot k
+        | 6, _ when Kernel.running k ->
+            let temp_lh = Ids.Lh_allocator.fresh (Kernel.allocator k) in
+            let bytes = 1024 * Rng.int rng 128 in
+            if Kernel.reserve_lh k ~temp_lh ~bytes then
+              reserved.(i) <- (temp_lh, bytes) :: reserved.(i)
+        | 7, _ when reserved.(i) <> [] ->
+            let temp_lh, _ = pick reserved.(i) in
+            Kernel.cancel_reservation k ~temp_lh;
+            reserved.(i) <- List.filter (fun (t, _) -> t <> temp_lh) reserved.(i)
+        | 8, (_ :: _ as g) when Kernel.running k' ->
+            (* A retransmitted install applied twice: the second one
+               replaces the resident copy. *)
+            let lh = pick g in
+            Kernel.freeze_lh k lh;
+            let state = Kernel.extract_lh k lh in
+            ignore (Kernel.install_lh k' state);
+            ignore (Kernel.install_lh k' state)
         | _ -> ());
-        if not (List.for_all (agrees_with_scan dir) !ids) then ok := false
+        if not (List.for_all (agrees_with_scan dir) !ids) then ok := false;
+        Array.iteri
+          (fun j k ->
+            if not (residency_consistent !ids ~reserved:reserved.(j) k) then
+              ok := false)
+          ks
       done;
       !ok)
 

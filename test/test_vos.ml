@@ -385,6 +385,35 @@ let test_idle_kernel_memory_and_guests () =
   Alcotest.(check int) "no guests" 0 (Kernel.guest_count k1);
   Alcotest.(check int) "full memory" (2 * 1024 * 1024) (Kernel.memory_free k1)
 
+(* The residency writers keep the kernel's id-sorted arrays with
+   in-place blits, so once the arrays have grown a create/destroy cycle
+   costs the same minor words with 3 hosts resident as with 60. Each
+   cycle destroys the oldest guest, so every removal shifts the whole
+   array; a writer that rebuilt its arrays through lists would pay
+   words per resident host. *)
+let test_residency_writers_allocation () =
+  let fx = setup ~hosts:1 () in
+  let k = fx.kernels.(0) in
+  let q = Queue.create () in
+  let create () = Queue.push (Kernel.create_logical_host k ~priority:Cpu.Background) q in
+  let destroy_oldest () = Kernel.destroy_logical_host k (Queue.pop q) in
+  let words_per_cycle () =
+    let cycles = 2_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to cycles do
+      create ();
+      destroy_oldest ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int cycles
+  in
+  for _ = 1 to 60 do create () done;
+  for _ = 1 to 57 do destroy_oldest () done;
+  let few = words_per_cycle () in
+  for _ = 1 to 57 do create () done;
+  let many = words_per_cycle () in
+  Alcotest.(check int) "guests" 60 (Kernel.guest_count k);
+  Alcotest.(check (float 0.01)) "words per cycle, 3 vs 60 resident" few many
+
 let test_remote_destroy_via_kernel_server () =
   let fx = setup () in
   let k0 = fx.kernels.(0) and k1 = fx.kernels.(1) in
@@ -1105,6 +1134,8 @@ let () =
             test_idle_kernel_memory_and_guests;
           Alcotest.test_case "remote destroy" `Quick
             test_remote_destroy_via_kernel_server;
+          Alcotest.test_case "residency writers allocation" `Quick
+            test_residency_writers_allocation;
         ] );
       ( "freeze",
         [

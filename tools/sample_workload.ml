@@ -5,9 +5,16 @@
    Sets up and runs the first PARTS parts (default: all of them) of
    WORKLOAD at the benchmark's default seed, untraced, exactly as
    benchmark/main.exe builds them (tally.ml and workloads.ml are copied
-   from benchmark/). Only the runs are sampled, not the set-ups. Prints
-   the events fired and the share of them that fired from a fixed-delay
-   lane of the engine; the minor words, promoted words and major
+   from benchmark/). PARTS beyond the workload's part count run the
+   parts again in turn, as the benchmark's --seconds re-runs do, and
+   each part gets the benchmark's collections around it (a compaction
+   before its set-up, a full major collection after its run). Only the
+   runs are sampled, not the set-ups. After each part it prints the top
+   heap so far ([Gc.top_heap_words], the benchmark's peak_heap_mb), so
+   heap growth across repeated parts can be followed; identical stacks
+   are kept once, so the samples themselves add little to it. Then it
+   prints the events fired and the share of them that fired from a
+   fixed-delay lane of the engine; the minor words, promoted words and major
    collections of the runs per event (the sampler charges GC work to
    whichever frame allocates, so these show where allocation savings
    land; the sampler's own stack captures are included, a few hundred
@@ -15,6 +22,15 @@
    self time summed by module and by layer. *)
 
 let seed = 1985
+
+(* One copy of each distinct stack: the samples kept across parts then
+   cost a list cell each instead of a fresh list of frame names. *)
+module Stacks = Hashtbl.Make (struct
+  type t = string list
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 256
+end)
 
 let () =
   let usage () =
@@ -27,7 +43,7 @@ let () =
     | [ _; name ] -> (Workloads.find name, Some Workloads.parts)
     | [ _; name; n ] -> (
         match int_of_string_opt n with
-        | Some n when n >= 1 && n <= Workloads.parts -> (Workloads.find name, Some n)
+        | Some n when n >= 1 -> (Workloads.find name, Some n)
         | _ -> (None, None))
     | _ -> (None, None)
   in
@@ -50,19 +66,32 @@ let () =
         last := Some (Cluster.engine cl)
       in
       let minor = ref 0. and promoted = ref 0. and majors = ref 0 in
+      let seen = Stacks.create 4096 in
+      let intern frames =
+        match Stacks.find_opt seen frames with
+        | Some kept -> kept
+        | None ->
+            Stacks.add seen frames frames;
+            frames
+      in
       let stacks =
         List.concat_map
-          (fun part ->
+          (fun k ->
+            let part = k mod Workloads.parts in
+            Gc.compact ();
             let inst =
               w.Workloads.setup ~seed ~part ~smoke:false ~trace:false ~on_cluster
             in
             let m0 = Gc.minor_words () and g0 = Gc.quick_stat () in
-            let stacks = snd (Sampler.sampled inst.Workloads.run) in
+            let stacks = List.map intern (snd (Sampler.sampled inst.Workloads.run)) in
             let g1 = Gc.quick_stat () in
             minor := !minor +. Gc.minor_words () -. m0;
             promoted := !promoted +. g1.Gc.promoted_words -. g0.Gc.promoted_words;
             majors := !majors + g1.Gc.major_collections - g0.Gc.major_collections;
             count_last ();
+            Gc.full_major ();
+            Printf.printf "part %d (workload part %d): top heap %d words\n%!" k part
+              (Gc.quick_stat ()).Gc.top_heap_words;
             stacks)
           (List.init parts Fun.id)
       in
