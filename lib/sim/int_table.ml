@@ -238,3 +238,100 @@ module Direct = struct
 
   let create n = make ~ordered:false n
 end
+
+(* Open addressing over one interleaved array: cell [i] keeps its key at
+   [2i] and its value at [2i + 1], and [empty] in both marks a free
+   cell. A key's probe chain starts at [key land mask] and runs forward
+   to the first free cell. The table doubles before its load passes one
+   half, so every chain ends. A removal shifts the rest of its chain
+   back into the hole, so there are no tombstones. *)
+module Flat = struct
+  type t = { mutable cells : int array; mutable size : int; initial : int }
+
+  let empty = -1
+
+  let create n =
+    let s = power_2_above 2 n in
+    { cells = Array.make (2 * s) empty; size = 0; initial = s }
+
+  let length t = t.size
+  let mask cells = (Array.length cells lsr 1) - 1
+
+  (* The cell holding [key], or the free cell that ends its chain. *)
+  let rec slot cells key mask i =
+    let k = Array.unsafe_get cells (2 * i) in
+    if k = key || k = empty then i else slot cells key mask ((i + 1) land mask)
+
+  let find t key =
+    let cells = t.cells in
+    let mask = mask cells in
+    let i = slot cells key mask (key land mask) in
+    if Array.unsafe_get cells (2 * i) = key then Array.unsafe_get cells ((2 * i) + 1)
+    else empty
+
+  let grow t =
+    let old = t.cells in
+    let cells = Array.make (2 * Array.length old) empty in
+    let mask = mask cells in
+    for i = 0 to (Array.length old lsr 1) - 1 do
+      let k = old.(2 * i) in
+      if k <> empty then begin
+        let j = slot cells k mask (k land mask) in
+        cells.(2 * j) <- k;
+        cells.((2 * j) + 1) <- old.((2 * i) + 1)
+      end
+    done;
+    t.cells <- cells
+
+  let rec replace t key v =
+    if key < 0 || v < 0 then invalid_arg "Int_table.Flat.replace: negative";
+    let cells = t.cells in
+    let mask = mask cells in
+    let i = slot cells key mask (key land mask) in
+    if Array.unsafe_get cells (2 * i) = key then begin
+      let prev = Array.unsafe_get cells ((2 * i) + 1) in
+      Array.unsafe_set cells ((2 * i) + 1) v;
+      prev
+    end
+    else if 2 * (t.size + 1) > mask + 1 then begin
+      grow t;
+      replace t key v
+    end
+    else begin
+      Array.unsafe_set cells (2 * i) key;
+      Array.unsafe_set cells ((2 * i) + 1) v;
+      t.size <- t.size + 1;
+      empty
+    end
+
+  (* Free the cell of [key], then walk the rest of its chain: an entry
+     whose home lies cyclically at or before the hole moves back into
+     it, leaving a new hole behind. *)
+  let remove t key =
+    let cells = t.cells in
+    let mask = mask cells in
+    let i = slot cells key mask (key land mask) in
+    if key < 0 || Array.unsafe_get cells (2 * i) <> key then false
+    else begin
+      let hole = ref i and j = ref ((i + 1) land mask) in
+      while cells.(2 * !j) <> empty do
+        let k = cells.(2 * !j) in
+        if (!j - (k land mask)) land mask >= (!j - !hole) land mask then begin
+          cells.(2 * !hole) <- k;
+          cells.((2 * !hole) + 1) <- cells.((2 * !j) + 1);
+          hole := !j
+        end;
+        j := (!j + 1) land mask
+      done;
+      cells.(2 * !hole) <- empty;
+      cells.((2 * !hole) + 1) <- empty;
+      t.size <- t.size - 1;
+      true
+    end
+
+  let reset t =
+    if Array.length t.cells <> 2 * t.initial then
+      t.cells <- Array.make (2 * t.initial) empty
+    else if t.size > 0 then Array.fill t.cells 0 (Array.length t.cells) empty;
+    t.size <- 0
+end

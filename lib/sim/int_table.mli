@@ -40,3 +40,37 @@ end
 
 module Ordered : S
 module Direct : S
+
+(** A flat table from non-negative [int] keys to non-negative [int]
+    values, for a cache probed on every frame: no cell, option or closure
+    is allocated by a probe, and only growth allocates.
+
+    Layout: one [int] array interleaving keys and values (cell [i] holds
+    its key at [2i] and its value at [2i + 1]); [-1] marks an empty cell.
+    Probing is linear from [key land mask]. The table doubles before its
+    load passes one half, and a removal shifts the rest of its probe
+    chain back instead of leaving a tombstone. It has no iteration, so
+    its order can reach nothing. *)
+module Flat : sig
+  type t
+
+  val create : int -> t
+  (** [create n]: a table of [n] cells rounded up to a power of two (at
+      least 2), the size {!reset} returns to. *)
+
+  val length : t -> int
+
+  val find : t -> int -> int
+  (** The value bound to the key, or [-1]. *)
+
+  val replace : t -> int -> int -> int
+  (** [replace t k v] binds [k] to [v] in one probe and returns the value
+      it replaced, or [-1] if [k] was absent. Raises [Invalid_argument]
+      on a negative key or value. *)
+
+  val remove : t -> int -> bool
+  (** Whether the key was present; it is not afterwards. *)
+
+  val reset : t -> unit
+  (** Empty the table and shrink it back to its initial size. *)
+end

@@ -108,11 +108,17 @@ type t = {
          hold [the_host_lh]. *)
   mutable res_len : int;
   mutable res_guests : int;  (* residents at [Cpu.Background] *)
+  mutable lh_bits : int;
+      (* Bit [id land 31] for every resident or reserved id, and maybe
+         for some that left: a clear bit proves an id is neither, so a
+         [Where_is] for a host elsewhere costs one word test. *)
   mutable on_residency : Ids.lh_id -> resident:bool -> unit;
       (* Called on every change to [lh_table]. *)
   the_host_lh : Logical_host.t;
   sys_procs : Vproc.t Int_table.Ordered.t;
-  bindings : Addr.t Int_table.Direct.t;
+  bindings : Int_table.Flat.t;
+      (* Logical-host id -> station number, a flat cache refreshed by
+         every incoming packet; residents are never cached. *)
   outstanding : osend Int_table.Ordered.t;
   group_outstanding : (Ids.pid * Message.t) Mailbox.t Int_table.Direct.t;
   groups : Vproc.t list Pid_table.t;
@@ -368,10 +374,23 @@ let rec lower_bound (ids : int array) id lo hi =
     else lower_bound ids id lo mid
 
 let res_index t id = lower_bound t.res_ids id 0 t.res_len
+let lh_bit id = 1 lsl (id land 31)
 
 let is_resident t id =
+  t.lh_bits land lh_bit id <> 0
+  &&
   let i = res_index t id in
   i < t.res_len && Array.unsafe_get t.res_ids i = id
+
+(* Drop the bits of ids that are no longer resident or reserved. *)
+let recompute_lh_bits t =
+  let bits = ref 0 in
+  for i = 0 to t.res_len - 1 do
+    bits := !bits lor lh_bit (Array.unsafe_get t.res_ids i)
+  done;
+  if Int_table.Direct.length t.reservations > 0 then
+    bits := Int_table.Direct.fold (fun id _ b -> b lor lh_bit id) t.reservations !bits;
+  t.lh_bits <- !bits
 
 let guest_weight lh = if Logical_host.priority lh = Cpu.Background then 1 else 0
 
@@ -410,6 +429,7 @@ let find_lh t id = Int_table.Ordered.find_opt t.lh_table id
    table. Each allocates only when the arrays double. *)
 let make_resident t id lh =
   Int_table.Ordered.replace t.lh_table id lh;
+  t.lh_bits <- t.lh_bits lor lh_bit id;
   let i = res_index t id in
   if i < t.res_len && t.res_ids.(i) = id then begin
     t.res_guests <- t.res_guests - guest_weight t.res_lhs.(i) + guest_weight lh;
@@ -443,7 +463,8 @@ let evict_resident t id =
     Array.blit t.res_ids (i + 1) t.res_ids i (last - i);
     Array.blit t.res_lhs (i + 1) t.res_lhs i (last - i);
     t.res_lhs.(last) <- t.the_host_lh;
-    t.res_len <- last
+    t.res_len <- last;
+    recompute_lh_bits t
   end;
   t.on_residency id ~resident:false
 
@@ -453,21 +474,24 @@ let on_residency t f =
 
 let guest_count t = t.res_guests
 
-let lookup_binding t lh = Int_table.Direct.find_opt t.bindings lh
+(* The cached station's number, or -1: the hot paths test it without
+   building an option. *)
+let binding t lh = Int_table.Flat.find t.bindings lh
+
+let lookup_binding t lh =
+  let s = binding t lh in
+  if s < 0 then None else Some (Addr.of_int s)
 
 (* Trace only actual changes: cache refreshes from traffic re-set the
    same station on nearly every packet. *)
 let set_binding t lh addr =
-  (match Int_table.Direct.find_opt t.bindings lh with
-  | Some prev when Addr.equal prev addr -> ()
-  | _ -> emit t (fun () -> Binding_set { host = t.name; lh; station = addr }));
-  Int_table.Direct.replace t.bindings lh addr
+  let station = Addr.to_int addr in
+  if Int_table.Flat.replace t.bindings lh station <> station then
+    emit t (fun () -> Binding_set { host = t.name; lh; station = addr })
 
 let invalidate_binding t lh =
-  if Int_table.Direct.mem t.bindings lh then begin
-    Int_table.Direct.remove t.bindings lh;
+  if Int_table.Flat.remove t.bindings lh then
     emit t (fun () -> Binding_invalidated { host = t.name; lh })
-  end
 let set_forward t lh addr = Int_table.Direct.replace t.forwards lh addr
 
 (* Cache refresh from traffic: every packet tells us where its sender's
@@ -509,7 +533,8 @@ let transmit_multicast t ~group pkt =
 let is_group_pid (p : Ids.pid) = p.Ids.lh >= 0x7FFF0000
 
 let lh_hosting_or_reserved t id =
-  is_resident t id || Int_table.Direct.mem t.reservations id
+  t.lh_bits land lh_bit id <> 0
+  && (is_resident t id || Int_table.Direct.mem t.reservations id)
 
 (* The logical host whose transaction table tracks a request addressed to
    [dst]. Requests to reserved-but-uninstalled hosts (migration's state
@@ -614,20 +639,22 @@ let rec osend_attempt t os =
       if Time.(Time.sub now os.os_last_heard > t.prm.Os_params.give_up_after)
       then complete t os (Error No_response)
       else begin
-        (match lookup_binding t dst.Ids.lh with
-        | Some station ->
-            if os.os_attempts_since_heard > 0 then bump t Retransmissions;
-            transmit t ~dst:station
-              (Packet.Request
-                 { txn = os.os_txn; src = os.os_src; dst; msg = os.os_msg })
-        | None ->
-            (* A sender with no binding at all queries in either mode
-               (initial contact needs a locator even in Demos/MP); the
-               ablation's difference is below — stale bindings are never
-               invalidated, so a silent correspondent never triggers a
-               re-query and only the forwarding address can save it. *)
-            bump t Where_is;
-            transmit_broadcast t (Packet.Where_is { lh = dst.Ids.lh }));
+        let station = binding t dst.Ids.lh in
+        (if station >= 0 then begin
+           if os.os_attempts_since_heard > 0 then bump t Retransmissions;
+           transmit t ~dst:(Addr.of_int station)
+             (Packet.Request
+                { txn = os.os_txn; src = os.os_src; dst; msg = os.os_msg })
+         end
+         else begin
+           (* A sender with no binding at all queries in either mode
+              (initial contact needs a locator even in Demos/MP); the
+              ablation's difference is below — stale bindings are never
+              invalidated, so a silent correspondent never triggers a
+              re-query and only the forwarding address can save it. *)
+           bump t Where_is;
+           transmit_broadcast t (Packet.Where_is { lh = dst.Ids.lh })
+         end);
         os.os_attempts_since_heard <- os.os_attempts_since_heard + 1;
         if
           os.os_attempts_since_heard > Os_params.retries_before_query
@@ -744,19 +771,22 @@ let collect_first_where t c ~accept ~timeout ~grace =
   close_collector t c;
   r
 
+(* One wake per window: the deadline event closes the collector, so a
+   reply delivered after it is dropped even while the caller is paused,
+   and wakes the caller, which takes every reply queued before it. *)
 let collect_within t c ~window =
-  let deadline = Time.add (Engine.now t.eng) window in
-  let rec loop acc =
-    let left = Time.sub deadline (Engine.now t.eng) in
-    if Time.(left <= Time.zero) then List.rev acc
-    else
-      match Mailbox.recv_timeout t.eng c.c_mailbox left with
-      | None -> List.rev acc
-      | Some r -> loop (r :: acc)
-  in
-  let rs = loop [] in
-  close_collector t c;
-  rs
+  if Time.(window <= Time.zero) then begin
+    close_collector t c;
+    []
+  end
+  else begin
+    Proc.suspend (fun wake ->
+        Engine.post_after t.eng window (fun () ->
+            close_collector t c;
+            wake ());
+        ignore);
+    Mailbox.drain c.c_mailbox
+  end
 
 (* {2 Receive / reply} *)
 
@@ -782,19 +812,18 @@ let reply ?from t (d : Delivery.t) msg =
           dst = d.Delivery.src;
         });
   let route_remote () =
+    let cached = binding t d.Delivery.src.Ids.lh in
     let station =
-      match lookup_binding t d.Delivery.src.Ids.lh with
-      | Some s -> Some s
-      | None -> (
-          match d.Delivery.origin with
-          | Delivery.Remote s -> Some s
-          | Delivery.Local -> None)
+      if cached >= 0 then cached
+      else
+        match d.Delivery.origin with
+        | Delivery.Remote s -> Addr.to_int s
+        | Delivery.Local -> -1
     in
-    match station with
-    | Some s ->
-        transmit t ~dst:s
-          (Packet.Reply { txn = d.Delivery.txn; src = reply_src; msg })
-    | None -> () (* unroutable; a duplicate request will re-elicit it *)
+    if station >= 0 then
+      transmit t ~dst:(Addr.of_int station)
+        (Packet.Reply { txn = d.Delivery.txn; src = reply_src; msg })
+    (* else unroutable; a duplicate request will re-elicit it *)
   in
   if is_group_pid d.Delivery.dst then
     (* Group replies are best-effort and not retained. *)
@@ -1149,6 +1178,7 @@ let rec arm_reservation_timer t id =
              | Some r ->
                  if Time.(r.r_expires <= Engine.now t.eng) then begin
                    Int_table.Direct.remove t.reservations id;
+                   recompute_lh_bits t;
                    bump t Reservations_expired
                  end
                  else arm_reservation_timer t id)
@@ -1160,12 +1190,15 @@ let reserve_lh t ~temp_lh ~bytes =
         r_bytes = bytes;
         r_expires = Time.add (Engine.now t.eng) Os_params.reservation_ttl;
       };
+    t.lh_bits <- t.lh_bits lor lh_bit temp_lh;
     arm_reservation_timer t temp_lh;
     true
   end
   else false
 
-let cancel_reservation t ~temp_lh = Int_table.Direct.remove t.reservations temp_lh
+let cancel_reservation t ~temp_lh =
+  Int_table.Direct.remove t.reservations temp_lh;
+  recompute_lh_bits t
 
 let install_lh t state =
   if t.stn = None then invalid_arg "Kernel.install_lh: kernel is down";
@@ -1466,10 +1499,11 @@ let create ~engine:eng ~rng:krng ~tracer:trc ~params:prm ~net ~station:self
       res_lhs = Array.make 4 the_host_lh;
       res_len = 0;
       res_guests = 0;
+      lh_bits = 0;
       on_residency = (fun _ ~resident:_ -> ());
       the_host_lh;
       sys_procs = Int_table.Ordered.create 8;
-      bindings = Int_table.Direct.create 32;
+      bindings = Int_table.Flat.create 16;
       outstanding = Int_table.Ordered.create 32;
       group_outstanding = Int_table.Direct.create 8;
       groups = Pid_table.create 8;
@@ -1518,7 +1552,7 @@ let shutdown t =
      [Reservations_expired] ticks from a dead destination), forwarding
      addresses (the Demos/MP ablation's Section 5 failure mode), group
      memberships. *)
-  Int_table.Direct.reset t.bindings;
+  Int_table.Flat.reset t.bindings;
   Int_table.Direct.reset t.group_outstanding;
   Pid_table.reset t.groups;
   Int_table.Direct.reset t.reservations;
@@ -1527,6 +1561,7 @@ let shutdown t =
      strands every program still faulting from it. *)
   Int_table.Direct.reset t.page_sources;
   Int_table.Direct.reset t.fault_sources;
+  recompute_lh_bits t;
   (* The content cache is RAM with the rest. *)
   Content_cache.clear t.cache;
   Int_table.Ordered.reset t.sys_procs;

@@ -298,7 +298,15 @@ val collect_first_where :
 
 val collect_within :
   t -> collector -> window:Time.span -> (Ids.pid * Message.t) list
-(** All replies arriving within the window; closes the collector. *)
+(** The replies delivered within the window, in arrival order. The
+    caller wakes once, at the deadline: one event [window] after the
+    call closes the collector and resumes the caller, which takes what
+    was queued. A reply delivered before the deadline is included. One
+    delivered at the deadline instant is included only when its delivery
+    was scheduled before this call (events at one instant fire in the
+    order they were scheduled); later ones find the collector closed
+    and are dropped, even while the caller's host is frozen. A [window]
+    of zero or less closes the collector and returns [[]] at once. *)
 
 val close_collector : t -> collector -> unit
 (** Close a collector without waiting: fire-and-forget multicast. Any
@@ -320,10 +328,27 @@ val bulk_transfer : ?to_station:Addr.t -> t -> bytes:int -> unit
     calibration) and contends with all other traffic; a [to_station] on a
     bridged segment makes the copy occupy both wires. *)
 
-(** {1 Binding cache} *)
+(** {1 Binding cache}
+
+    Logical-host id to station, an {!Int_table.Flat} table of 16 cells
+    at boot that doubles before it is half full: one interleaved [int]
+    array of keys and station numbers, probed linearly from
+    [id land mask]. Every incoming request, reply and group request
+    refreshes its sender's entry; hosts resident here are never cached.
+    A crash empties it. *)
 
 val lookup_binding : t -> Ids.lh_id -> Addr.t option
+
 val set_binding : t -> Ids.lh_id -> Addr.t -> unit
+(** One probe; emits [Binding_set] only when the station changed. *)
+
+val lh_hosting_or_reserved : t -> Ids.lh_id -> bool
+(** Whether this kernel holds the logical host or a reservation for it:
+    what makes it answer a [Where_is]. A one-word filter (a bit per
+    [id land 31], set for every resident and reserved id) is read
+    first, so an id held elsewhere is usually refused without a
+    search. *)
+
 val announce_lh : t -> Ids.lh_id -> unit
 (** Broadcast this kernel's binding for a logical host ([Here_is]) — the
     optional eager rebind of Section 3.1.4. A no-op in the

@@ -149,16 +149,33 @@ let residency_consistent ids ~reserved k =
      = Kernel.memory_bytes k - resident_bytes
        - List.fold_left (fun acc (_, b) -> acc + b) 0 reserved
 
+(* The [Where_is] filter read before the exact test must never change
+   its answer: for every id ever created or reserved, and for an id 32
+   above each (the same filter bit, never handed out), the kernel
+   answers exactly when it holds the host or a reservation for it. *)
+let where_is_filter_exact ids ~reserved k =
+  List.for_all
+    (fun id ->
+      List.for_all
+        (fun id ->
+          Kernel.lh_hosting_or_reserved k id
+          = (Kernel.find_lh k id <> None || List.mem_assoc id reserved))
+        [ id; id + 32 ])
+    ids
+
 (* Random residency histories over three kernels, the third registered
    halfway through: after every step the index must name exactly the
    kernel the scan names, for every logical host ever created, and every
-   kernel's residency arrays must pass [residency_consistent]. *)
+   kernel's residency arrays must pass [residency_consistent] and its
+   [Where_is] filter [where_is_filter_exact]. One step lets every
+   reservation's lease run out. A [reserve_lh] that did not set its
+   id's filter bit would fail here. *)
 let prop_directory_matches_scan =
   QCheck.Test.make ~count:300 ~name:"index = registration-order scan"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
-      let _, ks = boot_kernels [ "alpha"; "beta"; "gamma" ] in
+      let eng, ks = boot_kernels [ "alpha"; "beta"; "gamma" ] in
       let ks = Array.of_list ks in
       let dir = Directory.of_kernels () in
       Directory.register dir ks.(0);
@@ -167,7 +184,7 @@ let prop_directory_matches_scan =
         ref (Array.to_list (Array.map (fun k -> Logical_host.id (Kernel.host_lh k)) ks))
       in
       (* Per kernel, the (temporary id, bytes) reservations it holds. *)
-      let reserved = Array.make 3 [] in
+      let reserved = Array.make 3 [] and temps = ref [] in
       let pick l = List.nth l (Rng.int rng (List.length l)) in
       let guests k =
         List.filter
@@ -181,7 +198,7 @@ let prop_directory_matches_scan =
         let k = ks.(i) and k' = ks.(i') in
         (* A down kernel holds no guests: nothing is created on it or
            installed into it. *)
-        (match (Rng.int rng 9, guests k) with
+        (match (Rng.int rng 10, guests k) with
         | 0, _ when Kernel.running k ->
             let lh = Kernel.create_logical_host k ~priority:Cpu.Background in
             Logical_host.add_space lh
@@ -210,6 +227,7 @@ let prop_directory_matches_scan =
         | 6, _ when Kernel.running k ->
             let temp_lh = Ids.Lh_allocator.fresh (Kernel.allocator k) in
             let bytes = 1024 * Rng.int rng 128 in
+            temps := temp_lh :: !temps;
             if Kernel.reserve_lh k ~temp_lh ~bytes then
               reserved.(i) <- (temp_lh, bytes) :: reserved.(i)
         | 7, _ when reserved.(i) <> [] ->
@@ -224,12 +242,23 @@ let prop_directory_matches_scan =
             let state = Kernel.extract_lh k lh in
             ignore (Kernel.install_lh k' state);
             ignore (Kernel.install_lh k' state)
+        | 9, _ ->
+            (* Nothing refreshes a lease here, so every reservation
+               expires. *)
+            Engine.run eng
+              ~until:
+                (Time.add (Engine.now eng)
+                   (Time.add Os_params.reservation_ttl (Time.of_ms 1.)));
+            Array.fill reserved 0 3 []
         | _ -> ());
         if not (List.for_all (agrees_with_scan dir) !ids) then ok := false;
         Array.iteri
           (fun j k ->
-            if not (residency_consistent !ids ~reserved:reserved.(j) k) then
-              ok := false)
+            if
+              not
+                (residency_consistent !ids ~reserved:reserved.(j) k
+                && where_is_filter_exact (!ids @ !temps) ~reserved:reserved.(j) k)
+            then ok := false)
           ks
       done;
       !ok)

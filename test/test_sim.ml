@@ -1176,6 +1176,52 @@ let prop_int_table_direct_matches_hashtbl =
           && Hashtbl.fold (fun k _ ok -> ok && agrees k) !model true)
         script)
 
+(* [Int_table.Flat] against a [Hashtbl] model. Keys are [32a + b] with
+   [b] drawn from the ends of each 16- and 32-cell block, so they
+   collide at every table size and their probe chains wrap past the
+   last cell; the table starts at 2 cells and grows through the script.
+   After every step each model key is found with its value, the step's
+   key agrees, and the lengths match. A removal that only emptied its
+   cell, without shifting the rest of the chain back, would hide every
+   key behind the hole and fail here. *)
+let prop_int_table_flat_matches_hashtbl =
+  QCheck.Test.make ~name:"Int_table.Flat holds what Hashtbl holds" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 0 600)
+        (triple (int_bound 99) (int_bound 7)
+           (oneofl [ 0; 1; 2; 13; 14; 15; 16; 29; 30; 31 ])))
+    (fun script ->
+      let model = Hashtbl.create 8 and tbl = Int_table.Flat.create 2 in
+      let agrees k =
+        Int_table.Flat.find tbl k
+        = Option.value (Hashtbl.find_opt model k) ~default:(-1)
+      in
+      List.for_all
+        (fun (op, a, b) ->
+          let k = (32 * a) + b in
+          let step_ok =
+            if op < 60 then begin
+              let prev = Option.value (Hashtbl.find_opt model k) ~default:(-1) in
+              Hashtbl.replace model k op;
+              Int_table.Flat.replace tbl k op = prev
+            end
+            else if op < 90 then begin
+              let had = Hashtbl.mem model k in
+              Hashtbl.remove model k;
+              Int_table.Flat.remove tbl k = had
+            end
+            else if op < 98 then agrees k
+            else begin
+              Hashtbl.reset model;
+              Int_table.Flat.reset tbl;
+              true
+            end
+          in
+          step_ok && agrees k
+          && Int_table.Flat.length tbl = Hashtbl.length model
+          && Hashtbl.fold (fun k _ ok -> ok && agrees k) model true)
+        script)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1282,6 +1328,7 @@ let () =
           [
             prop_int_table_ordered_matches_hashtbl;
             prop_int_table_direct_matches_hashtbl;
+            prop_int_table_flat_matches_hashtbl;
           ] );
       ( "more-properties",
         Alcotest.test_case "nested spawn/join" `Quick test_proc_nested_spawn

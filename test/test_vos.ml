@@ -302,6 +302,118 @@ let test_group_send_collect_all () =
   let uniq = List.sort_uniq Ids.pid_compare senders in
   Alcotest.(check int) "distinct members" 3 (List.length uniq)
 
+(* The window rule: [collect_within] returns the replies delivered
+   before its deadline, in arrival order. Local members reply at set
+   offsets from the survey: each sleeps so that its reply, after the
+   reply's own kernel charge, lands exactly [offset] after the request.
+   One lands 1 us before the deadline, one at the deadline instant
+   (posted after the deadline event, so it fires after the close) and
+   one after it; the last two are dropped. *)
+let test_group_collect_within_window () =
+  let fx = setup ~hosts:1 () in
+  let k = fx.kernels.(0) in
+  let group = Ids.program_manager_group in
+  let window = ms 100. in
+  let p = Os_params.default in
+  let charge = Time.add p.Os_params.local_op p.Os_params.frozen_check in
+  let late_replied = ref 0 in
+  List.iter
+    (fun (name, offset) ->
+      let lh = Kernel.create_logical_host k ~priority:Cpu.Foreground in
+      let vp =
+        Kernel.spawn_process k lh (fun vp ->
+            let d = Kernel.receive k vp in
+            Proc.sleep fx.eng (Time.sub offset charge);
+            Kernel.reply ~from:(Vproc.pid vp) k d (Message.make (Message.Text name));
+            if Time.(offset >= window) then incr late_replied)
+      in
+      Kernel.join_group k ~group vp)
+    [
+      ("a", ms 30.);
+      ("b", ms 10.);
+      ("edge", Time.sub window (Time.of_us 1));
+      ("deadline", window);
+      ("late", ms 150.);
+    ];
+  let lh = Kernel.create_logical_host k ~priority:Cpu.Foreground in
+  let names = ref [] and zero = ref [ "unset" ] and zero_clock = ref false in
+  ignore
+    (Kernel.spawn_process k lh (fun vp ->
+         let survey () =
+           Kernel.send_group k ~src:(Vproc.pid vp) ~group (Message.make Message.Ping)
+         in
+         let c = survey () in
+         names :=
+           List.map
+             (fun (_, m) ->
+               match m.Message.body with Message.Text s -> s | _ -> "?")
+             (Kernel.collect_within k c ~window);
+         Proc.sleep fx.eng (ms 100.);
+         let c = survey () in
+         let before = Engine.now fx.eng in
+         zero :=
+           List.map (fun _ -> "reply") (Kernel.collect_within k c ~window:Time.zero);
+         zero_clock := Time.equal before (Engine.now fx.eng)));
+  Engine.run fx.eng ~until:(Time.of_sec 1.);
+  Alcotest.(check (list string)) "arrival order, deadline excluded"
+    [ "b"; "a"; "edge" ] !names;
+  Alcotest.(check int) "late members replied after the close" 2 !late_replied;
+  Alcotest.(check (list string)) "zero window" [] !zero;
+  Alcotest.(check bool) "zero window keeps the clock" true !zero_clock
+
+(* Minor words one survey of [members] local members costs, averaged
+   over [surveys] surveys made after the tables have grown. *)
+let survey_words ~members ~surveys =
+  let fx = setup ~hosts:1 () in
+  let k = fx.kernels.(0) in
+  let group = Ids.program_manager_group in
+  for _ = 1 to members do
+    let lh = Kernel.create_logical_host k ~priority:Cpu.Foreground in
+    let vp =
+      Kernel.spawn_process k lh (fun vp ->
+          let rec loop () =
+            let d = Kernel.receive k vp in
+            Kernel.reply ~from:(Vproc.pid vp) k d (Message.make Message.Pong);
+            loop ()
+          in
+          loop ())
+    in
+    Kernel.join_group k ~group vp
+  done;
+  let lh = Kernel.create_logical_host k ~priority:Cpu.Foreground in
+  let replies = ref 0 in
+  ignore
+    (Kernel.spawn_process k lh (fun vp ->
+         for _ = 0 to surveys do
+           let c =
+             Kernel.send_group k ~src:(Vproc.pid vp) ~group (Message.make Message.Ping)
+           in
+           replies := !replies + List.length (Kernel.collect_within k c ~window:(ms 10.))
+         done));
+  (* The first survey ends before 20 ms and grows every table. *)
+  Engine.run fx.eng ~until:(ms 20.);
+  Alcotest.(check int) "warm-up replies" members !replies;
+  let before = Gc.minor_words () in
+  Engine.run fx.eng;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every member answers every survey"
+    (members * (surveys + 1)) !replies;
+  words /. float_of_int surveys
+
+(* [collect_within] costs the same per reply whatever the survey's size:
+   the cost of a survey nobody answers is taken off, and what is left is
+   divided by the replies. *)
+let test_group_collect_within_allocation () =
+  let surveys = 200 in
+  let empty = survey_words ~members:0 ~surveys in
+  let per_reply members =
+    (survey_words ~members ~surveys -. empty) /. float_of_int members
+  in
+  let few = per_reply 4 and many = per_reply 40 in
+  if many > few +. 0.5 then
+    Alcotest.failf "words per reply grew with the survey: %.2f (4) -> %.2f (40)"
+      few many
+
 let test_group_collect_first_picks_earliest () =
   let fx = setup ~hosts:3 () in
   let group = Ids.program_manager_group in
@@ -1121,6 +1233,10 @@ let () =
       ( "groups",
         [
           Alcotest.test_case "collect all" `Quick test_group_send_collect_all;
+          Alcotest.test_case "collect_within window rule" `Quick
+            test_group_collect_within_window;
+          Alcotest.test_case "collect_within allocation" `Quick
+            test_group_collect_within_allocation;
           Alcotest.test_case "first responder wins" `Quick
             test_group_collect_first_picks_earliest;
           Alcotest.test_case "collect_first timeout" `Quick
